@@ -7,6 +7,7 @@ from pdslab.data import (
     exhaustive_dataset,
     mix_datasets,
     occupancy_second_moment,
+    occupancy_second_moments,
     quantize_transitions,
     read_jsonl,
     sample_dataset,

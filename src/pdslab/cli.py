@@ -33,6 +33,7 @@ from pdslab.pipeline import (
     results_to_csv,
     sweep,
 )
+from pdslab.reward import ALPHA_MODES
 from pdslab.theory import BoundInputs, pds_bound, sbr_approx, sbr_exact
 
 EXIT_OK = 0
@@ -54,6 +55,31 @@ def _require_fields(section: str, doc: dict, allowed: set, required: set) -> Non
     for key in required:
         if key not in doc:
             raise ConfigError(f"missing field '{key}' in {section}")
+
+
+def _check_settings(section: str, doc: dict, rules: dict) -> None:
+    """rules maps a field to (predicate, description of the valid values,
+    whether JSON null is allowed); absent fields keep their defaults."""
+    for key, (ok, want, nullable) in rules.items():
+        value = doc.get(key)
+        if key not in doc or (value is None and nullable):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+            raise ConfigError(f"{section}.{key} must be {want}, got {value!r}")
+
+
+_REWARD_RULES = {
+    "nu": (lambda v: v > 0, "a positive number", False),
+    "delta": (lambda v: 0 < v < 1, "a number in (0, 1)", False),
+}
+_PEVI_RULES = {
+    "lambda_reg": (lambda v: v > 0, "a positive number", False),
+    "delta": (lambda v: 0 < v < 1, "a number in (0, 1)", False),
+    "c": (lambda v: v > 0, "a positive number", False),
+    "beta_override": (lambda v: v >= 0, "a nonnegative number or null", True),
+    "tol": (lambda v: v > 0, "a positive number or null", True),
+    "max_sweeps": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1 or null", True),
+}
 
 
 def _as_int_list(value, name: str) -> tuple:
@@ -148,6 +174,10 @@ class ExperimentConfig:
         reward_doc = dict(doc.get("reward", {}))
         _require_fields("reward", reward_doc,
                         allowed={"nu", "delta", "alpha_mode"}, required=set())
+        _check_settings("reward", reward_doc, _REWARD_RULES)
+        alpha_mode = reward_doc.get("alpha_mode", "lemma")
+        if alpha_mode not in ALPHA_MODES:
+            raise ConfigError(f"reward.alpha_mode must be one of {ALPHA_MODES}, got {alpha_mode!r}")
         reward = RewardSettings(**reward_doc)
 
         pevi_doc = dict(doc.get("pevi", {}))
@@ -156,6 +186,7 @@ class ExperimentConfig:
             allowed={"lambda_reg", "delta", "c", "beta_override", "tol", "max_sweeps"},
             required=set(),
         )
+        _check_settings("pevi", pevi_doc, _PEVI_RULES)
         pevi = PeviSettings(**pevi_doc)
 
         seeds_doc = doc["seeds"]

@@ -151,9 +151,36 @@ class CoverageReport:
     per_start_state_values: np.ndarray  # (S,), min generalized eigenvalue per start
 
 
-def _draw(cumulative: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    return min(idx, cumulative.shape[0] - 1)
+# Lockstep rollouts compare a (segments, S) block per step; segments are
+# processed in blocks that keep that temporary near this many entries.
+_LOCKSTEP_BLOCK_ENTRIES = 1 << 20
+
+
+def _draw_rows(upper: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw from each row of `upper` with its own u.
+
+    upper holds the cumulative sums without their last entry. On a
+    non-decreasing row, counting the entries <= u is searchsorted(side=
+    "right"), and leaving out the last entry clamps draws beyond the row's
+    mass to the last index.
+    """
+    return (upper <= u[:, None]).sum(axis=1)
+
+
+def _rollout(upper_pi, upper_p, starts, horizon, step_u, actions, next_states) -> None:
+    """Step consecutive reset segments in lockstep, writing into the outputs.
+
+    Segment k starts in starts[k] and covers rows [k*horizon, (k+1)*horizon)
+    of step_u and the outputs. Only the last segment may be shorter, so the
+    rows of step t are the strided slice t::horizon and nothing is padded.
+    """
+    s = starts
+    for t in range(min(horizon, step_u.shape[0])):
+        u = step_u[t::horizon]  # one row per segment still running at step t
+        s = s[: u.shape[0]]
+        a = _draw_rows(upper_pi[s], u[:, 0])
+        s = _draw_rows(upper_p[s, a], u[:, 1])
+        actions[t::horizon], next_states[t::horizon] = a, s
 
 
 def sample_dataset(
@@ -188,21 +215,20 @@ def sample_dataset(
     reset_u = rng.random(num_resets)
     step_u = rng.random((n, 2))
 
-    cum_init = np.cumsum(mdp.init_dist)
-    cum_pi = np.cumsum(behavior.probs, axis=1)
-    cum_p = np.cumsum(mdp.transitions, axis=2)
-
-    states = np.empty(n, dtype=np.int64)
+    upper_pi = np.cumsum(behavior.probs, axis=1)[:, :-1]
+    upper_p = np.cumsum(mdp.transitions, axis=2)[:, :, :-1]
+    starts = np.searchsorted(np.cumsum(mdp.init_dist)[:-1], reset_u, side="right")
     actions = np.empty(n, dtype=np.int64)
     next_states = np.empty(n, dtype=np.int64)
-    s = 0
-    for t in range(n):
-        if t % horizon_reset == 0:
-            s = _draw(cum_init, reset_u[t // horizon_reset])
-        a = _draw(cum_pi[s], step_u[t, 0])
-        sp = _draw(cum_p[s, a], step_u[t, 1])
-        states[t], actions[t], next_states[t] = s, a, sp
-        s = sp
+    block = max(1, _LOCKSTEP_BLOCK_ENTRIES // mdp.num_states)
+    for lo in range(0, num_resets, block):
+        rows = slice(lo * horizon_reset, (lo + block) * horizon_reset)
+        _rollout(upper_pi, upper_p, starts[lo:lo + block], horizon_reset, step_u[rows],
+                 actions[rows], next_states[rows])
+    # within a segment each step starts where the previous one ended
+    states = np.empty(n, dtype=np.int64)
+    states[1:] = next_states[:-1]
+    states[::horizon_reset] = starts
 
     rewards = None
     if labeled:
@@ -250,26 +276,31 @@ def mix_datasets(a: OfflineDataset, b: OfflineDataset) -> OfflineDataset:
     )
 
 
-def occupancy_second_moment(mdp: LinearMdp, policy: Policy, start_state: int) -> np.ndarray:
-    """Sigma_{pi,s} = (1-gamma) * sum_t gamma^t E_pi[phi phi^T | s_0 = s].
+def occupancy_second_moments(mdp: LinearMdp, policy: Policy) -> np.ndarray:
+    """Sigma_{pi,s} = (1-gamma) * sum_t gamma^t E_pi[phi phi^T | s_0 = s] for
+    every start state s, shape (S, d, d).
 
-    The discounted state occupancy kappa solves the adjoint linear system
-    (I - gamma P_pi^T) kappa = (1-gamma) e_s; the second moment is then the
-    kappa-weighted average of the per-state feature outer products. Exact,
-    no sampling.
+    The discounted state occupancy kappa_s solves the adjoint linear system
+    (I - gamma P_pi^T) kappa_s = (1-gamma) e_s, so one solve against
+    (1-gamma) I yields all of them as columns; each second moment is then
+    the kappa_s-weighted average of the per-state feature outer products.
+    Exact, no sampling.
     """
-    if not (0 <= start_state < mdp.num_states):
-        raise ValueError(f"start state {start_state} out of range")
     if policy.probs.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("policy shape does not match mdp")
-    S = mdp.num_states
+    S, d = mdp.num_states, mdp.dim
     p_pi = np.einsum("sa,sae->se", policy.probs, mdp.transitions)
-    e = np.zeros(S)
-    e[start_state] = 1.0 - mdp.gamma
-    kappa = np.linalg.solve(np.eye(S) - mdp.gamma * p_pi.T, e)
+    kappa = np.linalg.solve(np.eye(S) - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * np.eye(S))
     phi = mdp.features.phi
-    per_state = np.einsum("sa,sad,saf->sdf", policy.probs, phi, phi)
-    return np.tensordot(kappa, per_state, axes=1)
+    per_state = np.einsum("sa,sad,saf->sdf", policy.probs, phi, phi).reshape(S, d * d)
+    return (kappa.T @ per_state).reshape(S, d, d)
+
+
+def occupancy_second_moment(mdp: LinearMdp, policy: Policy, start_state: int) -> np.ndarray:
+    """Sigma_{pi,s} for one start state; see occupancy_second_moments."""
+    if not (0 <= start_state < mdp.num_states):
+        raise ValueError(f"start state {start_state} out of range")
+    return occupancy_second_moments(mdp, policy)[start_state]
 
 
 def _min_generalized_eig(m: np.ndarray, sigma: np.ndarray) -> float:
@@ -294,10 +325,7 @@ def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp, optimal: Polic
     feats = dataset.feature_rows(mdp)
     gram = feats.T @ feats / len(dataset)
     per_start = np.array(
-        [
-            _min_generalized_eig(gram, occupancy_second_moment(mdp, optimal, s))
-            for s in range(mdp.num_states)
-        ]
+        [_min_generalized_eig(gram, sigma) for sigma in occupancy_second_moments(mdp, optimal)]
     )
     c = float(np.min(per_start))
     if not np.isfinite(c):

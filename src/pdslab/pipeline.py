@@ -12,14 +12,12 @@ according to the method, and hands the union to the pessimistic solver:
 Suboptimality is measured against the exact optimal policy, reported both
 in expectation over the initial distribution and as the worst state. Sweeps
 re-run the grid cell by cell; dataset seeds derive from the cell coordinates
-only, so every method inside a cell sees identical data, and parallel
-execution returns exactly the serial results.
+only, so every method inside a cell sees identical data. Work that does not
+depend on the method (reward fit, coverage) is done once per cell.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -146,59 +144,88 @@ def run_method(
     oracle, if given, is a precomputed (optimal_policy, optimal_values) pair;
     sweeps pass it to avoid re-solving the same MDP hundreds of times.
     """
+    (outcome,) = _run_methods(mdp, d0, d1, (MethodId(method),), reward_cfg, pevi_cfg,
+                              seed, oracle)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _run_methods(
+    mdp: LinearMdp,
+    d0: OfflineDataset,
+    d1: OfflineDataset | None,
+    methods: tuple,
+    reward_cfg: RewardSettings,
+    pevi_cfg: PeviSettings,
+    seed: int,
+    oracle: tuple | None,
+) -> list:
+    """Run each method on one dataset pair: a RunResult or the raised
+    exception per method, in order.
+
+    The reward fit and both coverage coefficients do not depend on the
+    method, so they are computed once; if that shared work fails, every
+    method gets its exception. A row's wall time is the shared work plus
+    the method's own solve and evaluation.
+    """
     start = time.perf_counter()
-    method = MethodId(method)
-    if not d0.labeled or len(d0) == 0:
-        raise ValueError("run_method requires nonempty labeled d0")
-    if d1 is None:
-        if method is not MethodId.NO_SHARE:
-            raise ValueError(f"{method.value} needs an unlabeled dataset (may be empty)")
-    elif d1.labeled:
-        raise ValueError("d1 must be reward-free")
-
-    if oracle is None:
-        oracle = solve_optimal(mdp)
-    optimal_policy, optimal_values = oracle
-
-    model = fit_reward(
-        d0, mdp.features, nu=reward_cfg.nu, delta=reward_cfg.delta,
-        r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode,
-    )
-    if method is MethodId.NO_SHARE or d1 is None or len(d1) == 0:
-        train = d0
-    else:
-        annotated = relabel(
-            d1, model, mdp.features, mode=_RELABEL_MODE[method],
-            mdp=mdp if method is MethodId.ORACLE else None,
+    try:
+        if not d0.labeled or len(d0) == 0:
+            raise ValueError("run_method requires nonempty labeled d0")
+        if d1 is not None and d1.labeled:
+            raise ValueError("d1 must be reward-free")
+        if oracle is None:
+            oracle = solve_optimal(mdp)
+        optimal_policy, optimal_values = oracle
+        model = fit_reward(
+            d0, mdp.features, nu=reward_cfg.nu, delta=reward_cfg.delta,
+            r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode,
         )
-        train = mix_datasets(d0, annotated)
+        c0 = coverage_coefficient(d0, mdp, optimal_policy).c_dagger
+        c1 = (
+            coverage_coefficient(d1, mdp, optimal_policy).c_dagger
+            if d1 is not None and len(d1) > 0 else 0.0
+        )
+    except Exception as exc:  # reported per method by the caller
+        return [exc] * len(methods)
+    shared_s = time.perf_counter() - start
 
-    solution = pevi_solve(train, mdp.features, pevi_cfg.config_for(mdp, len(train)))
-    achieved = evaluate_policy(mdp, solution.policy)
-    gaps = optimal_values.v - achieved.v
-
-    c0 = coverage_coefficient(d0, mdp, optimal_policy).c_dagger
-    c1 = (
-        coverage_coefficient(d1, mdp, optimal_policy).c_dagger
-        if d1 is not None and len(d1) > 0 else 0.0
-    )
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return RunResult(
-        method=method,
-        n0=len(d0),
-        n1=0 if d1 is None else len(d1),
-        c0_dagger=c0,
-        c1_dagger=c1,
-        gamma=mdp.gamma,
-        dim=mdp.dim,
-        seed=seed,
-        subopt_mean=float(mdp.init_dist @ gaps),
-        subopt_max=float(gaps.max()),
-        v_hat_start=float(mdp.init_dist @ solution.v_hat),
-        wall_time_ms=wall_ms,
-        converged=solution.converged,
-        policy_actions=tuple(int(a) for a in np.argmax(solution.policy.probs, axis=1)),
-    )
+    outcomes = []
+    for method in methods:
+        start = time.perf_counter()
+        try:
+            if d1 is None and method is not MethodId.NO_SHARE:
+                raise ValueError(f"{method.value} needs an unlabeled dataset (may be empty)")
+            if method is MethodId.NO_SHARE or d1 is None or len(d1) == 0:
+                train = d0
+            else:
+                annotated = relabel(
+                    d1, model, mdp.features, mode=_RELABEL_MODE[method],
+                    mdp=mdp if method is MethodId.ORACLE else None,
+                )
+                train = mix_datasets(d0, annotated)
+            solution = pevi_solve(train, mdp.features, pevi_cfg.config_for(mdp, len(train)))
+            gaps = optimal_values.v - evaluate_policy(mdp, solution.policy).v
+            outcomes.append(RunResult(
+                method=method,
+                n0=len(d0),
+                n1=0 if d1 is None else len(d1),
+                c0_dagger=c0,
+                c1_dagger=c1,
+                gamma=mdp.gamma,
+                dim=mdp.dim,
+                seed=seed,
+                subopt_mean=float(mdp.init_dist @ gaps),
+                subopt_max=float(gaps.max()),
+                v_hat_start=float(mdp.init_dist @ solution.v_hat),
+                wall_time_ms=(shared_s + time.perf_counter() - start) * 1e3,
+                converged=solution.converged,
+                policy_actions=tuple(int(a) for a in np.argmax(solution.policy.probs, axis=1)),
+            ))
+        except Exception as exc:  # reported per method by the caller
+            outcomes.append(exc)
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -250,23 +277,28 @@ def _cell_seeds(seed: int, n0: int, n1: int, grid: SweepGrid) -> tuple[int, int]
 def _run_cell(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seed: int, oracle, behaviors):
     d0_seed, d1_seed = _cell_seeds(seed, n0, n1, grid)
     pi0, pi1 = behaviors
-    d0 = sample_dataset(mdp, pi0, n=n0, horizon_reset=grid.horizon_reset,
-                        labeled=True, seed=d0_seed, noise=grid.noise)
-    if n1 > 0:
-        d1 = sample_dataset(mdp, pi1, n=n1, horizon_reset=grid.horizon_reset,
-                            labeled=False, seed=d1_seed)
+    try:
+        d0 = sample_dataset(mdp, pi0, n=n0, horizon_reset=grid.horizon_reset,
+                            labeled=True, seed=d0_seed, noise=grid.noise)
+        if n1 > 0:
+            d1 = sample_dataset(mdp, pi1, n=n1, horizon_reset=grid.horizon_reset,
+                                labeled=False, seed=d1_seed)
+        else:
+            d1 = OfflineDataset([], [], None, [], labeled=False,
+                                num_states=mdp.num_states, num_actions=mdp.num_actions)
+    except Exception as exc:  # cell failures are data, not crashes
+        outcomes = [exc] * len(grid.methods)
     else:
-        d1 = OfflineDataset([], [], None, [], labeled=False,
-                            num_states=mdp.num_states, num_actions=mdp.num_actions)
+        outcomes = _run_methods(mdp, d0, d1, grid.methods, grid.reward, grid.pevi,
+                                seed, oracle)
     out, failures = [], []
-    for method in grid.methods:
-        try:
-            out.append(run_method(mdp, d0, d1, method, grid.reward, grid.pevi,
-                                  seed=seed, oracle=oracle))
-        except Exception as exc:  # cell failures are data, not crashes
+    for method, outcome in zip(grid.methods, outcomes):
+        if isinstance(outcome, RunResult):
+            out.append(outcome)
+        else:
             failures.append({
                 "method": method.value, "n0": n0, "n1": n1, "seed": seed,
-                "error": f"{type(exc).__name__}: {exc}",
+                "error": f"{type(outcome).__name__}: {outcome}",
             })
     return out, failures
 
@@ -278,26 +310,13 @@ def sweep(mdp: LinearMdp, grid: SweepGrid) -> SweepReport:
         behavior_policy(mdp, grid.labeled_quality, oracle[0]),
         behavior_policy(mdp, grid.unlabeled_quality, oracle[0]),
     )
-    cells = [
-        (n0, n1, seed)
-        for n0 in grid.n0_values
-        for n1 in grid.n1_values
-        for seed in grid.seeds
-    ]
-    threads = max(1, int(os.environ.get("PDSLAB_THREADS", "1")))
-    if threads == 1:
-        outcomes = [_run_cell(mdp, grid, n0, n1, seed, oracle, behaviors)
-                    for n0, n1, seed in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_cell, mdp, grid, n0, n1, seed, oracle, behaviors)
-                       for n0, n1, seed in cells]
-            outcomes = [f.result() for f in futures]  # preserves grid order
-
     results, failures = [], []
-    for out, fails in outcomes:
-        results.extend(out)
-        failures.extend(fails)
+    for n0 in grid.n0_values:
+        for n1 in grid.n1_values:
+            for seed in grid.seeds:
+                out, fails = _run_cell(mdp, grid, n0, n1, seed, oracle, behaviors)
+                results.extend(out)
+                failures.extend(fails)
     return SweepReport(results=tuple(results), failures=tuple(failures))
 
 

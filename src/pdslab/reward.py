@@ -24,6 +24,7 @@ from pdslab.data import OfflineDataset
 from pdslab.mdp import FeatureMap, LinearMdp
 
 RELABEL_MODES = ("pds", "uds", "predict", "oracle")
+ALPHA_MODES = ("lemma", "theorem")
 
 
 def lemma_alpha(dim: int, n_labeled: int, nu: float, delta: float, r_max: float) -> float:

@@ -124,10 +124,63 @@ def test_run_bad_config_exits_2(tmp_path):
     assert entrypoint(["run", "--config", str(bad)]) == 2
 
 
-def test_run_cell_failures_exit_3(tmp_path):
-    doc = _base_doc(tmp_path, reward={"alpha_mode": "bogus"})
-    path = _write_config(tmp_path, doc)
+def test_run_cell_failures_exit_3(tmp_path, monkeypatch):
+    import pdslab.pipeline as pipeline
+
+    def broken_fit(*args, **kwargs):
+        raise ValueError("reward fit failed")
+
+    monkeypatch.setattr(pipeline, "fit_reward", broken_fit)
+    path = _write_config(tmp_path, _base_doc(tmp_path))
     assert entrypoint(["run", "--config", path]) == 3
+
+
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        ("reward", "alpha_mode", "bogus"),
+        ("reward", "nu", 0),
+        ("reward", "nu", -1.0),
+        ("reward", "delta", 0.0),
+        ("reward", "delta", 1),
+        ("reward", "delta", "0.1"),
+        ("pevi", "delta", 1.5),
+        ("pevi", "delta", None),
+        ("pevi", "c", -1),
+        ("pevi", "c", 0.0),
+        ("pevi", "lambda_reg", 0),
+        ("pevi", "beta_override", -0.1),
+        ("pevi", "tol", 0.0),
+        ("pevi", "max_sweeps", 0),
+        ("pevi", "max_sweeps", 2.5),
+        ("pevi", "max_sweeps", True),
+    ],
+)
+def test_out_of_range_settings_exit_2_before_any_cell(tmp_path, monkeypatch, section, field,
+                                                      value):
+    import pdslab.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a cell ran on a rejected config")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    doc = _base_doc(tmp_path, **{section: {field: value}})
+    with pytest.raises(ConfigError, match=rf"{section}\.{field}"):
+        ExperimentConfig.from_dict(doc)
+    assert entrypoint(["run", "--config", _write_config(tmp_path, doc)]) == 2
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_boundary_and_null_settings_accepted(tmp_path):
+    doc = _base_doc(
+        tmp_path,
+        reward={"nu": 1e-6, "delta": 0.999, "alpha_mode": "theorem"},
+        pevi={"lambda_reg": 0.5, "delta": 1e-3, "c": 0.02, "beta_override": 0,
+              "tol": None, "max_sweeps": 1},
+    )
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.reward.alpha_mode == "theorem" and cfg.pevi.max_sweeps == 1
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_unknown_subcommand_exits_2():

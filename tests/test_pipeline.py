@@ -141,19 +141,6 @@ def test_sweep_singleton_matches_direct_run():
     assert _strip_wall(got)[0] == _strip_wall(want)[0]
 
 
-def test_sweep_parallel_equals_serial(monkeypatch):
-    mdp = _mdp(seed=29)
-    grid = SweepGrid(n0_values=(30, 60), n1_values=(0, 20), methods=(MethodId.PDS, MethodId.UDS),
-                     seeds=(0, 1), pevi=PeviSettings(beta_override=1.0))
-    monkeypatch.setenv("PDSLAB_THREADS", "1")
-    serial = sweep(mdp, grid)
-    monkeypatch.setenv("PDSLAB_THREADS", "4")
-    parallel = sweep(mdp, grid)
-    assert _strip_wall(results_to_csv(serial.results)) == _strip_wall(
-        results_to_csv(parallel.results))
-    assert len(serial.results) == 2 * 2 * 2 * 2
-
-
 def test_sweep_records_failures_and_continues():
     mdp = _mdp(seed=31)
     grid = SweepGrid(n0_values=(20,), n1_values=(10,), methods=(MethodId.PDS, MethodId.UDS),
@@ -163,6 +150,48 @@ def test_sweep_records_failures_and_continues():
     assert len(report.failures) == 4  # 2 seeds x 2 methods, all hit the bad mode
     assert all("alpha_mode" in f["error"] for f in report.failures)
     assert {f["seed"] for f in report.failures} == {0, 1}
+
+
+def test_sampling_failure_is_recorded_per_method(monkeypatch):
+    import pdslab.pipeline as pipeline
+
+    real = pipeline.sample_dataset
+
+    def flaky(mdp, behavior, n, **kwargs):
+        if n == 20 and not kwargs["labeled"]:
+            raise RuntimeError("sampler broke")
+        return real(mdp, behavior, n, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_dataset", flaky)
+    mdp = _mdp(seed=33)
+    grid = SweepGrid(n0_values=(30,), n1_values=(0, 20, 25), methods=(MethodId.PDS, MethodId.UDS),
+                     seeds=(0, 1), pevi=PeviSettings(beta_override=0.5))
+    report = sweep(mdp, grid)
+    assert len(report.failures) == 4  # the n1=20 cells: 2 seeds x 2 methods
+    assert all(f["n1"] == 20 and f["error"] == "RuntimeError: sampler broke"
+               for f in report.failures)
+    assert {(f["method"], f["seed"]) for f in report.failures} == {
+        (m, s) for m in ("pds", "uds") for s in (0, 1)}
+    assert [(r.n1, r.seed, r.method) for r in report.results] == [
+        (n1, seed, m) for n1 in (0, 25) for seed in (0, 1) for m in (MethodId.PDS, MethodId.UDS)]
+
+
+def test_sweep_rows_match_per_method_runs():
+    # the per-cell shared work must not change what any single method reports
+    from pdslab.pipeline import _cell_seeds
+
+    mdp = _mdp(seed=47)
+    grid = SweepGrid(n0_values=(40,), n1_values=(30,), methods=ALL_METHODS, seeds=(2,),
+                     pevi=PeviSettings(beta_override=0.5))
+    report = sweep(mdp, grid)
+    d0_seed, d1_seed = _cell_seeds(2, 40, 30, grid)
+    oracle = solve_optimal(mdp)
+    d0 = sample_dataset(mdp, behavior_policy(mdp, "medium", oracle[0]), n=40, seed=d0_seed)
+    d1 = sample_dataset(mdp, behavior_policy(mdp, "expert", oracle[0]), n=30, seed=d1_seed,
+                        labeled=False)
+    direct = [run_method(mdp, d0, d1, m, grid.reward, grid.pevi, seed=2, oracle=oracle)
+              for m in ALL_METHODS]
+    assert _strip_wall(results_to_csv(report.results)) == _strip_wall(results_to_csv(direct))
 
 
 def test_methods_never_perturb_cell_data():
