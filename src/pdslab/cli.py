@@ -286,6 +286,10 @@ def run_config(path: str | Path) -> int:
     else:
         md_path.write_text("no results\n")
     print(f"wrote {out} ({len(report.results)} rows) and {md_path}")
+    stalled = sum(not row.converged for row in report.results)
+    if stalled:
+        print(f"warning: PEVI did not converge on {stalled} of {len(report.results)} rows",
+              file=sys.stderr)
     if report.failures:
         for fail in report.failures:
             print(f"cell failed: {fail}", file=sys.stderr)

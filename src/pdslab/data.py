@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from pdslab.mdp import LinearMdp, Policy
+from pdslab.mdp import FeatureMap, LinearMdp, Policy
 
 SIGMA_RANGE_CUTOFF = 1e-10  # eigenvalues of Sigma below this are treated as null space
 DEFAULT_NOISE_FRACTION = 0.1  # sigma = 0.1 * r_max when noise is requested without a scale
+NEGATIVE_REWARD_TOL = 1e-12  # rewards down to -tol count as rounding of 0 and clip to 0
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class OfflineDataset:
             if rewards.shape[0] != n:
                 raise ValueError("rewards length mismatch")
             finite = rewards[~np.isnan(rewards)]
-            if finite.size and finite.min() < -1e-12:
+            if finite.size and finite.min() < -NEGATIVE_REWARD_TOL:
                 raise ValueError("rewards must be nonnegative")
         if labeled and n > 0 and (rewards is None or np.isnan(rewards).any()):
             raise ValueError("labeled dataset requires a reward on every transition")
@@ -101,11 +102,11 @@ class OfflineDataset:
             for i in range(len(self))
         )
 
-    def feature_rows(self, mdp: LinearMdp) -> np.ndarray:
+    def feature_rows(self, features: FeatureMap) -> np.ndarray:
         """phi(s_tau, a_tau) stacked into an (N, d) matrix."""
-        if mdp.num_states < self.num_states or mdp.num_actions < self.num_actions:
-            raise ValueError("dataset shape exceeds mdp shape")
-        return mdp.features.phi[self.states, self.actions]
+        if features.num_states < self.num_states or features.num_actions < self.num_actions:
+            raise ValueError("dataset shape exceeds feature table shape")
+        return features.phi[self.states, self.actions]
 
     def with_rewards(self, rewards, labeled: bool = True, source_tag: str | None = None) -> "OfflineDataset":
         return OfflineDataset(
@@ -322,7 +323,7 @@ def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp, optimal: Polic
     """C-dagger of the dataset against the optimal occupancy from every start state."""
     if len(dataset) == 0:
         raise ValueError("coverage_coefficient requires a nonempty dataset")
-    feats = dataset.feature_rows(mdp)
+    feats = dataset.feature_rows(mdp.features)
     gram = feats.T @ feats / len(dataset)
     per_start = np.array(
         [_min_generalized_eig(gram, sigma) for sigma in occupancy_second_moments(mdp, optimal)]
@@ -386,17 +387,9 @@ def exhaustive_dataset(mdp: LinearMdp, visits_per_pair: int) -> OfflineDataset:
         raise ValueError(
             "visits_per_pair * P must be integral; quantize the MDP first"
         )
-    states, actions, next_states = [], [], []
-    for s in range(mdp.num_states):
-        for a in range(mdp.num_actions):
-            for sp in range(mdp.num_states):
-                c = counts[s, a, sp]
-                if c > 0:
-                    states.extend([s] * c)
-                    actions.extend([a] * c)
-                    next_states.extend([sp] * c)
-    states = np.array(states, dtype=np.int64)
-    actions = np.array(actions, dtype=np.int64)
+    # (s, a, s') triples in row-major order, each repeated by its count
+    flat = np.repeat(np.arange(counts.size), counts.ravel())
+    states, actions, next_states = np.unravel_index(flat, counts.shape)
     return OfflineDataset(
         states,
         actions,
@@ -458,8 +451,9 @@ def parse_jsonl_line(line: str, lineno: int) -> tuple[int, int, float | None, in
     try:
         doc = json.loads(line)
         s, a, sp = int(doc["s"]), int(doc["a"]), int(doc["sp"])
-        r = doc["r"]
-        r = None if r is None else float(r)
+        r = None if doc["r"] is None else float(doc["r"])
+        if r is not None and not (-NEGATIVE_REWARD_TOL <= r < np.inf):  # NaN fails too
+            raise ValueError(f"reward must be finite and nonnegative, got {r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed transition at line {lineno}: {exc}") from exc
     return s, a, r, sp

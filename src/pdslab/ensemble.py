@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 from scipy import stats
 
 from pdslab.data import header_path, parse_jsonl_line
 from pdslab.mdp import FeatureMap
+from pdslab.ridge import Ridge
 
 AUTO_A_DEFAULT = 25.0
 ENSEMBLE_SIZE_DEFAULT = 10
@@ -141,15 +141,12 @@ def fit_ensemble(
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     n, d = len(labeled), features.dim
-    phi_rows = features.phi[labeled.states, labeled.actions]
+    phi_rows = labeled.feature_rows(features)
     members = np.empty((ensemble_size, d))
     for j, child in enumerate(np.random.SeedSequence(seed).spawn(ensemble_size)):
         idx = np.random.default_rng(child).integers(0, n, size=n)
         sub = phi_rows[idx]
-        lam = nu * np.eye(d) + sub.T @ sub
-        members[j] = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(lam), sub.T @ labeled.rewards[idx]
-        )
+        members[j] = Ridge.from_rows(sub, nu).solve(sub.T @ labeled.rewards[idx])
     return EnsembleRewardModel(
         members=members,
         features=features,

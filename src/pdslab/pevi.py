@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from pdslab.data import OfflineDataset
 from pdslab.mdp import FeatureMap, Policy
+from pdslab.ridge import Ridge
 
 
 def theorem_beta(
@@ -133,19 +133,19 @@ def save_solution(solution: PeviSolution, path: str | Path) -> None:
     Path(path).write_text(json.dumps(solution.to_dict()) + "\n")
 
 
-def bellman_gram(
-    dataset: OfflineDataset, features: FeatureMap, lambda_reg: float
-) -> np.ndarray:
-    """lambda_reg * I + sum of phi phi^T over the dataset rows."""
+def _bellman_ridge(dataset: OfflineDataset, features: FeatureMap, lambda_reg: float):
+    """The dataset's feature rows and the ridge over them."""
     if len(dataset) == 0:
         raise ValueError("bellman_gram requires a nonempty dataset")
     if lambda_reg <= 0:
         raise ValueError(f"lambda_reg must be positive, got {lambda_reg}")
-    if features.num_states < dataset.num_states or features.num_actions < dataset.num_actions:
-        raise ValueError("dataset shape exceeds feature table shape")
-    phi = features.phi[dataset.states, dataset.actions]
-    lam = lambda_reg * np.eye(features.dim) + phi.T @ phi
-    return 0.5 * (lam + lam.T)
+    phi = dataset.feature_rows(features)
+    return phi, Ridge.from_rows(phi, lambda_reg)
+
+
+def bellman_gram(dataset: OfflineDataset, features: FeatureMap, lambda_reg: float) -> np.ndarray:
+    """lambda_reg * I + sum of phi phi^T over the dataset rows."""
+    return _bellman_ridge(dataset, features, lambda_reg)[1].matrix
 
 
 def bellman_regress(
@@ -162,15 +162,8 @@ def bellman_regress(
     v = np.asarray(v, dtype=float)
     if v_max is not None and (v.min() < -1e-12 or v.max() > v_max + 1e-9):
         raise ValueError("value vector leaves [0, v_max]")
-    lam = bellman_gram(dataset, features, lambda_reg)
-    phi = features.phi[dataset.states, dataset.actions]
-    targets = dataset.rewards + gamma * v[dataset.next_states]
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(lam), phi.T @ targets)
-
-
-def _bonus_rows(chol, rows: np.ndarray, beta: float) -> np.ndarray:
-    quad = np.einsum("nd,nd->n", rows, scipy.linalg.cho_solve(chol, rows.T).T)
-    return beta * np.sqrt(np.clip(quad, 0.0, None))
+    phi, ridge = _bellman_ridge(dataset, features, lambda_reg)
+    return ridge.solve(phi.T @ (dataset.rewards + gamma * v[dataset.next_states]))
 
 
 def uncertainty_bonus(
@@ -179,17 +172,15 @@ def uncertainty_bonus(
     """beta * sqrt(phi^T Lambda^{-1} phi) at one state-action pair."""
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    chol = scipy.linalg.cho_factor(np.asarray(lambda_matrix, dtype=float))
-    return float(_bonus_rows(chol, features.vector(s, a)[None, :], beta)[0])
+    return float(beta * Ridge(lambda_matrix).widths(features.vector(s, a)[None, :])[0])
 
 
 def bonus_table(lambda_matrix: np.ndarray, features: FeatureMap, beta: float) -> np.ndarray:
     """uncertainty_bonus at every (s,a), shape (S, A)."""
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    chol = scipy.linalg.cho_factor(np.asarray(lambda_matrix, dtype=float))
-    rows = features.matrix()
-    return _bonus_rows(chol, rows, beta).reshape(features.num_states, features.num_actions)
+    widths = Ridge(lambda_matrix).widths(features.matrix())
+    return (beta * widths).reshape(features.num_states, features.num_actions)
 
 
 def pevi_solve(
@@ -197,12 +188,10 @@ def pevi_solve(
 ) -> PeviSolution:
     if not dataset.labeled:
         raise ValueError("pevi_solve requires a fully labeled dataset")
-    lam = bellman_gram(dataset, features, config.lambda_reg)
-    chol = scipy.linalg.cho_factor(lam)
-    phi = features.phi[dataset.states, dataset.actions]
+    phi, ridge = _bellman_ridge(dataset, features, config.lambda_reg)
     rows = features.matrix()
     num_states, num_actions = features.num_states, features.num_actions
-    gamma_table = _bonus_rows(chol, rows, config.beta).reshape(num_states, num_actions)
+    gamma_table = (config.beta * ridge.widths(rows)).reshape(num_states, num_actions)
     v = np.zeros(num_states)
     w = np.zeros(features.dim)
     q = np.zeros((num_states, num_actions))
@@ -211,7 +200,7 @@ def pevi_solve(
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
         targets = dataset.rewards + config.gamma * v[dataset.next_states]
-        w = scipy.linalg.cho_solve(chol, phi.T @ targets)
+        w = ridge.solve(phi.T @ targets)
         q = np.clip(
             (rows @ w).reshape(num_states, num_actions) - gamma_table, 0.0, config.v_max
         )
@@ -224,7 +213,7 @@ def pevi_solve(
 
     return PeviSolution(
         w_hat=w,
-        lambda_matrix=lam,
+        lambda_matrix=ridge.matrix,
         beta=config.beta,
         q_hat=q,
         v_hat=v,

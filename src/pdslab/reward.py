@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from pdslab.data import OfflineDataset
 from pdslab.mdp import FeatureMap, LinearMdp
+from pdslab.ridge import Ridge
 
 RELABEL_MODES = ("pds", "uds", "predict", "oracle")
 ALPHA_MODES = ("lemma", "theorem")
@@ -73,10 +73,10 @@ class RewardModel:
             raise ValueError(f"lambda_matrix min eigenvalue {min_eig:.3e} below nu={self.nu}")
         if self.alpha < np.sqrt(self.nu) - 1e-12:
             raise ValueError(f"alpha={self.alpha} below sqrt(nu)")
-        lam = 0.5 * (lam + lam.T)
-        object.__setattr__(self, "lambda_matrix", lam)
+        ridge = Ridge(lam)
+        object.__setattr__(self, "lambda_matrix", ridge.matrix)
         object.__setattr__(self, "theta_hat", theta)
-        object.__setattr__(self, "_chol", scipy.linalg.cho_factor(lam))
+        object.__setattr__(self, "_ridge", ridge)
 
     @property
     def dim(self) -> int:
@@ -84,7 +84,7 @@ class RewardModel:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Lambda^{-1} rhs through the cached Cholesky factor."""
-        return scipy.linalg.cho_solve(self._chol, rhs)
+        return self._ridge.solve(rhs)
 
     def to_dict(self) -> dict:
         return {
@@ -138,17 +138,10 @@ def fit_reward(
         raise ValueError("fit_reward requires a labeled dataset")
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    if features.num_states < labeled.num_states or features.num_actions < labeled.num_actions:
-        raise ValueError("dataset shape exceeds feature table shape")
-    d = features.dim
-    n = len(labeled)
-    lam = nu * np.eye(d)
-    rhs = np.zeros(d)
-    if n > 0:
-        phi = features.phi[labeled.states, labeled.actions]
-        lam = lam + phi.T @ phi
-        rhs = phi.T @ labeled.rewards
-    theta_hat = scipy.linalg.cho_solve(scipy.linalg.cho_factor(lam), rhs)
+    n, d = len(labeled), features.dim
+    phi = labeled.feature_rows(features)
+    ridge = Ridge.from_rows(phi, nu)
+    theta_hat = ridge.solve(phi.T @ labeled.rewards if n > 0 else np.zeros(d))
     if alpha_mode == "lemma":
         alpha = lemma_alpha(d, n, nu, delta, r_max)
     elif alpha_mode == "theorem":
@@ -157,7 +150,7 @@ def fit_reward(
         raise ValueError(f"unknown alpha_mode {alpha_mode!r}")
     return RewardModel(
         theta_hat=theta_hat,
-        lambda_matrix=lam,
+        lambda_matrix=ridge.matrix,
         alpha=alpha,
         nu=nu,
         n_labeled=n,
@@ -166,23 +159,15 @@ def fit_reward(
     )
 
 
-def _deviation_rows(model: RewardModel, rows: np.ndarray) -> np.ndarray:
-    # alpha * sqrt(phi^T Lambda^{-1} phi) for each row, clipped against
-    # rounding (the quadratic form is nonnegative in exact arithmetic)
-    quad = np.einsum("nd,nd->n", rows, model.solve(rows.T).T)
-    return model.alpha * np.sqrt(np.clip(quad, 0.0, None))
-
-
 def reward_deviation(model: RewardModel, features: FeatureMap, s: int, a: int) -> float:
     """Width of the reward confidence interval at (s,a)."""
-    phi = features.vector(s, a)
-    return float(_deviation_rows(model, phi[None, :])[0])
+    return float(model.alpha * model._ridge.widths(features.vector(s, a)[None, :])[0])
 
 
 def deviation_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
     """reward_deviation for every (s,a), shape (S, A)."""
-    rows = features.matrix()
-    return _deviation_rows(model, rows).reshape(features.num_states, features.num_actions)
+    widths = model._ridge.widths(features.matrix())
+    return (model.alpha * widths).reshape(features.num_states, features.num_actions)
 
 
 def predicted_table(model: RewardModel, features: FeatureMap) -> np.ndarray:

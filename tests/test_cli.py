@@ -113,6 +113,18 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert strip(again) == strip(csv_text)
 
 
+def test_run_warns_when_pevi_does_not_converge(tmp_path, capsys):
+    path = _write_config(tmp_path, _base_doc(tmp_path))
+    assert entrypoint(["run", "--config", path]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+    # beta 0 keeps Q off the zero clamp, so one sweep cannot reach the tolerance
+    path = _write_config(tmp_path, _base_doc(tmp_path, pevi={"max_sweeps": 1, "beta_override": 0}))
+    assert entrypoint(["run", "--config", path]) == 0
+    assert capsys.readouterr().err == "warning: PEVI did not converge on 2 of 2 rows\n"
+    assert (tmp_path / "results.csv").read_text().splitlines()[0] == CSV_HEADER
+
+
 def test_run_bad_config_exits_2(tmp_path):
     doc = _base_doc(tmp_path)
     doc["mystery"] = True
@@ -312,11 +324,31 @@ def test_fit_ensemble_and_relabel(tmp_path, capsys):
     for line in (tmp_path / "filled.jsonl").read_text().strip().splitlines():
         assert json.loads(line)["r"] is not None
 
+    # a reward that is not finite and nonnegative is a bad input, not a passthrough
+    nan_path = tmp_path / "nan.jsonl"
+    nan_path.write_text('{"s": 0, "a": 0, "r": NaN, "sp": 1}\n')
+    assert entrypoint(["relabel", "--in", str(nan_path), "--out", filled_path,
+                       "--model", model_path]) == 2
+    assert "malformed transition at line 1" in capsys.readouterr().err
+
     # declared ensemble size must match the stored model
     assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,
                        "--model", model_path, "--L", "7"]) == 2
     assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,
                        "--model", model_path, "--k", "fast"]) == 2
+
+
+def test_fit_ensemble_rejects_data_larger_than_mdp_exit_2(tmp_path, capsys):
+    big, small = str(tmp_path / "big.json"), str(tmp_path / "small.json")
+    for path, states in ((big, "8"), (small, "5")):
+        entrypoint(["gen-mdp", "--kind", "lowrank", "--states", states, "--actions", "3",
+                    "--dim", "2", "--seed", "7", "--out", path])
+    lab_path = str(tmp_path / "lab.jsonl")
+    entrypoint(["sample", "--mdp", big, "--n", "60", "--seed", "1", "--out", lab_path])
+    capsys.readouterr()
+    assert entrypoint(["fit-ensemble", "--in", lab_path, "--mdp", small,
+                       "--out", str(tmp_path / "model.json")]) == 2
+    assert "exceeds feature table shape" in capsys.readouterr().err
 
 
 def test_bounds_subcommand(tmp_path, capsys):

@@ -333,9 +333,20 @@ def test_jsonl_mixed_labels_round_trip(tmp_path, tabular_5x3):
 
 def test_jsonl_malformed_line_names_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"s": 0, "a": 0, "r": null, "sp": 0}\n{"s": 0, "a": 0}\n')
-    with pytest.raises(ValueError, match="line 2"):
-        read_jsonl(path)
+    # a missing field, then rewards that are not finite and nonnegative
+    for second_line in ('{"s": 0, "a": 0}', '{"s": 0, "a": 0, "r": NaN, "sp": 0}',
+                        '{"s": 0, "a": 0, "r": Infinity, "sp": 0}',
+                        '{"s": 0, "a": 0, "r": -Infinity, "sp": 0}',
+                        '{"s": 0, "a": 0, "r": -0.5, "sp": 0}'):
+        path.write_text('{"s": 0, "a": 0, "r": null, "sp": 0}\n' + second_line + "\n")
+        with pytest.raises(ValueError, match="malformed transition at line 2"):
+            read_jsonl(path)
+
+
+def test_jsonl_rounding_negative_reward_reads_as_zero(tmp_path):
+    path = tmp_path / "tiny.jsonl"
+    path.write_text('{"s": 0, "a": 0, "r": -1e-13, "sp": 0}\n')
+    assert read_jsonl(path).rewards.tolist() == [0.0]
 
 
 def test_jsonl_empty_file(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdslab.data import read_jsonl, sample_dataset, write_jsonl, header_path
+from pdslab.data import OfflineDataset, read_jsonl, sample_dataset, write_jsonl, header_path
 from pdslab.ensemble import (
     EnsembleRewardModel,
     auto_k,
@@ -81,6 +81,10 @@ def test_fit_argument_errors():
     unlab = _uniform_data(mdp, 10, labeled=False)
     with pytest.raises(ValueError, match="labeled"):
         fit_ensemble(unlab, mdp.features, ensemble_size=3)
+    wide = OfflineDataset(ds.states, ds.actions, ds.rewards, ds.next_states, labeled=True,
+                          num_states=9, num_actions=mdp.num_actions)
+    with pytest.raises(ValueError, match="exceeds feature table shape"):
+        fit_ensemble(wide, mdp.features, ensemble_size=3)
     with pytest.raises(ValueError, match="members"):
         EnsembleRewardModel(np.zeros((1, 2)), mdp.features, 0.5, 1.0)
 
@@ -307,6 +311,12 @@ def test_relabel_file_error_reporting(tmp_path):
     oob.write_text(json.dumps({"s": 9, "a": 0, "r": None, "sp": 1}) + "\n")
     with pytest.raises(ValueError, match="line 1"):
         relabel_file(oob, tmp_path / "y.jsonl", model, k_mode=0.0)
+    # rewards that are not finite and nonnegative are rejected, not passed through
+    for reward in ("NaN", "Infinity", "-Infinity", "-0.5"):
+        bad.write_text('{"s": 0, "a": 0, "r": null, "sp": 1}\n'
+                       f'{{"s": 0, "a": 0, "r": {reward}, "sp": 1}}\n')
+        with pytest.raises(ValueError, match="malformed transition at line 2"):
+            relabel_file(bad, tmp_path / "z.jsonl", model, k_mode=0.0)
 
 
 def test_model_json_round_trip(tmp_path):

@@ -1,8 +1,12 @@
-"""Golden equivalence: the vectorized data layer against the code it replaced.
+"""Golden equivalence: refactored code against the code it replaced.
 
 The sampler must reproduce a plain per-step rollout bit for bit, coverage
-must match one linear solve per start state, and the acceptance sweep
-configs must reproduce their pinned CSVs (wall_ms stripped).
+must match one linear solve per start state, the acceptance sweep configs
+must reproduce their pinned CSVs (wall_ms stripped), and the ridge
+estimators (PEVI, reward fit, ensemble) must reproduce their pinned outputs
+in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
+file from the installed pdslab; it was generated before the ridge solves
+moved into pdslab.ridge.
 """
 import json
 from pathlib import Path
@@ -12,11 +16,13 @@ import pytest
 
 from pdslab.cli import run_config
 from pdslab.data import (
+    OfflineDataset,
     _min_generalized_eig,
     coverage_coefficient,
     occupancy_second_moment,
     sample_dataset,
 )
+from pdslab.ensemble import fit_ensemble
 from pdslab.mdp import (
     Policy,
     make_adversarial_mdp,
@@ -24,6 +30,8 @@ from pdslab.mdp import (
     make_tabular_mdp,
     solve_optimal,
 )
+from pdslab.pevi import PeviConfig, bellman_regress, bonus_table, pevi_solve, uncertainty_bonus
+from pdslab.reward import deviation_table, fit_reward, pessimistic_table, reward_deviation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,3 +185,73 @@ def test_sweep_csv_matches_golden(name, tmp_path):
                 assert abs(float(g) - float(w)) <= 1e-12, (column, g, w)
             else:
                 assert g == w, (column, g, w)
+
+
+# seeded small MDPs of each kind and the dataset sizes the estimator pins use
+ESTIMATOR_MDPS = {
+    "tabular-3": lambda: make_tabular_mdp(4, 2, gamma=0.9, seed=3),
+    "tabular-8": lambda: make_tabular_mdp(3, 3, gamma=0.8, seed=8),
+    "lowrank-1": lambda: make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=1),
+    "lowrank-6": lambda: make_lowrank_mdp(5, 2, dim=2, gamma=0.95, seed=6),
+    "adversarial-2": lambda: make_adversarial_mdp(3, dim=2, gamma=0.9),
+    "adversarial-1": lambda: make_adversarial_mdp(2, dim=1, gamma=0.8),
+}
+ESTIMATOR_SIZES = (1, 50, 3000)
+ESTIMATOR_CASES = [f"{name}/n={n}" for name in ESTIMATOR_MDPS for n in ESTIMATOR_SIZES]
+
+
+def _estimator_outputs(case):
+    name, n = case.split("/n=")
+    mdp, n = ESTIMATOR_MDPS[name](), int(n)
+    feats, last = mdp.features, (mdp.num_states - 1, mdp.num_actions - 1)
+    ds = sample_dataset(mdp, _random_policy(mdp, n), n, seed=n, noise=True)
+    cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=0.05)
+    sol = pevi_solve(ds, feats, cfg)
+    model = fit_reward(ds, feats, nu=2.0)
+    empty = fit_reward(OfflineDataset([], [], [], [], labeled=True, num_states=mdp.num_states,
+                                      num_actions=mdp.num_actions), feats, nu=2.0)
+    out = {
+        "q_hat": sol.q_hat,
+        "w_hat": sol.w_hat,
+        "lambda_matrix": sol.lambda_matrix,
+        "sweeps_used": sol.sweeps_used,
+        "converged": sol.converged,
+        "policy": np.argmax(sol.policy.probs, axis=1),
+        "bellman_regress": bellman_regress(
+            ds, feats, np.linspace(0.0, cfg.v_max, mdp.num_states), 0.5, mdp.gamma),
+        "bonus_table": bonus_table(sol.lambda_matrix, feats, 0.3),
+        "uncertainty_bonus": uncertainty_bonus(sol.lambda_matrix, feats, 0.3, *last),
+        "theta_hat": model.theta_hat,
+        "deviation_table": deviation_table(model, feats),
+        "reward_deviation": reward_deviation(model, feats, *last),
+        "pessimistic_table": pessimistic_table(model, feats),
+        "empty_theta_hat": empty.theta_hat,
+        "empty_deviation_table": deviation_table(empty, feats),
+        "members": fit_ensemble(ds, feats, ensemble_size=4, seed=n).members,
+    }
+    return {key: np.asarray(value).tolist() for key, value in out.items()}
+
+
+@pytest.fixture(scope="module")
+def estimator_golden():
+    return json.loads((GOLDEN / "estimators.json").read_text())
+
+
+@pytest.mark.parametrize("case", ESTIMATOR_CASES)
+def test_estimators_match_golden(case, estimator_golden):
+    want_all = estimator_golden[case]
+    got_all = _estimator_outputs(case)
+    assert sorted(got_all) == sorted(want_all)
+    for key, want in want_all.items():
+        got, want = np.asarray(got_all[key]), np.asarray(want)
+        assert got.shape == want.shape, key
+        if want.dtype.kind in "biu":
+            assert np.array_equal(got, want), (key, got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12, (key, got, want)
+
+
+if __name__ == "__main__":
+    lines = [f"{json.dumps(case)}: {json.dumps(_estimator_outputs(case))}"
+             for case in ESTIMATOR_CASES]
+    (GOLDEN / "estimators.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
