@@ -68,6 +68,9 @@ def _check_settings(section: str, doc: dict, rules: dict) -> None:
             raise ConfigError(f"{section}.{key} must be {want}, got {value!r}")
 
 
+_DATA_RULES = {
+    "horizon_reset": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1", False),
+}
 _REWARD_RULES = {
     "nu": (lambda v: v > 0, "a positive number", False),
     "delta": (lambda v: 0 < v < 1, "a number in (0, 1)", False),
@@ -158,8 +161,13 @@ class ExperimentConfig:
         if any(n > 0 for n in n1_values) and unlabeled_quality is None:
             raise ConfigError("data.unlabeled_quality is required when any n1 > 0")
         noise = data.get("noise", False)
-        if not isinstance(noise, bool) and not isinstance(noise, (int, float)):
-            raise ConfigError("data.noise must be a boolean or a number")
+        if not isinstance(noise, bool) and not (
+            isinstance(noise, (int, float)) and 0 <= noise < float("inf")
+        ):
+            raise ConfigError(
+                f"data.noise must be a boolean or a finite nonnegative number, got {noise!r}"
+            )
+        _check_settings("data", data, _DATA_RULES)
         horizon_reset = data.get("horizon_reset", 100)
 
         methods_doc = doc["methods"]

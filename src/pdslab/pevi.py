@@ -12,8 +12,14 @@ and clamps into [0, v_max]:
     Q(s,a) = clamp(<phi(s,a), w_hat> - Gamma(s,a), 0, v_max),
     V(s) = max_a Q(s,a),  policy greedy with lowest-index ties.
 
-Lambda and Gamma depend only on the dataset, so both are built and factorized
-once per solve; only w_hat moves between sweeps. For one-hot features the
+Lambda and Gamma depend only on the dataset, and so does the regression of
+the targets: with the next-state feature sums B[k, s'] = sum over the rows
+with s'_tau = s' of phi_tau[k], a d x S matrix,
+
+    w_hat = w_r + gamma * Lambda^{-1} B v,   w_r = Lambda^{-1} sum_tau phi_tau r_tau.
+
+w_r and gamma * Lambda^{-1} B are built once per solve, so each sweep costs
+O(dS + SAd) and does not touch the N dataset rows. For one-hot features the
 sweep map is a sup-norm contraction, but general feature maps can defeat
 that, so the returned solution carries a converged flag and the residual
 trace instead of promising a fixed point.
@@ -192,6 +198,13 @@ def pevi_solve(
     rows = features.matrix()
     num_states, num_actions = features.num_states, features.num_actions
     gamma_table = (config.beta * ridge.widths(rows)).reshape(num_states, num_actions)
+    # B[k, s'] sums phi_k over the rows landing in s', so phi^T v(s') = B v.
+    next_sums = np.stack([
+        np.bincount(dataset.next_states, weights=phi[:, k], minlength=num_states)
+        for k in range(features.dim)
+    ])
+    sweep_map = config.gamma * ridge.solve(next_sums)
+    w_reward = ridge.solve(phi.T @ dataset.rewards)
     v = np.zeros(num_states)
     w = np.zeros(features.dim)
     q = np.zeros((num_states, num_actions))
@@ -199,8 +212,7 @@ def pevi_solve(
     converged = False
     sweeps = 0
     for sweeps in range(1, config.max_sweeps + 1):
-        targets = dataset.rewards + config.gamma * v[dataset.next_states]
-        w = ridge.solve(phi.T @ targets)
+        w = w_reward + sweep_map @ v
         q = np.clip(
             (rows @ w).reshape(num_states, num_actions) - gamma_table, 0.0, config.v_max
         )

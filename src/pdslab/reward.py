@@ -14,7 +14,7 @@ oracle (true rewards, requires the generating MDP).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,23 +60,26 @@ class RewardModel:
     n_labeled: int
     delta: float
     r_max: float = 1.0
+    # the factored Lambda; fit_reward hands over the one it built from the
+    # rows, which is then trusted as is instead of validated and refactored
+    ridge: Ridge | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.lambda_matrix, dtype=float)
         theta = np.asarray(self.theta_hat, dtype=float)
+        lam = np.asarray(self.lambda_matrix, dtype=float) if self.ridge is None else self.ridge.matrix
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1] or theta.shape != (lam.shape[0],):
             raise ValueError("theta_hat/lambda_matrix shapes inconsistent")
-        if np.abs(lam - lam.T).max() > 1e-9:
-            raise ValueError("lambda_matrix must be symmetric")
-        min_eig = float(np.linalg.eigvalsh(lam).min())
-        if min_eig < self.nu - 1e-9:
-            raise ValueError(f"lambda_matrix min eigenvalue {min_eig:.3e} below nu={self.nu}")
+        if self.ridge is None:
+            if np.abs(lam - lam.T).max() > 1e-9:
+                raise ValueError("lambda_matrix must be symmetric")
+            min_eig = float(np.linalg.eigvalsh(lam).min())
+            if min_eig < self.nu - 1e-9:
+                raise ValueError(f"lambda_matrix min eigenvalue {min_eig:.3e} below nu={self.nu}")
+            object.__setattr__(self, "ridge", Ridge(lam))
         if self.alpha < np.sqrt(self.nu) - 1e-12:
             raise ValueError(f"alpha={self.alpha} below sqrt(nu)")
-        ridge = Ridge(lam)
-        object.__setattr__(self, "lambda_matrix", ridge.matrix)
+        object.__setattr__(self, "lambda_matrix", self.ridge.matrix)
         object.__setattr__(self, "theta_hat", theta)
-        object.__setattr__(self, "_ridge", ridge)
 
     @property
     def dim(self) -> int:
@@ -84,7 +87,7 @@ class RewardModel:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Lambda^{-1} rhs through the cached Cholesky factor."""
-        return self._ridge.solve(rhs)
+        return self.ridge.solve(rhs)
 
     def to_dict(self) -> dict:
         return {
@@ -156,17 +159,18 @@ def fit_reward(
         n_labeled=n,
         delta=delta,
         r_max=r_max,
+        ridge=ridge,
     )
 
 
 def reward_deviation(model: RewardModel, features: FeatureMap, s: int, a: int) -> float:
     """Width of the reward confidence interval at (s,a)."""
-    return float(model.alpha * model._ridge.widths(features.vector(s, a)[None, :])[0])
+    return float(model.alpha * model.ridge.widths(features.vector(s, a)[None, :])[0])
 
 
 def deviation_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
     """reward_deviation for every (s,a), shape (S, A)."""
-    widths = model._ridge.widths(features.matrix())
+    widths = model.ridge.widths(features.matrix())
     return (model.alpha * widths).reshape(features.num_states, features.num_actions)
 
 

@@ -166,6 +166,12 @@ def test_run_cell_failures_exit_3(tmp_path, monkeypatch):
         ("pevi", "max_sweeps", 0),
         ("pevi", "max_sweeps", 2.5),
         ("pevi", "max_sweeps", True),
+        ("data", "horizon_reset", 0),
+        ("data", "horizon_reset", 2.5),
+        ("data", "horizon_reset", "x"),
+        ("data", "horizon_reset", True),
+        ("data", "noise", -0.1),
+        ("data", "noise", float("inf")),
     ],
 )
 def test_out_of_range_settings_exit_2_before_any_cell(tmp_path, monkeypatch, section, field,
@@ -176,7 +182,8 @@ def test_out_of_range_settings_exit_2_before_any_cell(tmp_path, monkeypatch, sec
         raise AssertionError("a cell ran on a rejected config")
 
     monkeypatch.setattr(cli, "sweep", no_sweep)
-    doc = _base_doc(tmp_path, **{section: {field: value}})
+    doc = _base_doc(tmp_path)
+    doc[section] = {**doc.get(section, {}), field: value}
     with pytest.raises(ConfigError, match=rf"{section}\.{field}"):
         ExperimentConfig.from_dict(doc)
     assert entrypoint(["run", "--config", _write_config(tmp_path, doc)]) == 2
@@ -190,8 +197,10 @@ def test_boundary_and_null_settings_accepted(tmp_path):
         pevi={"lambda_reg": 0.5, "delta": 1e-3, "c": 0.02, "beta_override": 0,
               "tol": None, "max_sweeps": 1},
     )
+    doc["data"].update(noise=0, horizon_reset=1)
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.reward.alpha_mode == "theorem" and cfg.pevi.max_sweeps == 1
+    assert cfg.noise == 0 and cfg.horizon_reset == 1
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 

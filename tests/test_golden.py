@@ -251,6 +251,19 @@ def test_estimators_match_golden(case, estimator_golden):
             assert np.abs(got - want).max() <= 1e-12, (key, got, want)
 
 
+
+REWARD_FIT_KEYS = ("theta_hat", "deviation_table", "reward_deviation", "pessimistic_table",
+                   "empty_theta_hat", "empty_deviation_table")
+
+
+@pytest.mark.parametrize("case", ESTIMATOR_CASES)
+def test_reward_fit_matches_golden_bit_for_bit(case, estimator_golden):
+    """The reward fit hands its factored Lambda to the model instead of
+    refactoring it, so its outputs are the pinned floats exactly."""
+    got_all = _estimator_outputs(case)
+    for key in REWARD_FIT_KEYS:
+        assert np.array_equal(got_all[key], estimator_golden[case][key]), key
+
 if __name__ == "__main__":
     lines = [f"{json.dumps(case)}: {json.dumps(_estimator_outputs(case))}"
              for case in ESTIMATOR_CASES]

@@ -15,6 +15,7 @@ from pdslab.mdp import (
     FeatureMap,
     Policy,
     evaluate_policy,
+    make_adversarial_mdp,
     make_lowrank_mdp,
     make_tabular_mdp,
     solve_optimal,
@@ -28,6 +29,7 @@ from pdslab.pevi import (
     theorem_beta,
     uncertainty_bonus,
 )
+from pdslab.ridge import Ridge
 
 
 def _uniform_data(mdp, n, seed=0, labeled=True):
@@ -271,6 +273,58 @@ def test_solver_deterministic():
     assert np.array_equal(a.w_hat, b.w_hat)
     assert np.array_equal(a.v_hat, b.v_hat)
     assert a.to_dict() == b.to_dict()
+
+
+def _row_form_pevi(dataset, features, config):
+    """The sweep that pevi_solve replaced: every sweep gathers v(s') over the
+    N dataset rows and ridge-regresses r + gamma * v(s') onto them."""
+    phi = dataset.feature_rows(features)
+    ridge = Ridge.from_rows(phi, config.lambda_reg)
+    rows = features.matrix()
+    num_states, num_actions = features.num_states, features.num_actions
+    gamma_table = (config.beta * ridge.widths(rows)).reshape(num_states, num_actions)
+    v = np.zeros(num_states)
+    residuals, converged = [], False
+    for sweeps in range(1, config.max_sweeps + 1):
+        w = ridge.solve(phi.T @ (dataset.rewards + config.gamma * v[dataset.next_states]))
+        q = np.clip((rows @ w).reshape(num_states, num_actions) - gamma_table,
+                    0.0, config.v_max)
+        v_next = q.max(axis=1)
+        residuals.append(float(np.abs(v_next - v).max()))
+        v = v_next
+        if residuals[-1] < config.tol:
+            converged = True
+            break
+    return w, q, sweeps, converged, residuals
+
+
+EQUIVALENCE_MDPS = {
+    "tabular": lambda: make_tabular_mdp(5, 3, gamma=0.9, seed=4),
+    "lowrank": lambda: make_lowrank_mdp(7, 3, dim=3, gamma=0.95, seed=2),
+    "adversarial": lambda: make_adversarial_mdp(3, dim=2, gamma=0.9),
+}
+
+
+@pytest.mark.parametrize("max_sweeps", [None, 3])
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [1, 60, 3000])
+@pytest.mark.parametrize("kind", sorted(EQUIVALENCE_MDPS))
+def test_solver_matches_row_form_sweep(kind, n, beta, max_sweeps):
+    mdp = EQUIVALENCE_MDPS[kind]()
+    probs = np.random.default_rng(n).random((mdp.num_states, mdp.num_actions))
+    behavior = Policy(probs / probs.sum(axis=1, keepdims=True))
+    ds = sample_dataset(mdp, behavior, n, seed=n + 1, noise=True)
+    cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=beta, lambda_reg=0.7,
+                             max_sweeps=max_sweeps)
+    sol = pevi_solve(ds, mdp.features, cfg)
+    w, q, sweeps, converged, residuals = _row_form_pevi(ds, mdp.features, cfg)
+    assert (sol.sweeps_used, sol.converged) == (sweeps, converged)
+    if n > 1:  # a single row can settle within three sweeps
+        assert converged == (max_sweeps is None)
+    assert np.array_equal(sol.policy.probs, Policy.greedy(q).probs)
+    assert np.abs(sol.q_hat - q).max() <= 1e-12
+    assert np.abs(sol.w_hat - w).max() <= 1e-12
+    assert np.abs(np.subtract(sol.residuals, residuals)).max() <= 1e-12
 
 
 def test_solution_json_export(tmp_path):
