@@ -9,6 +9,7 @@ occupancy second moment, computed exactly from a linear solve.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,10 +103,14 @@ class OfflineDataset:
             for i in range(len(self))
         )
 
-    def feature_rows(self, features: FeatureMap) -> np.ndarray:
-        """phi(s_tau, a_tau) stacked into an (N, d) matrix."""
+    def check_features(self, features: FeatureMap) -> None:
+        """Raise unless features has a row for every (s, a) this dataset can hold."""
         if features.num_states < self.num_states or features.num_actions < self.num_actions:
             raise ValueError("dataset shape exceeds feature table shape")
+
+    def feature_rows(self, features: FeatureMap) -> np.ndarray:
+        """phi(s_tau, a_tau) stacked into an (N, d) matrix."""
+        self.check_features(features)
         return features.phi[self.states, self.actions]
 
     def with_rewards(self, rewards, labeled: bool = True, source_tag: str | None = None) -> "OfflineDataset":
@@ -417,25 +422,68 @@ def header_path(path: str | Path) -> Path:
     return Path(str(path) + ".header.json")
 
 
+def read_header(path: str | Path) -> dict | None:
+    """The sidecar header of a transition file, or None when it has none."""
+    hp = header_path(path)
+    return json.loads(hp.read_text()) if hp.exists() else None
+
+
+def write_header(path: str | Path, meta: dict) -> None:
+    header_path(path).write_text(json.dumps(meta) + "\n")
+
+
+def read_transitions(path: str | Path):
+    """Parse a transition file into columns (states, actions, rewards, next_states, linenos).
+
+    Each nonblank line is one {"s", "a", "r", "sp"} object. Ids must be JSON
+    integers (not booleans) that fit int64; r must be a finite number
+    >= -NEGATIVE_REWARD_TOL or null, which reads as NaN. Ids and linenos (each
+    record's 1-based line number) come back as int64, rewards as float, unclipped.
+    """
+    states, actions, next_states, linenos = array("q"), array("q"), array("q"), array("q")
+    rewards = array("d")
+    with Path(path).open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                s, a, r, sp = doc["s"], doc["a"], doc["r"], doc["sp"]
+                if type(s) is not int or type(a) is not int or type(sp) is not int:
+                    raise TypeError(f"ids must be JSON integers, got s={s!r}, a={a!r}, sp={sp!r}")
+                if r is None:
+                    r = np.nan
+                elif type(r) in (int, float) and -NEGATIVE_REWARD_TOL <= float(r) < np.inf:
+                    r = float(r)
+                else:  # NaN fails the range check too
+                    raise ValueError(f"reward must be a finite nonnegative number or null, got {r!r}")
+                states.append(s)  # the int64 appends raise OverflowError for larger ids
+                actions.append(a)
+                next_states.append(sp)
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"malformed transition at line {lineno}: {exc}") from exc
+            rewards.append(r)
+            linenos.append(lineno)
+    return tuple(np.asarray(c) for c in (states, actions, rewards, next_states, linenos))
+
+
+def write_transitions(path: str | Path, states, actions, rewards, next_states) -> None:
+    """One {"s","a","r","sp"} line per record of the column arrays, NaN rewards as null.
+
+    Floats are written as repr(float), so each line is byte for byte what
+    json.dumps writes for the same record.
+    """
+    with Path(path).open("w") as fh:
+        fh.writelines(f'{{"s": {s}, "a": {a}, "r": {"null" if r != r else repr(r)}, "sp": {sp}}}\n'
+                      for s, a, r, sp in zip(states.tolist(), actions.tolist(), rewards.tolist(),
+                                             next_states.tolist()))
+
+
 def write_jsonl(dataset: OfflineDataset, path: str | Path) -> None:
     """One {"s","a","r","sp"} object per line plus a sidecar header file."""
-    path = Path(path)
-    rs = dataset.rewards
-    with path.open("w") as fh:
-        for i in range(len(dataset)):
-            r = None if rs is None or np.isnan(rs[i]) else float(rs[i])
-            fh.write(
-                json.dumps(
-                    {
-                        "s": int(dataset.states[i]),
-                        "a": int(dataset.actions[i]),
-                        "r": r,
-                        "sp": int(dataset.next_states[i]),
-                    }
-                )
-                + "\n"
-            )
-    header = {
+    rewards = np.full(len(dataset), np.nan) if dataset.rewards is None else dataset.rewards
+    write_transitions(path, dataset.states, dataset.actions, rewards, dataset.next_states)
+    write_header(path, {
         "mdp_hash": dataset.mdp_hash,
         "seed": dataset.seed,
         "behavior": dataset.source_tag,
@@ -443,51 +491,22 @@ def write_jsonl(dataset: OfflineDataset, path: str | Path) -> None:
         "num_states": dataset.num_states,
         "num_actions": dataset.num_actions,
         "n": len(dataset),
-    }
-    header_path(path).write_text(json.dumps(header) + "\n")
-
-
-def parse_jsonl_line(line: str, lineno: int) -> tuple[int, int, float | None, int]:
-    try:
-        doc = json.loads(line)
-        s, a, sp = int(doc["s"]), int(doc["a"]), int(doc["sp"])
-        r = None if doc["r"] is None else float(doc["r"])
-        if r is not None and not (-NEGATIVE_REWARD_TOL <= r < np.inf):  # NaN fails too
-            raise ValueError(f"reward must be finite and nonnegative, got {r}")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed transition at line {lineno}: {exc}") from exc
-    return s, a, r, sp
+    })
 
 
 def read_jsonl(path: str | Path) -> OfflineDataset:
     """Read a transition file; uses the sidecar header when present."""
-    path = Path(path)
-    states, actions, rewards, next_states = [], [], [], []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            s, a, r, sp = parse_jsonl_line(line, lineno)
-            states.append(s)
-            actions.append(a)
-            rewards.append(np.nan if r is None else r)
-            next_states.append(sp)
-    meta = {}
-    hp = header_path(path)
-    if hp.exists():
-        meta = json.loads(hp.read_text())
-    n_states = meta.get("num_states", (max(states + next_states) + 1) if states else 1)
-    n_actions = meta.get("num_actions", (max(actions) + 1) if actions else 1)
-    rewards_arr = np.array(rewards) if rewards else None
-    all_labeled = bool(states) and not np.isnan(rewards_arr).any() if rewards_arr is not None else False
+    states, actions, rewards, next_states, _ = read_transitions(path)
+    meta = read_header(path) or {}
+    observed = ~np.isnan(rewards)
     return OfflineDataset(
         states,
         actions,
-        None if rewards_arr is None or np.isnan(rewards_arr).all() else rewards_arr,
+        rewards if observed.any() else None,
         next_states,
-        labeled=meta.get("labeled", all_labeled),
-        num_states=n_states,
-        num_actions=n_actions,
+        labeled=meta.get("labeled", len(states) > 0 and bool(observed.all())),
+        num_states=meta.get("num_states", int(max(states.max(initial=0), next_states.max(initial=0))) + 1),
+        num_actions=meta.get("num_actions", int(actions.max(initial=0)) + 1),
         source_tag=meta.get("behavior", ""),
         seed=meta.get("seed"),
         mdp_hash=meta.get("mdp_hash"),

@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from pdslab.data import header_path, parse_jsonl_line
+from pdslab.data import read_header, read_transitions, write_header, write_transitions
 from pdslab.mdp import FeatureMap
+from pdslab.reward import fill_missing
 from pdslab.ridge import Ridge
 
 AUTO_A_DEFAULT = 25.0
@@ -232,59 +233,35 @@ def relabel_file(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    input_path, output_path = Path(input_path), Path(output_path)
-    num_states, num_actions = model.features.num_states, model.features.num_actions
+    states, actions, rewards, next_states, linenos = read_transitions(input_path)
+    bad = ((states < 0) | (states >= model.features.num_states)
+           | (actions < 0) | (actions >= model.features.num_actions))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"no feature row for (s={states[i]}, a={actions[i]}) at line {linenos[i]}")
 
-    records = []
-    unlabeled_rows = []
-    with input_path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            s, a, r, sp = parse_jsonl_line(line, lineno)
-            if not (0 <= s < num_states and 0 <= a < num_actions):
-                raise ValueError(f"no feature row for (s={s}, a={a}) at line {lineno}")
-            records.append((s, a, r, sp))
-            if r is None:
-                unlabeled_rows.append((s, a))
-
-    if k_mode == "auto":
-        if unlabeled_rows:
-            rows = model.features.phi[
-                [s for s, _ in unlabeled_rows], [a for _, a in unlabeled_rows]
-            ]
-            mean_pred = float((rows @ model.members.mean(axis=0)).mean())
-            k = resolve_k(model, unlabeled_pred_mean=mean_pred)
-        else:
-            k = 0.0
-    else:
+    missing = np.isnan(rewards)
+    if k_mode != "auto":
         k = resolve_k(model, k_override=float(k_mode))
+    elif missing.any():
+        rows = model.features.phi[states[missing], actions[missing]]
+        k = resolve_k(model, unlabeled_pred_mean=float((rows @ model.members.mean(axis=0)).mean()))
+    else:
+        k = 0.0
 
-    table = _pessimistic_tables(model, k, estimator)
-    written = []
-    passthrough = 0
-    with output_path.open("w") as out:
-        for s, a, r, sp in records:
-            if r is None:
-                value = float(table[s, a])
-                written.append(value)
-            else:
-                value = r
-                passthrough += 1
-            out.write(json.dumps({"s": s, "a": a, "r": value, "sp": sp}) + "\n")
+    filled = fill_missing(rewards, _pessimistic_tables(model, k, estimator), states, actions)
+    write_transitions(output_path, states, actions, filled, next_states)
+    meta = read_header(input_path)
+    if meta is not None:
+        write_header(output_path, {**meta, "labeled": True})
 
-    src_header = header_path(input_path)
-    if src_header.exists():
-        meta = json.loads(src_header.read_text())
-        meta["labeled"] = True
-        header_path(output_path).write_text(json.dumps(meta) + "\n")
-
+    written = filled[missing]
     return {
-        "count": len(records),
+        "count": len(states),
         "relabeled": len(written),
-        "passthrough": passthrough,
+        "passthrough": len(states) - len(written),
         "k": k,
-        "reward_mean": float(np.mean(written)) if written else None,
-        "reward_min": float(np.min(written)) if written else None,
-        "reward_max": float(np.max(written)) if written else None,
+        "reward_mean": float(np.mean(written)) if len(written) else None,
+        "reward_min": float(np.min(written)) if len(written) else None,
+        "reward_max": float(np.max(written)) if len(written) else None,
     }

@@ -193,6 +193,12 @@ def pessimistic_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
     return np.clip(table, 0.0, model.r_max)
 
 
+def fill_missing(rewards, table: np.ndarray, states, actions) -> np.ndarray:
+    """rewards with each NaN row (every row if rewards is None) set to table[s, a]."""
+    fills = table[states, actions]
+    return fills if rewards is None else np.where(np.isnan(rewards), fills, rewards)
+
+
 def relabel(
     unlabeled: OfflineDataset,
     model: RewardModel,
@@ -210,8 +216,7 @@ def relabel(
     """
     if mode not in RELABEL_MODES:
         raise ValueError(f"mode must be one of {RELABEL_MODES}, got {mode!r}")
-    if features.num_states < unlabeled.num_states or features.num_actions < unlabeled.num_actions:
-        raise ValueError("dataset shape exceeds feature table shape")
+    unlabeled.check_features(features)
     if mode == "oracle":
         if mdp is None:
             raise ValueError("mode='oracle' requires the true mdp")
@@ -223,11 +228,8 @@ def relabel(
     else:
         fill_table = pessimistic_table(model, features)
 
-    fills = fill_table[unlabeled.states, unlabeled.actions]
-    if mode == "oracle" or strict or unlabeled.rewards is None:
-        new_rewards = fills
-    else:
-        new_rewards = np.where(np.isnan(unlabeled.rewards), fills, unlabeled.rewards)
+    observed = None if mode == "oracle" or strict else unlabeled.rewards
+    new_rewards = fill_missing(observed, fill_table, unlabeled.states, unlabeled.actions)
     tag = f"{unlabeled.source_tag}|{mode}" if unlabeled.source_tag else mode
     return unlabeled.with_rewards(new_rewards, labeled=True, source_tag=tag)
 

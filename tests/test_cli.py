@@ -333,12 +333,14 @@ def test_fit_ensemble_and_relabel(tmp_path, capsys):
     for line in (tmp_path / "filled.jsonl").read_text().strip().splitlines():
         assert json.loads(line)["r"] is not None
 
-    # a reward that is not finite and nonnegative is a bad input, not a passthrough
+    # a reward that is not finite and nonnegative, or an id that is not a JSON
+    # integer, is a bad input, not a passthrough
     nan_path = tmp_path / "nan.jsonl"
-    nan_path.write_text('{"s": 0, "a": 0, "r": NaN, "sp": 1}\n')
-    assert entrypoint(["relabel", "--in", str(nan_path), "--out", filled_path,
-                       "--model", model_path]) == 2
-    assert "malformed transition at line 1" in capsys.readouterr().err
+    for line in ('{"s": 0, "a": 0, "r": NaN, "sp": 1}', '{"s": 1.9, "a": 0, "r": null, "sp": 1}'):
+        nan_path.write_text(line + "\n")
+        assert entrypoint(["relabel", "--in", str(nan_path), "--out", filled_path,
+                           "--model", model_path]) == 2
+        assert "malformed transition at line 1" in capsys.readouterr().err
 
     # declared ensemble size must match the stored model
     assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,

@@ -299,11 +299,24 @@ def test_exhaustive_requires_integral_counts(tabular_5x3):
 # ---- serialization -----------------------------------------------------------------
 
 
+def _json_dumps_lines(ds) -> str:
+    """The file text json.dumps writes for ds, one record per line."""
+    return "".join(
+        json.dumps({"s": int(t.state), "a": int(t.action), "r": t.reward, "sp": int(t.next_state)}) + "\n"
+        for t in ds.transitions
+    )
+
+
 def test_jsonl_round_trip(tmp_path, tabular_5x3):
-    for labeled in (True, False):
-        ds = sample_dataset(tabular_5x3, Policy.uniform(5, 3), n=25, labeled=labeled, seed=11)
-        path = tmp_path / f"d{labeled}.jsonl"
+    # noise twice r_max clips many rewards to exactly 0.0 and r_max
+    for labeled, noise in ((True, False), (False, False), (True, 2.0 * tabular_5x3.r_max)):
+        ds = sample_dataset(tabular_5x3, Policy.uniform(5, 3), n=25, labeled=labeled, seed=11,
+                            noise=noise)
+        path = tmp_path / f"d{labeled}{noise}.jsonl"
         write_jsonl(ds, path)
+        assert path.read_text() == _json_dumps_lines(ds)
+        if noise:
+            assert {0.0, tabular_5x3.r_max} <= set(ds.rewards.tolist())
         back = read_jsonl(path)
         assert len(back) == 25
         assert back.labeled == labeled
@@ -325,6 +338,7 @@ def test_jsonl_mixed_labels_round_trip(tmp_path, tabular_5x3):
     both = mix_datasets(lab, unlab)
     path = tmp_path / "mixed.jsonl"
     write_jsonl(both, path)
+    assert path.read_text() == _json_dumps_lines(both)
     back = read_jsonl(path)
     assert not back.labeled
     assert np.array_equal(back.rewards[:4], lab.rewards)
@@ -333,11 +347,18 @@ def test_jsonl_mixed_labels_round_trip(tmp_path, tabular_5x3):
 
 def test_jsonl_malformed_line_names_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    # a missing field, then rewards that are not finite and nonnegative
+    # a missing field, rewards that are not finite and nonnegative, ids that are
+    # not JSON integers (or do not fit int64) and rewards that are not numbers
     for second_line in ('{"s": 0, "a": 0}', '{"s": 0, "a": 0, "r": NaN, "sp": 0}',
                         '{"s": 0, "a": 0, "r": Infinity, "sp": 0}',
                         '{"s": 0, "a": 0, "r": -Infinity, "sp": 0}',
-                        '{"s": 0, "a": 0, "r": -0.5, "sp": 0}'):
+                        '{"s": 0, "a": 0, "r": -0.5, "sp": 0}',
+                        '{"s": 1.9, "a": 0, "r": null, "sp": 0}',
+                        '{"s": 0, "a": true, "r": null, "sp": 0}',
+                        '{"s": 0, "a": 0, "r": null, "sp": "2"}',
+                        '{"s": 0, "a": 0, "r": true, "sp": 0}',
+                        '{"s": 0, "a": 0, "r": "0.5", "sp": 0}',
+                        '{"s": 99999999999999999999, "a": 0, "r": null, "sp": 0}'):
         path.write_text('{"s": 0, "a": 0, "r": null, "sp": 0}\n' + second_line + "\n")
         with pytest.raises(ValueError, match="malformed transition at line 2"):
             read_jsonl(path)

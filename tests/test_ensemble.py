@@ -289,6 +289,7 @@ def test_relabel_file_passthrough_and_empty(tmp_path):
     src.write_text("\n".join(lines) + "\n")
     summary = relabel_file(src, dst, model, k_mode=1.0)
     assert summary["passthrough"] == 4 and summary["relabeled"] == 1
+    assert dst.read_text().splitlines()[:4] == lines[:4]
     out = read_jsonl(dst)
     assert np.allclose(out.rewards[:4], labeled.rewards[:4], atol=0.0)
 
@@ -311,10 +312,19 @@ def test_relabel_file_error_reporting(tmp_path):
     oob.write_text(json.dumps({"s": 9, "a": 0, "r": None, "sp": 1}) + "\n")
     with pytest.raises(ValueError, match="line 1"):
         relabel_file(oob, tmp_path / "y.jsonl", model, k_mode=0.0)
-    # rewards that are not finite and nonnegative are rejected, not passed through
-    for reward in ("NaN", "Infinity", "-Infinity", "-0.5"):
-        bad.write_text('{"s": 0, "a": 0, "r": null, "sp": 1}\n'
-                       f'{{"s": 0, "a": 0, "r": {reward}, "sp": 1}}\n')
+    # rewards that are not finite and nonnegative numbers, and ids that are not
+    # JSON integers (or do not fit int64), are rejected, not passed through
+    for second_line in ('{"s": 0, "a": 0, "r": NaN, "sp": 1}',
+                        '{"s": 0, "a": 0, "r": Infinity, "sp": 1}',
+                        '{"s": 0, "a": 0, "r": -Infinity, "sp": 1}',
+                        '{"s": 0, "a": 0, "r": -0.5, "sp": 1}',
+                        '{"s": 1.9, "a": 0, "r": null, "sp": 1}',
+                        '{"s": 0, "a": true, "r": null, "sp": 1}',
+                        '{"s": 0, "a": 0, "r": null, "sp": "2"}',
+                        '{"s": 0, "a": 0, "r": true, "sp": 1}',
+                        '{"s": 0, "a": 0, "r": "0.5", "sp": 1}',
+                        '{"s": 0, "a": 0, "r": null, "sp": 99999999999999999999}'):
+        bad.write_text('{"s": 0, "a": 0, "r": null, "sp": 1}\n' + second_line + "\n")
         with pytest.raises(ValueError, match="malformed transition at line 2"):
             relabel_file(bad, tmp_path / "z.jsonl", model, k_mode=0.0)
 
