@@ -312,6 +312,10 @@ def test_relabel_file_error_reporting(tmp_path):
     oob.write_text(json.dumps({"s": 9, "a": 0, "r": None, "sp": 1}) + "\n")
     with pytest.raises(ValueError, match="line 1"):
         relabel_file(oob, tmp_path / "y.jsonl", model, k_mode=0.0)
+    # line numbers count blank lines
+    oob.write_text('{"s": 0, "a": 0, "r": null, "sp": 1}\n\n{"s": 0, "a": 2, "r": 0.5, "sp": 1}\n')
+    with pytest.raises(ValueError, match=r"no feature row for \(s=0, a=2\) at line 3"):
+        relabel_file(oob, tmp_path / "y.jsonl", model, k_mode=0.0)
     # rewards that are not finite and nonnegative numbers, and ids that are not
     # JSON integers (or do not fit int64), are rejected, not passed through
     for second_line in ('{"s": 0, "a": 0, "r": NaN, "sp": 1}',
