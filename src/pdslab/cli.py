@@ -33,7 +33,6 @@ from pdslab.pipeline import (
     results_to_csv,
     sweep,
 )
-from pdslab.reward import ALPHA_MODES
 from pdslab.theory import BoundInputs, pds_bound, sbr_approx, sbr_exact
 
 EXIT_OK = 0
@@ -57,34 +56,6 @@ def _require_fields(section: str, doc: dict, allowed: set, required: set) -> Non
             raise ConfigError(f"missing field '{key}' in {section}")
 
 
-def _check_settings(section: str, doc: dict, rules: dict) -> None:
-    """rules maps a field to (predicate, description of the valid values,
-    whether JSON null is allowed); absent fields keep their defaults."""
-    for key, (ok, want, nullable) in rules.items():
-        value = doc.get(key)
-        if key not in doc or (value is None and nullable):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
-            raise ConfigError(f"{section}.{key} must be {want}, got {value!r}")
-
-
-_DATA_RULES = {
-    "horizon_reset": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1", False),
-}
-_REWARD_RULES = {
-    "nu": (lambda v: v > 0, "a positive number", False),
-    "delta": (lambda v: 0 < v < 1, "a number in (0, 1)", False),
-}
-_PEVI_RULES = {
-    "lambda_reg": (lambda v: v > 0, "a positive number", False),
-    "delta": (lambda v: 0 < v < 1, "a number in (0, 1)", False),
-    "c": (lambda v: v > 0, "a positive number", False),
-    "beta_override": (lambda v: v >= 0, "a nonnegative number or null", True),
-    "tol": (lambda v: v > 0, "a positive number or null", True),
-    "max_sweeps": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1 or null", True),
-}
-
-
 def _as_int_list(value, name: str) -> tuple:
     if isinstance(value, bool):
         raise ConfigError(f"'{name}' must be an integer or list of integers")
@@ -99,17 +70,12 @@ def _as_int_list(value, name: str) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config file: the MDP spec, the sweep grid and the output path.
+
+    from_dict checks the JSON shape; the settings types check the values."""
+
     mdp: dict
-    n0_values: tuple
-    n1_values: tuple
-    labeled_quality: str
-    unlabeled_quality: str | None
-    noise: bool | float
-    horizon_reset: int
-    methods: tuple
-    reward: RewardSettings
-    pevi: PeviSettings
-    seeds: tuple
+    grid: SweepGrid
     output: str
 
     @classmethod
@@ -149,99 +115,65 @@ class ExperimentConfig:
                      "horizon_reset"},
             required={"n0"},
         )
-        n0_values = _as_int_list(data["n0"], "data.n0")
-        n1_values = _as_int_list(data.get("n1", 0), "data.n1")
-        labeled_quality = data.get("labeled_quality", "medium")
-        unlabeled_quality = data.get("unlabeled_quality")
-        for name, q in [("labeled_quality", labeled_quality)] + (
-            [("unlabeled_quality", unlabeled_quality)] if unlabeled_quality is not None else []
-        ):
-            if q not in QUALITIES:
-                raise ConfigError(f"data.{name} must be one of {QUALITIES}, got {q!r}")
-        if any(n > 0 for n in n1_values) and unlabeled_quality is None:
-            raise ConfigError("data.unlabeled_quality is required when any n1 > 0")
-        noise = data.get("noise", False)
-        if not isinstance(noise, bool) and not (
-            isinstance(noise, (int, float)) and 0 <= noise < float("inf")
-        ):
-            raise ConfigError(
-                f"data.noise must be a boolean or a finite nonnegative number, got {noise!r}"
-            )
-        _check_settings("data", data, _DATA_RULES)
-        horizon_reset = data.get("horizon_reset", 100)
+        n0_values = _as_int_list(data.pop("n0"), "data.n0")
+        n1_values = _as_int_list(data.pop("n1", 0), "data.n1")
+        if data.get("unlabeled_quality") is None:
+            if any(n > 0 for n in n1_values):
+                raise ConfigError("data.unlabeled_quality is required when any n1 > 0")
+            # the grid's default preset is never sampled when every n1 is zero
+            data.pop("unlabeled_quality", None)
 
-        methods_doc = doc["methods"]
-        if not isinstance(methods_doc, list) or not methods_doc:
+        methods = doc["methods"]
+        if not isinstance(methods, list) or not methods:
             raise ConfigError("'methods' must be a nonempty list")
-        valid = {m.value for m in MethodId}
-        for m in methods_doc:
-            if m not in valid:
-                raise ConfigError(f"unknown method {m!r}, valid: {sorted(valid)}")
-        methods = tuple(methods_doc)
 
-        reward_doc = dict(doc.get("reward", {}))
-        _require_fields("reward", reward_doc,
+        reward = dict(doc.get("reward", {}))
+        _require_fields("reward", reward,
                         allowed={"nu", "delta", "alpha_mode"}, required=set())
-        _check_settings("reward", reward_doc, _REWARD_RULES)
-        alpha_mode = reward_doc.get("alpha_mode", "lemma")
-        if alpha_mode not in ALPHA_MODES:
-            raise ConfigError(f"reward.alpha_mode must be one of {ALPHA_MODES}, got {alpha_mode!r}")
-        reward = RewardSettings(**reward_doc)
-
-        pevi_doc = dict(doc.get("pevi", {}))
+        pevi = dict(doc.get("pevi", {}))
         _require_fields(
-            "pevi", pevi_doc,
+            "pevi", pevi,
             allowed={"lambda_reg", "delta", "c", "beta_override", "tol", "max_sweeps"},
             required=set(),
         )
-        _check_settings("pevi", pevi_doc, _PEVI_RULES)
-        pevi = PeviSettings(**pevi_doc)
 
-        seeds_doc = doc["seeds"]
-        if not isinstance(seeds_doc, list) or not seeds_doc or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds_doc
+        seeds = doc["seeds"]
+        if not isinstance(seeds, list) or not seeds or not all(
+            isinstance(s, int) and not isinstance(s, bool) for s in seeds
         ):
             raise ConfigError("'seeds' must be a nonempty list of integers")
-        if len(set(seeds_doc)) != len(seeds_doc):
-            raise ConfigError("'seeds' must be distinct")
 
         output = doc["output"]
         if not isinstance(output, str) or not output:
             raise ConfigError("'output' must be a nonempty path string")
 
-        return cls(
-            mdp=mdp,
-            n0_values=n0_values,
-            n1_values=n1_values,
-            labeled_quality=labeled_quality,
-            unlabeled_quality=unlabeled_quality,
-            noise=noise,
-            horizon_reset=horizon_reset,
-            methods=methods,
-            reward=reward,
-            pevi=pevi,
-            seeds=tuple(seeds_doc),
-            output=output,
-        )
+        try:
+            grid = SweepGrid(
+                n0_values=n0_values, n1_values=n1_values, methods=tuple(methods),
+                seeds=tuple(seeds), reward=RewardSettings(**reward),
+                pevi=PeviSettings(**pevi), **data,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return cls(mdp=mdp, grid=grid, output=output)
 
     def to_dict(self) -> dict:
-        data = {
-            "n0": list(self.n0_values),
-            "n1": list(self.n1_values),
-            "labeled_quality": self.labeled_quality,
-            "noise": self.noise,
-            "horizon_reset": self.horizon_reset,
-        }
-        if self.unlabeled_quality is not None:
-            data["unlabeled_quality"] = self.unlabeled_quality
+        grid = self.grid
         return {
             "schema_version": SCHEMA_VERSION,
             "mdp": dict(self.mdp),
-            "data": data,
-            "methods": list(self.methods),
-            "reward": dataclasses.asdict(self.reward),
-            "pevi": dataclasses.asdict(self.pevi),
-            "seeds": list(self.seeds),
+            "data": {
+                "n0": list(grid.n0_values),
+                "n1": list(grid.n1_values),
+                "labeled_quality": grid.labeled_quality,
+                "unlabeled_quality": grid.unlabeled_quality,
+                "noise": grid.noise,
+                "horizon_reset": grid.horizon_reset,
+            },
+            "methods": [m.value for m in grid.methods],
+            "reward": dataclasses.asdict(grid.reward),
+            "pevi": dataclasses.asdict(grid.pevi),
+            "seeds": list(grid.seeds),
             "output": self.output,
         }
 
@@ -266,26 +198,9 @@ def build_mdp(spec: dict):
     return make_adversarial_mdp(**args)
 
 
-def build_grid(cfg: ExperimentConfig) -> SweepGrid:
-    return SweepGrid(
-        n0_values=cfg.n0_values,
-        n1_values=cfg.n1_values,
-        methods=cfg.methods,
-        seeds=cfg.seeds,
-        labeled_quality=cfg.labeled_quality,
-        # placeholder is never sampled when every n1 is zero
-        unlabeled_quality=cfg.unlabeled_quality or "expert",
-        noise=cfg.noise,
-        horizon_reset=cfg.horizon_reset,
-        reward=cfg.reward,
-        pevi=cfg.pevi,
-    )
-
-
 def run_config(path: str | Path) -> int:
     cfg = load_config(path)
-    mdp = build_mdp(cfg.mdp)
-    report = sweep(mdp, build_grid(cfg))
+    report = sweep(build_mdp(cfg.mdp), cfg.grid)
     out = Path(cfg.output)
     out.write_text(results_to_csv(report.results))
     md_path = out.with_suffix(".md")
@@ -376,7 +291,7 @@ def _cmd_sample(args) -> int:
     ds = sample_dataset(
         mdp, policy, n=args.n, horizon_reset=args.horizon_reset,
         labeled=not args.unlabeled, seed=args.seed,
-        noise=args.noise if args.noise > 0 else False,
+        noise=args.noise,
     )
     write_jsonl(ds, args.out)
     print(f"wrote {args.out} ({len(ds)} transitions, "

@@ -213,8 +213,8 @@ def sample_dataset(
     if behavior.probs.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("behavior policy shape does not match mdp")
     sigma = (DEFAULT_NOISE_FRACTION * mdp.r_max if noise is True else float(noise)) if noise else 0.0
-    if sigma < 0:
-        raise ValueError(f"noise half-width must be nonnegative, got {noise}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"noise half-width must be finite and nonnegative, got {noise}")
 
     rng = np.random.default_rng(seed)
     num_resets = -(-n // horizon_reset)
@@ -498,6 +498,9 @@ def read_jsonl(path: str | Path) -> OfflineDataset:
     """Read a transition file; uses the sidecar header when present."""
     states, actions, rewards, next_states, _ = read_transitions(path)
     meta = read_header(path) or {}
+    if "n" in meta and meta["n"] != len(states):
+        raise ValueError(f"{path}: header says n={meta['n']} but the file holds "
+                         f"{len(states)} transitions")
     observed = ~np.isnan(rewards)
     return OfflineDataset(
         states,

@@ -70,12 +70,13 @@ class EnsembleRewardModel:
             raise ValueError("member dimension does not match features")
         if not np.all(np.isfinite(members)):
             raise ValueError("members must be finite")
-        if self.auto_a <= 0:
-            raise ValueError(f"auto_a must be positive, got {self.auto_a}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.penalty_k is not None and self.penalty_k < 0:
-            raise ValueError(f"penalty_k must be nonnegative, got {self.penalty_k}")
+        if not (np.isfinite(self.auto_a) and self.auto_a > 0):
+            raise ValueError(f"auto_a must be finite and positive, got {self.auto_a}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.penalty_k is not None and not (np.isfinite(self.penalty_k)
+                                               and self.penalty_k >= 0):
+            raise ValueError(f"penalty_k must be finite and nonnegative, got {self.penalty_k}")
         members.setflags(write=False)
         object.__setattr__(self, "members", members)
 
@@ -181,8 +182,9 @@ def resolve_k(
 ) -> float:
     """Pick the penalty weight: explicit override, fixed model k, or automatic."""
     if k_override is not None:
-        if k_override < 0:
-            raise ValueError(f"k must be nonnegative, got {k_override}")
+        # an infinite k would also turn into NaN wherever sigma is 0
+        if not (np.isfinite(k_override) and k_override >= 0):
+            raise ValueError(f"k must be finite and nonnegative, got {k_override}")
         return float(k_override)
     if model.penalty_k is not None:
         return model.penalty_k
@@ -234,11 +236,19 @@ def relabel_file(
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     states, actions, rewards, next_states, linenos = read_transitions(input_path)
-    bad = ((states < 0) | (states >= model.features.num_states)
+    num_states = model.features.num_states
+    bad = ((states < 0) | (states >= num_states)
            | (actions < 0) | (actions >= model.features.num_actions))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"no feature row for (s={states[i]}, a={actions[i]}) at line {linenos[i]}")
+    bad = (next_states < 0) | (next_states >= num_states)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"next state sp={next_states[i]} out of range for {num_states} states "
+            f"at line {linenos[i]}"
+        )
 
     missing = np.isnan(rewards)
     if k_mode != "auto":

@@ -17,6 +17,8 @@ depend on the method (reward fit, coverage) is done once per cell.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,7 +28,7 @@ import numpy as np
 from pdslab.data import OfflineDataset, coverage_coefficient, mix_datasets, sample_dataset
 from pdslab.mdp import LinearMdp, Policy, evaluate_policy, solve_optimal
 from pdslab.pevi import PeviConfig, pevi_solve, theorem_beta
-from pdslab.reward import fit_reward, relabel
+from pdslab.reward import ALPHA_MODES, fit_reward, relabel
 
 QUALITIES = ("expert", "medium", "random")
 _EPS_GREEDY = {"expert": 0.05, "medium": 0.3}
@@ -62,21 +64,65 @@ def behavior_policy(mdp: LinearMdp, quality: str, optimal: Policy | None = None)
     return optimal.mixed_with_uniform(_EPS_GREEDY[quality])
 
 
+def _require(name: str, value, ok, want: str, *, integer: bool = False,
+             nullable: bool = False) -> None:
+    """Raise ValueError naming the setting unless value is a finite number
+    (an integer when asked), not a bool, for which ok holds; None passes
+    only when the setting is nullable."""
+    if value is None and nullable:
+        return
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value)
+            or not ok(value)):
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
+def _positive(v) -> bool:
+    return v > 0
+
+
+def _probability(v) -> bool:
+    return 0 < v < 1
+
+
 @dataclass(frozen=True)
 class RewardSettings:
     nu: float = 1.0
     delta: float = 0.1
     alpha_mode: str = "lemma"
 
+    def __post_init__(self):
+        _require("reward.nu", self.nu, _positive, "a finite positive number")
+        _require("reward.delta", self.delta, _probability, "a number in (0, 1)")
+        if self.alpha_mode not in ALPHA_MODES:
+            raise ValueError(
+                f"reward.alpha_mode must be one of {ALPHA_MODES}, got {self.alpha_mode!r}"
+            )
+
 
 @dataclass(frozen=True)
 class PeviSettings:
+    """PEVI settings: the bonus multiplier beta comes from the theorem
+    (lambda_reg, delta, c) unless beta_override fixes it; tol and max_sweeps
+    None keep PeviConfig's defaults."""
+
     lambda_reg: float = 1.0
     delta: float = 0.1
     c: float = 1.0
     beta_override: float | None = None
     tol: float | None = None
     max_sweeps: int | None = None
+
+    def __post_init__(self):
+        _require("pevi.lambda_reg", self.lambda_reg, _positive, "a finite positive number")
+        _require("pevi.delta", self.delta, _probability, "a number in (0, 1)")
+        _require("pevi.c", self.c, _positive, "a finite positive number")
+        _require("pevi.beta_override", self.beta_override, lambda v: v >= 0,
+                 "a finite nonnegative number or null", nullable=True)
+        _require("pevi.tol", self.tol, _positive, "a finite positive number or null",
+                 nullable=True)
+        _require("pevi.max_sweeps", self.max_sweeps, lambda v: v >= 1,
+                 "an integer >= 1 or null", integer=True, nullable=True)
 
     def config_for(self, mdp: LinearMdp, n_total: int) -> PeviConfig:
         if self.beta_override is not None:
@@ -250,9 +296,19 @@ class SweepGrid:
             raise ValueError("n0 values must be >= 1")
         if any(n < 0 for n in self.n1_values):
             raise ValueError("n1 values must be >= 0")
-        for q in (self.labeled_quality, self.unlabeled_quality):
+        for name, q in (("labeled_quality", self.labeled_quality),
+                        ("unlabeled_quality", self.unlabeled_quality)):
             if q not in QUALITIES:
-                raise ValueError(f"quality must be one of {QUALITIES}, got {q!r}")
+                raise ValueError(f"data.{name} must be one of {QUALITIES}, got {q!r}")
+        if not isinstance(self.noise, bool):
+            _require("data.noise", self.noise, lambda v: v >= 0,
+                     "a boolean or a finite nonnegative number")
+        _require("data.horizon_reset", self.horizon_reset, lambda v: v >= 1,
+                 "an integer >= 1", integer=True)
+        valid = sorted(m.value for m in MethodId)
+        for m in self.methods:
+            if not isinstance(m, MethodId) and m not in valid:
+                raise ValueError(f"unknown method {m!r}, valid: {valid}")
         object.__setattr__(self, "methods", tuple(MethodId(m) for m in self.methods))
 
 

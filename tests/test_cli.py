@@ -14,7 +14,7 @@ from pdslab.cli import (
 )
 from pdslab.data import read_jsonl
 from pdslab.mdp import load_mdp
-from pdslab.pipeline import CSV_HEADER
+from pdslab.pipeline import CSV_HEADER, MethodId
 
 
 def _base_doc(tmp_path, **over):
@@ -153,6 +153,7 @@ def test_run_cell_failures_exit_3(tmp_path, monkeypatch):
         ("reward", "alpha_mode", "bogus"),
         ("reward", "nu", 0),
         ("reward", "nu", -1.0),
+        ("reward", "nu", float("inf")),
         ("reward", "delta", 0.0),
         ("reward", "delta", 1),
         ("reward", "delta", "0.1"),
@@ -160,9 +161,13 @@ def test_run_cell_failures_exit_3(tmp_path, monkeypatch):
         ("pevi", "delta", None),
         ("pevi", "c", -1),
         ("pevi", "c", 0.0),
+        ("pevi", "c", float("inf")),
         ("pevi", "lambda_reg", 0),
+        ("pevi", "lambda_reg", float("inf")),
         ("pevi", "beta_override", -0.1),
+        ("pevi", "beta_override", float("inf")),
         ("pevi", "tol", 0.0),
+        ("pevi", "tol", float("inf")),
         ("pevi", "max_sweeps", 0),
         ("pevi", "max_sweeps", 2.5),
         ("pevi", "max_sweeps", True),
@@ -199,8 +204,8 @@ def test_boundary_and_null_settings_accepted(tmp_path):
     )
     doc["data"].update(noise=0, horizon_reset=1)
     cfg = ExperimentConfig.from_dict(doc)
-    assert cfg.reward.alpha_mode == "theorem" and cfg.pevi.max_sweeps == 1
-    assert cfg.noise == 0 and cfg.horizon_reset == 1
+    assert cfg.grid.reward.alpha_mode == "theorem" and cfg.grid.pevi.max_sweeps == 1
+    assert cfg.grid.noise == 0 and cfg.grid.horizon_reset == 1
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -297,6 +302,11 @@ def test_gen_mdp_and_sample(tmp_path):
     for line in (tmp_path / "u.jsonl").read_text().strip().splitlines():
         assert json.loads(line)["r"] is None
 
+    # a negative or infinite noise half-width is a bad argument, not a noiseless run
+    for noise in ("-0.5", "inf"):
+        assert entrypoint(["sample", "--mdp", mdp_path, "--n", "10", "--noise", noise,
+                           "--out", str(tmp_path / "n.jsonl")]) == 2
+
 
 def test_gen_mdp_kind_flag_mismatches_exit_2(tmp_path):
     out = str(tmp_path / "m.json")
@@ -348,6 +358,14 @@ def test_fit_ensemble_and_relabel(tmp_path, capsys):
     assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,
                        "--model", model_path, "--k", "fast"]) == 2
 
+    # ensemble numbers must be finite
+    for flag, value in (("--k", "nan"), ("--k", "inf"), ("--a", "nan")):
+        assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,
+                           "--model", model_path, flag, value]) == 2
+    for flag in ("--k", "--epsilon"):
+        assert entrypoint(["fit-ensemble", "--in", lab_path, "--mdp", mdp_path,
+                           "--out", str(tmp_path / "bad_model.json"), flag, "nan"]) == 2
+
 
 def test_fit_ensemble_rejects_data_larger_than_mdp_exit_2(tmp_path, capsys):
     big, small = str(tmp_path / "big.json"), str(tmp_path / "small.json")
@@ -390,5 +408,5 @@ def test_table_subcommand(tmp_path, capsys):
 def test_load_config_round_trips_from_disk(tmp_path):
     path = _write_config(tmp_path, _base_doc(tmp_path))
     cfg = load_config(path)
-    assert cfg.n0_values == (40,) and cfg.n1_values == (0, 30)
-    assert cfg.methods == ("pds",)
+    assert cfg.grid.n0_values == (40,) and cfg.grid.n1_values == (0, 30)
+    assert cfg.grid.methods == (MethodId.PDS,)

@@ -330,6 +330,10 @@ def test_jsonl_round_trip(tmp_path, tabular_5x3):
         assert header["mdp_hash"] == tabular_5x3.content_hash()
         assert header["labeled"] == labeled
         assert header["n"] == 25
+    # a file cut short no longer matches its header's count
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+    with pytest.raises(ValueError, match=r"n=25 .* 3 transitions"):
+        read_jsonl(path)
 
 
 def test_jsonl_mixed_labels_round_trip(tmp_path, tabular_5x3):

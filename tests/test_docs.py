@@ -1,9 +1,10 @@
 """The README's code runs as written."""
+import json
 import re
 import shlex
 from pathlib import Path
 
-from pdslab.cli import entrypoint
+from pdslab.cli import entrypoint, run_config
 from pdslab.data import read_jsonl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,3 +34,13 @@ def test_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
         assert entrypoint(argv[1:]) == 0, argv
     filled = read_jsonl(tmp_path / "filled.jsonl")
     assert filled.labeled and len(filled) == 5000
+
+
+def test_cli_config_runs(tmp_path):
+    doc = json.loads(_section_code("CLI", "json"))
+    doc["output"] = str(tmp_path / doc["output"])
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(doc))
+    assert run_config(path) == 0
+    rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 60  # 3 n1 cells x 4 methods x 5 seeds

@@ -316,6 +316,9 @@ def test_relabel_file_error_reporting(tmp_path):
     oob.write_text('{"s": 0, "a": 0, "r": null, "sp": 1}\n\n{"s": 0, "a": 2, "r": 0.5, "sp": 1}\n')
     with pytest.raises(ValueError, match=r"no feature row for \(s=0, a=2\) at line 3"):
         relabel_file(oob, tmp_path / "y.jsonl", model, k_mode=0.0)
+    oob.write_text('{"s": 0, "a": 0, "r": null, "sp": 1}\n{"s": 0, "a": 0, "r": null, "sp": 999}\n')
+    with pytest.raises(ValueError, match=r"sp=999 out of range for 4 states at line 2"):
+        relabel_file(oob, tmp_path / "y.jsonl", model, k_mode=0.0)
     # rewards that are not finite and nonnegative numbers, and ids that are not
     # JSON integers (or do not fit int64), are rejected, not passed through
     for second_line in ('{"s": 0, "a": 0, "r": NaN, "sp": 1}',

@@ -141,14 +141,20 @@ def test_sweep_singleton_matches_direct_run():
     assert _strip_wall(got)[0] == _strip_wall(want)[0]
 
 
-def test_sweep_records_failures_and_continues():
+def test_sweep_records_failures_and_continues(monkeypatch):
+    import pdslab.pipeline as pipeline
+
+    def broken_fit(*args, **kwargs):
+        raise ValueError("reward fit failed")
+
+    monkeypatch.setattr(pipeline, "fit_reward", broken_fit)
     mdp = _mdp(seed=31)
     grid = SweepGrid(n0_values=(20,), n1_values=(10,), methods=(MethodId.PDS, MethodId.UDS),
-                     seeds=(0, 1), reward=RewardSettings(alpha_mode="bogus"))
+                     seeds=(0, 1))
     report = sweep(mdp, grid)
     assert report.results == ()
-    assert len(report.failures) == 4  # 2 seeds x 2 methods, all hit the bad mode
-    assert all("alpha_mode" in f["error"] for f in report.failures)
+    assert len(report.failures) == 4  # 2 seeds x 2 methods, all hit the broken fit
+    assert all(f["error"] == "ValueError: reward fit failed" for f in report.failures)
     assert {f["seed"] for f in report.failures} == {0, 1}
 
 
@@ -268,6 +274,16 @@ def test_grid_validation():
                   labeled_quality="superb")
     grid = SweepGrid(n0_values=(10,), n1_values=(0,), methods=("pds",), seeds=(0,))
     assert grid.methods == (MethodId.PDS,)  # string names normalize to the enum
+    # the settings types check their own values, so a library sweep fails fast
+    with pytest.raises(ValueError, match=r"reward\.alpha_mode"):
+        RewardSettings(alpha_mode="bogus")
+    with pytest.raises(ValueError, match=r"pevi\.c"):
+        PeviSettings(c=float("inf"))
+    axes = dict(n0_values=(10,), n1_values=(0,), methods=(MethodId.PDS,), seeds=(0,))
+    with pytest.raises(ValueError, match=r"data\.horizon_reset"):
+        SweepGrid(horizon_reset=0, **axes)
+    with pytest.raises(ValueError, match=r"data\.noise"):
+        SweepGrid(noise=-0.1, **axes)
 
 
 def test_behavior_policy_presets():
