@@ -11,6 +11,7 @@ from pdslab.data import (
     quantize_transitions,
     read_jsonl,
     sample_dataset,
+    sample_datasets,
     write_jsonl,
 )
 from pdslab.ensemble import (
@@ -38,10 +39,13 @@ from pdslab.mdp import (
 )
 from pdslab.pevi import (
     PeviConfig,
+    PeviProblem,
     PeviSolution,
     bellman_gram,
     bellman_regress,
     bonus_table,
+    pevi_lockstep,
+    pevi_prepare,
     pevi_solve,
     theorem_beta,
     uncertainty_bonus,

@@ -173,20 +173,35 @@ def _draw_rows(upper: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (upper <= u[:, None]).sum(axis=1)
 
 
-def _rollout(upper_pi, upper_p, starts, horizon, step_u, actions, next_states) -> None:
-    """Step consecutive reset segments in lockstep, writing into the outputs.
+def _rollout(upper_pi, upper_sa, starts, first_rows, num_full, horizon, tail, step_u,
+             actions, next_states) -> None:
+    """Step reset segments in lockstep, writing into the outputs.
 
-    Segment k starts in starts[k] and covers rows [k*horizon, (k+1)*horizon)
-    of step_u and the outputs. Only the last segment may be shorter, so the
-    rows of step t are the strided slice t::horizon and nothing is padded.
+    upper_pi holds the policy's cumulative rows per state and upper_sa the
+    kernel's per (s, a) pair, at row s * A + a. Segment k starts in
+    starts[k] at row first_rows[k] of step_u and the outputs, and runs for
+    horizon steps when k < num_full, else for tail steps; the segments still
+    running at any step are a prefix. The rows are taken step by step into
+    one contiguous buffer, so each step reads and writes a slice of it.
     """
-    s = starts
-    for t in range(min(horizon, step_u.shape[0])):
-        u = step_u[t::horizon]  # one row per segment still running at step t
-        s = s[: u.shape[0]]
-        a = _draw_rows(upper_pi[s], u[:, 0])
-        s = _draw_rows(upper_p[s, a], u[:, 1])
-        actions[t::horizon], next_states[t::horizon] = a, s
+    num_actions = upper_pi.shape[1] + 1
+    steps = np.arange(horizon)[:, None]
+    rows = np.concatenate([(first_rows + steps[:tail]).ravel(),
+                           (first_rows[:num_full] + steps[tail:]).ravel()])
+    u = step_u[rows]
+    drawn_a, drawn_s = np.empty(rows.size, dtype=np.int64), np.empty(rows.size, dtype=np.int64)
+    s, lo = starts, 0
+    for t in range(horizon):
+        if t == tail:
+            s = s[:num_full]
+        hi = lo + s.shape[0]
+        if hi == lo:
+            break
+        a = _draw_rows(upper_pi.take(s, axis=0), u[lo:hi, 0])
+        s = _draw_rows(upper_sa.take(s * num_actions + a, axis=0), u[lo:hi, 1])
+        drawn_a[lo:hi], drawn_s[lo:hi] = a, s
+        lo = hi
+    actions[rows], next_states[rows] = drawn_a, drawn_s
 
 
 def sample_dataset(
@@ -204,7 +219,27 @@ def sample_dataset(
     Rewards are the exact <phi, theta> values; pass noise=True for additive
     uniform noise at the default scale 0.1*r_max, or a float for an explicit
     half-width. Noisy rewards are clipped back to [0, r_max]. Unlabeled
-    sampling strips rewards entirely.
+    sampling strips rewards entirely. This is sample_datasets for one seed.
+    """
+    return sample_datasets(mdp, behavior, n, (seed,), horizon_reset, labeled, noise)[0]
+
+
+def sample_datasets(
+    mdp: LinearMdp,
+    behavior: Policy,
+    n: int,
+    seeds,
+    horizon_reset: int = 100,
+    labeled: bool = True,
+    noise: bool | float = False,
+) -> list[OfflineDataset]:
+    """sample_dataset for each seed, with the segments of all seeds rolled
+    out in one lockstep pass.
+
+    Each seed draws from its own default_rng(seed) in sample_dataset's
+    order: the reset uniforms, then the step uniforms, then the noise. Every
+    draw depends only on its own uniforms, so each dataset is bit for bit
+    what sample_dataset gives for its seed alone.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -216,43 +251,57 @@ def sample_dataset(
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"noise half-width must be finite and nonnegative, got {noise}")
 
-    rng = np.random.default_rng(seed)
+    seeds = list(seeds)
+    num_seeds = len(seeds)
     num_resets = -(-n // horizon_reset)
-    reset_u = rng.random(num_resets)
-    step_u = rng.random((n, 2))
+    tail = n - (num_resets - 1) * horizon_reset  # length of each seed's last segment
+    reset_u = np.empty((num_seeds, num_resets))
+    step_u = np.empty((num_seeds, n, 2))
+    reward_noise = np.empty((num_seeds, n)) if labeled and sigma > 0 else None
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        reset_u[i] = rng.random(num_resets)
+        step_u[i] = rng.random((n, 2))
+        if reward_noise is not None:
+            reward_noise[i] = rng.uniform(-sigma, sigma, size=n)
 
-    upper_pi = np.cumsum(behavior.probs, axis=1)[:, :-1]
-    upper_p = np.cumsum(mdp.transitions, axis=2)[:, :, :-1]
+    # seed i's segment g covers rows i*n + g*horizon_reset on; the full
+    # segments of every seed come first and the last segments after them
+    first_rows = np.arange(num_seeds)[:, None] * n + np.arange(num_resets) * horizon_reset
     starts = np.searchsorted(np.cumsum(mdp.init_dist)[:-1], reset_u, side="right")
-    actions = np.empty(n, dtype=np.int64)
-    next_states = np.empty(n, dtype=np.int64)
-    block = max(1, _LOCKSTEP_BLOCK_ENTRIES // mdp.num_states)
-    for lo in range(0, num_resets, block):
-        rows = slice(lo * horizon_reset, (lo + block) * horizon_reset)
-        _rollout(upper_pi, upper_p, starts[lo:lo + block], horizon_reset, step_u[rows],
-                 actions[rows], next_states[rows])
-    # within a segment each step starts where the previous one ended
-    states = np.empty(n, dtype=np.int64)
-    states[1:] = next_states[:-1]
-    states[::horizon_reset] = starts
+    first_rows, starts = (np.concatenate([x[:, :-1].ravel(), x[:, -1]])
+                          for x in (first_rows, starts))
+    num_full = num_seeds * (num_resets - (tail < horizon_reset))
 
-    rewards = None
+    # contiguous copies: take() on a strided table first copies all of it
+    upper_pi = np.ascontiguousarray(np.cumsum(behavior.probs, axis=1)[:, :-1])
+    upper_sa = np.ascontiguousarray(np.cumsum(mdp.transitions, axis=2)[:, :, :-1]).reshape(
+        mdp.num_states * mdp.num_actions, -1)
+    actions = np.empty(num_seeds * n, dtype=np.int64)
+    next_states = np.empty(num_seeds * n, dtype=np.int64)
+    block = max(1, _LOCKSTEP_BLOCK_ENTRIES // mdp.num_states)
+    for lo in range(0, first_rows.size, block):
+        _rollout(upper_pi, upper_sa, starts[lo:lo + block], first_rows[lo:lo + block],
+                 max(num_full - lo, 0), horizon_reset, tail, step_u.reshape(-1, 2),
+                 actions, next_states)
+    # within a segment each step starts where the previous one ended
+    states = np.empty(num_seeds * n, dtype=np.int64)
+    states[1:] = next_states[:-1]
+    states[first_rows] = starts
+
+    rewards = [None] * num_seeds
     if labeled:
-        rewards = mdp.rewards[states, actions].copy()
-        if sigma > 0:
-            rewards += rng.uniform(-sigma, sigma, size=n)
-            rewards = np.clip(rewards, 0.0, mdp.r_max)
-    return OfflineDataset(
-        states,
-        actions,
-        rewards,
-        next_states,
-        labeled=labeled,
-        num_states=mdp.num_states,
-        num_actions=mdp.num_actions,
-        seed=seed,
-        mdp_hash=mdp.content_hash(),
-    )
+        rewards = mdp.rewards[states, actions].reshape(num_seeds, n)
+        if reward_noise is not None:
+            rewards = np.clip(rewards + reward_noise, 0.0, mdp.r_max)
+    mdp_hash = mdp.content_hash()
+    return [
+        OfflineDataset(s, a, r, sp, labeled=labeled, num_states=mdp.num_states,
+                       num_actions=mdp.num_actions, seed=seed, mdp_hash=mdp_hash)
+        for seed, s, a, r, sp in zip(seeds, states.reshape(num_seeds, n),
+                                     actions.reshape(num_seeds, n), rewards,
+                                     next_states.reshape(num_seeds, n))
+    ]
 
 
 def mix_datasets(a: OfflineDataset, b: OfflineDataset) -> OfflineDataset:
@@ -422,10 +471,18 @@ def header_path(path: str | Path) -> Path:
     return Path(str(path) + ".header.json")
 
 
-def read_header(path: str | Path) -> dict | None:
-    """The sidecar header of a transition file, or None when it has none."""
+def read_header(path: str | Path, count: int | None = None) -> dict | None:
+    """The sidecar header of a transition file, or None when it has none.
+
+    With count, the number of transitions read from the file, raise
+    ValueError when the header's n says otherwise.
+    """
     hp = header_path(path)
-    return json.loads(hp.read_text()) if hp.exists() else None
+    meta = json.loads(hp.read_text()) if hp.exists() else None
+    if count is not None and meta is not None and "n" in meta and meta["n"] != count:
+        raise ValueError(f"{path}: header says n={meta['n']} but the file holds "
+                         f"{count} transitions")
+    return meta
 
 
 def write_header(path: str | Path, meta: dict) -> None:
@@ -497,10 +554,7 @@ def write_jsonl(dataset: OfflineDataset, path: str | Path) -> None:
 def read_jsonl(path: str | Path) -> OfflineDataset:
     """Read a transition file; uses the sidecar header when present."""
     states, actions, rewards, next_states, _ = read_transitions(path)
-    meta = read_header(path) or {}
-    if "n" in meta and meta["n"] != len(states):
-        raise ValueError(f"{path}: header says n={meta['n']} but the file holds "
-                         f"{len(states)} transitions")
+    meta = read_header(path, len(states)) or {}
     observed = ~np.isnan(rewards)
     return OfflineDataset(
         states,

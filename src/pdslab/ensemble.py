@@ -236,6 +236,7 @@ def relabel_file(
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     states, actions, rewards, next_states, linenos = read_transitions(input_path)
+    meta = read_header(input_path, len(states))
     num_states = model.features.num_states
     bad = ((states < 0) | (states >= num_states)
            | (actions < 0) | (actions >= model.features.num_actions))
@@ -261,7 +262,6 @@ def relabel_file(
 
     filled = fill_missing(rewards, _pessimistic_tables(model, k, estimator), states, actions)
     write_transitions(output_path, states, actions, filled, next_states)
-    meta = read_header(input_path)
     if meta is not None:
         write_header(output_path, {**meta, "labeled": True})
 

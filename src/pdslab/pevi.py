@@ -19,7 +19,11 @@ with s'_tau = s' of phi_tau[k], a d x S matrix,
     w_hat = w_r + gamma * Lambda^{-1} B v,   w_r = Lambda^{-1} sum_tau phi_tau r_tau.
 
 w_r and gamma * Lambda^{-1} B are built once per solve, so each sweep costs
-O(dS + SAd) and does not touch the N dataset rows. For one-hot features the
+O(dS + SAd) and does not touch the N dataset rows. pevi_prepare reduces a
+dataset to these pieces (a PeviProblem, whose size does not depend on N),
+and pevi_lockstep runs the sweeps of many problems over one feature map
+together, each with its own convergence; pevi_solve is a batch of one, and
+a problem gives the same numbers bit for bit in any batch. For one-hot features the
 sweep map is a sup-norm contraction, but general feature maps can defeat
 that, so the returned solution carries a converged flag and the residual
 trace instead of promising a fixed point.
@@ -189,48 +193,113 @@ def bonus_table(lambda_matrix: np.ndarray, features: FeatureMap, beta: float) ->
     return (beta * widths).reshape(features.num_states, features.num_actions)
 
 
-def pevi_solve(
+@dataclass(frozen=True)
+class PeviProblem:
+    """One dataset's PEVI solve reduced to what its sweeps read.
+
+    Its size, O(d^2 + dS + SA), does not depend on the dataset's N.
+    """
+
+    config: PeviConfig
+    lambda_matrix: np.ndarray  # Lambda, (d, d)
+    sweep_map: np.ndarray      # gamma * Lambda^{-1} B, (d, S)
+    w_reward: np.ndarray       # Lambda^{-1} sum_tau phi_tau r_tau, (d,)
+    bonus: np.ndarray          # Gamma, (S, A)
+
+
+def pevi_prepare(
     dataset: OfflineDataset, features: FeatureMap, config: PeviConfig
-) -> PeviSolution:
+) -> PeviProblem:
+    """Reduce a labeled dataset to its PeviProblem; see pevi_lockstep."""
     if not dataset.labeled:
         raise ValueError("pevi_solve requires a fully labeled dataset")
     phi, ridge = _bellman_ridge(dataset, features, config.lambda_reg)
-    rows = features.matrix()
-    num_states, num_actions = features.num_states, features.num_actions
-    gamma_table = (config.beta * ridge.widths(rows)).reshape(num_states, num_actions)
+    bonus = config.beta * ridge.widths(features.matrix())
     # B[k, s'] sums phi_k over the rows landing in s', so phi^T v(s') = B v.
     next_sums = np.stack([
-        np.bincount(dataset.next_states, weights=phi[:, k], minlength=num_states)
+        np.bincount(dataset.next_states, weights=phi[:, k], minlength=features.num_states)
         for k in range(features.dim)
     ])
-    sweep_map = config.gamma * ridge.solve(next_sums)
-    w_reward = ridge.solve(phi.T @ dataset.rewards)
-    v = np.zeros(num_states)
-    w = np.zeros(features.dim)
-    q = np.zeros((num_states, num_actions))
-    residuals = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
-        w = w_reward + sweep_map @ v
-        q = np.clip(
-            (rows @ w).reshape(num_states, num_actions) - gamma_table, 0.0, config.v_max
-        )
-        v_next = q.max(axis=1)
-        residuals.append(float(np.abs(v_next - v).max()))
-        v = v_next
-        if residuals[-1] < config.tol:
-            converged = True
-            break
-
-    return PeviSolution(
-        w_hat=w,
+    return PeviProblem(
+        config=config,
         lambda_matrix=ridge.matrix,
-        beta=config.beta,
-        q_hat=q,
-        v_hat=v,
-        policy=Policy.greedy(q),
-        sweeps_used=sweeps,
-        converged=converged,
-        residuals=tuple(residuals),
+        sweep_map=config.gamma * ridge.solve(next_sums),
+        w_reward=ridge.solve(phi.T @ dataset.rewards),
+        bonus=bonus.reshape(features.num_states, features.num_actions),
     )
+
+
+def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
+    """Solve PEVI problems over one feature map together, sweep by sweep.
+
+    Each sweep stacks the problems still active and runs the products of a
+    lone solve on the stack; np.matmul repeats the 2-D product per problem,
+    so every solution is bit for bit what that problem gives alone. A
+    problem leaves the active set when it converges or reaches its own
+    max_sweeps, and keeps its own residual trace.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    num_states, num_actions = features.num_states, features.num_actions
+    if any(p.sweep_map.shape != (features.dim, num_states)
+           or p.bonus.shape != (num_states, num_actions) for p in problems):
+        raise ValueError("PEVI problem shape does not match the feature map")
+    rows = features.matrix()
+    active = np.arange(len(problems))
+    sweep_map, w_reward, bonus = (
+        np.stack([getattr(p, name) for p in problems])
+        for name in ("sweep_map", "w_reward", "bonus")
+    )
+    v_max, tol, max_sweeps = (
+        np.array([getattr(p.config, name) for p in problems], dtype=float)
+        for name in ("v_max", "tol", "max_sweeps")
+    )
+    v = np.zeros((len(problems), num_states))
+    history, finals = [], [None] * len(problems)
+    sweeps = 0
+    while active.size:
+        sweeps += 1
+        w = w_reward + np.matmul(sweep_map, v[:, :, None])[:, :, 0]
+        q = np.clip(
+            np.matmul(rows, w[:, :, None]).reshape(-1, num_states, num_actions) - bonus,
+            0.0, v_max[:, None, None],
+        )
+        v_next = q.max(axis=2)
+        residuals = np.abs(v_next - v).max(axis=1)
+        v = v_next
+        history.append(np.full(len(problems), np.nan))
+        history[-1][active] = residuals
+        converged = residuals < tol
+        done = converged | (sweeps >= max_sweeps)
+        if done.any():
+            for j in np.flatnonzero(done):
+                finals[active[j]] = (w[j].copy(), q[j].copy(), v[j].copy(), sweeps,
+                                     bool(converged[j]))
+            keep = ~done
+            active, sweep_map, w_reward, bonus, v_max, tol, max_sweeps, v = (
+                a[keep] for a in (active, sweep_map, w_reward, bonus, v_max, tol,
+                                  max_sweeps, v)
+            )
+    traces = np.stack(history)  # (sweeps, problems), NaN once a problem has left
+    return [
+        PeviSolution(
+            w_hat=w,
+            lambda_matrix=p.lambda_matrix,
+            beta=p.config.beta,
+            q_hat=q,
+            v_hat=v,
+            policy=Policy.greedy(q),
+            sweeps_used=used,
+            converged=converged,
+            residuals=tuple(traces[:used, i].tolist()),
+        )
+        for i, (p, (w, q, v, used, converged)) in enumerate(zip(problems, finals))
+    ]
+
+
+def pevi_solve(
+    dataset: OfflineDataset, features: FeatureMap, config: PeviConfig
+) -> PeviSolution:
+    """pevi_prepare then pevi_lockstep on a batch of one."""
+    return pevi_lockstep([pevi_prepare(dataset, features, config)], features)[0]

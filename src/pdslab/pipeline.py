@@ -10,10 +10,21 @@ according to the method, and hands the union to the pessimistic solver:
     no_share       drops d1 entirely
 
 Suboptimality is measured against the exact optimal policy, reported both
-in expectation over the initial distribution and as the worst state. Sweeps
-re-run the grid cell by cell; dataset seeds derive from the cell coordinates
-only, so every method inside a cell sees identical data. Work that does not
-depend on the method (reward fit, coverage) is done once per cell.
+in expectation over the initial distribution and as the worst state. Dataset
+seeds derive from the cell coordinates only, so every method inside a cell
+sees identical data. Work that does not depend on the method (reward fit,
+coverage) is done once per cell.
+
+Sweeps run the grid column by column, a column being one (n0, n1) pair. Its
+seeds are sampled in batches (sample_datasets, one lockstep rollout per
+batch and dataset role), each cell of a batch is prepared up to its PEVI
+problems with the same code run_method uses, and the batch's datasets are
+dropped before the next batch. All of the column's PEVI problems are then
+solved in one pevi_lockstep. Every number in a row is bit for bit what
+run_method gives for that cell alone; a row's wall_ms is the cell's shared
+work, the method's relabel + mix + pevi_prepare, an equal share of the
+column's lockstep solve, and its own policy evaluation (sampling is not
+counted).
 """
 from __future__ import annotations
 
@@ -25,15 +36,34 @@ from enum import Enum
 
 import numpy as np
 
-from pdslab.data import OfflineDataset, coverage_coefficient, mix_datasets, sample_dataset
+# sample_dataset and pevi_solve are not called here, but perfbench's tracer
+# wraps them under these names, so they stay importable from this module
+from pdslab.data import (
+    OfflineDataset,
+    coverage_coefficient,
+    mix_datasets,
+    sample_dataset,  # noqa: F401
+    sample_datasets,
+)
 from pdslab.mdp import LinearMdp, Policy, evaluate_policy, solve_optimal
-from pdslab.pevi import PeviConfig, pevi_solve, theorem_beta
+from pdslab.pevi import (
+    PeviConfig,
+    PeviProblem,
+    pevi_lockstep,
+    pevi_prepare,
+    pevi_solve,  # noqa: F401
+    theorem_beta,
+)
 from pdslab.reward import ALPHA_MODES, fit_reward, relabel
 
 QUALITIES = ("expert", "medium", "random")
 _EPS_GREEDY = {"expert": 0.05, "medium": 0.3}
 
 CSV_HEADER = "method,n0,n1,c0,c1,gamma,d,seed,subopt_mean,subopt_max,vhat_start,wall_ms"
+
+# A sweep samples the seeds of one grid column in batches of at most this
+# many dataset rows, n0 + n1 per seed; a batch holds at least one seed.
+_SEED_BATCH_ROWS = 1 << 16
 
 
 class MethodId(Enum):
@@ -190,14 +220,29 @@ def run_method(
     oracle, if given, is a precomputed (optimal_policy, optimal_values) pair;
     sweeps pass it to avoid re-solving the same MDP hundreds of times.
     """
-    (outcome,) = _run_methods(mdp, d0, d1, (MethodId(method),), reward_cfg, pevi_cfg,
-                              seed, oracle)
+    (outcome,) = _solve_prepared(mdp, _prepare_methods(
+        mdp, d0, d1, (MethodId(method),), reward_cfg, pevi_cfg, seed, oracle))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _run_methods(
+@dataclass(frozen=True)
+class _Prepared:
+    """One method's run on one dataset pair up to its PEVI solve."""
+
+    method: MethodId
+    problem: PeviProblem
+    n0: int
+    n1: int
+    c0: float
+    c1: float
+    seed: int
+    optimal_v: np.ndarray
+    seconds: float  # the cell's shared work plus this method's own preparation
+
+
+def _prepare_methods(
     mdp: LinearMdp,
     d0: OfflineDataset,
     d1: OfflineDataset | None,
@@ -207,13 +252,13 @@ def _run_methods(
     seed: int,
     oracle: tuple | None,
 ) -> list:
-    """Run each method on one dataset pair: a RunResult or the raised
-    exception per method, in order.
+    """Prepare each method's PEVI problem on one dataset pair: a _Prepared
+    or the raised exception per method, in order.
 
     The reward fit and both coverage coefficients do not depend on the
     method, so they are computed once; if that shared work fails, every
-    method gets its exception. A row's wall time is the shared work plus
-    the method's own solve and evaluation.
+    method gets its exception. Each method then relabels d1, mixes it into
+    d0 and reduces the mixture with pevi_prepare.
     """
     start = time.perf_counter()
     try:
@@ -251,26 +296,59 @@ def _run_methods(
                     mdp=mdp if method is MethodId.ORACLE else None,
                 )
                 train = mix_datasets(d0, annotated)
-            solution = pevi_solve(train, mdp.features, pevi_cfg.config_for(mdp, len(train)))
-            gaps = optimal_values.v - evaluate_policy(mdp, solution.policy).v
-            outcomes.append(RunResult(
-                method=method,
-                n0=len(d0),
-                n1=0 if d1 is None else len(d1),
-                c0_dagger=c0,
-                c1_dagger=c1,
-                gamma=mdp.gamma,
-                dim=mdp.dim,
-                seed=seed,
-                subopt_mean=float(mdp.init_dist @ gaps),
-                subopt_max=float(gaps.max()),
-                v_hat_start=float(mdp.init_dist @ solution.v_hat),
-                wall_time_ms=(shared_s + time.perf_counter() - start) * 1e3,
-                converged=solution.converged,
-                policy_actions=tuple(int(a) for a in np.argmax(solution.policy.probs, axis=1)),
+            problem = pevi_prepare(train, mdp.features, pevi_cfg.config_for(mdp, len(train)))
+            outcomes.append(_Prepared(
+                method=method, problem=problem, n0=len(d0), n1=0 if d1 is None else len(d1),
+                c0=c0, c1=c1, seed=seed, optimal_v=optimal_values.v,
+                seconds=shared_s + time.perf_counter() - start,
             ))
         except Exception as exc:  # reported per method by the caller
             outcomes.append(exc)
+    return outcomes
+
+
+def _solve_prepared(mdp: LinearMdp, outcomes: list) -> list:
+    """Solve every _Prepared in outcomes with one pevi_lockstep, then evaluate
+    each policy exactly; returns outcomes with each _Prepared replaced by its
+    RunResult or the raised exception.
+
+    A row's wall time is its _Prepared seconds, an equal share of the
+    lockstep solve, and its own evaluation.
+    """
+    pending = [i for i, o in enumerate(outcomes) if isinstance(o, _Prepared)]
+    start = time.perf_counter()
+    try:
+        solutions = pevi_lockstep([outcomes[i].problem for i in pending], mdp.features)
+    except Exception as exc:  # reported per method by the caller
+        solutions = [exc] * len(pending)
+    share_s = (time.perf_counter() - start) / max(len(pending), 1)
+
+    outcomes = list(outcomes)
+    for i, solution in zip(pending, solutions):
+        if isinstance(solution, Exception):
+            outcomes[i] = solution
+            continue
+        prep, start = outcomes[i], time.perf_counter()
+        try:
+            gaps = prep.optimal_v - evaluate_policy(mdp, solution.policy).v
+            outcomes[i] = RunResult(
+                method=prep.method,
+                n0=prep.n0,
+                n1=prep.n1,
+                c0_dagger=prep.c0,
+                c1_dagger=prep.c1,
+                gamma=mdp.gamma,
+                dim=mdp.dim,
+                seed=prep.seed,
+                subopt_mean=float(mdp.init_dist @ gaps),
+                subopt_max=float(gaps.max()),
+                v_hat_start=float(mdp.init_dist @ solution.v_hat),
+                wall_time_ms=(prep.seconds + share_s + time.perf_counter() - start) * 1e3,
+                converged=solution.converged,
+                policy_actions=tuple(int(a) for a in np.argmax(solution.policy.probs, axis=1)),
+            )
+        except Exception as exc:  # reported per method by the caller
+            outcomes[i] = exc
     return outcomes
 
 
@@ -330,25 +408,50 @@ def _cell_seeds(seed: int, n0: int, n1: int, grid: SweepGrid) -> tuple[int, int]
     return int(state[0]), int(state[1])
 
 
-def _run_cell(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seed: int, oracle, behaviors):
-    d0_seed, d1_seed = _cell_seeds(seed, n0, n1, grid)
+def _prepare_batch(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seeds, oracle,
+                   behaviors) -> list:
+    """Sample the d0 and d1 of every seed in seeds with one sample_datasets
+    call each, then prepare every method of each cell: the outcomes in
+    (seed, method) order.
+
+    The datasets are locals, so they are gone before the next batch is
+    sampled; exceptions lose their tracebacks, which would keep them alive.
+    """
+    d0_seeds, d1_seeds = zip(*(_cell_seeds(seed, n0, n1, grid) for seed in seeds))
     pi0, pi1 = behaviors
     try:
-        d0 = sample_dataset(mdp, pi0, n=n0, horizon_reset=grid.horizon_reset,
-                            labeled=True, seed=d0_seed, noise=grid.noise)
+        d0s = sample_datasets(mdp, pi0, n0, d0_seeds, horizon_reset=grid.horizon_reset,
+                              labeled=True, noise=grid.noise)
         if n1 > 0:
-            d1 = sample_dataset(mdp, pi1, n=n1, horizon_reset=grid.horizon_reset,
-                                labeled=False, seed=d1_seed)
+            d1s = sample_datasets(mdp, pi1, n1, d1_seeds, horizon_reset=grid.horizon_reset,
+                                  labeled=False)
         else:
-            d1 = OfflineDataset([], [], None, [], labeled=False,
-                                num_states=mdp.num_states, num_actions=mdp.num_actions)
+            d1s = [OfflineDataset([], [], None, [], labeled=False, num_states=mdp.num_states,
+                                  num_actions=mdp.num_actions)] * len(seeds)
     except Exception as exc:  # cell failures are data, not crashes
-        outcomes = [exc] * len(grid.methods)
+        outcomes = [exc] * (len(seeds) * len(grid.methods))
     else:
-        outcomes = _run_methods(mdp, d0, d1, grid.methods, grid.reward, grid.pevi,
-                                seed, oracle)
+        outcomes = [
+            outcome
+            for seed, d0, d1 in zip(seeds, d0s, d1s)
+            for outcome in _prepare_methods(mdp, d0, d1, grid.methods, grid.reward,
+                                            grid.pevi, seed, oracle)
+        ]
+    return [o.with_traceback(None) if isinstance(o, Exception) else o for o in outcomes]
+
+
+def _run_column(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, oracle, behaviors):
+    """Every seed's cell of one (n0, n1) grid column: seeds are sampled and
+    prepared in batches of at most _SEED_BATCH_ROWS dataset rows, then all
+    of the column's PEVI problems are solved in one lockstep."""
+    per_batch = max(1, _SEED_BATCH_ROWS // (n0 + n1))
+    outcomes = []
+    for lo in range(0, len(grid.seeds), per_batch):
+        outcomes += _prepare_batch(mdp, grid, n0, n1, grid.seeds[lo:lo + per_batch], oracle,
+                                   behaviors)
     out, failures = [], []
-    for method, outcome in zip(grid.methods, outcomes):
+    keys = [(seed, method) for seed in grid.seeds for method in grid.methods]
+    for (seed, method), outcome in zip(keys, _solve_prepared(mdp, outcomes)):
         if isinstance(outcome, RunResult):
             out.append(outcome)
         else:
@@ -360,7 +463,8 @@ def _run_cell(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seed: int, orac
 
 
 def sweep(mdp: LinearMdp, grid: SweepGrid) -> SweepReport:
-    """Run every (n0, n1, seed) cell of the grid, all methods per cell."""
+    """Run every (n0, n1, seed) cell of the grid, all methods per cell; rows
+    come out in (n0, n1, seed, method) order."""
     oracle = solve_optimal(mdp)
     behaviors = (
         behavior_policy(mdp, grid.labeled_quality, oracle[0]),
@@ -369,10 +473,9 @@ def sweep(mdp: LinearMdp, grid: SweepGrid) -> SweepReport:
     results, failures = [], []
     for n0 in grid.n0_values:
         for n1 in grid.n1_values:
-            for seed in grid.seeds:
-                out, fails = _run_cell(mdp, grid, n0, n1, seed, oracle, behaviors)
-                results.extend(out)
-                failures.extend(fails)
+            out, fails = _run_column(mdp, grid, n0, n1, oracle, behaviors)
+            results.extend(out)
+            failures.extend(fails)
     return SweepReport(results=tuple(results), failures=tuple(failures))
 
 

@@ -35,6 +35,10 @@ class BoundInputs:
     c: float = 1.0
 
     def __post_init__(self):
+        for name in ("c0_dagger", "c1_dagger", "gamma", "r_max", "delta", "c"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.n0 < 1:

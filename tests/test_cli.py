@@ -1,6 +1,7 @@
 """End-to-end checks for the command-line front end."""
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pdslab.cli import (
     entrypoint,
     load_config,
 )
-from pdslab.data import read_jsonl
+from pdslab.data import header_path, read_jsonl
 from pdslab.mdp import load_mdp
 from pdslab.pipeline import CSV_HEADER, MethodId
 
@@ -352,6 +353,15 @@ def test_fit_ensemble_and_relabel(tmp_path, capsys):
                            "--model", model_path]) == 2
         assert "malformed transition at line 1" in capsys.readouterr().err
 
+    # a file cut short of its header's n is refused, and nothing is written
+    cut_path = tmp_path / "cut.jsonl"
+    cut_path.write_text("".join(Path(unl_path).read_text().splitlines(keepends=True)[:5]))
+    header_path(cut_path).write_text(header_path(unl_path).read_text())
+    assert entrypoint(["relabel", "--in", str(cut_path), "--out", str(tmp_path / "cut_out.jsonl"),
+                       "--model", model_path, "--k", "1.5"]) == 2
+    assert "header says n=12 but the file holds 5 transitions" in capsys.readouterr().err
+    assert not (tmp_path / "cut_out.jsonl").exists()
+
     # declared ensemble size must match the stored model
     assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,
                        "--model", model_path, "--L", "7"]) == 2
@@ -392,6 +402,16 @@ def test_bounds_subcommand(tmp_path, capsys):
     assert entrypoint(["bounds", "--d", "4", "--n0", "100", "--c0", "0.0"]) == 0
     md = capsys.readouterr().out
     assert "inf" in md
+
+    # every float input must be finite; the error names the field
+    for flag, value, field in (("--c0", "nan", "c0_dagger"), ("--c0", "inf", "c0_dagger"),
+                               ("--c", "nan", "c"), ("--c1", "inf", "c1_dagger"),
+                               ("--gamma", "nan", "gamma"), ("--r-max", "inf", "r_max"),
+                               ("--delta", "nan", "delta")):
+        argv = ["bounds", "--d", "4", "--n0", "100", "--c0", "0.5", flag, value]
+        assert entrypoint(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{field} must be finite" in captured.err
 
 
 def test_table_subcommand(tmp_path, capsys):

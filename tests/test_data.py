@@ -17,6 +17,7 @@ from pdslab.data import (
     quantize_transitions,
     read_jsonl,
     sample_dataset,
+    sample_datasets,
     write_jsonl,
 )
 from pdslab.mdp import (
@@ -110,6 +111,38 @@ def test_sample_parameter_errors(tabular_5x3):
         sample_dataset(tabular_5x3, Policy.uniform(5, 3), n=5, horizon_reset=0)
     with pytest.raises(ValueError):
         sample_dataset(tabular_5x3, Policy.uniform(4, 3), n=5)
+
+
+def _same_dataset(a, b):
+    return (all(np.array_equal(x, y) for x, y in ((a.states, b.states), (a.actions, b.actions),
+                                                  (a.next_states, b.next_states)))
+            and (a.rewards is None) == (b.rewards is None)
+            and (a.rewards is None or np.array_equal(a.rewards, b.rewards))
+            and (a.labeled, a.seed, a.mdp_hash) == (b.labeled, b.seed, b.mdp_hash))
+
+
+@pytest.mark.parametrize("n,horizon_reset", [(7, 100), (250, 100), (300, 100), (40, 1), (23, 5)])
+@pytest.mark.parametrize("labeled,noise", [(True, False), (True, 0.3), (False, False)])
+@pytest.mark.parametrize("block_entries", [None, 10])
+def test_batched_sampler_equals_one_seed_calls(tabular_5x3, monkeypatch, n, horizon_reset,
+                                                labeled, noise, block_entries):
+    # block_entries=10 splits the segments into blocks of two, so blocks of
+    # full and of last (shorter) segments are both stepped
+    import pdslab.data as data
+
+    if block_entries is not None:
+        monkeypatch.setattr(data, "_LOCKSTEP_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(3)
+    pol = Policy(rng.dirichlet(np.ones(3), size=5))
+    seeds = [11, 0, 2**40, 7]
+    batch = sample_datasets(tabular_5x3, pol, n, seeds, horizon_reset=horizon_reset,
+                            labeled=labeled, noise=noise)
+    assert len(batch) == len(seeds)
+    for seed, got in zip(seeds, batch):
+        alone = sample_dataset(tabular_5x3, pol, n, horizon_reset=horizon_reset,
+                               labeled=labeled, seed=seed, noise=noise)
+        assert len(got) == n and _same_dataset(got, alone)
+    assert sample_datasets(tabular_5x3, pol, n, [], horizon_reset=horizon_reset) == []
 
 
 # ---- mixing -------------------------------------------------------------------

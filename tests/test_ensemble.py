@@ -334,6 +334,15 @@ def test_relabel_file_error_reporting(tmp_path):
         bad.write_text('{"s": 0, "a": 0, "r": null, "sp": 1}\n' + second_line + "\n")
         with pytest.raises(ValueError, match="malformed transition at line 2"):
             relabel_file(bad, tmp_path / "z.jsonl", model, k_mode=0.0)
+    # a file cut short of its header's n is refused before anything is written
+    data = _uniform_data(mdp, n=5, seed=7, labeled=False)
+    cut = tmp_path / "cut.jsonl"
+    write_jsonl(data, cut)
+    cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:3]))
+    out = tmp_path / "cut_out.jsonl"
+    with pytest.raises(ValueError, match="header says n=5 but the file holds 3 transitions"):
+        relabel_file(cut, out, model, k_mode=0.0)
+    assert not out.exists() and not header_path(out).exists()
 
 
 def test_model_json_round_trip(tmp_path):

@@ -25,6 +25,8 @@ from pdslab.pevi import (
     bellman_gram,
     bellman_regress,
     bonus_table,
+    pevi_lockstep,
+    pevi_prepare,
     pevi_solve,
     theorem_beta,
     uncertainty_bonus,
@@ -325,6 +327,67 @@ def test_solver_matches_row_form_sweep(kind, n, beta, max_sweeps):
     assert np.abs(sol.q_hat - q).max() <= 1e-12
     assert np.abs(sol.w_hat - w).max() <= 1e-12
     assert np.abs(np.subtract(sol.residuals, residuals)).max() <= 1e-12
+
+
+def _lone_sweeps(problem, features):
+    """One problem's sweeps on their own, with the 2-D products pevi_solve
+    ran before problems were stacked."""
+    config, rows = problem.config, features.matrix()
+    v = np.zeros(features.num_states)
+    residuals, converged = [], False
+    for sweeps in range(1, config.max_sweeps + 1):
+        w = problem.w_reward + problem.sweep_map @ v
+        q = np.clip((rows @ w).reshape(problem.bonus.shape) - problem.bonus, 0.0, config.v_max)
+        v_next = q.max(axis=1)
+        residuals.append(float(np.abs(v_next - v).max()))
+        v = v_next
+        if residuals[-1] < config.tol:
+            converged = True
+            break
+    return w, q, v, tuple(residuals), sweeps, converged
+
+
+def test_lockstep_batch_equals_each_problem_alone():
+    mdp = make_lowrank_mdp(7, 3, dim=3, gamma=0.95, seed=2)
+    rng = np.random.default_rng(5)
+    cases = []
+    for i, (n, beta, max_sweeps) in enumerate([
+            (60, 0.0, None), (3000, 0.3, None), (1, 0.3, 3), (500, 1.0, 3),
+            (200, 0.05, 5), (60, 0.3, None), (800, 2.0, 7), (40, 0.3, 3)]):
+        probs = rng.random((mdp.num_states, mdp.num_actions))
+        behavior = Policy(probs / probs.sum(axis=1, keepdims=True))
+        ds = sample_dataset(mdp, behavior, n, seed=i, noise=True)
+        cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=beta, lambda_reg=0.7,
+                                 max_sweeps=max_sweeps)
+        cases.append((ds, cfg))
+    problems = [pevi_prepare(ds, mdp.features, cfg) for ds, cfg in cases]
+    batch = pevi_lockstep(problems, mdp.features)
+    assert len(batch) == len(cases)
+    for (ds, cfg), problem, got in zip(cases, problems, batch):
+        alone = pevi_solve(ds, mdp.features, cfg)
+        w, q, v, residuals, sweeps, converged = _lone_sweeps(problem, mdp.features)
+        for sol in (got, alone):
+            assert np.array_equal(sol.q_hat, q) and np.array_equal(sol.w_hat, w)
+            assert np.array_equal(sol.v_hat, v) and sol.residuals == residuals
+            assert (sol.sweeps_used, sol.converged) == (sweeps, converged)
+            assert np.array_equal(sol.lambda_matrix, problem.lambda_matrix)
+            assert sol.beta == cfg.beta
+            assert np.array_equal(sol.policy.probs, Policy.greedy(q).probs)
+    # the members leave the active set at different sweeps, some unconverged
+    assert len({sol.sweeps_used for sol in batch}) >= 4
+    assert {sol.sweeps_used for sol in batch if not sol.converged} >= {3, 5}
+
+
+def test_lockstep_edge_cases():
+    mdp = make_lowrank_mdp(5, 3, dim=2, gamma=0.9, seed=21)
+    assert pevi_lockstep([], mdp.features) == []
+    cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=0.5)
+    problem = pevi_prepare(_uniform_data(mdp, 50), mdp.features, cfg)
+    other = make_lowrank_mdp(6, 3, dim=2, gamma=0.9, seed=21)
+    with pytest.raises(ValueError, match="shape"):
+        pevi_lockstep([problem], other.features)
+    with pytest.raises(ValueError, match="fully labeled"):
+        pevi_prepare(_uniform_data(mdp, 50, labeled=False), mdp.features, cfg)
 
 
 def test_solution_json_export(tmp_path):

@@ -161,14 +161,14 @@ def test_sweep_records_failures_and_continues(monkeypatch):
 def test_sampling_failure_is_recorded_per_method(monkeypatch):
     import pdslab.pipeline as pipeline
 
-    real = pipeline.sample_dataset
+    real = pipeline.sample_datasets
 
-    def flaky(mdp, behavior, n, **kwargs):
+    def flaky(mdp, behavior, n, seeds, **kwargs):
         if n == 20 and not kwargs["labeled"]:
             raise RuntimeError("sampler broke")
-        return real(mdp, behavior, n, **kwargs)
+        return real(mdp, behavior, n, seeds, **kwargs)
 
-    monkeypatch.setattr(pipeline, "sample_dataset", flaky)
+    monkeypatch.setattr(pipeline, "sample_datasets", flaky)
     mdp = _mdp(seed=33)
     grid = SweepGrid(n0_values=(30,), n1_values=(0, 20, 25), methods=(MethodId.PDS, MethodId.UDS),
                      seeds=(0, 1), pevi=PeviSettings(beta_override=0.5))
@@ -198,6 +198,39 @@ def test_sweep_rows_match_per_method_runs():
     direct = [run_method(mdp, d0, d1, m, grid.reward, grid.pevi, seed=2, oracle=oracle)
               for m in ALL_METHODS]
     assert _strip_wall(results_to_csv(report.results)) == _strip_wall(results_to_csv(direct))
+
+
+def test_seed_batches_do_not_change_rows(monkeypatch):
+    # one seed per batch, or all five seeds in one, gives the per-cell rows
+    import pdslab.pipeline as pipeline
+    from pdslab.pipeline import _cell_seeds
+
+    mdp = _mdp(seed=53)
+    grid = SweepGrid(n0_values=(40, 25), n1_values=(30, 0), methods=ALL_METHODS,
+                     seeds=(4, 0, 9, 2, 7), horizon_reset=15, noise=True,
+                     pevi=PeviSettings(c=0.05))
+    together = sweep(mdp, grid)
+    monkeypatch.setattr(pipeline, "_SEED_BATCH_ROWS", 70)
+    apart = sweep(mdp, grid)
+    assert not together.failures and not apart.failures
+    oracle = solve_optimal(mdp)
+    pi0 = behavior_policy(mdp, "medium", oracle[0])
+    pi1 = behavior_policy(mdp, "expert", oracle[0])
+    direct = []
+    for n0 in grid.n0_values:
+        for n1 in grid.n1_values:
+            for seed in grid.seeds:
+                d0_seed, d1_seed = _cell_seeds(seed, n0, n1, grid)
+                d0 = sample_dataset(mdp, pi0, n=n0, horizon_reset=15, seed=d0_seed, noise=True)
+                d1 = (sample_dataset(mdp, pi1, n=n1, horizon_reset=15, seed=d1_seed,
+                                     labeled=False) if n1 else
+                      OfflineDataset([], [], None, [], labeled=False, num_states=5, num_actions=3))
+                direct += [run_method(mdp, d0, d1, m, grid.reward, grid.pevi, seed=seed,
+                                      oracle=oracle) for m in ALL_METHODS]
+    want = _strip_wall(results_to_csv(direct))
+    assert _strip_wall(results_to_csv(together.results)) == want
+    assert _strip_wall(results_to_csv(apart.results)) == want
+    assert all(r.wall_time_ms > 0 for r in together.results + apart.results)
 
 
 def test_methods_never_perturb_cell_data():

@@ -154,3 +154,8 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(d=4, n0=1, n1=0, c0_dagger=0.5, c1_dagger=0.5,
                     gamma=0.9, r_max=1.0, delta=1.0)
+    # every float field must be finite, and the error names it
+    for field in ("c0_dagger", "c1_dagger", "gamma", "r_max", "delta", "c"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                replace(PINNED, **{field: value})
