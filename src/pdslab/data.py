@@ -157,8 +157,9 @@ class CoverageReport:
     per_start_state_values: np.ndarray  # (S,), min generalized eigenvalue per start
 
 
-# Lockstep rollouts compare a (segments, S) block per step; segments are
-# processed in blocks that keep that temporary near this many entries.
+# Lockstep rollouts compare a (segments, S) block per step and gather a
+# block's (segments x horizon) rows up front; segments are processed in
+# blocks that keep both near this many entries.
 _LOCKSTEP_BLOCK_ENTRIES = 1 << 20
 
 
@@ -253,6 +254,9 @@ def sample_datasets(
 
     seeds = list(seeds)
     num_seeds = len(seeds)
+    # no segment holds more than n rows, and the rollout sizes its buffers
+    # by the horizon, so a reset past n must not cost more than one at n
+    horizon_reset = min(horizon_reset, n)
     num_resets = -(-n // horizon_reset)
     tail = n - (num_resets - 1) * horizon_reset  # length of each seed's last segment
     reset_u = np.empty((num_seeds, num_resets))
@@ -279,7 +283,7 @@ def sample_datasets(
         mdp.num_states * mdp.num_actions, -1)
     actions = np.empty(num_seeds * n, dtype=np.int64)
     next_states = np.empty(num_seeds * n, dtype=np.int64)
-    block = max(1, _LOCKSTEP_BLOCK_ENTRIES // mdp.num_states)
+    block = max(1, _LOCKSTEP_BLOCK_ENTRIES // max(mdp.num_states, horizon_reset))
     for lo in range(0, first_rows.size, block):
         _rollout(upper_pi, upper_sa, starts[lo:lo + block], first_rows[lo:lo + block],
                  max(num_full - lo, 0), horizon_reset, tail, step_u.reshape(-1, 2),
@@ -471,15 +475,15 @@ def header_path(path: str | Path) -> Path:
     return Path(str(path) + ".header.json")
 
 
-def read_header(path: str | Path, count: int | None = None) -> dict | None:
+def read_header(path: str | Path, count: int) -> dict | None:
     """The sidecar header of a transition file, or None when it has none.
 
-    With count, the number of transitions read from the file, raise
-    ValueError when the header's n says otherwise.
+    count is the number of transitions read from the file; raise ValueError
+    when the header's n says otherwise.
     """
     hp = header_path(path)
     meta = json.loads(hp.read_text()) if hp.exists() else None
-    if count is not None and meta is not None and "n" in meta and meta["n"] != count:
+    if meta is not None and "n" in meta and meta["n"] != count:
         raise ValueError(f"{path}: header says n={meta['n']} but the file holds "
                          f"{count} transitions")
     return meta

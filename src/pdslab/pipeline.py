@@ -19,12 +19,13 @@ Sweeps run the grid column by column, a column being one (n0, n1) pair. Its
 seeds are sampled in batches (sample_datasets, one lockstep rollout per
 batch and dataset role), each cell of a batch is prepared up to its PEVI
 problems with the same code run_method uses, and the batch's datasets are
-dropped before the next batch. All of the column's PEVI problems are then
-solved in one pevi_lockstep. Every number in a row is bit for bit what
-run_method gives for that cell alone; a row's wall_ms is the cell's shared
-work, the method's relabel + mix + pevi_prepare, an equal share of the
-column's lockstep solve, and its own policy evaluation (sampling is not
-counted).
+dropped before the next batch. The PEVI problems are then solved in one
+pevi_lockstep per column, or per chunk of its seeds when the column's
+stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES. Every number in a
+row is bit for bit what run_method gives for that cell alone; a row's
+wall_ms is the cell's shared work, the method's relabel + mix +
+pevi_prepare, an equal share of its lockstep solve, and its own policy
+evaluation (sampling is not counted).
 """
 from __future__ import annotations
 
@@ -64,6 +65,11 @@ CSV_HEADER = "method,n0,n1,c0,c1,gamma,d,seed,subopt_mean,subopt_max,vhat_start,
 # A sweep samples the seeds of one grid column in batches of at most this
 # many dataset rows, n0 + n1 per seed; a batch holds at least one seed.
 _SEED_BATCH_ROWS = 1 << 16
+
+# A sweep solves a column's PEVI problems in lockstep chunks of whole seeds
+# whose stacked (A + d) x S tables, one per problem, hold at most this many
+# entries; a chunk holds at least one seed.
+_SOLVE_CHUNK_ENTRIES = 1 << 20
 
 
 class MethodId(Enum):
@@ -441,24 +447,29 @@ def _prepare_batch(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seeds, ora
 
 
 def _run_column(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, oracle, behaviors):
-    """Every seed's cell of one (n0, n1) grid column: seeds are sampled and
-    prepared in batches of at most _SEED_BATCH_ROWS dataset rows, then all
-    of the column's PEVI problems are solved in one lockstep."""
+    """Every seed's cell of one (n0, n1) grid column. The seeds are split
+    into chunks of at most _SOLVE_CHUNK_ENTRIES problem entries; a chunk's
+    seeds are sampled and prepared in batches of at most _SEED_BATCH_ROWS
+    dataset rows, then all of its PEVI problems are solved in one lockstep."""
     per_batch = max(1, _SEED_BATCH_ROWS // (n0 + n1))
-    outcomes = []
-    for lo in range(0, len(grid.seeds), per_batch):
-        outcomes += _prepare_batch(mdp, grid, n0, n1, grid.seeds[lo:lo + per_batch], oracle,
-                                   behaviors)
+    per_problem = mdp.num_states * (mdp.num_actions + mdp.dim)
+    per_chunk = max(1, _SOLVE_CHUNK_ENTRIES // (per_problem * len(grid.methods)))
     out, failures = [], []
-    keys = [(seed, method) for seed in grid.seeds for method in grid.methods]
-    for (seed, method), outcome in zip(keys, _solve_prepared(mdp, outcomes)):
-        if isinstance(outcome, RunResult):
-            out.append(outcome)
-        else:
-            failures.append({
-                "method": method.value, "n0": n0, "n1": n1, "seed": seed,
-                "error": f"{type(outcome).__name__}: {outcome}",
-            })
+    for chunk_lo in range(0, len(grid.seeds), per_chunk):
+        seeds = grid.seeds[chunk_lo:chunk_lo + per_chunk]
+        outcomes = []
+        for lo in range(0, len(seeds), per_batch):
+            outcomes += _prepare_batch(mdp, grid, n0, n1, seeds[lo:lo + per_batch], oracle,
+                                       behaviors)
+        keys = [(seed, method) for seed in seeds for method in grid.methods]
+        for (seed, method), outcome in zip(keys, _solve_prepared(mdp, outcomes)):
+            if isinstance(outcome, RunResult):
+                out.append(outcome)
+            else:
+                failures.append({
+                    "method": method.value, "n0": n0, "n1": n1, "seed": seed,
+                    "error": f"{type(outcome).__name__}: {outcome}",
+                })
     return out, failures
 
 

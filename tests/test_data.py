@@ -121,13 +121,15 @@ def _same_dataset(a, b):
             and (a.labeled, a.seed, a.mdp_hash) == (b.labeled, b.seed, b.mdp_hash))
 
 
-@pytest.mark.parametrize("n,horizon_reset", [(7, 100), (250, 100), (300, 100), (40, 1), (23, 5)])
+@pytest.mark.parametrize("n,horizon_reset",
+                         [(7, 100), (7, 10**12), (250, 100), (300, 100), (40, 1), (23, 5)])
 @pytest.mark.parametrize("labeled,noise", [(True, False), (True, 0.3), (False, False)])
 @pytest.mark.parametrize("block_entries", [None, 10])
 def test_batched_sampler_equals_one_seed_calls(tabular_5x3, monkeypatch, n, horizon_reset,
                                                 labeled, noise, block_entries):
-    # block_entries=10 splits the segments into blocks of two, so blocks of
-    # full and of last (shorter) segments are both stepped
+    # block_entries=10 splits the segments into blocks of one or two, so
+    # blocks of full and of last (shorter) segments are both stepped; a
+    # horizon_reset of 10**12 would need terabytes if it sized the rollout
     import pdslab.data as data
 
     if block_entries is not None:

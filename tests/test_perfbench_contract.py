@@ -1,6 +1,12 @@
 """perfbench's tracer wraps pdslab functions under the names `pipeline` and
 `cli` look them up by; if one of those names is gone, a traced benchmark run
-fails in Tracer.install before it measures anything."""
+fails in Tracer.install before it measures anything.
+
+This guards only the names. It does not check that the sweep still calls
+what they name: pipeline.sample_dataset and pipeline.pevi_solve stay
+importable for the tracer, but the sweep calls sample_datasets and
+pevi_lockstep, so the traced data.sample_dataset.* and pevi.* metrics read
+0 on the sweep workloads until the tracer wraps the batched functions."""
 import importlib.util
 from pathlib import Path
 

@@ -201,7 +201,8 @@ def test_sweep_rows_match_per_method_runs():
 
 
 def test_seed_batches_do_not_change_rows(monkeypatch):
-    # one seed per batch, or all five seeds in one, gives the per-cell rows
+    # all five seeds in one batch and one lockstep, lockstep chunks of two
+    # seeds, or also one seed per sampling batch, give the per-cell rows
     import pdslab.pipeline as pipeline
     from pdslab.pipeline import _cell_seeds
 
@@ -210,9 +211,12 @@ def test_seed_batches_do_not_change_rows(monkeypatch):
                      seeds=(4, 0, 9, 2, 7), horizon_reset=15, noise=True,
                      pevi=PeviSettings(c=0.05))
     together = sweep(mdp, grid)
+    per_problem = mdp.num_states * (mdp.num_actions + mdp.dim)
+    monkeypatch.setattr(pipeline, "_SOLVE_CHUNK_ENTRIES", 2 * per_problem * len(ALL_METHODS))
+    chunked = sweep(mdp, grid)
     monkeypatch.setattr(pipeline, "_SEED_BATCH_ROWS", 70)
     apart = sweep(mdp, grid)
-    assert not together.failures and not apart.failures
+    assert not together.failures and not chunked.failures and not apart.failures
     oracle = solve_optimal(mdp)
     pi0 = behavior_policy(mdp, "medium", oracle[0])
     pi1 = behavior_policy(mdp, "expert", oracle[0])
@@ -228,9 +232,9 @@ def test_seed_batches_do_not_change_rows(monkeypatch):
                 direct += [run_method(mdp, d0, d1, m, grid.reward, grid.pevi, seed=seed,
                                       oracle=oracle) for m in ALL_METHODS]
     want = _strip_wall(results_to_csv(direct))
-    assert _strip_wall(results_to_csv(together.results)) == want
-    assert _strip_wall(results_to_csv(apart.results)) == want
-    assert all(r.wall_time_ms > 0 for r in together.results + apart.results)
+    for report in (together, chunked, apart):
+        assert _strip_wall(results_to_csv(report.results)) == want
+        assert all(r.wall_time_ms > 0 for r in report.results)
 
 
 def test_methods_never_perturb_cell_data():
