@@ -1,8 +1,10 @@
 """pdslab: pessimistic data sharing for offline RL on finite linear MDPs."""
 
 from pdslab.data import (
+    CoverageBases,
     CoverageReport,
     OfflineDataset,
+    coverage_bases,
     coverage_coefficient,
     exhaustive_dataset,
     mix_datasets,

@@ -5,13 +5,23 @@ by convention. The coverage coefficient follows the generalized-eigenvalue
 reading: the largest C with  (1/N) sum phi phi^T  >=  C * Sigma_{pi*,s}
 for every start state s, where Sigma is the (1-gamma)-normalized discounted
 occupancy second moment, computed exactly from a linear solve.
+
+Sigma and its eigendecomposition depend only on the MDP and pi*, so
+coverage_bases computes the per-start bases once (a sweep does so next to
+its oracle solve); each dataset then costs one Gram and, per group of
+starts of equal Sigma rank, one stacked reduction and one batched
+eigvalsh. The sampler draws each step by inverse CDF; on wide rows the
+search runs in two levels, over every k-th cumulative entry and then
+within one k-wide block, which counts exactly the same entries.
 """
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,7 +121,7 @@ class OfflineDataset:
     def feature_rows(self, features: FeatureMap) -> np.ndarray:
         """phi(s_tau, a_tau) stacked into an (N, d) matrix."""
         self.check_features(features)
-        return features.phi[self.states, self.actions]
+        return features.matrix().take(self.states * features.num_actions + self.actions, axis=0)
 
     def with_rewards(self, rewards, labeled: bool = True, source_tag: str | None = None) -> "OfflineDataset":
         return OfflineDataset(
@@ -163,29 +173,72 @@ class CoverageReport:
 _LOCKSTEP_BLOCK_ENTRIES = 1 << 20
 
 
-def _draw_rows(upper: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw from each row of `upper` with its own u.
+class _DrawTable(NamedTuple):
+    """Cumulative rows without their last entry, set up for _draw_rows.
 
-    upper holds the cumulative sums without their last entry. On a
-    non-decreasing row, counting the entries <= u is searchsorted(side=
-    "right"), and leaving out the last entry clamps draws beyond the row's
-    mass to the last index.
+    A flat table holds the rows as they are and coarse is None. A blocked
+    table pads each row with +inf to a whole number of k-wide blocks, one
+    more than the row's width // k, and coarse holds every row's k-th,
+    2k-th, ... entry, the last entry of each block the row fills.
     """
-    return (upper <= u[:, None]).sum(axis=1)
+
+    fine: np.ndarray
+    coarse: np.ndarray | None
+    k: int
 
 
-def _rollout(upper_pi, upper_sa, starts, first_rows, num_full, horizon, tail, step_u,
+def _draw_table(cumulative: np.ndarray) -> _DrawTable:
+    """The draw table of a 2-D array of cumulative rows.
+
+    Blocked rows compare width // k + k entries per draw where flat rows
+    compare width, with k = isqrt(width); rows are blocked only where that
+    is at most half as many.
+    """
+    upper = cumulative[:, :-1]
+    width = upper.shape[1]
+    k = math.isqrt(width)
+    if k and 2 * (width // k + k) <= width:
+        return _blocked_table(upper, k)
+    return _DrawTable(np.ascontiguousarray(upper), None, 1)
+
+
+def _blocked_table(upper: np.ndarray, k: int) -> _DrawTable:
+    rows, width = upper.shape
+    fine = np.full((rows, (width // k + 1) * k), np.inf)
+    fine[:, :width] = upper
+    return _DrawTable(fine, np.ascontiguousarray(fine[:, k - 1:width:k]), k)
+
+
+def _draw_rows(table: _DrawTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw from row rows[i] of the table with u[i].
+
+    On a non-decreasing row, counting the entries <= u is searchsorted(side=
+    "right"), and leaving out the cumulative row's last entry clamps draws
+    beyond the row's mass to the last index. A blocked table counts the
+    whole blocks whose last entry is <= u, then the entries <= u in the
+    block after them; the +inf padding is never counted, so the result is
+    the flat count exactly.
+    """
+    if table.coarse is None:
+        return (table.fine.take(rows, axis=0) <= u[:, None]).sum(axis=1)
+    blocks = (table.coarse.take(rows, axis=0) <= u[:, None]).sum(axis=1)
+    per_row = table.fine.shape[1] // table.k
+    block = table.fine.reshape(-1, table.k).take(rows * per_row + blocks, axis=0)
+    return blocks * table.k + (block <= u[:, None]).sum(axis=1)
+
+
+def _rollout(pi_table, sa_table, starts, first_rows, num_full, horizon, tail, step_u,
              actions, next_states) -> None:
     """Step reset segments in lockstep, writing into the outputs.
 
-    upper_pi holds the policy's cumulative rows per state and upper_sa the
+    pi_table holds the policy's draw table per state and sa_table the
     kernel's per (s, a) pair, at row s * A + a. Segment k starts in
     starts[k] at row first_rows[k] of step_u and the outputs, and runs for
     horizon steps when k < num_full, else for tail steps; the segments still
     running at any step are a prefix. The rows are taken step by step into
     one contiguous buffer, so each step reads and writes a slice of it.
     """
-    num_actions = upper_pi.shape[1] + 1
+    num_actions = sa_table.fine.shape[0] // pi_table.fine.shape[0]
     steps = np.arange(horizon)[:, None]
     rows = np.concatenate([(first_rows + steps[:tail]).ravel(),
                            (first_rows[:num_full] + steps[tail:]).ravel()])
@@ -198,8 +251,8 @@ def _rollout(upper_pi, upper_sa, starts, first_rows, num_full, horizon, tail, st
         hi = lo + s.shape[0]
         if hi == lo:
             break
-        a = _draw_rows(upper_pi.take(s, axis=0), u[lo:hi, 0])
-        s = _draw_rows(upper_sa.take(s * num_actions + a, axis=0), u[lo:hi, 1])
+        a = _draw_rows(pi_table, s, u[lo:hi, 0])
+        s = _draw_rows(sa_table, s * num_actions + a, u[lo:hi, 1])
         drawn_a[lo:hi], drawn_s[lo:hi] = a, s
         lo = hi
     actions[rows], next_states[rows] = drawn_a, drawn_s
@@ -277,15 +330,15 @@ def sample_datasets(
                           for x in (first_rows, starts))
     num_full = num_seeds * (num_resets - (tail < horizon_reset))
 
-    # contiguous copies: take() on a strided table first copies all of it
-    upper_pi = np.ascontiguousarray(np.cumsum(behavior.probs, axis=1)[:, :-1])
-    upper_sa = np.ascontiguousarray(np.cumsum(mdp.transitions, axis=2)[:, :, :-1]).reshape(
-        mdp.num_states * mdp.num_actions, -1)
+    # contiguous tables, built once: take() on a strided table first copies all of it
+    pi_table = _draw_table(np.cumsum(behavior.probs, axis=1))
+    sa_table = _draw_table(np.cumsum(mdp.transitions, axis=2).reshape(
+        mdp.num_states * mdp.num_actions, -1))
     actions = np.empty(num_seeds * n, dtype=np.int64)
     next_states = np.empty(num_seeds * n, dtype=np.int64)
     block = max(1, _LOCKSTEP_BLOCK_ENTRIES // max(mdp.num_states, horizon_reset))
     for lo in range(0, first_rows.size, block):
-        _rollout(upper_pi, upper_sa, starts[lo:lo + block], first_rows[lo:lo + block],
+        _rollout(pi_table, sa_table, starts[lo:lo + block], first_rows[lo:lo + block],
                  max(num_full - lo, 0), horizon_reset, tail, step_u.reshape(-1, 2),
                  actions, next_states)
     # within a segment each step starts where the previous one ended
@@ -362,30 +415,72 @@ def occupancy_second_moment(mdp: LinearMdp, policy: Policy, start_state: int) ->
     return occupancy_second_moments(mdp, policy)[start_state]
 
 
-def _min_generalized_eig(m: np.ndarray, sigma: np.ndarray) -> float:
-    """Largest C with m - C*sigma >= 0, restricted to range(sigma).
+@dataclass(frozen=True)
+class CoverageBases:
+    """The range bases u_keep / sqrt(w_keep) of every start's Sigma_{pi,s},
+    from its eigenpairs (w, u) with w > SIGMA_RANGE_CUTOFF, grouped by rank.
 
-    Null-space directions of sigma impose no constraint; if sigma has no
+    groups holds one (starts, bases) pair per rank r: the start states whose
+    Sigma has r range directions and their (len(starts), d, r) bases. Starts
+    whose Sigma has no range are in no group.
+    """
+
+    num_states: int
+    dim: int
+    groups: tuple
+
+
+def coverage_bases(mdp: LinearMdp, policy: Policy) -> CoverageBases:
+    """The coverage bases of policy's occupancy from every start state, for
+    coverage_coefficient to reuse across datasets."""
+    return _bases_of(occupancy_second_moments(mdp, policy))
+
+
+def _bases_of(sigmas: np.ndarray) -> CoverageBases:
+    """CoverageBases of an (S, d, d) stack of second moments.
+
+    eigh returns ascending eigenvalues, so a start's kept eigenpairs are
+    its last r.
+    """
+    w, u = np.linalg.eigh(sigmas)
+    ranks = (w > SIGMA_RANGE_CUTOFF).sum(axis=1)
+    groups = []
+    for r in np.unique(ranks[ranks > 0]).tolist():
+        starts = np.flatnonzero(ranks == r)
+        groups.append((starts, u[starts, :, -r:] / np.sqrt(w[starts, None, -r:])))
+    num_states, dim = sigmas.shape[:2]
+    return CoverageBases(num_states, dim, tuple(groups))
+
+
+def _per_start_values(gram: np.ndarray, bases: CoverageBases) -> np.ndarray:
+    """Per start state, the largest C with gram - C*Sigma >= 0 on range(Sigma),
+    clipped below at 0: the least eigenvalue of B^T gram B for its basis B.
+
+    Null-space directions of Sigma impose no constraint; if Sigma has no
     range at all the constraint is vacuous and the value is +inf.
     """
-    w, u = np.linalg.eigh(sigma)
-    keep = w > SIGMA_RANGE_CUTOFF
-    if not keep.any():
-        return np.inf
-    basis = u[:, keep] / np.sqrt(w[keep])
-    reduced = basis.T @ m @ basis
-    return max(0.0, float(np.linalg.eigvalsh(reduced).min()))
+    values = np.full(bases.num_states, np.inf)
+    for starts, basis in bases.groups:
+        least = np.linalg.eigvalsh(np.swapaxes(basis, 1, 2) @ gram @ basis).min(axis=1)
+        values[starts] = np.where(least > 0.0, least, 0.0)
+    return values
 
 
-def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp, optimal: Policy) -> CoverageReport:
-    """C-dagger of the dataset against the optimal occupancy from every start state."""
+def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp,
+                         optimal: Policy | CoverageBases) -> CoverageReport:
+    """C-dagger of the dataset against the optimal occupancy from every start state.
+
+    optimal is the optimal policy, or its coverage_bases when many datasets
+    are measured against the same occupancy.
+    """
     if len(dataset) == 0:
         raise ValueError("coverage_coefficient requires a nonempty dataset")
+    bases = optimal if isinstance(optimal, CoverageBases) else coverage_bases(mdp, optimal)
+    if (bases.num_states, bases.dim) != (mdp.num_states, mdp.dim):
+        raise ValueError("coverage bases do not match the mdp's shape")
     feats = dataset.feature_rows(mdp.features)
     gram = feats.T @ feats / len(dataset)
-    per_start = np.array(
-        [_min_generalized_eig(gram, sigma) for sigma in occupancy_second_moments(mdp, optimal)]
-    )
+    per_start = _per_start_values(gram, bases)
     c = float(np.min(per_start))
     if not np.isfinite(c):
         c = np.inf

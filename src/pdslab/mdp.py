@@ -338,11 +338,14 @@ def solve_optimal(mdp: LinearMdp, tol: float = 1e-10) -> tuple[Policy, ValueRepo
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    gamma, p, r = mdp.gamma, mdp.transitions, mdp.rewards
+    gamma, r = mdp.gamma, mdp.rewards
+    S, A = r.shape
+    # one gemv over all S*A rows per step, not one per state
+    p = mdp.transitions.reshape(S * A, S)
     threshold = np.inf if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
-    v = np.zeros(mdp.num_states)
+    v = np.zeros(S)
     while True:
-        q = r + gamma * (p @ v)
+        q = r + gamma * (p @ v).reshape(S, A)
         v_new = q.max(axis=1)
         residual = np.abs(v_new - v).max()
         v = v_new

@@ -13,7 +13,10 @@ Suboptimality is measured against the exact optimal policy, reported both
 in expectation over the initial distribution and as the worst state. Dataset
 seeds derive from the cell coordinates only, so every method inside a cell
 sees identical data. Work that does not depend on the method (reward fit,
-coverage) is done once per cell.
+coverage) is done once per cell, and work that depends only on the MDP is
+done once per sweep: the oracle solve and the coverage bases (the range
+bases of every start's optimal occupancy moment, see data.coverage_bases),
+so a cell's coverage costs one Gram and a few batched eigvalsh per dataset.
 
 Sweeps run the grid column by column, a column being one (n0, n1) pair. Its
 seeds are sampled in batches (sample_datasets, one lockstep rollout per
@@ -25,7 +28,8 @@ stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES. Every number in a
 row is bit for bit what run_method gives for that cell alone; a row's
 wall_ms is the cell's shared work, the method's relabel + mix +
 pevi_prepare, an equal share of its lockstep solve, and its own policy
-evaluation (sampling is not counted).
+evaluation (sampling, the oracle solve and the coverage bases are not
+counted).
 """
 from __future__ import annotations
 
@@ -40,7 +44,9 @@ import numpy as np
 # sample_dataset and pevi_solve are not called here, but perfbench's tracer
 # wraps them under these names, so they stay importable from this module
 from pdslab.data import (
+    CoverageBases,
     OfflineDataset,
+    coverage_bases,
     coverage_coefficient,
     mix_datasets,
     sample_dataset,  # noqa: F401
@@ -257,14 +263,16 @@ def _prepare_methods(
     pevi_cfg: PeviSettings,
     seed: int,
     oracle: tuple | None,
+    bases: CoverageBases | None = None,
 ) -> list:
     """Prepare each method's PEVI problem on one dataset pair: a _Prepared
     or the raised exception per method, in order.
 
     The reward fit and both coverage coefficients do not depend on the
-    method, so they are computed once; if that shared work fails, every
-    method gets its exception. Each method then relabels d1, mixes it into
-    d0 and reduces the mixture with pevi_prepare.
+    method, so they are computed once, against bases (the optimal policy's
+    coverage_bases, built here when not given); if that shared work fails,
+    every method gets its exception. Each method then relabels d1, mixes it
+    into d0 and reduces the mixture with pevi_prepare.
     """
     start = time.perf_counter()
     try:
@@ -275,13 +283,15 @@ def _prepare_methods(
         if oracle is None:
             oracle = solve_optimal(mdp)
         optimal_policy, optimal_values = oracle
+        if bases is None:
+            bases = coverage_bases(mdp, optimal_policy)
         model = fit_reward(
             d0, mdp.features, nu=reward_cfg.nu, delta=reward_cfg.delta,
             r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode,
         )
-        c0 = coverage_coefficient(d0, mdp, optimal_policy).c_dagger
+        c0 = coverage_coefficient(d0, mdp, bases).c_dagger
         c1 = (
-            coverage_coefficient(d1, mdp, optimal_policy).c_dagger
+            coverage_coefficient(d1, mdp, bases).c_dagger
             if d1 is not None and len(d1) > 0 else 0.0
         )
     except Exception as exc:  # reported per method by the caller
@@ -374,8 +384,10 @@ class SweepGrid:
     def __post_init__(self):
         if not self.n0_values or not self.n1_values or not self.methods or not self.seeds:
             raise ValueError("grid axes must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
+        for name, values in (("n0", self.n0_values), ("n1", self.n1_values),
+                             ("seed", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} values must be distinct, got {list(values)}")
         if any(n < 1 for n in self.n0_values):
             raise ValueError("n0 values must be >= 1")
         if any(n < 0 for n in self.n1_values):
@@ -393,7 +405,10 @@ class SweepGrid:
         for m in self.methods:
             if not isinstance(m, MethodId) and m not in valid:
                 raise ValueError(f"unknown method {m!r}, valid: {valid}")
-        object.__setattr__(self, "methods", tuple(MethodId(m) for m in self.methods))
+        methods = tuple(MethodId(m) for m in self.methods)
+        if len(set(methods)) != len(methods):
+            raise ValueError(f"methods must be distinct, got {[m.value for m in methods]}")
+        object.__setattr__(self, "methods", methods)
 
 
 @dataclass(frozen=True)
@@ -415,7 +430,7 @@ def _cell_seeds(seed: int, n0: int, n1: int, grid: SweepGrid) -> tuple[int, int]
 
 
 def _prepare_batch(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seeds, oracle,
-                   behaviors) -> list:
+                   bases, behaviors) -> list:
     """Sample the d0 and d1 of every seed in seeds with one sample_datasets
     call each, then prepare every method of each cell: the outcomes in
     (seed, method) order.
@@ -441,12 +456,12 @@ def _prepare_batch(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seeds, ora
             outcome
             for seed, d0, d1 in zip(seeds, d0s, d1s)
             for outcome in _prepare_methods(mdp, d0, d1, grid.methods, grid.reward,
-                                            grid.pevi, seed, oracle)
+                                            grid.pevi, seed, oracle, bases)
         ]
     return [o.with_traceback(None) if isinstance(o, Exception) else o for o in outcomes]
 
 
-def _run_column(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, oracle, behaviors):
+def _run_column(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, oracle, bases, behaviors):
     """Every seed's cell of one (n0, n1) grid column. The seeds are split
     into chunks of at most _SOLVE_CHUNK_ENTRIES problem entries; a chunk's
     seeds are sampled and prepared in batches of at most _SEED_BATCH_ROWS
@@ -460,7 +475,7 @@ def _run_column(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, oracle, behav
         outcomes = []
         for lo in range(0, len(seeds), per_batch):
             outcomes += _prepare_batch(mdp, grid, n0, n1, seeds[lo:lo + per_batch], oracle,
-                                       behaviors)
+                                       bases, behaviors)
         keys = [(seed, method) for seed in seeds for method in grid.methods]
         for (seed, method), outcome in zip(keys, _solve_prepared(mdp, outcomes)):
             if isinstance(outcome, RunResult):
@@ -477,6 +492,7 @@ def sweep(mdp: LinearMdp, grid: SweepGrid) -> SweepReport:
     """Run every (n0, n1, seed) cell of the grid, all methods per cell; rows
     come out in (n0, n1, seed, method) order."""
     oracle = solve_optimal(mdp)
+    bases = coverage_bases(mdp, oracle[0])
     behaviors = (
         behavior_policy(mdp, grid.labeled_quality, oracle[0]),
         behavior_policy(mdp, grid.unlabeled_quality, oracle[0]),
@@ -484,7 +500,7 @@ def sweep(mdp: LinearMdp, grid: SweepGrid) -> SweepReport:
     results, failures = [], []
     for n0 in grid.n0_values:
         for n1 in grid.n1_values:
-            out, fails = _run_column(mdp, grid, n0, n1, oracle, behaviors)
+            out, fails = _run_column(mdp, grid, n0, n1, oracle, bases, behaviors)
             results.extend(out)
             failures.extend(fails)
     return SweepReport(results=tuple(results), failures=tuple(failures))

@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
 
-from pdslab.mdp import make_lowrank_mdp, make_tabular_mdp
+from pdslab.mdp import FeatureMap, LinearMdp, make_lowrank_mdp, make_tabular_mdp
+
+
+def chain_mdp() -> LinearMdp:
+    """Four-state chain started at the left end; actions trade off the chance
+    of stepping right, and stepping right pays more the further along you are.
+    Small datasets leave the bonus large enough to mask the far-end payoff."""
+    S, A = 4, 3
+    p = np.array([0.1, 0.5, 0.9])
+    phi = np.zeros((S, A, 2 * S))
+    mu = np.zeros((2 * S, S))
+    for s in range(S):
+        phi[s, :, 2 * s] = p
+        phi[s, :, 2 * s + 1] = 1.0 - p
+        mu[2 * s, min(s + 1, S - 1)] = 1.0
+        mu[2 * s + 1, max(s - 1, 0)] = 1.0
+    theta = np.zeros(2 * S)
+    theta[0::2] = [0.1, 0.3, 0.6, 1.0]
+    init = np.zeros(S)
+    init[0] = 1.0
+    return LinearMdp(FeatureMap(phi), mu, theta, gamma=0.9, r_max=1.0, init_dist=init)
 
 
 @pytest.fixture

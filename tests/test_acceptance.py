@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import chain_mdp
 from pdslab.cli import run_config
 from pdslab.data import exhaustive_dataset, quantize_transitions, sample_dataset, write_jsonl
 from pdslab.ensemble import fit_ensemble, gaussian_min_coefficient, relabel_file
@@ -57,26 +58,6 @@ def _two_mode_mdp() -> LinearMdp:
     theta = np.array([1.0, 0.0])
     return LinearMdp(FeatureMap(phi), mu, theta, gamma=0.9, r_max=1.0,
                      init_dist=np.full(4, 0.25))
-
-
-def _chain_mdp() -> LinearMdp:
-    """Four-state chain started at the left end; actions trade off the chance
-    of stepping right, and stepping right pays more the further along you are.
-    Small datasets leave the bonus large enough to mask the far-end payoff."""
-    S, A = 4, 3
-    p = np.array([0.1, 0.5, 0.9])
-    phi = np.zeros((S, A, 2 * S))
-    mu = np.zeros((2 * S, S))
-    for s in range(S):
-        phi[s, :, 2 * s] = p
-        phi[s, :, 2 * s + 1] = 1.0 - p
-        mu[2 * s, min(s + 1, S - 1)] = 1.0
-        mu[2 * s + 1, max(s - 1, 0)] = 1.0
-    theta = np.zeros(2 * S)
-    theta[0::2] = [0.1, 0.3, 0.6, 1.0]
-    init = np.zeros(S)
-    init[0] = 1.0
-    return LinearMdp(FeatureMap(phi), mu, theta, gamma=0.9, r_max=1.0, init_dist=init)
 
 
 def test_01_reward_confidence_region_coverage():
@@ -177,7 +158,7 @@ def test_05_more_shared_data_never_hurts():
         unlabeled_quality="medium", reward=RewardSettings(),
         pevi=PeviSettings(c=0.02),
     )
-    report = sweep(_chain_mdp(), grid)
+    report = sweep(chain_mdp(), grid)
     assert not report.failures
     by_n1 = {n1: [r.subopt_mean for r in report.results if r.n1 == n1] for n1 in n1s}
     means = {n1: float(np.mean(v)) for n1, v in by_n1.items()}

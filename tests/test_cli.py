@@ -62,6 +62,27 @@ def test_duplicate_seeds_rejected(tmp_path):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("data", "n0", [40, 40]),
+    ("data", "n1", [0, 30, 30]),
+    (None, "methods", ["pds", "no_share", "pds"]),
+])
+def test_repeated_grid_values_exit_2_before_any_cell(tmp_path, monkeypatch, section, field,
+                                                     value):
+    import pdslab.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a cell ran on a rejected config")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    doc = _base_doc(tmp_path)
+    (doc[section] if section else doc)[field] = value
+    with pytest.raises(ConfigError, match="distinct"):
+        ExperimentConfig.from_dict(doc)
+    assert entrypoint(["run", "--config", _write_config(tmp_path, doc)]) == 2
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_n1_without_unlabeled_quality_rejected(tmp_path):
     doc = _base_doc(tmp_path)
     del doc["data"]["unlabeled_quality"]

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdslab.data as data
 from pdslab.data import (
     OfflineDataset,
     Transition,
@@ -130,8 +131,6 @@ def test_batched_sampler_equals_one_seed_calls(tabular_5x3, monkeypatch, n, hori
     # block_entries=10 splits the segments into blocks of one or two, so
     # blocks of full and of last (shorter) segments are both stepped; a
     # horizon_reset of 10**12 would need terabytes if it sized the rollout
-    import pdslab.data as data
-
     if block_entries is not None:
         monkeypatch.setattr(data, "_LOCKSTEP_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(3)
@@ -145,6 +144,45 @@ def test_batched_sampler_equals_one_seed_calls(tabular_5x3, monkeypatch, n, hori
                                labeled=labeled, seed=seed, noise=noise)
         assert len(got) == n and _same_dataset(got, alone)
     assert sample_datasets(tabular_5x3, pol, n, [], horizon_reset=horizon_reset) == []
+
+
+def _nondecreasing_rows(rng, num_rows, width):
+    """Cumulative sums of probability-like rows with many zero entries, so
+    rows hold runs of equal values, plus rows drawn from a handful of levels."""
+    steps = rng.random((num_rows, width)) * (rng.random((num_rows, width)) < 0.5)
+    summed = np.cumsum(steps, axis=1) / max(1.0, steps.sum(axis=1).max())
+    levels = np.sort(rng.integers(0, 4, size=(num_rows, width)) / 4.0, axis=1)
+    return np.vstack([summed, levels, np.zeros((1, width)), np.ones((1, width))])
+
+
+def test_blocked_draw_equals_searchsorted():
+    """The two-level count is searchsorted(row, u, side="right") for every
+    block size k on widths 1..70: equal runs, u equal to an entry, u below
+    the first and beyond the last entry, widths that are perfect squares and
+    multiples of k (where the last block is all padding)."""
+    rng = np.random.default_rng(11)
+    for width in range(1, 71):
+        upper = _nondecreasing_rows(rng, 6, width)
+        probes = np.concatenate([rng.choice(upper.ravel(), 40), rng.random(20),
+                                 [-1.0, 0.0, 1.0, 2.0]])
+        rows = np.repeat(np.arange(upper.shape[0]), probes.size)
+        u = np.tile(probes, upper.shape[0])
+        want = np.concatenate([np.searchsorted(row, probes, side="right") for row in upper])
+        tables = [data._blocked_table(upper, k) for k in range(1, width + 1)]
+        tables.append(data._draw_table(np.hstack([upper, np.ones((upper.shape[0], 1))])))
+        for table in tables:
+            assert np.array_equal(data._draw_rows(table, rows, u), want), (width, table.k)
+
+
+def test_draw_table_blocks_only_wide_rows():
+    def blocked(width):
+        return data._draw_table(np.zeros((2, width + 1))).coarse is not None
+
+    # the chain (S=4), lowrank S=6 and few-action policies search flat
+    assert not any(blocked(w) for w in range(0, 14))
+    assert all(blocked(w) for w in range(16, 400))
+    table = data._draw_table(np.zeros((3, 401)))
+    assert (table.k, table.fine.shape, table.coarse.shape) == (20, (3, 420), (3, 20))
 
 
 # ---- mixing -------------------------------------------------------------------

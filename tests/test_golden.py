@@ -1,7 +1,9 @@
 """Golden equivalence: refactored code against the code it replaced.
 
 The sampler must reproduce a plain per-step rollout bit for bit, coverage
-must match one linear solve per start state, the acceptance sweep configs
+must match one linear solve and one eigendecomposition per start state
+(_min_generalized_eig, the per-start loop the coverage bases replaced),
+solve_optimal must match its per-state value iteration, the acceptance sweep configs
 must reproduce their pinned CSVs (wall_ms stripped), and the ridge
 estimators (PEVI, reward fit, ensemble) must reproduce their pinned outputs
 in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
@@ -14,17 +16,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import chain_mdp
 from pdslab.cli import run_config
 from pdslab.data import (
+    SIGMA_RANGE_CUTOFF,
     OfflineDataset,
-    _min_generalized_eig,
+    _bases_of,
     coverage_coefficient,
     occupancy_second_moment,
+    occupancy_second_moments,
     sample_dataset,
 )
 from pdslab.ensemble import fit_ensemble
 from pdslab.mdp import (
     Policy,
+    evaluate_policy,
     make_adversarial_mdp,
     make_lowrank_mdp,
     make_tabular_mdp,
@@ -69,6 +75,8 @@ MDPS = {
     "tabular": lambda: make_tabular_mdp(7, 3, gamma=0.9, seed=11),
     "lowrank": lambda: make_lowrank_mdp(9, 4, dim=3, gamma=0.95, seed=5),
     "adversarial": lambda: make_adversarial_mdp(4, dim=2, gamma=0.9),
+    # 49 cumulative entries per kernel row: the sampler's blocked draw
+    "lowrank-wide": lambda: make_lowrank_mdp(50, 3, dim=4, gamma=0.9, seed=7),
 }
 
 
@@ -115,6 +123,24 @@ def _per_start_solve(mdp, policy, start_state):
     return np.tensordot(kappa, np.einsum("sa,sad,saf->sdf", policy.probs, phi, phi), axes=1)
 
 
+def _min_generalized_eig(m, sigma):
+    """Largest C with m - C*sigma >= 0, restricted to range(sigma): one
+    eigendecomposition of sigma per start state, as coverage_coefficient
+    computed it before the per-sweep coverage bases."""
+    w, u = np.linalg.eigh(sigma)
+    keep = w > SIGMA_RANGE_CUTOFF
+    if not keep.any():
+        return np.inf
+    basis = u[:, keep] / np.sqrt(w[keep])
+    reduced = basis.T @ m @ basis
+    return max(0.0, float(np.linalg.eigvalsh(reduced).min()))
+
+
+def _reference_c_dagger(per_start):
+    c = float(np.min(per_start))
+    return max(0.0, c if np.isfinite(c) else np.inf)
+
+
 @pytest.mark.parametrize("kind", sorted(MDPS))
 def test_coverage_matches_per_start_state_solves(kind):
     mdp = MDPS[kind]()
@@ -130,6 +156,105 @@ def test_coverage_matches_per_start_state_solves(kind):
             want = _min_generalized_eig(report.gram, sigma)
             got = report.per_start_state_values[s]
             assert got == want or abs(got - want) <= 1e-12
+
+
+# the MDPs the sweep configs and perfbench workloads run on, with one
+# dataset size each; the first two (n, seed) pairs go with every MDP
+COVERAGE_MDPS = {
+    "chain": (chain_mdp, 200),
+    "lowrank-6": (lambda: make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=4), 150),
+    "lowrank-400": (lambda: make_lowrank_mdp(400, 4, dim=8, gamma=0.9, seed=3), 5000),
+    "tabular": (lambda: make_tabular_mdp(6, 3, gamma=0.9, seed=2), 120),
+    "adversarial-1": (lambda: make_adversarial_mdp(3, dim=1, gamma=0.9), 80),
+    "adversarial-2": (lambda: make_adversarial_mdp(4, dim=2, gamma=0.9), 80),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COVERAGE_MDPS))
+def test_coverage_bases_equal_per_start_loop(kind):
+    """Per-start values, c_dagger and the Gram are the per-start loop's
+    floats exactly, from the optimal policy and from prebuilt bases alike."""
+    make, n = COVERAGE_MDPS[kind]
+    mdp = make()
+    optimal = solve_optimal(mdp)[0]
+    sigmas = occupancy_second_moments(mdp, optimal)
+    prebuilt = _bases_of(sigmas)
+    behaviors = [optimal.mixed_with_uniform(0.3), Policy.uniform(mdp.num_states, mdp.num_actions)]
+    for seed, behavior in enumerate(behaviors):
+        dataset = sample_dataset(mdp, behavior, n, seed=seed)
+        phi = mdp.features.phi[dataset.states, dataset.actions]
+        gram = phi.T @ phi / len(dataset)
+        want = [_min_generalized_eig(gram, sigma) for sigma in sigmas]
+        for optimal_or_bases in (optimal, prebuilt):
+            report = coverage_coefficient(dataset, mdp, optimal_or_bases)
+            assert np.array_equal(report.gram, gram)
+            assert report.per_start_state_values.tolist() == want
+            assert report.c_dagger == _reference_c_dagger(want)
+
+
+def test_coverage_bases_on_rank_deficient_and_rangeless_moments():
+    """Starts of every rank, a zero moment and one whose only eigenvalue sits
+    below SIGMA_RANGE_CUTOFF (both +inf), against the per-start loop."""
+    rng = np.random.default_rng(0)
+    d = 4
+    sigmas = []
+    for rank in (4, 0, 2, 1, 3, 2, 4, 1):
+        x = rng.standard_normal((d, rank))
+        sigmas.append(x @ x.T)
+    tiny = np.zeros((d, d))
+    tiny[0, 0] = SIGMA_RANGE_CUTOFF / 2
+    sigmas = np.stack(sigmas + [tiny])
+    mdp = make_lowrank_mdp(len(sigmas), 2, dim=d, seed=1)
+    dataset = sample_dataset(mdp, Policy.uniform(mdp.num_states, 2), 60, seed=3)
+    bases = _bases_of(sigmas)
+    assert {basis.shape[2]: len(starts) for starts, basis in bases.groups} == {1: 2, 2: 2, 3: 1, 4: 2}
+    for ds in (dataset, OfflineDataset(dataset.states[:1], dataset.actions[:1], None,
+                                       dataset.next_states[:1], labeled=False,
+                                       num_states=mdp.num_states, num_actions=2)):
+        report = coverage_coefficient(ds, mdp, bases)
+        want = [_min_generalized_eig(report.gram, sigma) for sigma in sigmas]
+        assert report.per_start_state_values.tolist() == want
+        assert want[1] == want[-1] == np.inf
+        assert report.c_dagger == _reference_c_dagger(want)
+
+    # no start with any range: the constraint is vacuous everywhere
+    rangeless = _bases_of(np.zeros((mdp.num_states, d, d)))
+    report = coverage_coefficient(dataset, mdp, rangeless)
+    assert rangeless.groups == ()
+    assert np.all(report.per_start_state_values == np.inf) and report.c_dagger == np.inf
+    with pytest.raises(ValueError, match="shape"):
+        coverage_coefficient(dataset, make_lowrank_mdp(5, 2, dim=d, seed=1), bases)
+
+
+def _reference_solve_optimal(mdp, tol=1e-10):
+    """solve_optimal with its value iteration backing up P @ v state by
+    state, as before the one-gemv step."""
+    gamma, p, r = mdp.gamma, mdp.transitions, mdp.rewards
+    threshold = np.inf if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
+    v = np.zeros(mdp.num_states)
+    while True:
+        q = r + gamma * (p @ v)
+        v_new = q.max(axis=1)
+        residual = np.abs(v_new - v).max()
+        v = v_new
+        if residual < threshold or gamma == 0.0:
+            break
+    policy = Policy.greedy(q)
+    for _ in range(100):
+        report = evaluate_policy(mdp, policy)
+        improved = Policy.greedy(report.q)
+        if np.array_equal(improved.probs, policy.probs):
+            break
+        policy = improved
+    return policy, report
+
+
+@pytest.mark.parametrize("kind", sorted(COVERAGE_MDPS) + sorted(MDPS))
+def test_solve_optimal_equals_per_state_backups(kind):
+    mdp = COVERAGE_MDPS[kind][0]() if kind in COVERAGE_MDPS else MDPS[kind]()
+    (policy, report), (want_policy, want) = solve_optimal(mdp), _reference_solve_optimal(mdp)
+    assert np.array_equal(policy.probs, want_policy.probs)
+    assert np.array_equal(report.v, want.v) and np.array_equal(report.q, want.q)
 
 
 # the three test_11 acceptance configs; tests/golden/<name>.csv holds the

@@ -323,6 +323,20 @@ def test_grid_validation():
         SweepGrid(noise=-0.1, **axes)
 
 
+@pytest.mark.parametrize("axis,values,match", [
+    ("n0_values", (50, 50), "n0"),
+    ("n1_values", (0, 20, 0), "n1"),
+    ("methods", ("pds", "pds"), "methods"),
+    ("methods", (MethodId.UDS, "uds"), "methods"),  # the same method, named two ways
+])
+def test_grid_rejects_repeated_axis_values(axis, values, match):
+    # a repeated value would emit the same cell's rows twice
+    axes = dict(n0_values=(50,), n1_values=(0,), methods=("pds",), seeds=(0,))
+    axes[axis] = values
+    with pytest.raises(ValueError, match=rf"{match} .*distinct"):
+        SweepGrid(**axes)
+
+
 def test_behavior_policy_presets():
     mdp = _mdp(seed=43)
     optimal = solve_optimal(mdp)[0]
