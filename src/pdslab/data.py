@@ -7,12 +7,14 @@ for every start state s, where Sigma is the (1-gamma)-normalized discounted
 occupancy second moment, computed exactly from a linear solve.
 
 Sigma and its eigendecomposition depend only on the MDP and pi*, so
-coverage_bases computes the per-start bases once (a sweep does so next to
-its oracle solve); each dataset then costs one Gram and, per group of
-starts of equal Sigma rank, one stacked reduction and one batched
-eigvalsh. The sampler draws each step by inverse CDF; on wide rows the
-search runs in two levels, over every k-th cumulative entry and then
-within one k-wide block, which counts exactly the same entries.
+coverage_bases computes the per-start bases once: a sweep builds them next
+to its oracle solve and, like that solve, they count in no row's wall_ms.
+Each dataset then costs one Gram and, per group of starts of equal Sigma
+rank, one stacked reduction and one batched eigvalsh.
+
+The sampler draws each step by inverse CDF. On wide rows the search runs in
+two levels, over every k-th cumulative entry and then within one k-wide
+block, which counts exactly the same entries.
 """
 from __future__ import annotations
 

@@ -3,10 +3,10 @@
 The sampler must reproduce a plain per-step rollout bit for bit, coverage
 must match one linear solve and one eigendecomposition per start state
 (_min_generalized_eig, the per-start loop the coverage bases replaced),
-solve_optimal must match its per-state value iteration, the acceptance sweep configs
-must reproduce their pinned CSVs (wall_ms stripped), and the ridge
-estimators (PEVI, reward fit, ensemble) must reproduce their pinned outputs
-in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
+solve_optimal must match its per-state value iteration, the acceptance
+sweep configs must reproduce their pinned CSVs (wall_ms stripped), and the
+ridge estimators (PEVI, reward fit, ensemble) must reproduce their pinned
+outputs in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
 file from the installed pdslab; it was generated before the ridge solves
 moved into pdslab.ridge.
 """
@@ -158,8 +158,8 @@ def test_coverage_matches_per_start_state_solves(kind):
             assert got == want or abs(got - want) <= 1e-12
 
 
-# the MDPs the sweep configs and perfbench workloads run on, with one
-# dataset size each; the first two (n, seed) pairs go with every MDP
+# the MDPs the sweep configs and perfbench workloads run on, each with the
+# size of the datasets it is sampled for
 COVERAGE_MDPS = {
     "chain": (chain_mdp, 200),
     "lowrank-6": (lambda: make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=4), 150),
@@ -207,7 +207,8 @@ def test_coverage_bases_on_rank_deficient_and_rangeless_moments():
     mdp = make_lowrank_mdp(len(sigmas), 2, dim=d, seed=1)
     dataset = sample_dataset(mdp, Policy.uniform(mdp.num_states, 2), 60, seed=3)
     bases = _bases_of(sigmas)
-    assert {basis.shape[2]: len(starts) for starts, basis in bases.groups} == {1: 2, 2: 2, 3: 1, 4: 2}
+    group_sizes = {basis.shape[2]: len(starts) for starts, basis in bases.groups}
+    assert group_sizes == {1: 2, 2: 2, 3: 1, 4: 2}
     for ds in (dataset, OfflineDataset(dataset.states[:1], dataset.actions[:1], None,
                                        dataset.next_states[:1], labeled=False,
                                        num_states=mdp.num_states, num_actions=2)):
