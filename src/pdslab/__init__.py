@@ -8,7 +8,6 @@ from pdslab.data import (
     coverage_coefficient,
     exhaustive_dataset,
     mix_datasets,
-    occupancy_second_moment,
     occupancy_second_moments,
     quantize_transitions,
     read_jsonl,
@@ -21,7 +20,6 @@ from pdslab.ensemble import (
     fit_ensemble,
     gaussian_min_coefficient,
     load_ensemble,
-    pessimistic_ensemble_reward,
     relabel_file,
     save_ensemble,
 )
@@ -43,14 +41,11 @@ from pdslab.pevi import (
     PeviConfig,
     PeviProblem,
     PeviSolution,
-    bellman_gram,
-    bellman_regress,
     bonus_table,
     pevi_lockstep,
     pevi_prepare,
     pevi_solve,
     theorem_beta,
-    uncertainty_bonus,
 )
 from pdslab.pipeline import (
     MethodId,
@@ -71,11 +66,9 @@ from pdslab.reward import (
     deviation_table,
     fit_reward,
     lemma_alpha,
-    pessimistic_reward,
     pessimistic_table,
     predicted_table,
     relabel,
-    reward_deviation,
     theorem_alpha,
 )
 from pdslab.theory import (

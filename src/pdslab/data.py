@@ -34,14 +34,6 @@ DEFAULT_NOISE_FRACTION = 0.1  # sigma = 0.1 * r_max when noise is requested with
 NEGATIVE_REWARD_TOL = 1e-12  # rewards down to -tol count as rounding of 0 and clip to 0
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: int
-    action: int
-    reward: float | None
-    next_state: int
-
-
 class OfflineDataset:
     """Ordered transition records with an explicit labeled flag.
 
@@ -102,19 +94,6 @@ class OfflineDataset:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def transitions(self) -> tuple[Transition, ...]:
-        rs = self.rewards
-        return tuple(
-            Transition(
-                int(self.states[i]),
-                int(self.actions[i]),
-                None if rs is None or np.isnan(rs[i]) else float(rs[i]),
-                int(self.next_states[i]),
-            )
-            for i in range(len(self))
-        )
-
     def check_features(self, features: FeatureMap) -> None:
         """Raise unless features has a row for every (s, a) this dataset can hold."""
         if features.num_states < self.num_states or features.num_actions < self.num_actions:
@@ -137,28 +116,6 @@ class OfflineDataset:
             source_tag=self.source_tag if source_tag is None else source_tag,
             seed=self.seed,
             mdp_hash=self.mdp_hash,
-        )
-
-    @classmethod
-    def from_transitions(
-        cls, transitions, num_states: int, num_actions: int, **kwargs
-    ) -> "OfflineDataset":
-        ts = list(transitions)
-        rewards = None
-        if any(t.reward is not None for t in ts):
-            rewards = np.array(
-                [np.nan if t.reward is None else float(t.reward) for t in ts]
-            )
-        labeled = kwargs.pop("labeled", bool(ts) and all(t.reward is not None for t in ts))
-        return cls(
-            [t.state for t in ts],
-            [t.action for t in ts],
-            rewards,
-            [t.next_state for t in ts],
-            labeled=labeled,
-            num_states=num_states,
-            num_actions=num_actions,
-            **kwargs,
         )
 
 
@@ -408,13 +365,6 @@ def occupancy_second_moments(mdp: LinearMdp, policy: Policy) -> np.ndarray:
     phi = mdp.features.phi
     per_state = np.einsum("sa,sad,saf->sdf", policy.probs, phi, phi).reshape(S, d * d)
     return (kappa.T @ per_state).reshape(S, d, d)
-
-
-def occupancy_second_moment(mdp: LinearMdp, policy: Policy, start_state: int) -> np.ndarray:
-    """Sigma_{pi,s} for one start state; see occupancy_second_moments."""
-    if not (0 <= start_state < mdp.num_states):
-        raise ValueError(f"start state {start_state} out of range")
-    return occupancy_second_moments(mdp, policy)[start_state]
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,8 @@ class EnsembleRewardModel:
             raise ValueError("member dimension does not match features")
         if not np.all(np.isfinite(members)):
             raise ValueError("members must be finite")
+        if not np.isfinite(self.labeled_mean):
+            raise ValueError(f"labeled_mean must be finite, got {self.labeled_mean}")
         if not (np.isfinite(self.auto_a) and self.auto_a > 0):
             raise ValueError(f"auto_a must be finite and positive, got {self.auto_a}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
@@ -161,12 +163,6 @@ def fit_ensemble(
     )
 
 
-def ensemble_stats(model: EnsembleRewardModel, features: FeatureMap, s: int, a: int):
-    """(mean, population std, member minimum) of the predictions at (s,a)."""
-    vals = model.members @ features.vector(s, a)
-    return float(vals.mean()), float(vals.std()), float(vals.min())
-
-
 def auto_k(model: EnsembleRewardModel, labeled_mean_mu: float, unlabeled_pred_mean: float) -> float:
     """a * max(mu - mu_hat, 0) / (|mu| + eps), capped to avoid blowup at mu ~ 0."""
     raw = model.auto_a * max(labeled_mean_mu - unlabeled_pred_mean, 0.0) / (
@@ -193,24 +189,6 @@ def resolve_k(
             "automatic k needs unlabeled_pred_mean (the mean prediction over the data being relabeled)"
         )
     return auto_k(model, model.labeled_mean, unlabeled_pred_mean)
-
-
-def pessimistic_ensemble_reward(
-    model: EnsembleRewardModel,
-    features: FeatureMap,
-    s: int,
-    a: int,
-    k_override: float | None = None,
-    unlabeled_pred_mean: float | None = None,
-    estimator: str = "min",
-) -> float:
-    """max{min_j f_j - k*sigma, 0} (or the mean-based variant)."""
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    k = resolve_k(model, k_override, unlabeled_pred_mean)
-    mu, sigma, low = ensemble_stats(model, features, s, a)
-    center = low if estimator == "min" else mu
-    return float(max(center - k * sigma, 0.0))
 
 
 def _pessimistic_tables(model: EnsembleRewardModel, k: float, estimator: str):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _check_r_max(r_max: float) -> None:
+    if not (np.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be finite and positive, got {r_max}")
 
 
 @dataclass(frozen=True)
@@ -64,12 +69,6 @@ class FeatureMap:
     def dim(self) -> int:
         return self.phi.shape[2]
 
-    def vector(self, s: int, a: int) -> np.ndarray:
-        """phi(s,a) as a read-only d-vector."""
-        if not (0 <= s < self.num_states and 0 <= a < self.num_actions):
-            raise ValueError(f"state-action ({s},{a}) out of range")
-        return self.phi[s, a]
-
     def matrix(self) -> np.ndarray:
         """All features stacked row-major into an (S*A, d) matrix."""
         return self.phi.reshape(-1, self.dim)
@@ -103,10 +102,12 @@ class LinearMdp:
             raise ValueError(f"theta must be ({d},), got {theta.shape}")
         if init.shape != (S,):
             raise ValueError(f"init_dist must be ({S},), got {init.shape}")
+        for name, values in (("mu", mu), ("theta", theta), ("init_dist", init)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} contains non-finite entries")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be in [0,1), got {self.gamma}")
-        if not self.r_max > 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        _check_r_max(self.r_max)
 
         if mu.min() < -KERNEL_ENTRY_TOL or mu.max() > 1.0 + 1e-9:
             raise ValueError("mu entries must lie in [0, 1]")
@@ -270,14 +271,6 @@ class Policy:
         q = np.asarray(q, dtype=float)
         return cls.deterministic(np.argmax(q, axis=1), q.shape[1])
 
-    @classmethod
-    def uniform_over(cls, num_states: int, num_actions: int, actions) -> "Policy":
-        """Uniform mixture over a subset of actions, zero elsewhere."""
-        actions = np.asarray(actions, dtype=int)
-        p = np.zeros((num_states, num_actions))
-        p[:, actions] = 1.0 / actions.shape[0]
-        return cls(p)
-
     def mixed_with_uniform(self, epsilon: float) -> "Policy":
         """(1-eps) * this policy + eps * uniform; epsilon-greedy smoothing."""
         if not (0.0 <= epsilon <= 1.0):
@@ -389,6 +382,7 @@ def make_tabular_mdp(
     """
     if num_states < 1 or num_actions < 1:
         raise ValueError("num_states and num_actions must be >= 1")
+    _check_r_max(r_max)
     rng = np.random.default_rng(seed)
     S, A = num_states, num_actions
     d = S * A
@@ -423,6 +417,7 @@ def make_lowrank_mdp(
     """
     if not (1 <= dim <= num_states * num_actions):
         raise ValueError(f"dim must be in [1, {num_states * num_actions}], got {dim}")
+    _check_r_max(r_max)
     rng = np.random.default_rng(seed)
     phi = rng.dirichlet(np.ones(dim), size=(num_states, num_actions))
     mu = rng.dirichlet(np.ones(num_states), size=dim)

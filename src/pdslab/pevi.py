@@ -30,10 +30,7 @@ trace instead of promising a fixed point.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -124,69 +121,9 @@ class PeviSolution:
     converged: bool
     residuals: tuple = field(default=())
 
-    def to_dict(self) -> dict:
-        lam_hash = hashlib.sha256(
-            np.ascontiguousarray(self.lambda_matrix).tobytes()
-        ).hexdigest()[:16]
-        return {
-            "w_hat": self.w_hat.tolist(),
-            "beta": self.beta,
-            "lambda_hash": lam_hash,
-            "v_hat": self.v_hat.tolist(),
-            "policy": np.argmax(self.policy.probs, axis=1).tolist(),
-            "sweeps_used": self.sweeps_used,
-            "converged": self.converged,
-        }
-
-
-def save_solution(solution: PeviSolution, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(solution.to_dict()) + "\n")
-
-
-def _bellman_ridge(dataset: OfflineDataset, features: FeatureMap, lambda_reg: float):
-    """The dataset's feature rows and the ridge over them."""
-    if len(dataset) == 0:
-        raise ValueError("bellman_gram requires a nonempty dataset")
-    if lambda_reg <= 0:
-        raise ValueError(f"lambda_reg must be positive, got {lambda_reg}")
-    phi = dataset.feature_rows(features)
-    return phi, Ridge.from_rows(phi, lambda_reg)
-
-
-def bellman_gram(dataset: OfflineDataset, features: FeatureMap, lambda_reg: float) -> np.ndarray:
-    """lambda_reg * I + sum of phi phi^T over the dataset rows."""
-    return _bellman_ridge(dataset, features, lambda_reg)[1].matrix
-
-
-def bellman_regress(
-    dataset: OfflineDataset,
-    features: FeatureMap,
-    v: np.ndarray,
-    lambda_reg: float,
-    gamma: float,
-    v_max: float | None = None,
-) -> np.ndarray:
-    """Ridge solution for the Bellman targets r + gamma * v(s')."""
-    if not dataset.labeled:
-        raise ValueError("bellman_regress requires labeled transitions")
-    v = np.asarray(v, dtype=float)
-    if v_max is not None and (v.min() < -1e-12 or v.max() > v_max + 1e-9):
-        raise ValueError("value vector leaves [0, v_max]")
-    phi, ridge = _bellman_ridge(dataset, features, lambda_reg)
-    return ridge.solve(phi.T @ (dataset.rewards + gamma * v[dataset.next_states]))
-
-
-def uncertainty_bonus(
-    lambda_matrix: np.ndarray, features: FeatureMap, beta: float, s: int, a: int
-) -> float:
-    """beta * sqrt(phi^T Lambda^{-1} phi) at one state-action pair."""
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    return float(beta * Ridge(lambda_matrix).widths(features.vector(s, a)[None, :])[0])
-
 
 def bonus_table(lambda_matrix: np.ndarray, features: FeatureMap, beta: float) -> np.ndarray:
-    """uncertainty_bonus at every (s,a), shape (S, A)."""
+    """beta * sqrt(phi^T Lambda^{-1} phi) at every (s,a), shape (S, A)."""
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     widths = Ridge(lambda_matrix).widths(features.matrix())
@@ -212,8 +149,11 @@ def pevi_prepare(
 ) -> PeviProblem:
     """Reduce a labeled dataset to its PeviProblem; see pevi_lockstep."""
     if not dataset.labeled:
-        raise ValueError("pevi_solve requires a fully labeled dataset")
-    phi, ridge = _bellman_ridge(dataset, features, config.lambda_reg)
+        raise ValueError("pevi_prepare requires a fully labeled dataset")
+    if len(dataset) == 0:
+        raise ValueError("pevi_prepare requires a nonempty dataset")
+    phi = dataset.feature_rows(features)
+    ridge = Ridge.from_rows(phi, config.lambda_reg)
     bonus = config.beta * ridge.widths(features.matrix())
     # B[k, s'] sums phi_k over the rows landing in s', so phi^T v(s') = B v.
     next_sums = np.stack([

@@ -13,9 +13,7 @@ oracle (true rewards, requires the generating MDP).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -85,43 +83,6 @@ class RewardModel:
     def dim(self) -> int:
         return self.theta_hat.shape[0]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Lambda^{-1} rhs through the cached Cholesky factor."""
-        return self.ridge.solve(rhs)
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat.tolist(),
-            "lambda_matrix": self.lambda_matrix.ravel().tolist(),
-            "alpha": self.alpha,
-            "nu": self.nu,
-            "delta": self.delta,
-            "n_labeled": self.n_labeled,
-            "r_max": self.r_max,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RewardModel":
-        theta = np.asarray(doc["theta_hat"], dtype=float)
-        d = theta.shape[0]
-        return cls(
-            theta_hat=theta,
-            lambda_matrix=np.asarray(doc["lambda_matrix"], dtype=float).reshape(d, d),
-            alpha=float(doc["alpha"]),
-            nu=float(doc["nu"]),
-            n_labeled=int(doc["n_labeled"]),
-            delta=float(doc["delta"]),
-            r_max=float(doc.get("r_max", 1.0)),
-        )
-
-
-def save_reward_model(model: RewardModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_dict()) + "\n")
-
-
-def load_reward_model(path: str | Path) -> RewardModel:
-    return RewardModel.from_dict(json.loads(Path(path).read_text()))
-
 
 def fit_reward(
     labeled: OfflineDataset,
@@ -163,13 +124,8 @@ def fit_reward(
     )
 
 
-def reward_deviation(model: RewardModel, features: FeatureMap, s: int, a: int) -> float:
-    """Width of the reward confidence interval at (s,a)."""
-    return float(model.alpha * model.ridge.widths(features.vector(s, a)[None, :])[0])
-
-
 def deviation_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
-    """reward_deviation for every (s,a), shape (S, A)."""
+    """Reward confidence width alpha * sqrt(phi^T Lambda^{-1} phi) at every (s,a)."""
     widths = model.ridge.widths(features.matrix())
     return (model.alpha * widths).reshape(features.num_states, features.num_actions)
 
@@ -181,14 +137,8 @@ def predicted_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
     )
 
 
-def pessimistic_reward(model: RewardModel, features: FeatureMap, s: int, a: int) -> float:
-    """Lower-confidence reward, clamped into [0, r_max]."""
-    phi = features.vector(s, a)
-    value = float(phi @ model.theta_hat) - reward_deviation(model, features, s, a)
-    return float(np.clip(value, 0.0, model.r_max))
-
-
 def pessimistic_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
+    """Lower-confidence reward at every (s,a), clamped into [0, r_max]."""
     table = predicted_table(model, features) - deviation_table(model, features)
     return np.clip(table, 0.0, model.r_max)
 
@@ -205,14 +155,11 @@ def relabel(
     features: FeatureMap,
     mode: str,
     mdp: LinearMdp | None = None,
-    strict: bool = False,
 ) -> OfflineDataset:
     """Annotate missing rewards and return a labeled dataset.
 
     Observed labels are kept in modes pds/uds/predict; oracle replaces
-    everything with the true <phi, theta>. strict=True replays the literal
-    annotate-everything reading: the mode's rule overwrites observed labels
-    too.
+    everything with the true <phi, theta>.
     """
     if mode not in RELABEL_MODES:
         raise ValueError(f"mode must be one of {RELABEL_MODES}, got {mode!r}")
@@ -228,7 +175,7 @@ def relabel(
     else:
         fill_table = pessimistic_table(model, features)
 
-    observed = None if mode == "oracle" or strict else unlabeled.rewards
+    observed = None if mode == "oracle" else unlabeled.rewards
     new_rewards = fill_missing(observed, fill_table, unlabeled.states, unlabeled.actions)
     tag = f"{unlabeled.source_tag}|{mode}" if unlabeled.source_tag else mode
     return unlabeled.with_rewards(new_rewards, labeled=True, source_tag=tag)

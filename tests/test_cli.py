@@ -340,6 +340,48 @@ def test_gen_mdp_kind_flag_mismatches_exit_2(tmp_path):
                        "--actions", "2", "--out", out]) == 2
 
 
+def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
+    mdp_path = tmp_path / "m.json"
+    assert entrypoint(["gen-mdp", "--kind", "lowrank", "--states", "5", "--actions", "3",
+                       "--dim", "2", "--seed", "7", "--out", str(mdp_path)]) == 0
+    doc = json.loads(mdp_path.read_text())
+    doc["theta"][0] = float("nan")
+    mdp_path.write_text(json.dumps(doc))
+    # checked at load, before the CLI call: sampling from it once spun forever
+    with pytest.raises(ValueError, match="theta contains non-finite entries"):
+        load_mdp(mdp_path)
+    capsys.readouterr()
+    assert entrypoint(["sample", "--mdp", str(mdp_path), "--n", "10",
+                       "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert "theta contains non-finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("r_max", ["nan", "inf"])
+@pytest.mark.parametrize("kind", ["tabular", "lowrank"])
+def test_non_finite_r_max_exits_2(tmp_path, monkeypatch, capsys, kind, r_max):
+    import pdslab.cli as cli
+
+    out = tmp_path / "m.json"
+    dim = ["--dim", "2"] if kind == "lowrank" else []
+    assert entrypoint(["gen-mdp", "--kind", kind, "--states", "4", "--actions", "2", *dim,
+                       "--r-max", r_max, "--out", str(out)]) == 2
+    assert "r_max must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a cell ran on a rejected config")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    doc = _base_doc(tmp_path)
+    doc["mdp"].update(kind=kind, r_max=float(r_max))
+    if kind == "tabular":
+        del doc["mdp"]["dim"]
+    assert entrypoint(["run", "--config", _write_config(tmp_path, doc)]) == 2
+    assert "r_max must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_fit_ensemble_and_relabel(tmp_path, capsys):
     mdp_path = str(tmp_path / "m.json")
     entrypoint(["gen-mdp", "--kind", "lowrank", "--states", "5", "--actions", "3",
@@ -396,6 +438,16 @@ def test_fit_ensemble_and_relabel(tmp_path, capsys):
     for flag in ("--k", "--epsilon"):
         assert entrypoint(["fit-ensemble", "--in", lab_path, "--mdp", mdp_path,
                            "--out", str(tmp_path / "bad_model.json"), flag, "nan"]) == 2
+    capsys.readouterr()
+    # a model file whose labeled mean is not finite is refused, not used for auto k
+    nan_model = tmp_path / "nan_model.json"
+    doc = json.loads(Path(model_path).read_text())
+    nan_model.write_text(json.dumps(dict(doc, labeled_mean=float("nan"))))
+    nan_out = tmp_path / "nan_filled.jsonl"
+    assert entrypoint(["relabel", "--in", unl_path, "--out", str(nan_out),
+                       "--model", str(nan_model), "--k", "auto"]) == 2
+    assert "labeled_mean must be finite" in capsys.readouterr().err
+    assert not nan_out.exists()
 
 
 def test_fit_ensemble_rejects_data_larger_than_mdp_exit_2(tmp_path, capsys):

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 import pdslab.data as data
 from pdslab.data import (
     OfflineDataset,
-    Transition,
     coverage_coefficient,
     exhaustive_dataset,
     header_path,
     mix_datasets,
-    occupancy_second_moment,
+    occupancy_second_moments,
     quantize_transitions,
     read_jsonl,
     sample_dataset,
@@ -55,7 +54,6 @@ def test_unlabeled_strips_rewards(tabular_5x3):
     ds = sample_dataset(tabular_5x3, Policy.uniform(5, 3), n=20, labeled=False, seed=1)
     assert ds.rewards is None
     assert not ds.labeled
-    assert all(t.reward is None for t in ds.transitions)
 
 
 def test_labeled_rewards_are_exact(tabular_5x3):
@@ -230,17 +228,17 @@ def test_occupancy_single_pair_is_rank_one():
         r_max=1.0,
         init_dist=np.array([1.0]),
     )
-    sigma = occupancy_second_moment(mdp, Policy.uniform(1, 1), 0)
+    sigma = occupancy_second_moments(mdp, Policy.uniform(1, 1))[0]
     np.testing.assert_allclose(sigma, np.outer(phi[0, 0], phi[0, 0]), atol=1e-12)
 
 
 def test_occupancy_adversarial_proportional_to_identity():
     mdp = make_adversarial_mdp(5, 2, gamma=0.9)
-    pol = Policy.uniform_over(1, 5, [0, 1])
-    sigma = occupancy_second_moment(mdp, pol, 0)
+    pol = Policy(np.array([[0.5, 0.5, 0.0, 0.0, 0.0]]))
+    sigma = occupancy_second_moments(mdp, pol)[0]
     np.testing.assert_allclose(sigma, mdp.feature_scale**2 * np.eye(2), atol=1e-12)
     one_d = make_adversarial_mdp(3, 1, gamma=0.9)
-    sigma1 = occupancy_second_moment(one_d, Policy.uniform_over(1, 3, [0]), 0)
+    sigma1 = occupancy_second_moments(one_d, Policy(np.array([[1.0, 0.0, 0.0]])))[0]
     np.testing.assert_allclose(sigma1, [[1.0]], atol=1e-12)
 
 
@@ -249,7 +247,8 @@ def test_occupancy_spectrum_and_trace_bounds():
     for _ in range(20):
         mdp = make_tabular_mdp(4, 3, gamma=float(rng.uniform(0, 0.95)), seed=int(rng.integers(1 << 30)))
         probs = rng.dirichlet(np.ones(3), size=4)
-        sigma = occupancy_second_moment(mdp, Policy(probs / probs.sum(axis=1, keepdims=True)), int(rng.integers(4)))
+        pol = Policy(probs / probs.sum(axis=1, keepdims=True))
+        sigma = occupancy_second_moments(mdp, pol)[int(rng.integers(4))]
         eigs = np.linalg.eigvalsh(sigma)
         assert eigs.min() >= -1e-12
         assert eigs.max() <= 1.0 + 1e-9
@@ -265,19 +264,19 @@ def test_coverage_handcrafted_value_on_adversarial():
     mdp = make_adversarial_mdp(3, 2, gamma=0.9)
     pairs = [(0, 0)] * 3 + [(0, 1)] * 3 + [(0, 2)] * 4
     ds = dataset_from_pairs(pairs, mdp)
-    pol = Policy.uniform_over(1, 3, [0, 1])
+    pol = Policy(np.array([[0.5, 0.5, 0.0]]))
     rep = coverage_coefficient(ds, mdp, pol)
     np.testing.assert_allclose(rep.gram, [[0.4, 0.1], [0.1, 0.4]], atol=1e-12)
     assert rep.c_dagger == pytest.approx(0.6, abs=1e-10)
     # independent oracle: scipy generalized eigenproblem on the full space
-    sigma = occupancy_second_moment(mdp, pol, 0)
+    sigma = occupancy_second_moments(mdp, pol)[0]
     oracle = scipy.linalg.eigh(rep.gram, sigma, eigvals_only=True).min()
     assert rep.c_dagger == pytest.approx(oracle, abs=1e-10)
 
 
 def test_coverage_of_optimal_data_approaches_one():
     mdp = make_adversarial_mdp(4, 2, gamma=0.9)
-    pol = Policy.uniform_over(1, 4, [0, 1])
+    pol = Policy(np.array([[0.5, 0.5, 0.0, 0.0]]))
     ds = sample_dataset(mdp, pol, n=20_000, seed=0)
     rep = coverage_coefficient(ds, mdp, pol)
     assert rep.c_dagger == pytest.approx(1.0, abs=0.03)
@@ -288,7 +287,7 @@ def test_coverage_matches_exact_mixture_oracle(tabular_5x3):
     # occupancy matrices; compare C-dagger against that exact limit.
     mdp = tabular_5x3
     pistar, _ = solve_optimal(mdp)
-    sigmas = [occupancy_second_moment(mdp, pistar, s) for s in range(5)]
+    sigmas = list(occupancy_second_moments(mdp, pistar))
     m_exact = sum(mdp.init_dist[s] * sigmas[s] for s in range(5))
 
     def min_gen_eig(m, sigma):
@@ -374,9 +373,11 @@ def test_exhaustive_requires_integral_counts(tabular_5x3):
 
 def _json_dumps_lines(ds) -> str:
     """The file text json.dumps writes for ds, one record per line."""
+    rewards = [None] * len(ds) if ds.rewards is None else ds.rewards.tolist()
     return "".join(
-        json.dumps({"s": int(t.state), "a": int(t.action), "r": t.reward, "sp": int(t.next_state)}) + "\n"
-        for t in ds.transitions
+        json.dumps({"s": s, "a": a, "r": None if r is None or np.isnan(r) else r, "sp": sp}) + "\n"
+        for s, a, r, sp in zip(ds.states.tolist(), ds.actions.tolist(), rewards,
+                               ds.next_states.tolist())
     )
 
 
@@ -464,13 +465,6 @@ def test_dataset_id_validation():
         OfflineDataset([0], [3], None, [0], labeled=False, num_states=5, num_actions=3)
     with pytest.raises(ValueError, match="reward"):
         OfflineDataset([0], [0], None, [0], labeled=True, num_states=5, num_actions=3)
-
-
-def test_from_transitions_round_trip():
-    ts = [Transition(0, 1, 0.5, 2), Transition(2, 0, None, 0)]
-    ds = OfflineDataset.from_transitions(ts, num_states=3, num_actions=2)
-    assert not ds.labeled
-    assert ds.transitions == tuple(ts)
 
 
 @settings(max_examples=20, deadline=None)

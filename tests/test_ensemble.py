@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from pdslab.data import OfflineDataset, read_jsonl, sample_dataset, write_jsonl, header_path
 from pdslab.ensemble import (
     EnsembleRewardModel,
+    _pessimistic_tables,
     auto_k,
-    ensemble_stats,
     fit_ensemble,
     gaussian_min_coefficient,
     load_ensemble,
-    pessimistic_ensemble_reward,
     relabel_file,
     resolve_k,
     save_ensemble,
@@ -40,6 +39,19 @@ def _toy_model(members, labeled_mean=1.0, **kwargs):
     )
 
 
+def _pessimistic_reward(model, s, a, k, estimator="min"):
+    """max{min_j f_j - k*sigma, 0} at one pair (or the mean-based variant),
+    computed on its own as the reference for the table relabel_file fills."""
+    vals = model.members @ model.features.phi[s, a]
+    center = vals.min() if estimator == "min" else vals.mean()
+    return float(max(center - k * vals.std(), 0.0))
+
+
+def _toy_estimate(model, k, estimator="min"):
+    """The pessimistic estimate at the toy model's one pair."""
+    return _pessimistic_tables(model, k, estimator)[0, 0]
+
+
 # ------------------------------------------------------------------- fitting
 
 
@@ -48,9 +60,10 @@ def test_constant_data_gives_identical_members():
     ds = _uniform_data(mdp, 40, seed=1)
     model = fit_ensemble(ds, mdp.features, ensemble_size=5, nu=1.0, seed=0)
     assert np.all(model.members == model.members[0])
-    mu, sigma, low = ensemble_stats(model, mdp.features, 0, 0)
-    assert sigma == pytest.approx(0.0, abs=1e-15)  # identical members, spread is roundoff
-    assert low == pytest.approx(mu, abs=1e-15)
+    preds = model.member_table()
+    assert np.all(preds.std(axis=0) <= 1e-15)  # identical members, spread is roundoff
+    # so no k moves the estimate off the members' shared value
+    assert np.abs(_pessimistic_tables(model, 1e3, "min") - preds[0]).max() <= 1e-12
 
 
 def test_member_mean_tracks_single_fit():
@@ -93,25 +106,27 @@ def test_fit_argument_errors():
 
 
 def test_stats_two_member_arithmetic():
-    model = _toy_model([[0.0], [1.0]])
-    mu, sigma, low = ensemble_stats(model, model.features, 0, 0)
-    assert mu == pytest.approx(0.5)
-    assert sigma == pytest.approx(0.5)  # population convention, divide by L
-    assert low == pytest.approx(0.0)
+    model = _toy_model([[1.0], [2.0]])  # mean 1.5, population sigma 0.5 (divide by L)
+    assert _toy_estimate(model, 0.0, "mean") == pytest.approx(1.5)
+    assert _toy_estimate(model, 1.0, "mean") == pytest.approx(1.0)
+    assert _toy_estimate(model, 0.0) == pytest.approx(1.0)
+    assert _toy_estimate(model, 1.0) == pytest.approx(0.5)
 
 
 def test_stats_match_two_pass_oracle():
     rng = np.random.default_rng(11)
     members = rng.normal(size=(7, 3))
     model = _toy_model(members)
-    phi = model.features.vector(0, 0)
+    phi = model.features.phi[0, 0]
     vals = [float(m @ phi) for m in members]
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / len(vals)
-    mu, sigma, low = ensemble_stats(model, model.features, 0, 0)
-    assert mu == pytest.approx(mean, abs=1e-12)
-    assert sigma == pytest.approx(np.sqrt(var), abs=1e-12)
-    assert low == pytest.approx(min(vals), abs=1e-12)
+    assert np.abs(model.member_table()[:, 0, 0] - vals).max() <= 1e-12
+    for k in (0.0, 0.5):
+        assert _toy_estimate(model, k, "mean") == pytest.approx(
+            max(mean - k * np.sqrt(var), 0.0), abs=1e-12)
+        assert _toy_estimate(model, k) == pytest.approx(
+            max(min(vals) - k * np.sqrt(var), 0.0), abs=1e-12)
 
 
 # --------------------------------------------------- extreme-value coefficient
@@ -192,47 +207,45 @@ def test_resolve_k_priority_and_errors():
 
 def test_pessimistic_k_zero_is_clamped_member_min():
     model = _toy_model([[0.9], [0.3], [0.6]])
-    got = pessimistic_ensemble_reward(model, model.features, 0, 0, k_override=0.0)
-    _, _, low = ensemble_stats(model, model.features, 0, 0)
-    assert got == pytest.approx(max(low, 0.0), abs=1e-12)
+    got = _toy_estimate(model, 0.0)
+    assert got == pytest.approx(max(model.member_table().min(), 0.0), abs=1e-12)
 
 
 def test_pessimistic_huge_k_degenerates_to_zero():
     model = _toy_model([[0.9], [0.3], [0.6]])
-    assert pessimistic_ensemble_reward(model, model.features, 0, 0, k_override=1e9) == 0.0
+    assert _toy_estimate(model, 1e9) == 0.0
 
 
 def test_pessimistic_zero_spread_keeps_member_value():
     model = _toy_model([[0.7], [0.7]])
-    got = pessimistic_ensemble_reward(model, model.features, 0, 0, k_override=5.0)
-    phi = model.features.vector(0, 0)
+    got = _toy_estimate(model, 5.0)
+    phi = model.features.phi[0, 0]
     assert got == pytest.approx(max(float(model.members[0] @ phi), 0.0), abs=1e-12)
 
 
 def test_pessimistic_below_every_member_and_monotone_in_k():
     rng = np.random.default_rng(3)
     model = _toy_model(rng.normal(0.5, 0.2, size=(6, 4)))
-    phi = model.features.vector(0, 0)
+    phi = model.features.phi[0, 0]
     preds = model.members @ phi
     last = np.inf
     for k in (0.0, 0.5, 2.0, 10.0):
-        val = pessimistic_ensemble_reward(model, model.features, 0, 0, k_override=k)
+        val = _toy_estimate(model, k)
         assert val <= preds.min() + 1e-12
         assert val >= 0.0
         assert val <= last + 1e-12
         last = val
 
 
-def test_mean_estimator_variant():
+def test_mean_estimator_variant(tmp_path):
     model = _toy_model([[0.9], [0.3], [0.6]])
-    mu, sigma, _ = ensemble_stats(model, model.features, 0, 0)
-    got = pessimistic_ensemble_reward(
-        model, model.features, 0, 0, k_override=1.0, estimator="mean"
-    )
-    assert got == pytest.approx(max(mu - sigma, 0.0), abs=1e-12)
+    preds = model.member_table()
+    got = _toy_estimate(model, 1.0, "mean")
+    assert got == pytest.approx(max(preds.mean() - preds.std(), 0.0), abs=1e-12)
+    assert got == pytest.approx(_pessimistic_reward(model, 0, 0, 1.0, "mean"), abs=1e-12)
     with pytest.raises(ValueError, match="estimator"):
-        pessimistic_ensemble_reward(model, model.features, 0, 0, k_override=0.0,
-                                    estimator="median")
+        relabel_file(tmp_path / "in.jsonl", tmp_path / "out.jsonl", model, k_mode=0.0,
+                     estimator="median")
 
 
 # ------------------------------------------------------------- file relabeling
@@ -254,10 +267,7 @@ def test_relabel_file_fills_unlabeled(tmp_path):
     assert summary["passthrough"] == 0 and summary["k"] == 0.0
     out = read_jsonl(dst)
     assert out.labeled and len(out) == 30
-    expect = [
-        pessimistic_ensemble_reward(model, mdp.features, s, a, k_override=0.0)
-        for s, a in zip(unlab.states, unlab.actions)
-    ]
+    expect = [_pessimistic_reward(model, s, a, 0.0) for s, a in zip(unlab.states, unlab.actions)]
     assert np.allclose(out.rewards, expect, atol=1e-12)
     assert summary["reward_min"] == pytest.approx(min(expect))
     assert summary["reward_max"] == pytest.approx(max(expect))
@@ -367,6 +377,6 @@ def test_model_json_round_trip(tmp_path):
 def test_pessimistic_estimate_bounds(seed, k, ell):
     rng = np.random.default_rng(seed)
     model = _toy_model(rng.normal(0.0, 1.0, size=(ell, 3)))
-    val = pessimistic_ensemble_reward(model, model.features, 0, 0, k_override=k)
-    _, _, low = ensemble_stats(model, model.features, 0, 0)
-    assert 0.0 <= val <= max(low, 0.0) + 1e-12
+    val = _toy_estimate(model, k)
+    assert 0.0 <= val <= max(model.member_table().min(), 0.0) + 1e-12
+    assert val == pytest.approx(_pessimistic_reward(model, 0, 0, k), abs=1e-12)

@@ -23,7 +23,6 @@ from pdslab.data import (
     OfflineDataset,
     _bases_of,
     coverage_coefficient,
-    occupancy_second_moment,
     occupancy_second_moments,
     sample_dataset,
 )
@@ -36,8 +35,8 @@ from pdslab.mdp import (
     make_tabular_mdp,
     solve_optimal,
 )
-from pdslab.pevi import PeviConfig, bellman_regress, bonus_table, pevi_solve, uncertainty_bonus
-from pdslab.reward import deviation_table, fit_reward, pessimistic_table, reward_deviation
+from pdslab.pevi import PeviConfig, bonus_table, pevi_prepare, pevi_solve
+from pdslab.reward import deviation_table, fit_reward, pessimistic_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -149,9 +148,10 @@ def test_coverage_matches_per_start_state_solves(kind):
                                      Policy.uniform(mdp.num_states, mdp.num_actions)]):
         dataset = sample_dataset(mdp, behavior, 400, seed=seed)
         report = coverage_coefficient(dataset, mdp, optimal)
+        sigmas = occupancy_second_moments(mdp, optimal)
         for s in range(mdp.num_states):
             sigma = _per_start_solve(mdp, optimal, s)
-            assert np.allclose(occupancy_second_moment(mdp, optimal, s), sigma,
+            assert np.allclose(sigmas[s], sigma,
                                rtol=0.0, atol=1e-12)
             want = _min_generalized_eig(report.gram, sigma)
             got = report.per_start_state_values[s]
@@ -334,6 +334,9 @@ def _estimator_outputs(case):
     cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=0.05)
     sol = pevi_solve(ds, feats, cfg)
     model = fit_reward(ds, feats, nu=2.0)
+    # the Bellman ridge regression of r + gamma * v(s') at one fixed v
+    regress = pevi_prepare(ds, feats, PeviConfig(lambda_reg=0.5, beta=0.0, gamma=mdp.gamma,
+                                                 v_max=cfg.v_max))
     empty = fit_reward(OfflineDataset([], [], [], [], labeled=True, num_states=mdp.num_states,
                                       num_actions=mdp.num_actions), feats, nu=2.0)
     out = {
@@ -343,13 +346,13 @@ def _estimator_outputs(case):
         "sweeps_used": sol.sweeps_used,
         "converged": sol.converged,
         "policy": np.argmax(sol.policy.probs, axis=1),
-        "bellman_regress": bellman_regress(
-            ds, feats, np.linspace(0.0, cfg.v_max, mdp.num_states), 0.5, mdp.gamma),
+        "bellman_regress": regress.w_reward
+        + regress.sweep_map @ np.linspace(0.0, cfg.v_max, mdp.num_states),
         "bonus_table": bonus_table(sol.lambda_matrix, feats, 0.3),
-        "uncertainty_bonus": uncertainty_bonus(sol.lambda_matrix, feats, 0.3, *last),
+        "uncertainty_bonus": bonus_table(sol.lambda_matrix, feats, 0.3)[last],
         "theta_hat": model.theta_hat,
         "deviation_table": deviation_table(model, feats),
-        "reward_deviation": reward_deviation(model, feats, *last),
+        "reward_deviation": deviation_table(model, feats)[last],
         "pessimistic_table": pessimistic_table(model, feats),
         "empty_theta_hat": empty.theta_hat,
         "empty_deviation_table": deviation_table(empty, feats),

@@ -267,6 +267,25 @@ def test_theta_norm_and_reward_range_rejected():
         )
 
 
+def test_non_finite_parameters_rejected():
+    # NaN slips through every range check above, and r_max = inf through
+    # the positivity check; value iteration then never converges on them
+    good = dict(features=FeatureMap(np.eye(2).reshape(1, 2, 2)), mu=np.ones((2, 1)),
+                theta=np.array([0.5, 0.5]), gamma=0.9, r_max=1.0, init_dist=np.array([1.0]))
+    LinearMdp(**good)
+    for field, value in (("mu", np.array([[np.nan], [1.0]])), ("theta", np.array([np.nan, 0.5])),
+                         ("init_dist", np.array([np.nan])), ("r_max", np.inf),
+                         ("r_max", np.nan)):
+        with pytest.raises(ValueError, match=field):
+            LinearMdp(**dict(good, **{field: value}))
+    # the constructors check r_max before drawing theta from [0, r_max]
+    for r_max in (np.nan, np.inf, -np.inf, 0.0):
+        with pytest.raises(ValueError, match="r_max must be finite and positive"):
+            make_tabular_mdp(2, 2, r_max=r_max)
+        with pytest.raises(ValueError, match="r_max must be finite and positive"):
+            make_lowrank_mdp(3, 2, dim=2, r_max=r_max)
+
+
 def test_policy_validation_and_shape_mismatch(tabular_5x3):
     with pytest.raises(ValueError):
         Policy(np.array([[0.5, 0.4]]))
@@ -277,8 +296,6 @@ def test_policy_validation_and_shape_mismatch(tabular_5x3):
 
 
 def test_policy_helpers():
-    pol = Policy.uniform_over(2, 4, [0, 2])
-    np.testing.assert_allclose(pol.probs, [[0.5, 0, 0.5, 0]] * 2)
     mixed = Policy.deterministic(np.array([1, 1]), 2).mixed_with_uniform(0.2)
     np.testing.assert_allclose(mixed.probs, [[0.1, 0.9]] * 2)
 

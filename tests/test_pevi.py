@@ -22,14 +22,11 @@ from pdslab.mdp import (
 )
 from pdslab.pevi import (
     PeviConfig,
-    bellman_gram,
-    bellman_regress,
     bonus_table,
     pevi_lockstep,
     pevi_prepare,
     pevi_solve,
     theorem_beta,
-    uncertainty_bonus,
 )
 from pdslab.ridge import Ridge
 
@@ -39,6 +36,22 @@ def _uniform_data(mdp, n, seed=0, labeled=True):
     return sample_dataset(mdp, pi, n=n, seed=seed, labeled=labeled)
 
 
+def _prepared(ds, features, lambda_reg, gamma=0.0):
+    cfg = PeviConfig(lambda_reg=lambda_reg, beta=0.0, gamma=gamma, v_max=1.0)
+    return pevi_prepare(ds, features, cfg)
+
+
+def _gram(ds, features, lambda_reg):
+    """lambda_reg * I + sum of phi phi^T over the dataset rows."""
+    return _prepared(ds, features, lambda_reg).lambda_matrix
+
+
+def _regress(ds, features, v, lambda_reg, gamma):
+    """Ridge solution for the Bellman targets r + gamma * v(s')."""
+    problem = _prepared(ds, features, lambda_reg, gamma)
+    return problem.w_reward + problem.sweep_map @ v
+
+
 # ---------------------------------------------------------------- gram matrix
 
 
@@ -46,7 +59,7 @@ def test_gram_zero_features_is_ridge_only():
     feats = FeatureMap(np.zeros((1, 2, 3)))
     ds = OfflineDataset([0, 0, 0], [0, 1, 0], [0.0, 0.0, 0.0], [0, 0, 0],
                         labeled=True, num_states=1, num_actions=2)
-    assert np.array_equal(bellman_gram(ds, feats, 0.5), 0.5 * np.eye(3))
+    assert np.array_equal(_gram(ds, feats, 0.5), 0.5 * np.eye(3))
 
 
 def test_gram_repeated_unit_vector_spectrum():
@@ -56,7 +69,7 @@ def test_gram_repeated_unit_vector_spectrum():
     n = 7
     ds = OfflineDataset([0] * n, [0] * n, [0.0] * n, [0] * n,
                         labeled=True, num_states=1, num_actions=1)
-    lam = bellman_gram(ds, feats, 2.0)
+    lam = _gram(ds, feats, 2.0)
     eigs = np.sort(np.linalg.eigvalsh(lam))
     assert np.allclose(eigs, [2.0, 2.0 + n], atol=1e-12)
 
@@ -64,10 +77,10 @@ def test_gram_repeated_unit_vector_spectrum():
 def test_gram_matches_two_pass_accumulation():
     mdp = make_lowrank_mdp(6, 3, dim=3, seed=4)
     ds = _uniform_data(mdp, 150, seed=1)
-    lam = bellman_gram(ds, mdp.features, 1.3)
+    lam = _gram(ds, mdp.features, 1.3)
     acc = 1.3 * np.eye(3)
     for s, a in zip(reversed(ds.states), reversed(ds.actions)):
-        phi = mdp.features.vector(s, a)
+        phi = mdp.features.phi[s, a]
         acc = acc + np.outer(phi, phi)
     assert np.abs(lam - acc).max() < 1e-12
 
@@ -76,10 +89,10 @@ def test_gram_argument_errors():
     mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
     empty = OfflineDataset([], [], [], [], labeled=True, num_states=4, num_actions=2)
     with pytest.raises(ValueError, match="nonempty"):
-        bellman_gram(empty, mdp.features, 1.0)
+        _gram(empty, mdp.features, 1.0)
     ds = _uniform_data(mdp, 5)
     with pytest.raises(ValueError, match="lambda_reg"):
-        bellman_gram(ds, mdp.features, 0.0)
+        _gram(ds, mdp.features, 0.0)
 
 
 # ------------------------------------------------------------- regression step
@@ -89,7 +102,7 @@ def test_regress_zero_targets_gives_zero_weights():
     mdp = make_lowrank_mdp(5, 2, dim=2, seed=3)
     ds = _uniform_data(mdp, 20, seed=0)
     ds = ds.with_rewards(np.zeros(20))
-    w = bellman_regress(ds, mdp.features, np.zeros(5), lambda_reg=1.0, gamma=0.9)
+    w = _regress(ds, mdp.features, np.zeros(5), lambda_reg=1.0, gamma=0.9)
     assert np.array_equal(w, np.zeros(2))
 
 
@@ -101,8 +114,8 @@ def test_regress_onehot_scalar_ridge():
                         labeled=True, num_states=3, num_actions=2)
     v = np.array([0.5, 1.0, 2.0])
     lam_reg = 0.7
-    w = bellman_regress(ds, mdp.features, v, lambda_reg=lam_reg, gamma=0.8)
-    idx = int(np.argmax(mdp.features.vector(s, a)))
+    w = _regress(ds, mdp.features, v, lambda_reg=lam_reg, gamma=0.8)
+    idx = int(np.argmax(mdp.features.phi[s, a]))
     expect = n * (r + 0.8 * v[sp]) / (lam_reg + n)
     assert w[idx] == pytest.approx(expect, abs=1e-12)
     mask = np.ones(6, dtype=bool)
@@ -115,12 +128,12 @@ def test_regress_matches_dense_inverse_oracle():
     ds = _uniform_data(mdp, 120, seed=2)
     rng = np.random.default_rng(5)
     v = rng.uniform(0.0, 5.0, size=7)
-    w = bellman_regress(ds, mdp.features, v, lambda_reg=0.9, gamma=0.95)
+    w = _regress(ds, mdp.features, v, lambda_reg=0.9, gamma=0.95)
 
     lam = 0.9 * np.eye(3)
     rhs = np.zeros(3)
     for s, a, r, sp in zip(ds.states, ds.actions, ds.rewards, ds.next_states):
-        phi = mdp.features.vector(s, a)
+        phi = mdp.features.phi[s, a]
         lam += np.outer(phi, phi)
         rhs += phi * (r + 0.95 * v[sp])
     assert np.abs(w - np.linalg.inv(lam) @ rhs).max() < 1e-10
@@ -129,12 +142,9 @@ def test_regress_matches_dense_inverse_oracle():
 def test_regress_argument_errors():
     mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
     unlab = _uniform_data(mdp, 5, labeled=False)
-    with pytest.raises(ValueError, match="labeled"):
-        bellman_regress(unlab, mdp.features, np.zeros(4), lambda_reg=1.0, gamma=0.9)
-    ds = _uniform_data(mdp, 5)
-    with pytest.raises(ValueError, match="v_max"):
-        bellman_regress(ds, mdp.features, np.full(4, 99.0), lambda_reg=1.0,
-                        gamma=0.9, v_max=10.0)
+    for ds in (unlab, mix_datasets(_uniform_data(mdp, 5), unlab)):
+        with pytest.raises(ValueError, match="fully labeled"):
+            _regress(ds, mdp.features, np.zeros(4), lambda_reg=1.0, gamma=0.9)
 
 
 def test_weight_norm_bound_on_every_sweep():
@@ -156,15 +166,15 @@ def test_weight_norm_bound_on_every_sweep():
 
 def test_bonus_zero_beta():
     mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
-    lam = bellman_gram(_uniform_data(mdp, 10), mdp.features, 1.0)
-    assert uncertainty_bonus(lam, mdp.features, 0.0, 0, 0) == 0.0
+    lam = _gram(_uniform_data(mdp, 10), mdp.features, 1.0)
+    assert np.all(bonus_table(lam, mdp.features, 0.0) == 0.0)
 
 
 def test_bonus_identity_gram_unit_feature():
     phi = np.zeros((1, 1, 2))
     phi[0, 0] = [0.6, 0.8]
     feats = FeatureMap(phi)
-    got = uncertainty_bonus(2.5 * np.eye(2), feats, 1.7, 0, 0)
+    got = bonus_table(2.5 * np.eye(2), feats, 1.7)[0, 0]
     assert got == pytest.approx(1.7 / np.sqrt(2.5), abs=1e-12)
 
 
@@ -172,8 +182,8 @@ def test_bonus_shrinks_when_dataset_doubles():
     mdp = make_lowrank_mdp(6, 3, dim=3, seed=6)
     ds = _uniform_data(mdp, 40, seed=1)
     doubled = mix_datasets(ds, ds)
-    small = bonus_table(bellman_gram(ds, mdp.features, 1.0), mdp.features, 2.0)
-    big = bonus_table(bellman_gram(doubled, mdp.features, 1.0), mdp.features, 2.0)
+    small = bonus_table(_gram(ds, mdp.features, 1.0), mdp.features, 2.0)
+    big = bonus_table(_gram(doubled, mdp.features, 1.0), mdp.features, 2.0)
     assert np.all(big <= small + 1e-12)
     assert big.min() < small.min()
 
@@ -186,8 +196,8 @@ def test_bonus_invariant_under_permutation():
         ds.states[perm], ds.actions[perm], ds.rewards[perm], ds.next_states[perm],
         labeled=True, num_states=5, num_actions=3,
     )
-    a = bonus_table(bellman_gram(ds, mdp.features, 1.0), mdp.features, 1.0)
-    b = bonus_table(bellman_gram(shuffled, mdp.features, 1.0), mdp.features, 1.0)
+    a = bonus_table(_gram(ds, mdp.features, 1.0), mdp.features, 1.0)
+    b = bonus_table(_gram(shuffled, mdp.features, 1.0), mdp.features, 1.0)
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -274,7 +284,9 @@ def test_solver_deterministic():
     b = pevi_solve(ds, mdp.features, cfg)
     assert np.array_equal(a.w_hat, b.w_hat)
     assert np.array_equal(a.v_hat, b.v_hat)
-    assert a.to_dict() == b.to_dict()
+    assert np.array_equal(a.lambda_matrix, b.lambda_matrix)
+    assert np.array_equal(a.policy.probs, b.policy.probs)
+    assert (a.sweeps_used, a.converged) == (b.sweeps_used, b.converged)
 
 
 def _row_form_pevi(dataset, features, config):
@@ -388,25 +400,6 @@ def test_lockstep_edge_cases():
         pevi_lockstep([problem], other.features)
     with pytest.raises(ValueError, match="fully labeled"):
         pevi_prepare(_uniform_data(mdp, 50, labeled=False), mdp.features, cfg)
-
-
-def test_solution_json_export(tmp_path):
-    from pdslab.pevi import save_solution
-
-    mdp = make_lowrank_mdp(4, 2, dim=2, gamma=0.9, seed=1)
-    ds = _uniform_data(mdp, 30, seed=0)
-    cfg = PeviConfig(lambda_reg=1.0, beta=0.5, gamma=0.9, v_max=mdp.v_max)
-    sol = pevi_solve(ds, mdp.features, cfg)
-    doc = sol.to_dict()
-    assert set(doc) == {"w_hat", "beta", "lambda_hash", "v_hat", "policy",
-                        "sweeps_used", "converged"}
-    assert doc["beta"] == 0.5
-    assert len(doc["lambda_hash"]) == 16
-    assert doc["policy"] == np.argmax(sol.policy.probs, axis=1).tolist()
-    path = tmp_path / "solution.json"
-    save_solution(sol, path)
-    import json
-    assert json.loads(path.read_text()) == doc
 
 
 # ------------------------------------------------------------ presets, config

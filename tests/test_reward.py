@@ -18,13 +18,9 @@ from pdslab.reward import (
     deviation_table,
     fit_reward,
     lemma_alpha,
-    load_reward_model,
-    pessimistic_reward,
     pessimistic_table,
     predicted_table,
     relabel,
-    reward_deviation,
-    save_reward_model,
     theorem_alpha,
 )
 
@@ -45,7 +41,7 @@ def test_fit_matches_normal_equations_oracle():
     lam = nu * np.eye(3)
     rhs = np.zeros(3)
     for s, a, r in zip(ds.states, ds.actions, ds.rewards):
-        phi = mdp.features.vector(s, a)
+        phi = mdp.features.phi[s, a]
         lam += np.outer(phi, phi)
         rhs += phi * r
     theta_oracle = np.linalg.inv(lam) @ rhs
@@ -63,7 +59,7 @@ def test_onehot_repeated_pair_is_ridge_mean():
                         num_states=2, num_actions=2)
     model = fit_reward(ds, mdp.features, nu=1e-10, delta=0.1)
     # one-hot feature: theta on that coordinate is k*r/(nu+k)
-    idx = int(np.argmax(mdp.features.vector(s, a)))
+    idx = int(np.argmax(mdp.features.phi[s, a]))
     assert model.theta_hat[idx] == pytest.approx(k * r / (1e-10 + k), abs=1e-9)
     assert model.theta_hat[idx] == pytest.approx(r, abs=1e-8)
 
@@ -100,10 +96,8 @@ def test_no_data_deviation_is_alpha_over_sqrt_nu():
     empty = OfflineDataset([], [], [], [], labeled=True, num_states=1, num_actions=3)
     model = fit_reward(empty, mdp.features, nu=4.0, delta=0.05, r_max=2.0)
     assert np.all(model.theta_hat == 0.0)
-    for a in range(3):
-        assert reward_deviation(model, mdp.features, 0, a) == pytest.approx(
-            model.alpha / 2.0, abs=1e-12
-        )
+    np.testing.assert_allclose(deviation_table(model, mdp.features), model.alpha / 2.0,
+                               rtol=0.0, atol=1e-12)
     # theta_hat = 0, so the pessimistic value clamps to zero everywhere
     assert np.all(pessimistic_table(model, mdp.features) == 0.0)
 
@@ -117,8 +111,8 @@ def test_zero_feature_row_has_zero_width():
     ds = OfflineDataset([0, 0], [0, 1], [0.5, 0.2], [0, 1], labeled=True,
                         num_states=2, num_actions=2)
     model = fit_reward(ds, feats, nu=1.0, delta=0.1)
-    assert reward_deviation(model, feats, 1, 0) == 0.0
-    assert pessimistic_reward(model, feats, 1, 0) == 0.0
+    assert deviation_table(model, feats)[1, 0] == 0.0
+    assert pessimistic_table(model, feats)[1, 0] == 0.0
 
 
 def test_deviation_is_ellipsoid_supremum():
@@ -179,17 +173,6 @@ def test_relabel_oracle_restores_true_rewards_everywhere():
     assert not np.array_equal(noisy.rewards, expect)  # noise actually moved labels
 
 
-def test_relabel_strict_overwrites_observed():
-    mdp = make_lowrank_mdp(5, 3, dim=2, seed=11)
-    lab = _uniform_data(mdp, 12, seed=6, noise=True)
-    model = fit_reward(lab, mdp.features)
-    kept = relabel(lab, model, mdp.features, mode="pds")
-    forced = relabel(lab, model, mdp.features, mode="pds", strict=True)
-    assert np.array_equal(kept.rewards, lab.rewards)
-    expect = pessimistic_table(model, mdp.features)[lab.states, lab.actions]
-    assert np.array_equal(forced.rewards, expect)
-
-
 def test_relabel_pds_never_exceeds_predict():
     mdp = make_lowrank_mdp(8, 3, dim=3, seed=17)
     lab = _uniform_data(mdp, 40, seed=2, noise=True)
@@ -199,6 +182,11 @@ def test_relabel_pds_never_exceeds_predict():
     pred = relabel(unlab, model, mdp.features, mode="predict")
     assert np.all(pds.rewards <= pred.rewards + 1e-12)
     assert pds.source_tag == "pds"
+    # observed labels are kept, not overwritten by the pessimistic fill
+    kept = relabel(lab, model, mdp.features, mode="pds")
+    assert np.array_equal(kept.rewards, lab.rewards)
+    fills = pessimistic_table(model, mdp.features)[lab.states, lab.actions]
+    assert not np.array_equal(kept.rewards, fills)
 
 
 def test_relabel_argument_errors():
@@ -255,20 +243,6 @@ def test_deviation_shrinks_as_data_grows():
     )
     assert np.all(
         deviation_table(grown, mdp.features) <= deviation_table(base, mdp.features) + 1e-12
-    )
-
-
-def test_model_json_round_trip(tmp_path):
-    mdp = make_lowrank_mdp(5, 2, dim=3, seed=2)
-    model = fit_reward(_uniform_data(mdp, 25, seed=0, noise=True), mdp.features,
-                       nu=0.3, delta=0.05, r_max=mdp.r_max)
-    path = tmp_path / "reward.json"
-    save_reward_model(model, path)
-    back = load_reward_model(path)
-    assert np.array_equal(back.theta_hat, model.theta_hat)
-    assert np.array_equal(back.lambda_matrix, model.lambda_matrix)
-    assert (back.alpha, back.nu, back.delta, back.n_labeled, back.r_max) == (
-        model.alpha, model.nu, model.delta, model.n_labeled, model.r_max
     )
 
 
