@@ -30,6 +30,7 @@ trace instead of promising a fixed point.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,26 +66,28 @@ class PeviConfig:
     max_sweeps: int | None = None
 
     def __post_init__(self):
-        if self.lambda_reg <= 0:
-            raise ValueError(f"lambda_reg must be positive, got {self.lambda_reg}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        # each check is written so that NaN fails it
+        if not (np.isfinite(self.lambda_reg) and self.lambda_reg > 0):
+            raise ValueError(f"lambda_reg must be a finite positive number, got {self.lambda_reg}")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be a finite nonnegative number, got {self.beta}")
         if not 0 <= self.gamma < 1:
             raise ValueError(f"gamma must be in [0,1), got {self.gamma}")
-        if self.v_max <= 0:
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
+        if not (np.isfinite(self.v_max) and self.v_max > 0):
+            raise ValueError(f"v_max must be a finite positive number, got {self.v_max}")
         if self.tol is None:
             object.__setattr__(self, "tol", 1e-8 * self.v_max)
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite positive number, got {self.tol}")
         if self.max_sweeps is None:
             # contraction-rate sizing: ~ effective horizon * log(1/tol)
             horizon = np.ceil(1.0 / (1.0 - self.gamma))
             object.__setattr__(
                 self, "max_sweeps", int(np.ceil(10.0 * horizon * np.log(1.0 / self.tol)))
             )
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        if (isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral)
+                or self.max_sweeps < 1):
+            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
 
     @classmethod
     def for_mdp(
@@ -124,8 +127,8 @@ class PeviSolution:
 
 def bonus_table(lambda_matrix: np.ndarray, features: FeatureMap, beta: float) -> np.ndarray:
     """beta * sqrt(phi^T Lambda^{-1} phi) at every (s,a), shape (S, A)."""
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be a finite nonnegative number, got {beta}")
     widths = Ridge(lambda_matrix).widths(features.matrix())
     return (beta * widths).reshape(features.num_states, features.num_actions)
 

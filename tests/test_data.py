@@ -1,4 +1,5 @@
 import json
+from array import array
 
 import numpy as np
 import pytest
@@ -453,6 +454,116 @@ def test_jsonl_empty_file(tmp_path):
     path.write_text("")
     back = read_jsonl(path)
     assert len(back) == 0
+
+
+def _per_line_columns(path):
+    """The per-line json parser run over the whole file in one call."""
+    columns = (array("q"), array("q"), array("d"), array("q"), array("q"))
+    with open(path) as fh:
+        data._append_lines(fh.readlines(), 1, columns)
+    return tuple(np.asarray(c) for c in columns)
+
+
+def _read_outcome(read, path):
+    try:
+        return "ok", read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _canonical_line(s, a, r, sp):
+    return f'{{"s": {s}, "a": {a}, "r": {"null" if r is None else repr(r)}, "sp": {sp}}}'
+
+
+_MUTATED_LINES = (
+    "", " ", "\t \t",
+    '{"s": 1, "a": 0, "r": null, "sp": 2}\x85',
+    '{"s": 1, "a": 0, "r": null, "sp": 2}',
+    '{"a": 0, "s": 1, "r": null, "sp": 2}',
+    '{"s": 1, "s": 3, "a": 0, "r": null, "sp": 2}',
+    '{"\\u0073": 1, "a": 0, "r": null, "sp": 2}',
+    '{"s":1,"a":0,"r":0.5,"sp":2}',
+    '{ "s": 1, "a": 0, "r": 0.5, "sp": 2 } ',
+    '{"s": 01, "a": 0, "r": null, "sp": 2}',
+    '{"s": 1, "a": 00, "r": null, "sp": 2}',
+    '{"s": 1234567890123456789, "a": 0, "r": null, "sp": 2}',
+    '{"s": 9223372036854775807, "a": 0, "r": null, "sp": 2}',
+    '{"s": 9223372036854775808, "a": 0, "r": null, "sp": 2}',
+    '{"s": 12345678901234567890, "a": 0, "r": null, "sp": 2}',
+    '{"s": 1, "a": 0, "r": 1, "sp": 2}',
+    '{"s": 1, "a": 0, "r": -0, "sp": 2}',
+    '{"s": 1, "a": 0, "r": -0.0, "sp": 2}',
+    '{"s": 1, "a": 0, "r": -1e-13, "sp": 2}',
+    '{"s": 1, "a": 0, "r": -0.5, "sp": 2}',
+    '{"s": 1, "a": 0, "r": 1e400, "sp": 2}',
+    '{"s": 1, "a": 0, "r": -1e400, "sp": 2}',
+    '{"s": 1, "a": 0, "r": NaN, "sp": 2}',
+    '{"s": 1, "a": 0, "r": Infinity, "sp": 2}',
+    '{"s": 1, "a": 0, "r": 2.5E+3, "sp": 2}',
+    '{"s": -1, "a": 0, "r": null, "sp": 2}',
+    '{"s": 1, "a": 0, "r": null}',
+)
+
+_canonical_lines = st.builds(
+    _canonical_line,
+    st.integers(0, 10**18 - 1), st.integers(0, 50),
+    st.none() | st.floats(0.0, 1e6, allow_nan=False) | st.floats(1e-300, 1e300)
+    | st.sampled_from([0.0, -0.0, -1e-13, 5e-324, 1e16, 1e22, 1.5e-7]),
+    st.integers(0, 10**18 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_canonical_lines | st.sampled_from(_MUTATED_LINES), max_size=12),
+       endings=st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=12, max_size=12),
+       final_newline=st.booleans(), block_chars=st.integers(1, 200))
+def test_block_reader_agrees_with_per_line_parser(tmp_path_factory, lines, endings, final_newline,
+                                                  block_chars):
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if lines and not final_newline:
+        text = text[:-len(endings[len(lines) - 1])]
+    path = tmp_path_factory.mktemp("mixed") / "t.jsonl"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_READ_BLOCK_CHARS", block_chars)
+        got = _read_outcome(data.read_transitions, path)
+    want = _read_outcome(_per_line_columns, path)
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        for g, w in zip(got[1], want[1]):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_bad_canonical_line_in_later_block_names_its_line(tmp_path, monkeypatch):
+    path = tmp_path / "late.jsonl"
+    lines = [_canonical_line(i, 0, 0.25, i) for i in range(40)]
+    lines[33] = _canonical_line(33, 0, -0.5, 33)
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data, "_READ_BLOCK_CHARS", 100)
+    with pytest.raises(ValueError, match="malformed transition at line 34: reward"):
+        data.read_transitions(path)
+
+
+def test_written_files_read_without_the_per_line_parser(tmp_path, monkeypatch, tabular_5x3):
+    lab = sample_dataset(tabular_5x3, Policy.uniform(5, 3), n=3000, seed=3, noise=True)
+    unlab = sample_dataset(tabular_5x3, Policy.uniform(5, 3), n=2000, labeled=False, seed=4)
+    both = mix_datasets(lab, unlab)
+    path = tmp_path / "written.jsonl"
+    write_jsonl(both, path)
+    want = _per_line_columns(path)
+
+    def refuse(*args):
+        raise AssertionError("a canonical file fell back to the per-line parser")
+
+    monkeypatch.setattr(data, "_append_lines", refuse)
+    got = data.read_transitions(path)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    back = read_jsonl(path)
+    assert np.array_equal(back.states, both.states)
+    assert np.array_equal(back.rewards, both.rewards, equal_nan=True)
 
 
 # ---- dataset validation --------------------------------------------------------------

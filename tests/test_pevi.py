@@ -449,6 +449,30 @@ def test_config_validation_and_defaults():
     assert preset.v_max == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lambda_reg", float("nan")), ("lambda_reg", float("inf")),
+    ("beta", float("nan")), ("beta", float("inf")),
+    ("gamma", float("nan")),
+    ("v_max", float("nan")), ("v_max", float("inf")),
+    ("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0),
+    ("max_sweeps", 2.5), ("max_sweeps", True), ("max_sweeps", -3),
+])
+def test_config_rejects_non_finite_and_fractional_values(field, value):
+    kwargs = dict(lambda_reg=1.0, beta=0.5, gamma=0.9, v_max=10.0, tol=1e-6, max_sweeps=50)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        PeviConfig(**kwargs)
+
+
+def test_nan_beta_is_refused_before_any_sweep():
+    # a NaN beta once ran every sweep and returned an all-NaN v_hat
+    mdp = make_lowrank_mdp(4, 2, dim=2, gamma=0.9, seed=1)
+    with pytest.raises(ValueError, match="beta"):
+        PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=float("nan"))
+    with pytest.raises(ValueError, match="beta"):
+        bonus_table(np.eye(2), mdp.features, float("nan"))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 9999),
