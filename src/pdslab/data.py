@@ -549,7 +549,8 @@ def write_header(path: str | Path, meta: dict) -> None:
     header_path(path).write_text(json.dumps(meta) + "\n")
 
 
-_READ_BLOCK_CHARS = 1 << 14  # readlines hint; blocks this small stay in cache (measured faster than 1 MiB)
+# readlines hint: blocks this small stay in cache, and read faster than 1 MiB blocks
+_READ_BLOCK_CHARS = 1 << 14
 _ID = r"(0|[1-9][0-9]{0,17})"  # no leading zero and at most 18 digits, so it fits int64
 # a line exactly as write_transitions emits it: ids as above, r null or a float
 # token with a fraction or an exponent, which float() reads as json does
@@ -589,7 +590,7 @@ def _append_canonical(lines: list, first_lineno: int, columns) -> bool:
     if len(rows) != len(lines):  # a match spans one whole line, so some line did not match
         return False
     s, a, r, sp = zip(*rows)
-    rewards = array("d", map(float, " ".join(r).replace("null", "nan").split()))
+    rewards = array("d", map(float, " ".join(r).replace("null", "nan").split()))  # null is NaN
     values = np.frombuffer(rewards)
     if ((values < -NEGATIVE_REWARD_TOL) | (values == np.inf)).any():
         return False

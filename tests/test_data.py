@@ -475,9 +475,13 @@ def _canonical_line(s, a, r, sp):
     return f'{{"s": {s}, "a": {a}, "r": {"null" if r is None else repr(r)}, "sp": {sp}}}'
 
 
+# lines that are not canonical: json accepts some of them, which must read the
+# same, and rejects the others, which must fail with the same message
 _MUTATED_LINES = (
     "", " ", "\t \t",
     '{"s": 1, "a": 0, "r": null, "sp": 2}\x85',
+    '{"s": 1, "a": 0, "r": null,\u2028"sp": 2}',
+    '{"s": 1, "a": 0, "r": 0.5, "sp": 2, "note": "\x85\u2028"}',
     '{"s": 1, "a": 0, "r": null, "sp": 2}',
     '{"a": 0, "s": 1, "r": null, "sp": 2}',
     '{"s": 1, "s": 3, "a": 0, "r": null, "sp": 2}',

@@ -168,6 +168,9 @@ def test_bonus_zero_beta():
     mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
     lam = _gram(_uniform_data(mdp, 10), mdp.features, 1.0)
     assert np.all(bonus_table(lam, mdp.features, 0.0) == 0.0)
+    for beta in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="beta"):
+            bonus_table(lam, mdp.features, beta)
 
 
 def test_bonus_identity_gram_unit_feature():
@@ -458,19 +461,11 @@ def test_config_validation_and_defaults():
     ("max_sweeps", 2.5), ("max_sweeps", True), ("max_sweeps", -3),
 ])
 def test_config_rejects_non_finite_and_fractional_values(field, value):
+    # a NaN beta once ran every sweep and returned an all-NaN v_hat
     kwargs = dict(lambda_reg=1.0, beta=0.5, gamma=0.9, v_max=10.0, tol=1e-6, max_sweeps=50)
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"^{field} must be"):
         PeviConfig(**kwargs)
-
-
-def test_nan_beta_is_refused_before_any_sweep():
-    # a NaN beta once ran every sweep and returned an all-NaN v_hat
-    mdp = make_lowrank_mdp(4, 2, dim=2, gamma=0.9, seed=1)
-    with pytest.raises(ValueError, match="beta"):
-        PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=float("nan"))
-    with pytest.raises(ValueError, match="beta"):
-        bonus_table(np.eye(2), mdp.features, float("nan"))
 
 
 @settings(max_examples=20, deadline=None)
