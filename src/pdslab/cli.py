@@ -146,6 +146,11 @@ class ExperimentConfig:
         output = doc["output"]
         if not isinstance(output, str) or not output:
             raise ConfigError("'output' must be a nonempty path string")
+        if Path(output).suffix == ".md":
+            raise ConfigError(
+                f"'output' must not end in .md: the markdown summary is written to "
+                f"<output>.md and would overwrite the CSV, got {output!r}"
+            )
 
         try:
             grid = SweepGrid(
@@ -198,12 +203,21 @@ def build_mdp(spec: dict):
     return make_adversarial_mdp(**args)
 
 
+def _output_paths(output: str) -> tuple[Path, Path]:
+    """The CSV path and its markdown summary's path, checked before any cell runs."""
+    out = Path(output)
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ConfigError(f"output {out} is a directory")
+    return out, out.with_suffix(".md")
+
+
 def run_config(path: str | Path) -> int:
     cfg = load_config(path)
+    out, md_path = _output_paths(cfg.output)
     report = sweep(build_mdp(cfg.mdp), cfg.grid)
-    out = Path(cfg.output)
     out.write_text(results_to_csv(report.results))
-    md_path = out.with_suffix(".md")
     if report.results:
         md_path.write_text(markdown_summary(report.results))
     else:

@@ -158,6 +158,26 @@ def test_run_bad_config_exits_2(tmp_path):
     assert entrypoint(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("output,message", [
+    ("missing_dir/out.csv", "output directory missing_dir does not exist"),
+    (".", "is a directory"),
+    ("res.md", r"must not end in \.md"),
+])
+def test_unusable_output_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, output,
+                                                 message):
+    import pdslab.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a cell ran on a rejected config")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, _base_doc(tmp_path, output=output))
+    assert entrypoint(["run", "--config", path]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_run_cell_failures_exit_3(tmp_path, monkeypatch):
     import pdslab.pipeline as pipeline
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from pdslab.data import OfflineDataset, read_jsonl, sample_dataset, write_jsonl, header_path
 from pdslab.ensemble import (
@@ -143,6 +144,16 @@ def test_coefficient_frozen_value_and_monotonicity():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         gaussian_min_coefficient(0)
+
+
+def test_coefficient_matches_scipy_norm_ppf():
+    # the standard library's inverse normal CDF stands in for scipy's; the
+    # largest measured difference over these L is 2.2e-15
+    ells = np.arange(1, 5001)
+    p = (ells - np.pi / 8.0) / (ells - np.pi / 4.0 + 1.0)
+    ours = np.array([gaussian_min_coefficient(int(ell)) for ell in ells])
+    assert np.max(np.abs(ours - stats.norm.ppf(p))) <= 1e-14
+    assert gaussian_min_coefficient(1) == 0.0
 
 
 def test_coefficient_tracks_exact_order_statistic():
@@ -309,6 +320,19 @@ def test_relabel_file_passthrough_and_empty(tmp_path):
     assert summary == {"count": 0, "relabeled": 0, "passthrough": 0, "k": 0.0,
                        "reward_mean": None, "reward_min": None, "reward_max": None}
     assert empty_out.read_text() == ""
+
+
+def test_relabel_file_writes_passthrough_lines_in_canonical_form(tmp_path):
+    mdp = make_lowrank_mdp(4, 2, dim=2, seed=23)
+    model, _ = _fitted(mdp, n=20)
+    src, dst = tmp_path / "extra.jsonl", tmp_path / "extra_out.jsonl"
+    src.write_text('{"s": 1, "a": 0, "r": 0.50, "sp": 2, "episode": 7}\n'
+                   '{"s": 0, "a": 1, "r": null, "sp": 3, "episode": 7}\n')
+    summary = relabel_file(src, dst, model, k_mode=1.0)
+    assert summary["passthrough"] == 1 and summary["relabeled"] == 1
+    lines = dst.read_text().splitlines()
+    assert lines[0] == '{"s": 1, "a": 0, "r": 0.5, "sp": 2}'
+    assert json.loads(lines[1]).keys() == {"s", "a", "r", "sp"}
 
 
 def test_relabel_file_error_reporting(tmp_path):
