@@ -146,11 +146,6 @@ class ExperimentConfig:
         output = doc["output"]
         if not isinstance(output, str) or not output:
             raise ConfigError("'output' must be a nonempty path string")
-        if Path(output).suffix == ".md":
-            raise ConfigError(
-                f"'output' must not end in .md: the markdown summary is written to "
-                f"<output>.md and would overwrite the CSV, got {output!r}"
-            )
 
         try:
             grid = SweepGrid(
@@ -210,7 +205,11 @@ def _output_paths(output: str) -> tuple[Path, Path]:
         raise ConfigError(f"output directory {out.parent} does not exist")
     if out.is_dir():
         raise ConfigError(f"output {out} is a directory")
-    return out, out.with_suffix(".md")
+    md_path = out.with_suffix(".md")
+    if md_path == out:
+        raise ConfigError(f"output {out} must not end in .md: its markdown summary "
+                          f"would overwrite it")
+    return out, md_path
 
 
 def run_config(path: str | Path) -> int:

@@ -162,7 +162,7 @@ def test_run_bad_config_exits_2(tmp_path):
     ("missing_dir/out.csv", "output directory missing_dir does not exist"),
     (".", "is a directory"),
     ("res.md", r"must not end in \.md"),
-])
+], ids=["missing_dir", "directory", "md_suffix"])
 def test_unusable_output_exits_2_before_any_cell(tmp_path, monkeypatch, capsys, output,
                                                  message):
     import pdslab.cli as cli

@@ -135,7 +135,7 @@ def test_stats_match_two_pass_oracle():
 
 def test_coefficient_symmetric_base_case():
     # (1 - pi/8)/(2 - pi/4) is exactly one half, so the quantile is zero
-    assert gaussian_min_coefficient(1) == pytest.approx(0.0, abs=1e-9)
+    assert gaussian_min_coefficient(1) == 0.0
 
 
 def test_coefficient_frozen_value_and_monotonicity():
@@ -153,7 +153,6 @@ def test_coefficient_matches_scipy_norm_ppf():
     p = (ells - np.pi / 8.0) / (ells - np.pi / 4.0 + 1.0)
     ours = np.array([gaussian_min_coefficient(int(ell)) for ell in ells])
     assert np.max(np.abs(ours - stats.norm.ppf(p))) <= 1e-14
-    assert gaussian_min_coefficient(1) == 0.0
 
 
 def test_coefficient_tracks_exact_order_statistic():
@@ -307,10 +306,14 @@ def test_relabel_file_passthrough_and_empty(tmp_path):
              for s, a, r, sp in zip(labeled.states[:4], labeled.actions[:4],
                                     labeled.rewards[:4], labeled.next_states[:4])]
     lines.append(json.dumps({"s": 0, "a": 0, "r": None, "sp": 1}))
+    # a passthrough line keeps its values but is rewritten in canonical form
+    lines.append('{"s": 1, "a": 0, "r": 0.50, "sp": 2, "episode": 7}')
     src.write_text("\n".join(lines) + "\n")
     summary = relabel_file(src, dst, model, k_mode=1.0)
-    assert summary["passthrough"] == 4 and summary["relabeled"] == 1
-    assert dst.read_text().splitlines()[:4] == lines[:4]
+    assert summary["passthrough"] == 5 and summary["relabeled"] == 1
+    written = dst.read_text().splitlines()
+    assert written[:4] == lines[:4]
+    assert written[5] == '{"s": 1, "a": 0, "r": 0.5, "sp": 2}'
     out = read_jsonl(dst)
     assert np.allclose(out.rewards[:4], labeled.rewards[:4], atol=0.0)
 
@@ -320,19 +323,6 @@ def test_relabel_file_passthrough_and_empty(tmp_path):
     assert summary == {"count": 0, "relabeled": 0, "passthrough": 0, "k": 0.0,
                        "reward_mean": None, "reward_min": None, "reward_max": None}
     assert empty_out.read_text() == ""
-
-
-def test_relabel_file_writes_passthrough_lines_in_canonical_form(tmp_path):
-    mdp = make_lowrank_mdp(4, 2, dim=2, seed=23)
-    model, _ = _fitted(mdp, n=20)
-    src, dst = tmp_path / "extra.jsonl", tmp_path / "extra_out.jsonl"
-    src.write_text('{"s": 1, "a": 0, "r": 0.50, "sp": 2, "episode": 7}\n'
-                   '{"s": 0, "a": 1, "r": null, "sp": 3, "episode": 7}\n')
-    summary = relabel_file(src, dst, model, k_mode=1.0)
-    assert summary["passthrough"] == 1 and summary["relabeled"] == 1
-    lines = dst.read_text().splitlines()
-    assert lines[0] == '{"s": 1, "a": 0, "r": 0.5, "sp": 2}'
-    assert json.loads(lines[1]).keys() == {"s", "a", "r", "sp"}
 
 
 def test_relabel_file_error_reporting(tmp_path):
