@@ -7,8 +7,8 @@ a known feature map phi : S x A -> R^d as
 
 with ||phi(s,a)||_2 <= 1, rewards in [0, r_max], and discount gamma in [0,1).
 Everything here is finite and exact: policy evaluation is a direct linear
-solve, optimal values come from value iteration plus a policy-iteration
-polish, so downstream modules can treat these as ground truth.
+solve and optimal values come from policy iteration over those solves, so
+downstream modules can treat these as ground truth.
 """
 from __future__ import annotations
 
@@ -320,39 +320,34 @@ def evaluate_policy(mdp: LinearMdp, policy: Policy) -> ValueReport:
     return ValueReport(v=v, q=q)
 
 
-def solve_optimal(mdp: LinearMdp, tol: float = 1e-10) -> tuple[Policy, ValueReport]:
-    """Optimal policy and its exact values.
+def solve_optimal(mdp: LinearMdp) -> tuple[Policy, ValueReport]:
+    """Optimal policy and its exact values, by Howard's policy iteration.
 
-    Value iteration runs until the sup-norm residual drops below
-    tol*(1-gamma)/(2*gamma), which bounds the value error by tol/2; the
-    greedy policy is then polished by exact policy iteration so the
+    Starts from the reward-greedy policy, evaluates each policy exactly and
+    moves to the greedy policy of its Q until that policy repeats, so the
     returned report solves the Bellman optimality equation to solver
     precision. Ties break to the lowest action index.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    gamma, r = mdp.gamma, mdp.rewards
-    S, A = r.shape
-    # one gemv over all S*A rows per step, not one per state
-    p = mdp.transitions.reshape(S * A, S)
-    threshold = np.inf if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
-    v = np.zeros(S)
-    while True:
-        q = r + gamma * (p @ v).reshape(S, A)
-        v_new = q.max(axis=1)
-        residual = np.abs(v_new - v).max()
-        v = v_new
-        if residual < threshold or gamma == 0.0:
-            break
 
-    policy = Policy.greedy(q)
-    for _ in range(100):
+    In exact arithmetic each step raises V somewhere or reaches the fixed
+    point, so no policy comes back and the loop ends within the finitely
+    many deterministic policies. A policy that comes back is rounding in
+    the evaluations and raises, rather than returning a policy that is
+    not optimal.
+    """
+    policy = Policy.greedy(mdp.rewards)
+    visited = set()
+    while True:
         report = evaluate_policy(mdp, policy)
         improved = Policy.greedy(report.q)
         if np.array_equal(improved.probs, policy.probs):
-            break
+            return policy, report
+        visited.add(policy.probs.tobytes())
+        if improved.probs.tobytes() in visited:
+            raise FloatingPointError(
+                "policy iteration revisited a policy: rounding in the policy "
+                "evaluations made it cycle"
+            )
         policy = improved
-    return policy, report
 
 
 def suboptimality(mdp: LinearMdp, policy: Policy, state: int) -> float:

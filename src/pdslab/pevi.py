@@ -82,9 +82,8 @@ class PeviConfig:
         if self.max_sweeps is None:
             # contraction-rate sizing: ~ effective horizon * log(1/tol)
             horizon = np.ceil(1.0 / (1.0 - self.gamma))
-            object.__setattr__(
-                self, "max_sweeps", int(np.ceil(10.0 * horizon * np.log(1.0 / self.tol)))
-            )
+            sweeps = int(np.ceil(10.0 * horizon * np.log(1.0 / self.tol)))
+            object.__setattr__(self, "max_sweeps", max(1, sweeps))
         if (isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral)
                 or self.max_sweeps < 1):
             raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
@@ -93,7 +92,7 @@ class PeviConfig:
     def for_mdp(
         cls, gamma: float, r_max: float, beta: float, lambda_reg: float = 1.0, **kwargs
     ) -> "PeviConfig":
-        v_max = r_max if gamma == 0 else r_max / (1.0 - gamma)
+        v_max = r_max / (1.0 - gamma)
         return cls(lambda_reg=lambda_reg, beta=beta, gamma=gamma, v_max=v_max, **kwargs)
 
     @classmethod

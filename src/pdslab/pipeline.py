@@ -388,6 +388,8 @@ class SweepGrid:
                              ("seed", self.seeds)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} values must be distinct, got {list(values)}")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be nonnegative, got {list(self.seeds)}")
         if any(n < 1 for n in self.n0_values):
             raise ValueError("n0 values must be >= 1")
         if any(n < 0 for n in self.n1_values):

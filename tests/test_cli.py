@@ -62,6 +62,21 @@ def test_duplicate_seeds_rejected(tmp_path):
         ExperimentConfig.from_dict(doc)
 
 
+def test_negative_seed_exits_2_before_any_cell(tmp_path, monkeypatch, capsys):
+    import pdslab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rejected config reached the sweep")
+
+    monkeypatch.setattr(cli, "sweep", no_work)
+    doc = _base_doc(tmp_path, seeds=[-1, 0])
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig.from_dict(doc)
+    assert entrypoint(["run", "--config", _write_config(tmp_path, doc)]) == 2
+    assert "seeds must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("data", "n0", [40, 40]),
     ("data", "n1", [0, 30, 30]),
@@ -145,6 +160,14 @@ def test_run_warns_when_pevi_does_not_converge(tmp_path, capsys):
     assert entrypoint(["run", "--config", path]) == 0
     assert capsys.readouterr().err == "warning: PEVI did not converge on 2 of 2 rows\n"
     assert (tmp_path / "results.csv").read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_run_with_pevi_tol_above_one_writes_its_rows(tmp_path):
+    # the default max_sweeps sized from tol = 5 was once negative and failed every cell
+    path = _write_config(tmp_path, _base_doc(tmp_path, pevi={"tol": 5}))
+    assert entrypoint(["run", "--config", path]) == 0
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 3
 
 
 def test_run_bad_config_exits_2(tmp_path):

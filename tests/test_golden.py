@@ -3,7 +3,8 @@
 The sampler must reproduce a plain per-step rollout bit for bit, coverage
 must match one linear solve and one eigendecomposition per start state
 (_min_generalized_eig, the per-start loop the coverage bases replaced),
-solve_optimal must match its per-state value iteration, the acceptance
+solve_optimal's policy iteration must match the value iteration plus
+policy-iteration polish it replaced (with per-state backups), the acceptance
 sweep configs must reproduce their pinned CSVs (wall_ms stripped), and the
 ridge estimators (PEVI, reward fit, ensemble) must reproduce their pinned
 outputs in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
@@ -11,6 +12,7 @@ file from the installed pdslab; it was generated before the ridge solves
 moved into pdslab.ridge.
 """
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,8 @@ from pdslab.data import (
 )
 from pdslab.ensemble import fit_ensemble
 from pdslab.mdp import (
+    FeatureMap,
+    LinearMdp,
     Policy,
     evaluate_policy,
     make_adversarial_mdp,
@@ -228,8 +232,10 @@ def test_coverage_bases_on_rank_deficient_and_rangeless_moments():
 
 
 def _reference_solve_optimal(mdp, tol=1e-10):
-    """solve_optimal with its value iteration backing up P @ v state by
-    state, as before the one-gemv step."""
+    """The oracle solve_optimal replaced: value iteration backing up P @ v
+    state by state until its residual is below tol*(1-gamma)/(2*gamma), then
+    a policy-iteration polish of at most 100 evaluations from the greedy
+    policy of its q."""
     gamma, p, r = mdp.gamma, mdp.transitions, mdp.rewards
     threshold = np.inf if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
     v = np.zeros(mdp.num_states)
@@ -250,9 +256,39 @@ def _reference_solve_optimal(mdp, tol=1e-10):
     return policy, report
 
 
-@pytest.mark.parametrize("kind", sorted(COVERAGE_MDPS) + sorted(MDPS))
+# random MDPs with A = 1 or an odd S >= 13, where a one-gemv value-iteration
+# q once drifted from the per-state backup in its last bits
+ORACLE_MDPS = {
+    f"{kind}-S{S}-A{A}-g{gamma}": partial(make, S, A, gamma=gamma, seed=seed)
+    for kind, make in (("tabular", make_tabular_mdp), ("lowrank", partial(make_lowrank_mdp, dim=5)))
+    for seed, (S, A) in enumerate([(13, 1), (24, 1), (13, 3), (17, 2), (21, 4)])
+    for gamma in (0.0, 0.5, 0.99)
+}
+
+
+def _far_reward_chain(num_states, gamma):
+    """Deterministic chain with one-hot features: action 0 steps left, action
+    1 steps right, and only the right end pays. Action 0 wins every
+    zero-reward tie, so policy iteration from the reward-greedy policy
+    learns the way right one state per evaluation."""
+    S, A = num_states, 2
+    mu = np.zeros((S * A, S))
+    for s in range(S):
+        mu[s * A, max(s - 1, 0)] = 1.0
+        mu[s * A + 1, min(s + 1, S - 1)] = 1.0
+    theta = np.zeros(S * A)
+    theta[(S - 1) * A:] = 1.0
+    return LinearMdp(FeatureMap(np.eye(S * A).reshape(S, A, S * A)), mu, theta,
+                     gamma=gamma, r_max=1.0, init_dist=np.full(S, 1.0 / S))
+
+
+ORACLE_MDPS.update({f"far-reward-chain-S150-g{gamma}": partial(_far_reward_chain, 150, gamma)
+                    for gamma in (0.9, 0.99)})
+
+
+@pytest.mark.parametrize("kind", sorted(COVERAGE_MDPS) + sorted(MDPS) + sorted(ORACLE_MDPS))
 def test_solve_optimal_equals_per_state_backups(kind):
-    mdp = COVERAGE_MDPS[kind][0]() if kind in COVERAGE_MDPS else MDPS[kind]()
+    mdp = COVERAGE_MDPS[kind][0]() if kind in COVERAGE_MDPS else {**MDPS, **ORACLE_MDPS}[kind]()
     (policy, report), (want_policy, want) = solve_optimal(mdp), _reference_solve_optimal(mdp)
     assert np.array_equal(policy.probs, want_policy.probs)
     assert np.array_equal(report.v, want.v) and np.array_equal(report.q, want.q)

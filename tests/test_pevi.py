@@ -452,6 +452,14 @@ def test_config_validation_and_defaults():
     assert preset.v_max == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("v_max, tol", [(10.0, 1.0), (10.0, 5.0), (1e9, None)])
+def test_default_max_sweeps_is_at_least_one(v_max, tol):
+    # 10 * horizon * ln(1/tol) is <= 0 once tol >= 1, as the default tol is for v_max >= 1e8
+    cfg = PeviConfig(lambda_reg=1.0, beta=0.0, gamma=0.9, v_max=v_max, tol=tol)
+    assert cfg.tol >= 1.0
+    assert cfg.max_sweeps == 1
+
+
 @pytest.mark.parametrize("field, value", [
     ("lambda_reg", float("nan")), ("lambda_reg", float("inf")),
     ("beta", float("nan")), ("beta", float("inf")),
