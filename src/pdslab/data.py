@@ -4,7 +4,8 @@ Datasets are columnar (state/action/reward/next_state arrays) and immutable
 by convention. The coverage coefficient follows the generalized-eigenvalue
 reading: the largest C with  (1/N) sum phi phi^T  >=  C * Sigma_{pi*,s}
 for every start state s, where Sigma is the (1-gamma)-normalized discounted
-occupancy second moment, computed exactly from a linear solve.
+occupancy second moment, computed exactly from one linear solve: d x d
+through the kernel's factorization when d < S, S x S otherwise.
 
 Sigma and its eigendecomposition depend only on the MDP and pi*, so
 coverage_bases computes the per-start bases once: a sweep builds them next
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pdslab.mdp import FeatureMap, LinearMdp, Policy
+from pdslab.mdp import FeatureMap, LinearMdp, Policy, _apply_resolvent
 
 SIGMA_RANGE_CUTOFF = 1e-10  # eigenvalues of Sigma below this are treated as null space
 DEFAULT_NOISE_FRACTION = 0.1  # sigma = 0.1 * r_max when noise is requested without a scale
@@ -360,20 +361,21 @@ def occupancy_second_moments(mdp: LinearMdp, policy: Policy) -> np.ndarray:
     """Sigma_{pi,s} = (1-gamma) * sum_t gamma^t E_pi[phi phi^T | s_0 = s] for
     every start state s, shape (S, d, d).
 
-    The discounted state occupancy kappa_s solves the adjoint linear system
-    (I - gamma P_pi^T) kappa_s = (1-gamma) e_s, so one solve against
-    (1-gamma) I yields all of them as columns; each second moment is then
-    the kappa_s-weighted average of the per-state feature outer products.
-    Exact, no sampling.
+    With M the per-state second moments sum_a pi(a|s) phi phi^T as an
+    (S, d*d) matrix, Sigma = (1-gamma) (I - gamma P_pi)^-1 M. When the MDP
+    keeps a kernel factor that is Sigma = (1-gamma) (M + gamma Phi_pi K)
+    with K = (I_d - gamma mu Phi_pi)^-1 mu M, one d x d solve with d*d
+    right-hand sides; otherwise the discounted occupancies solve the adjoint
+    system (I - gamma P_pi^T) kappa_s = (1-gamma) e_s, all starts in one
+    solve against (1-gamma) I, and each second moment is the kappa_s-weighted
+    average of M. Exact, no sampling.
     """
     if policy.probs.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("policy shape does not match mdp")
     S, d = mdp.num_states, mdp.dim
-    p_pi = np.einsum("sa,sae->se", policy.probs, mdp.transitions)
-    kappa = np.linalg.solve(np.eye(S) - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * np.eye(S))
     phi = mdp.features.phi
     per_state = np.einsum("sa,sad,saf->sdf", policy.probs, phi, phi).reshape(S, d * d)
-    return (kappa.T @ per_state).reshape(S, d, d)
+    return _apply_resolvent(mdp, policy, per_state, 1.0 - mdp.gamma).reshape(S, d, d)
 
 
 @dataclass(frozen=True)

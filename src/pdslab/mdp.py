@@ -6,14 +6,23 @@ a known feature map phi : S x A -> R^d as
     P(s'|s,a) = <phi(s,a), mu(s')>,      r(s,a) = <phi(s,a), theta>,
 
 with ||phi(s,a)||_2 <= 1, rewards in [0, r_max], and discount gamma in [0,1).
-Everything here is finite and exact: policy evaluation is a direct linear
-solve and optimal values come from policy iteration over those solves, so
+Everything here is finite and exact: policy evaluation is one linear solve
+and optimal values come from policy iteration over those solves, so
 downstream modules can treat these as ground truth.
+
+When d < S the solve goes through the factorization. P_pi = Phi_pi mu has
+rank d, so by the Woodbury identity
+
+    (I - gamma Phi_pi mu)^-1 = I + gamma Phi_pi (I_d - gamma mu Phi_pi)^-1 mu
+
+and a d x d system replaces the S x S one. Otherwise (tabular features with
+d = S*A, single-state MDPs) the dense S x S system is the smaller one.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,8 +130,9 @@ class LinearMdp:
         # Derived transition kernel, with floating-point hygiene: entries in
         # [-1e-12, 0) are clamped to 0 and each row renormalized.
         p = np.einsum("sad,de->sae", self.features.phi, mu)
-        if p.min() < -KERNEL_ENTRY_TOL:
-            raise ValueError(f"negative transition probability {p.min():.3e}")
+        p_min = p.min()
+        if p_min < -KERNEL_ENTRY_TOL:
+            raise ValueError(f"negative transition probability {p_min:.3e}")
         p = np.clip(p, 0.0, None)
         row_sums = p.sum(axis=2)
         if np.abs(row_sums - 1.0).max() > KERNEL_ROW_TOL:
@@ -147,6 +157,13 @@ class LinearMdp:
         object.__setattr__(self, "init_dist", _readonly(init))
         object.__setattr__(self, "_p_table", _readonly(p))
         object.__setattr__(self, "_r_table", _readonly(r))
+        # Row-normalized phi times mu is the stored kernel up to rounding
+        # unless the clip changed an entry. The exact solves use it only
+        # then, and only when d < S, where its d x d systems are the smaller.
+        factor = None
+        if d < S and p_min >= 0.0:
+            factor = _readonly(self.features.phi / row_sums[:, :, None])
+        object.__setattr__(self, "_factor", factor)
 
     @property
     def num_states(self) -> int:
@@ -240,6 +257,8 @@ class Policy:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2:
             raise ValueError(f"policy must be (S, A), got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("policy probabilities must be finite")
         if p.min() < 0:
             raise ValueError("policy probabilities must be nonnegative")
         if np.abs(p.sum(axis=1) - 1.0).max() > 1e-12:
@@ -293,6 +312,8 @@ class ValueReport:
 
 def _check_value_range(v: np.ndarray, q: np.ndarray, v_max: float) -> tuple[np.ndarray, np.ndarray]:
     # Direct solves can undershoot 0 by rounding; snap those, reject real violations.
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(q))):
+        raise ValueError("values are not finite")
     lo = min(v.min(), q.min())
     hi = max(v.max(), q.max())
     if lo < -1e-9 or hi > v_max + 1e-9:
@@ -300,22 +321,51 @@ def _check_value_range(v: np.ndarray, q: np.ndarray, v_max: float) -> tuple[np.n
     return np.clip(v, 0.0, None), np.clip(q, 0.0, None)
 
 
-def evaluate_policy(mdp: LinearMdp, policy: Policy) -> ValueReport:
-    """Exact policy evaluation by direct linear solve.
+def _apply_resolvent(mdp: LinearMdp, policy: Policy, rhs: np.ndarray,
+                     scale: float = 1.0) -> np.ndarray:
+    """scale * (I - gamma P_pi)^-1 rhs for an (S,) or (S, k) right-hand side.
 
-    Solves (I - gamma * P_pi) V = r_pi where P_pi and r_pi average the
+    With the MDP's factor (row-normalized phi, so that P = factor @ mu),
+    P_pi = Phi_pi mu with Phi_pi[s] = sum_a pi(a|s) factor(s,a), and the
+    Woodbury identity leaves one d x d solve against mu @ rhs. Without a
+    factor the S x S system is solved densely: directly for a vector, and
+    for a matrix through the adjoint system against scale * I (the
+    discounted occupancy of every start state) and one product with rhs.
+    """
+    gamma, probs = mdp.gamma, policy.probs
+    factor = mdp._factor
+    if factor is None:
+        S = mdp.num_states
+        system = np.eye(S) - gamma * np.einsum("sa,sae->se", probs, mdp.transitions)
+        if rhs.ndim == 1:
+            return np.linalg.solve(system, scale * rhs)
+        return np.linalg.solve(system.T, scale * np.eye(S)).T @ rhs
+    phi_pi = np.einsum("sa,sad->sd", probs, factor)
+    mu = mdp.mu
+    x = np.linalg.solve(np.eye(mdp.dim) - gamma * (mu @ phi_pi), mu @ rhs)
+    return scale * (rhs + gamma * (phi_pi @ x))
+
+
+def evaluate_policy(mdp: LinearMdp, policy: Policy) -> ValueReport:
+    """Exact policy evaluation by one linear solve.
+
+    Solves (I - gamma * P_pi) V = r_pi, where P_pi and r_pi average the
     kernel and rewards over the policy, then backs out Q = r + gamma * P V.
+    When the MDP keeps a kernel factor both go through it: the solve is
+    d x d and P V is factor @ (mu @ V).
     """
     if policy.probs.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError(
             f"policy shape {policy.probs.shape} does not match mdp "
             f"({mdp.num_states},{mdp.num_actions})"
         )
-    p_pi = np.einsum("sa,sae->se", policy.probs, mdp.transitions)
     r_pi = np.einsum("sa,sa->s", policy.probs, mdp.rewards)
-    S = mdp.num_states
-    v = np.linalg.solve(np.eye(S) - mdp.gamma * p_pi, r_pi)
-    q = mdp.rewards + mdp.gamma * mdp.transitions @ v
+    v = _apply_resolvent(mdp, policy, r_pi)
+    factor = mdp._factor
+    if factor is None:
+        q = mdp.rewards + mdp.gamma * mdp.transitions @ v
+    else:
+        q = mdp.rewards + mdp.gamma * (factor @ (mdp.mu @ v))
     v, q = _check_value_range(v, q, mdp.v_max)
     return ValueReport(v=v, q=q)
 
@@ -352,6 +402,8 @@ def solve_optimal(mdp: LinearMdp) -> tuple[Policy, ValueReport]:
 
 def suboptimality(mdp: LinearMdp, policy: Policy, state: int) -> float:
     """SubOpt(pi; s) = V*(s) - V^pi(s), computed from exact solves."""
+    if isinstance(state, bool) or not isinstance(state, numbers.Integral):
+        raise ValueError(f"state must be an integer, got {state!r}")
     if not (0 <= state < mdp.num_states):
         raise ValueError(f"state {state} out of range")
     _, star = solve_optimal(mdp)

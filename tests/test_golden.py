@@ -4,7 +4,9 @@ The sampler must reproduce a plain per-step rollout bit for bit, coverage
 must match one linear solve and one eigendecomposition per start state
 (_min_generalized_eig, the per-start loop the coverage bases replaced),
 solve_optimal's policy iteration must match the value iteration plus
-policy-iteration polish it replaced (with per-state backups), the acceptance
+policy-iteration polish it replaced (with per-state backups and dense
+evaluations), evaluate_policy and occupancy_second_moments must match the
+dense S x S solves their factored d x d solves replaced, the acceptance
 sweep configs must reproduce their pinned CSVs (wall_ms stripped), and the
 ridge estimators (PEVI, reward fit, ensemble) must reproduce their pinned
 outputs in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
@@ -33,6 +35,7 @@ from pdslab.mdp import (
     FeatureMap,
     LinearMdp,
     Policy,
+    ValueReport,
     evaluate_policy,
     make_adversarial_mdp,
     make_lowrank_mdp,
@@ -183,6 +186,10 @@ def test_coverage_bases_equal_per_start_loop(kind):
     optimal = solve_optimal(mdp)[0]
     sigmas = occupancy_second_moments(mdp, optimal)
     prebuilt = _bases_of(sigmas)
+    # no Sigma eigenvalue crosses SIGMA_RANGE_CUTOFF against the dense solve
+    dense = _bases_of(_reference_occupancy_second_moments(mdp, optimal))
+    assert [(starts.tolist(), basis.shape) for starts, basis in prebuilt.groups] == \
+        [(starts.tolist(), basis.shape) for starts, basis in dense.groups]
     behaviors = [optimal.mixed_with_uniform(0.3), Policy.uniform(mdp.num_states, mdp.num_actions)]
     for seed, behavior in enumerate(behaviors):
         dataset = sample_dataset(mdp, behavior, n, seed=seed)
@@ -231,11 +238,33 @@ def test_coverage_bases_on_rank_deficient_and_rangeless_moments():
         coverage_coefficient(dataset, make_lowrank_mdp(5, 2, dim=d, seed=1), bases)
 
 
+def _reference_evaluate_policy(mdp, policy):
+    """Exact evaluation by one dense S x S solve of (I - gamma P_pi) v = r_pi,
+    as evaluate_policy computed it before the factored d x d solve, with the
+    package's snap of rounding below 0."""
+    p_pi = np.einsum("sa,sae->se", policy.probs, mdp.transitions)
+    r_pi = np.einsum("sa,sa->s", policy.probs, mdp.rewards)
+    v = np.linalg.solve(np.eye(mdp.num_states) - mdp.gamma * p_pi, r_pi)
+    q = mdp.rewards + mdp.gamma * mdp.transitions @ v
+    return ValueReport(v=np.clip(v, 0.0, None), q=np.clip(q, 0.0, None))
+
+
+def _reference_occupancy_second_moments(mdp, policy):
+    """Every start's Sigma from one dense adjoint solve against (1-gamma) I,
+    as occupancy_second_moments computed it before the factored solve."""
+    S, d = mdp.num_states, mdp.dim
+    p_pi = np.einsum("sa,sae->se", policy.probs, mdp.transitions)
+    kappa = np.linalg.solve(np.eye(S) - mdp.gamma * p_pi.T, (1.0 - mdp.gamma) * np.eye(S))
+    phi = mdp.features.phi
+    per_state = np.einsum("sa,sad,saf->sdf", policy.probs, phi, phi).reshape(S, d * d)
+    return (kappa.T @ per_state).reshape(S, d, d)
+
+
 def _reference_solve_optimal(mdp, tol=1e-10):
     """The oracle solve_optimal replaced: value iteration backing up P @ v
     state by state until its residual is below tol*(1-gamma)/(2*gamma), then
-    a policy-iteration polish of at most 100 evaluations from the greedy
-    policy of its q."""
+    a policy-iteration polish of at most 100 dense evaluations from the
+    greedy policy of its q."""
     gamma, p, r = mdp.gamma, mdp.transitions, mdp.rewards
     threshold = np.inf if gamma == 0.0 else tol * (1.0 - gamma) / (2.0 * gamma)
     v = np.zeros(mdp.num_states)
@@ -248,7 +277,7 @@ def _reference_solve_optimal(mdp, tol=1e-10):
             break
     policy = Policy.greedy(q)
     for _ in range(100):
-        report = evaluate_policy(mdp, policy)
+        report = _reference_evaluate_policy(mdp, policy)
         improved = Policy.greedy(report.q)
         if np.array_equal(improved.probs, policy.probs):
             break
@@ -286,12 +315,64 @@ ORACLE_MDPS.update({f"far-reward-chain-S150-g{gamma}": partial(_far_reward_chain
                     for gamma in (0.9, 0.99)})
 
 
+def _assert_matches_dense(mdp, got, want):
+    """Bit for bit where the MDP keeps no kernel factor (the package then runs
+    the reference's dense solve), within 1e-12 where its d x d solve
+    reorders the arithmetic."""
+    for g, w in zip(got, want):
+        if mdp._factor is None:
+            assert np.array_equal(g, w)
+        else:
+            assert np.abs(g - w).max() <= 1e-12
+
+
 @pytest.mark.parametrize("kind", sorted(COVERAGE_MDPS) + sorted(MDPS) + sorted(ORACLE_MDPS))
 def test_solve_optimal_equals_per_state_backups(kind):
     mdp = COVERAGE_MDPS[kind][0]() if kind in COVERAGE_MDPS else {**MDPS, **ORACLE_MDPS}[kind]()
     (policy, report), (want_policy, want) = solve_optimal(mdp), _reference_solve_optimal(mdp)
     assert np.array_equal(policy.probs, want_policy.probs)
-    assert np.array_equal(report.v, want.v) and np.array_equal(report.q, want.q)
+    _assert_matches_dense(mdp, (report.v, report.q), (want.v, want.q))
+
+
+def _clipped_lowrank_mdp():
+    """A lowrank MDP (d = 2 < S = 4) whose last pair has features
+    (1 + 1e-12, -1e-12): its kernel row undershoots 0 by 5e-13 at two
+    states, inside the tolerance, so the clip changes those entries."""
+    rng = np.random.default_rng(0)
+    phi = rng.dirichlet(np.ones(2), size=(4, 2))
+    phi[3, 1] = [1.0 + 1e-12, -1e-12]
+    mu = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+    return LinearMdp(FeatureMap(phi), mu, np.array([0.5, 1.0]), gamma=0.9, r_max=1.0,
+                     init_dist=np.full(4, 0.25))
+
+
+# lowrank MDPs that keep a kernel factor: S from 6 to 400, A = 1, odd S >= 13
+FACTORED_MDPS = {
+    "lowrank-6": lambda: make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=4),
+    "lowrank-13-A1": lambda: make_lowrank_mdp(13, 1, dim=5, gamma=0.99, seed=0),
+    "lowrank-50": lambda: make_lowrank_mdp(50, 3, dim=4, gamma=0.9, seed=7),
+    "lowrank-400": lambda: make_lowrank_mdp(400, 4, dim=8, gamma=0.9, seed=3),
+}
+# MDPs whose exact solves stay dense: d >= S, S = 1, or a kernel entry clipped
+DENSE_MDPS = {
+    "chain": chain_mdp,
+    "tabular": lambda: make_tabular_mdp(7, 3, gamma=0.9, seed=11),
+    "adversarial": lambda: make_adversarial_mdp(4, dim=2, gamma=0.9),
+    "lowrank-clipped": _clipped_lowrank_mdp,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORED_MDPS) + sorted(DENSE_MDPS))
+def test_exact_solves_match_dense_reference(kind):
+    mdp = {**FACTORED_MDPS, **DENSE_MDPS}[kind]()
+    assert (mdp._factor is None) == (kind in DENSE_MDPS)
+    optimal = _reference_solve_optimal(mdp)[0]
+    assert np.array_equal(solve_optimal(mdp)[0].probs, optimal.probs)
+    for policy in (optimal, Policy.uniform(mdp.num_states, mdp.num_actions),
+                   _random_policy(mdp, mdp.num_states)):
+        got, want = evaluate_policy(mdp, policy), _reference_evaluate_policy(mdp, policy)
+        _assert_matches_dense(mdp, (got.v, got.q, occupancy_second_moments(mdp, policy)),
+                              (want.v, want.q, _reference_occupancy_second_moments(mdp, policy)))
 
 
 # the three test_11 acceptance configs; tests/golden/<name>.csv holds the

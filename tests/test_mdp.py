@@ -10,6 +10,7 @@ from pdslab.mdp import (
     LinearMdp,
     Policy,
     ValueReport,
+    _check_value_range,
     evaluate_policy,
     load_mdp,
     make_adversarial_mdp,
@@ -205,6 +206,17 @@ def test_suboptimality_range(tabular_5x3):
     assert 0.0 <= val <= tabular_5x3.v_max
 
 
+def test_suboptimality_requires_an_integer_state(tabular_5x3):
+    pol = Policy.uniform(5, 3)
+    for state in (True, False, 2.7, 2.0, "0", None, np.array([0])):
+        with pytest.raises(ValueError, match="state must be an integer"):
+            suboptimality(tabular_5x3, pol, state)
+    for state in (-1, 5):
+        with pytest.raises(ValueError, match=f"state {state} out of range"):
+            suboptimality(tabular_5x3, pol, state)
+    assert suboptimality(tabular_5x3, pol, np.int64(4)) == suboptimality(tabular_5x3, pol, 4)
+
+
 # ---- validation errors -------------------------------------------------------
 
 
@@ -284,8 +296,21 @@ def test_policy_validation_and_shape_mismatch(tabular_5x3):
         Policy(np.array([[0.5, 0.4]]))
     with pytest.raises(ValueError):
         Policy(np.array([[1.1, -0.1]]))
+    # NaN fails both the sign and the row-sum comparison, so it needs its own check
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Policy([[bad, 1.0]] * 6)
     with pytest.raises(ValueError, match="does not match"):
         evaluate_policy(tabular_5x3, Policy.uniform(4, 3))
+
+
+def test_value_range_check_rejects_non_finite_values():
+    ok = np.zeros(2), np.zeros((2, 3))
+    for v, q in ((np.array([np.nan, 0.0]), ok[1]), (ok[0], np.full((2, 3), np.nan)),
+                 (np.array([0.0, np.inf]), ok[1])):
+        with pytest.raises(ValueError, match="not finite"):
+            _check_value_range(v, q, 10.0)
+    assert all(np.array_equal(got, want) for got, want in zip(_check_value_range(*ok, 10.0), ok))
 
 
 def test_policy_helpers():
