@@ -306,7 +306,8 @@ def _cmd_sample(args) -> int:
         labeled=not args.unlabeled, seed=args.seed,
         noise=args.noise,
     )
-    write_jsonl(ds, args.out)
+    write_jsonl(ds, args.out, mdp_hash=mdp.content_hash(), seed=args.seed,
+                behavior=args.quality)
     print(f"wrote {args.out} ({len(ds)} transitions, "
           f"{'unlabeled' if args.unlabeled else 'labeled'})")
     return EXIT_OK

@@ -61,9 +61,6 @@ class OfflineDataset:
         labeled: bool,
         num_states: int,
         num_actions: int,
-        source_tag: str = "",
-        seed: int | None = None,
-        mdp_hash: str | None = None,
     ):
         states = np.array(states, dtype=np.int64, copy=True)
         actions = np.array(actions, dtype=np.int64, copy=True)
@@ -97,9 +94,6 @@ class OfflineDataset:
         self.labeled = bool(labeled)
         self.num_states = int(num_states)
         self.num_actions = int(num_actions)
-        self.source_tag = source_tag
-        self.seed = seed
-        self.mdp_hash = mdp_hash
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -114,19 +108,10 @@ class OfflineDataset:
         self.check_features(features)
         return features.matrix().take(self.states * features.num_actions + self.actions, axis=0)
 
-    def with_rewards(self, rewards, labeled: bool = True, source_tag: str | None = None) -> "OfflineDataset":
-        return OfflineDataset(
-            self.states,
-            self.actions,
-            rewards,
-            self.next_states,
-            labeled=labeled,
-            num_states=self.num_states,
-            num_actions=self.num_actions,
-            source_tag=self.source_tag if source_tag is None else source_tag,
-            seed=self.seed,
-            mdp_hash=self.mdp_hash,
-        )
+    def with_rewards(self, rewards, labeled: bool = True) -> "OfflineDataset":
+        return OfflineDataset(self.states, self.actions, rewards, self.next_states,
+                              labeled=labeled, num_states=self.num_states,
+                              num_actions=self.num_actions)
 
 
 @dataclass(frozen=True)
@@ -320,13 +305,11 @@ def sample_datasets(
         rewards = mdp.rewards[states, actions].reshape(num_seeds, n)
         if reward_noise is not None:
             rewards = np.clip(rewards + reward_noise, 0.0, mdp.r_max)
-    mdp_hash = mdp.content_hash()
     return [
         OfflineDataset(s, a, r, sp, labeled=labeled, num_states=mdp.num_states,
-                       num_actions=mdp.num_actions, seed=seed, mdp_hash=mdp_hash)
-        for seed, s, a, r, sp in zip(seeds, states.reshape(num_seeds, n),
-                                     actions.reshape(num_seeds, n), rewards,
-                                     next_states.reshape(num_seeds, n))
+                       num_actions=mdp.num_actions)
+        for s, a, r, sp in zip(states.reshape(num_seeds, n), actions.reshape(num_seeds, n),
+                               rewards, next_states.reshape(num_seeds, n))
     ]
 
 
@@ -352,8 +335,6 @@ def mix_datasets(a: OfflineDataset, b: OfflineDataset) -> OfflineDataset:
         labeled=a.labeled and b.labeled,
         num_states=a.num_states,
         num_actions=a.num_actions,
-        source_tag=f"{a.source_tag}+{b.source_tag}",
-        mdp_hash=a.mdp_hash if a.mdp_hash == b.mdp_hash else None,
     )
 
 
@@ -514,8 +495,6 @@ def exhaustive_dataset(mdp: LinearMdp, visits_per_pair: int) -> OfflineDataset:
         labeled=True,
         num_states=mdp.num_states,
         num_actions=mdp.num_actions,
-        source_tag="exhaustive",
-        mdp_hash=mdp.content_hash(),
     )
 
 
@@ -644,14 +623,13 @@ def write_transitions(path: str | Path, states, actions, rewards, next_states) -
                                              next_states.tolist()))
 
 
-def write_jsonl(dataset: OfflineDataset, path: str | Path) -> None:
-    """One {"s","a","r","sp"} object per line plus a sidecar header file."""
+def write_jsonl(dataset: OfflineDataset, path: str | Path, **provenance) -> None:
+    """One {"s","a","r","sp"} object per line plus a sidecar header file: the
+    caller's provenance fields, then the labeled flag, shape and row count."""
     rewards = np.full(len(dataset), np.nan) if dataset.rewards is None else dataset.rewards
     write_transitions(path, dataset.states, dataset.actions, rewards, dataset.next_states)
     write_header(path, {
-        "mdp_hash": dataset.mdp_hash,
-        "seed": dataset.seed,
-        "behavior": dataset.source_tag,
+        **provenance,
         "labeled": dataset.labeled,
         "num_states": dataset.num_states,
         "num_actions": dataset.num_actions,
@@ -672,7 +650,4 @@ def read_jsonl(path: str | Path) -> OfflineDataset:
         labeled=meta.get("labeled", len(states) > 0 and bool(observed.all())),
         num_states=meta.get("num_states", int(max(states.max(initial=0), next_states.max(initial=0))) + 1),
         num_actions=meta.get("num_actions", int(actions.max(initial=0)) + 1),
-        source_tag=meta.get("behavior", ""),
-        seed=meta.get("seed"),
-        mdp_hash=meta.get("mdp_hash"),
     )

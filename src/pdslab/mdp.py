@@ -226,17 +226,10 @@ class LinearMdp:
         )
 
     def content_hash(self) -> str:
-        """Stable short hash of the serialized MDP (used by dataset headers).
-
-        Serializing a large MDP is costly, and the instance is immutable, so
-        the hash is computed once and kept.
-        """
-        cached = self.__dict__.get("_content_hash")
-        if cached is None:
-            blob = json.dumps(self.to_dict(), sort_keys=True)
-            cached = hashlib.sha256(blob.encode()).hexdigest()[:16]
-            object.__setattr__(self, "_content_hash", cached)
-        return cached
+        """Stable short hash of the serialized MDP for `pdslab sample` headers;
+        it serializes every float, which is slow at large S, so no sweep calls it."""
+        blob = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def save_mdp(mdp: LinearMdp, path: str | Path) -> None:

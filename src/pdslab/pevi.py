@@ -12,21 +12,23 @@ and clamps into [0, v_max]:
     Q(s,a) = clamp(<phi(s,a), w_hat> - Gamma(s,a), 0, v_max),
     V(s) = max_a Q(s,a),  policy greedy with lowest-index ties.
 
-Lambda and Gamma depend only on the dataset, and so does the regression of
-the targets: with the next-state feature sums B[k, s'] = sum over the rows
-with s'_tau = s' of phi_tau[k], a d x S matrix,
+Lambda and Gamma depend only on the dataset's rows (s, a, s'), not on its
+rewards, and the regression of the targets splits the same way: with the
+next-state feature sums B[k, s'] = sum over the rows with s'_tau = s' of
+phi_tau[k], a d x S matrix,
 
     w_hat = w_r + gamma * Lambda^{-1} B v,   w_r = Lambda^{-1} sum_tau phi_tau r_tau.
 
 w_r and gamma * Lambda^{-1} B are built once per solve, so each sweep costs
 O(dS + SAd) and does not touch the N dataset rows. pevi_prepare reduces a
-dataset to these pieces (a PeviProblem, whose size does not depend on N),
-and pevi_lockstep runs the sweeps of many problems over one feature map
-together, each with its own convergence; pevi_solve is a batch of one, and
-a problem gives the same numbers bit for bit in any batch. For one-hot features the
-sweep map is a sup-norm contraction, but general feature maps can defeat
-that, so the returned solution carries a converged flag and the residual
-trace instead of promising a fixed point.
+row set to these pieces (a PeviProblem, whose size does not depend on N):
+Lambda, Gamma and gamma * Lambda^{-1} B once, and one w_r per reward vector
+on those rows. pevi_lockstep runs the sweeps of many problems over one
+feature map together, each with its own convergence; pevi_solve is a batch
+of one, and a problem gives the same numbers bit for bit in any batch. For
+one-hot features the sweep map is a sup-norm contraction, but general
+feature maps can defeat that, so the returned solution carries a converged
+flag and the residual trace instead of promising a fixed point.
 """
 from __future__ import annotations
 
@@ -147,28 +149,36 @@ class PeviProblem:
 
 
 def pevi_prepare(
-    dataset: OfflineDataset, features: FeatureMap, config: PeviConfig
-) -> PeviProblem:
-    """Reduce a labeled dataset to its PeviProblem; see pevi_lockstep."""
-    if not dataset.labeled:
-        raise ValueError("pevi_prepare requires a fully labeled dataset")
-    if len(dataset) == 0:
+    dataset: OfflineDataset, features: FeatureMap, config: PeviConfig, rewards
+) -> list[PeviProblem]:
+    """One PeviProblem per vector in rewards, each holding one finite
+    nonnegative reward per row of dataset, whose own rewards are not read.
+    The rows are reduced once and shared, so each vector costs one w_r solve.
+    """
+    n = len(dataset)
+    if n == 0:
         raise ValueError("pevi_prepare requires a nonempty dataset")
+    rewards = [np.asarray(r, dtype=float) for r in rewards]
+    for r in rewards:
+        if r.shape != (n,):
+            raise ValueError(f"reward vector of shape {r.shape} for {n} rows")
+        if not (np.isfinite(r).all() and (r >= 0).all()):
+            raise ValueError("reward vectors must be finite and nonnegative")
     phi = dataset.feature_rows(features)
     ridge = Ridge.from_rows(phi, config.lambda_reg)
-    bonus = config.beta * ridge.widths(features.matrix())
+    bonus = (config.beta * ridge.widths(features.matrix())).reshape(
+        features.num_states, features.num_actions)
     # B[k, s'] sums phi_k over the rows landing in s', so phi^T v(s') = B v.
     next_sums = np.stack([
         np.bincount(dataset.next_states, weights=phi[:, k], minlength=features.num_states)
         for k in range(features.dim)
     ])
-    return PeviProblem(
-        config=config,
-        lambda_matrix=ridge.matrix,
-        sweep_map=config.gamma * ridge.solve(next_sums),
-        w_reward=ridge.solve(phi.T @ dataset.rewards),
-        bonus=bonus.reshape(features.num_states, features.num_actions),
-    )
+    sweep_map = config.gamma * ridge.solve(next_sums)
+    return [
+        PeviProblem(config=config, lambda_matrix=ridge.matrix, sweep_map=sweep_map,
+                    w_reward=ridge.solve(phi.T @ r), bonus=bonus)
+        for r in rewards
+    ]
 
 
 def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
@@ -243,5 +253,9 @@ def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
 def pevi_solve(
     dataset: OfflineDataset, features: FeatureMap, config: PeviConfig
 ) -> PeviSolution:
-    """pevi_prepare then pevi_lockstep on a batch of one."""
-    return pevi_lockstep([pevi_prepare(dataset, features, config)], features)[0]
+    """pevi_prepare of a labeled dataset's own rewards, then pevi_lockstep on
+    a batch of one."""
+    if not dataset.labeled:
+        raise ValueError("pevi_solve requires a fully labeled dataset")
+    return pevi_lockstep(pevi_prepare(dataset, features, config, [dataset.rewards]),
+                         features)[0]

@@ -1,7 +1,9 @@
 """Data-sharing experiment driver: method definitions, single runs, and sweeps.
 
-A run takes a labeled dataset d0 and a reward-free dataset d1, annotates d1
-according to the method, and hands the union to the pessimistic solver:
+A run takes a labeled dataset d0 and a reward-free dataset d1, fills in d1's
+rewards according to the method (reward.fill_table), and hands the union to
+the pessimistic solver; so every method but no_share trains on the same rows
+and is only a reward vector on them:
 
     pds            lower-confidence reward (prediction minus ellipsoid width)
     uds            zero reward everywhere
@@ -12,8 +14,9 @@ according to the method, and hands the union to the pessimistic solver:
 Suboptimality is measured against the exact optimal policy, reported both
 in expectation over the initial distribution and as the worst state. Dataset
 seeds derive from the cell coordinates only, so every method inside a cell
-sees identical data. Work that does not depend on the method (reward fit,
-coverage) is done once per cell, and work that depends only on the MDP is
+sees identical data. Work that does not depend on the method is done once
+per cell: the reward fit, coverage, and the pevi_prepare reduction of each
+of its row sets (d0, and d0 then d1). Work that depends only on the MDP is
 done once per sweep: the oracle solve and the coverage bases (the range
 bases of every start's optimal occupancy moment, see data.coverage_bases),
 so a cell's coverage costs one Gram and a few batched eigvalsh per dataset.
@@ -25,11 +28,11 @@ problems with the same code run_method uses, and the batch's datasets are
 dropped before the next batch. The PEVI problems are then solved in one
 pevi_lockstep per column, or per chunk of its seeds when the column's
 stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES. Every number in a
-row is bit for bit what run_method gives for that cell alone; a row's
-wall_ms is the cell's shared work, the method's relabel + mix +
-pevi_prepare, an equal share of its lockstep solve, and its own policy
-evaluation (sampling, the oracle solve and the coverage bases are not
-counted).
+row is bit for bit what run_method gives for that cell alone. A row's
+wall_ms is the cell's shared work (reward fit, coverage), an equal share of
+its row set's reduction (the mix and pevi_prepare), its own reward vector,
+an equal share of its lockstep solve, and its own policy evaluation
+(sampling, the oracle solve and the coverage bases are not counted).
 """
 from __future__ import annotations
 
@@ -41,27 +44,23 @@ from enum import Enum
 
 import numpy as np
 
-# sample_dataset and pevi_solve are not called here, but perfbench's tracer
-# wraps them under these names, so they stay importable from this module
 from pdslab.data import (
     CoverageBases,
     OfflineDataset,
     coverage_bases,
     coverage_coefficient,
     mix_datasets,
-    sample_dataset,  # noqa: F401
     sample_datasets,
 )
 from pdslab.mdp import LinearMdp, Policy, evaluate_policy, solve_optimal
-from pdslab.pevi import (
-    PeviConfig,
-    PeviProblem,
-    pevi_lockstep,
-    pevi_prepare,
-    pevi_solve,  # noqa: F401
-    theorem_beta,
-)
-from pdslab.reward import ALPHA_MODES, fit_reward, relabel
+from pdslab.pevi import PeviConfig, PeviProblem, pevi_lockstep, pevi_prepare, theorem_beta
+from pdslab.reward import ALPHA_MODES, fill_missing, fill_table, fit_reward
+
+# the sweep does not call these, but perfbench's tracer wraps them under
+# these names, so they stay importable from this module
+from pdslab.data import sample_dataset  # noqa: F401
+from pdslab.pevi import pevi_solve  # noqa: F401
+from pdslab.reward import relabel  # noqa: F401
 
 QUALITIES = ("expert", "medium", "random")
 _EPS_GREEDY = {"expert": 0.05, "medium": 0.3}
@@ -271,10 +270,12 @@ def _prepare_methods(
     The reward fit and both coverage coefficients do not depend on the
     method, so they are computed once, against bases (the optimal policy's
     coverage_bases, built here when not given); if that shared work fails,
-    every method gets its exception. Each method then relabels d1, mixes it
-    into d0 and reduces the mixture with pevi_prepare.
+    every method gets its exception. Each method is then a reward vector on
+    one of two row sets, d0 or d0 then d1 (see the module docstring), and
+    pevi_prepare reduces each row set once for all of its vectors.
     """
     start = time.perf_counter()
+    n1 = 0 if d1 is None else len(d1)
     try:
         if not d0.labeled or len(d0) == 0:
             raise ValueError("run_method requires nonempty labeled d0")
@@ -290,37 +291,45 @@ def _prepare_methods(
             r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode,
         )
         c0 = coverage_coefficient(d0, mdp, bases).c_dagger
-        c1 = (
-            coverage_coefficient(d1, mdp, bases).c_dagger
-            if d1 is not None and len(d1) > 0 else 0.0
-        )
+        c1 = coverage_coefficient(d1, mdp, bases).c_dagger if n1 > 0 else 0.0
     except Exception as exc:  # reported per method by the caller
         return [exc] * len(methods)
     shared_s = time.perf_counter() - start
 
-    outcomes = []
-    for method in methods:
+    outcomes = {m: ValueError(f"{m.value} needs an unlabeled dataset (may be empty)")
+                for m in methods if d1 is None and m is not MethodId.NO_SHARE}
+    on_d0 = [m for m in methods if m not in outcomes and (m is MethodId.NO_SHARE or n1 == 0)]
+    on_mixed = [m for m in methods if m not in outcomes and m not in on_d0]
+
+    def mixed_rewards(method):
+        # oracle replaces every d1 reward, the others fill only the missing ones
+        observed = None if method is MethodId.ORACLE else d1.rewards
+        table = fill_table(model, mdp.features, _RELABEL_MODE[method], mdp)
+        return np.concatenate([d0.rewards, fill_missing(observed, table, d1.states, d1.actions)])
+
+    for members, rows_of, rewards_of in ((on_d0, lambda: d0, lambda m: d0.rewards),
+                                         (on_mixed, lambda: mix_datasets(d0, d1), mixed_rewards)):
+        if not members:
+            continue
         start = time.perf_counter()
         try:
-            if d1 is None and method is not MethodId.NO_SHARE:
-                raise ValueError(f"{method.value} needs an unlabeled dataset (may be empty)")
-            if method is MethodId.NO_SHARE or d1 is None or len(d1) == 0:
-                train = d0
-            else:
-                annotated = relabel(
-                    d1, model, mdp.features, mode=_RELABEL_MODE[method],
-                    mdp=mdp if method is MethodId.ORACLE else None,
-                )
-                train = mix_datasets(d0, annotated)
-            problem = pevi_prepare(train, mdp.features, pevi_cfg.config_for(mdp, len(train)))
-            outcomes.append(_Prepared(
-                method=method, problem=problem, n0=len(d0), n1=0 if d1 is None else len(d1),
-                c0=c0, c1=c1, seed=seed, optimal_v=optimal_values.v,
-                seconds=shared_s + time.perf_counter() - start,
-            ))
+            rows, rewards, own_s = rows_of(), [], []
+            for method in members:
+                vector_start = time.perf_counter()
+                rewards.append(rewards_of(method))
+                own_s.append(time.perf_counter() - vector_start)
+            config = pevi_cfg.config_for(mdp, len(rows))
+            problems = pevi_prepare(rows, mdp.features, config, rewards)
         except Exception as exc:  # reported per method by the caller
-            outcomes.append(exc)
-    return outcomes
+            outcomes.update(dict.fromkeys(members, exc))
+            continue
+        share_s = (time.perf_counter() - start - sum(own_s)) / len(members)
+        for method, problem, vector_s in zip(members, problems, own_s):
+            outcomes[method] = _Prepared(
+                method=method, problem=problem, n0=len(d0), n1=n1, c0=c0, c1=c1, seed=seed,
+                optimal_v=optimal_values.v, seconds=shared_s + share_s + vector_s,
+            )
+    return [outcomes[method] for method in methods]
 
 
 def _solve_prepared(mdp: LinearMdp, outcomes: list) -> list:

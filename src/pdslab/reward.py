@@ -149,6 +149,23 @@ def fill_missing(rewards, table: np.ndarray, states, actions) -> np.ndarray:
     return fills if rewards is None else np.where(np.isnan(rewards), fills, rewards)
 
 
+def fill_table(
+    model: RewardModel, features: FeatureMap, mode: str, mdp: LinearMdp | None = None
+) -> np.ndarray:
+    """The (S, A) reward table a relabel mode fills missing rewards from."""
+    if mode not in RELABEL_MODES:
+        raise ValueError(f"mode must be one of {RELABEL_MODES}, got {mode!r}")
+    if mode == "oracle":
+        if mdp is None:
+            raise ValueError("mode='oracle' requires the true mdp")
+        return mdp.rewards
+    if mode == "uds":
+        return np.zeros((features.num_states, features.num_actions))
+    if mode == "predict":
+        return np.clip(predicted_table(model, features), 0.0, model.r_max)
+    return pessimistic_table(model, features)
+
+
 def relabel(
     unlabeled: OfflineDataset,
     model: RewardModel,
@@ -156,29 +173,16 @@ def relabel(
     mode: str,
     mdp: LinearMdp | None = None,
 ) -> OfflineDataset:
-    """Annotate missing rewards and return a labeled dataset.
+    """Annotate missing rewards from fill_table and return a labeled dataset.
 
     Observed labels are kept in modes pds/uds/predict; oracle replaces
     everything with the true <phi, theta>.
     """
-    if mode not in RELABEL_MODES:
-        raise ValueError(f"mode must be one of {RELABEL_MODES}, got {mode!r}")
+    table = fill_table(model, features, mode, mdp)
     unlabeled.check_features(features)
-    if mode == "oracle":
-        if mdp is None:
-            raise ValueError("mode='oracle' requires the true mdp")
-        fill_table = mdp.rewards
-    elif mode == "uds":
-        fill_table = np.zeros((features.num_states, features.num_actions))
-    elif mode == "predict":
-        fill_table = np.clip(predicted_table(model, features), 0.0, model.r_max)
-    else:
-        fill_table = pessimistic_table(model, features)
-
     observed = None if mode == "oracle" else unlabeled.rewards
-    new_rewards = fill_missing(observed, fill_table, unlabeled.states, unlabeled.actions)
-    tag = f"{unlabeled.source_tag}|{mode}" if unlabeled.source_tag else mode
-    return unlabeled.with_rewards(new_rewards, labeled=True, source_tag=tag)
+    return unlabeled.with_rewards(
+        fill_missing(observed, table, unlabeled.states, unlabeled.actions), labeled=True)
 
 
 def confidence_coverage_trial(

@@ -373,6 +373,19 @@ def test_gen_mdp_and_sample(tmp_path):
                            "--out", str(tmp_path / "n.jsonl")]) == 2
 
 
+def test_sample_header_records_its_provenance(tmp_path):
+    mdp_path = str(tmp_path / "m.json")
+    assert entrypoint(["gen-mdp", "--kind", "lowrank", "--states", "5", "--actions", "3",
+                       "--dim", "2", "--seed", "7", "--out", mdp_path]) == 0
+    data_path = tmp_path / "d.jsonl"
+    assert entrypoint(["sample", "--mdp", mdp_path, "--n", "12", "--quality", "expert",
+                       "--seed", "4", "--out", str(data_path)]) == 0
+    header = json.loads(header_path(data_path).read_text())
+    assert header == {"mdp_hash": load_mdp(mdp_path).content_hash(), "seed": 4,
+                      "behavior": "expert", "labeled": True, "num_states": 5,
+                      "num_actions": 3, "n": 12}
+
+
 def test_gen_mdp_kind_flag_mismatches_exit_2(tmp_path):
     out = str(tmp_path / "m.json")
     assert entrypoint(["gen-mdp", "--kind", "tabular", "--states", "4",

@@ -452,8 +452,8 @@ def _estimator_outputs(case):
     sol = pevi_solve(ds, feats, cfg)
     model = fit_reward(ds, feats, nu=2.0)
     # the Bellman ridge regression of r + gamma * v(s') at one fixed v
-    regress = pevi_prepare(ds, feats, PeviConfig(lambda_reg=0.5, beta=0.0, gamma=mdp.gamma,
-                                                 v_max=cfg.v_max))
+    (regress,) = pevi_prepare(ds, feats, PeviConfig(lambda_reg=0.5, beta=0.0, gamma=mdp.gamma,
+                                                    v_max=cfg.v_max), [ds.rewards])
     empty = fit_reward(OfflineDataset([], [], [], [], labeled=True, num_states=mdp.num_states,
                                       num_actions=mdp.num_actions), feats, nu=2.0)
     out = {

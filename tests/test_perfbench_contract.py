@@ -3,11 +3,12 @@
 fails in Tracer.install before it measures anything.
 
 test_every_traced_name_exists guards only the names. It does not check that
-the sweep still calls what they name: pipeline.sample_dataset and
-pipeline.pevi_solve stay importable for the tracer, but the sweep calls
-sample_datasets and pevi_lockstep, so the traced data.sample_dataset.* and
-pevi.* metrics read 0 on the sweep workloads until the tracer wraps the
-batched functions. The coverage layer is checked through a traced sweep."""
+the sweep still calls what they name: pipeline.sample_dataset,
+pipeline.pevi_solve and pipeline.relabel stay importable for the tracer, but
+the sweep calls sample_datasets, pevi_lockstep and fill_table, so the traced
+data.sample_dataset.*, pevi.* and reward.relabel.* metrics read 0 on the
+sweep workloads until the tracer wraps what the sweep calls. The coverage
+layer is checked through a traced sweep."""
 import importlib.util
 from pathlib import Path
 

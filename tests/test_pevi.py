@@ -38,7 +38,8 @@ def _uniform_data(mdp, n, seed=0, labeled=True):
 
 def _prepared(ds, features, lambda_reg, gamma=0.0):
     cfg = PeviConfig(lambda_reg=lambda_reg, beta=0.0, gamma=gamma, v_max=1.0)
-    return pevi_prepare(ds, features, cfg)
+    (problem,) = pevi_prepare(ds, features, cfg, [ds.rewards])
+    return problem
 
 
 def _gram(ds, features, lambda_reg):
@@ -142,9 +143,30 @@ def test_regress_matches_dense_inverse_oracle():
 def test_regress_argument_errors():
     mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
     unlab = _uniform_data(mdp, 5, labeled=False)
+    cfg = PeviConfig(lambda_reg=1.0, beta=0.0, gamma=0.9, v_max=10.0)
     for ds in (unlab, mix_datasets(_uniform_data(mdp, 5), unlab)):
         with pytest.raises(ValueError, match="fully labeled"):
-            _regress(ds, mdp.features, np.zeros(4), lambda_reg=1.0, gamma=0.9)
+            pevi_solve(ds, mdp.features, cfg)
+
+
+@pytest.mark.parametrize("rewards,match", [
+    ([0.1] * 4, "shape"),
+    ([[0.1] * 5], "shape"),
+    ([0.1, 0.2, np.nan, 0.0, 0.3], "finite"),
+    ([0.1, np.inf, 0.2, 0.0, 0.3], "finite"),
+    ([0.1, 0.2, -1e-300, 0.0, 0.3], "nonnegative"),
+    (None, "nonempty"),
+])
+def test_prepare_rejects_bad_reward_vectors(rewards, match):
+    mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
+    ds = _uniform_data(mdp, 5, labeled=False)
+    if rewards is None:  # an empty dataset, with its one empty reward vector
+        ds, rewards = OfflineDataset([], [], None, [], labeled=False, num_states=4,
+                                     num_actions=2), []
+    cfg = PeviConfig(lambda_reg=1.0, beta=0.0, gamma=0.9, v_max=10.0)
+    good = np.full(len(ds), 0.5)
+    with pytest.raises(ValueError, match=match):
+        pevi_prepare(ds, mdp.features, cfg, [good, rewards])
 
 
 def test_weight_norm_bound_on_every_sweep():
@@ -375,7 +397,7 @@ def test_lockstep_batch_equals_each_problem_alone():
         cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=beta, lambda_reg=0.7,
                                  max_sweeps=max_sweeps)
         cases.append((ds, cfg))
-    problems = [pevi_prepare(ds, mdp.features, cfg) for ds, cfg in cases]
+    problems = [pevi_prepare(ds, mdp.features, cfg, [ds.rewards])[0] for ds, cfg in cases]
     batch = pevi_lockstep(problems, mdp.features)
     assert len(batch) == len(cases)
     for (ds, cfg), problem, got in zip(cases, problems, batch):
@@ -397,12 +419,13 @@ def test_lockstep_edge_cases():
     mdp = make_lowrank_mdp(5, 3, dim=2, gamma=0.9, seed=21)
     assert pevi_lockstep([], mdp.features) == []
     cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=0.5)
-    problem = pevi_prepare(_uniform_data(mdp, 50), mdp.features, cfg)
+    data = _uniform_data(mdp, 50)
+    (problem,) = pevi_prepare(data, mdp.features, cfg, [data.rewards])
     other = make_lowrank_mdp(6, 3, dim=2, gamma=0.9, seed=21)
     with pytest.raises(ValueError, match="shape"):
         pevi_lockstep([problem], other.features)
     with pytest.raises(ValueError, match="fully labeled"):
-        pevi_prepare(_uniform_data(mdp, 50, labeled=False), mdp.features, cfg)
+        pevi_solve(_uniform_data(mdp, 50, labeled=False), mdp.features, cfg)
 
 
 # ------------------------------------------------------------ presets, config

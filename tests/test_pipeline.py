@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from pdslab.data import OfflineDataset, mix_datasets, sample_dataset
-from pdslab.mdp import Policy, make_lowrank_mdp, solve_optimal
-from pdslab.pevi import pevi_solve
+from pdslab.mdp import Policy, make_lowrank_mdp, make_tabular_mdp, solve_optimal
+from pdslab.pevi import pevi_prepare, pevi_solve
 from pdslab.pipeline import (
     CSV_HEADER,
     MethodId,
@@ -18,6 +18,7 @@ from pdslab.pipeline import (
     run_method,
     sweep,
 )
+from pdslab.reward import fit_reward, relabel
 
 ALL_METHODS = tuple(MethodId)
 
@@ -235,6 +236,97 @@ def test_seed_batches_do_not_change_rows(monkeypatch):
     for report in (together, chunked, apart):
         assert _strip_wall(results_to_csv(report.results)) == want
         assert all(r.wall_time_ms > 0 for r in report.results)
+
+
+# the relabel mode of each sharing method, for the reference below
+REFERENCE_MODES = {MethodId.PDS: "pds", MethodId.UDS: "uds",
+                   MethodId.REWARD_PREDICT: "predict", MethodId.ORACLE: "oracle"}
+PROBLEM_FIELDS = ("lambda_matrix", "sweep_map", "w_reward", "bonus")
+
+
+def _reference_problem(mdp, d0, d1, method, model, pevi_cfg):
+    """The method's PeviProblem built for it alone: d1 relabeled and mixed
+    into d0, or d0 alone, reduced with its own rewards."""
+    train = d0
+    if method is not MethodId.NO_SHARE and len(d1) > 0:
+        train = mix_datasets(d0, relabel(d1, model, mdp.features, REFERENCE_MODES[method], mdp))
+    (problem,) = pevi_prepare(train, mdp.features, pevi_cfg.config_for(mdp, len(train)),
+                              [train.rewards])
+    return problem
+
+
+def _assert_same_problem(got, want):
+    assert got.config == want.config
+    for name in PROBLEM_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=59),
+    lambda: make_tabular_mdp(5, 2, gamma=0.9, seed=61),
+], ids=["lowrank", "tabular"])
+def test_sweep_problems_equal_relabel_and_mix_reference(monkeypatch, make):
+    import pdslab.pipeline as pipeline
+    from pdslab.pipeline import _cell_seeds
+
+    mdp = make()
+    grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS, seeds=(0, 1),
+                     noise=True, reward=RewardSettings(nu=2.0), pevi=PeviSettings(c=0.05))
+    built, real = [], pipeline.pevi_lockstep
+
+    def recording(problems, features):
+        built.extend(problems)
+        return real(problems, features)
+
+    monkeypatch.setattr(pipeline, "pevi_lockstep", recording)
+    assert not sweep(mdp, grid).failures
+    oracle = solve_optimal(mdp)
+    pi0 = behavior_policy(mdp, "medium", oracle[0])
+    pi1 = behavior_policy(mdp, "expert", oracle[0])
+    want = []
+    for n1 in grid.n1_values:
+        for seed in grid.seeds:
+            d0_seed, d1_seed = _cell_seeds(seed, 40, n1, grid)
+            d0 = sample_dataset(mdp, pi0, n=40, seed=d0_seed, noise=True)
+            d1 = (sample_dataset(mdp, pi1, n=n1, seed=d1_seed, labeled=False) if n1 else
+                  _empty_unlabeled(mdp))
+            model = fit_reward(d0, mdp.features, nu=2.0, r_max=mdp.r_max)
+            want += [_reference_problem(mdp, d0, d1, m, model, grid.pevi) for m in ALL_METHODS]
+    assert len(built) == len(want) == 20
+    for got, expected in zip(built, want):
+        _assert_same_problem(got, expected)
+
+
+def test_partly_labeled_d1_matches_relabel_reference():
+    # oracle replaces d1's observed rewards too; the other methods keep them
+    from pdslab.pipeline import _prepare_methods
+
+    mdp = _mdp(seed=67)
+    d0, d1 = _pair(mdp, n0=30, n1=20, noise=True)
+    observed = np.where(np.arange(20) % 3 == 0, 0.5, np.nan)
+    d1 = d1.with_rewards(observed, labeled=False)
+    pevi_cfg = PeviSettings(beta_override=0.4)
+    prepared = _prepare_methods(mdp, d0, d1, ALL_METHODS, RewardSettings(), pevi_cfg, 0, None)
+    model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
+    for method, got in zip(ALL_METHODS, prepared):
+        assert got.method is method
+        _assert_same_problem(got.problem,
+                             _reference_problem(mdp, d0, d1, method, model, pevi_cfg))
+
+
+def test_missing_d1_fails_only_the_sharing_methods():
+    from pdslab.pipeline import _prepare_methods
+
+    mdp = _mdp(seed=71)
+    d0, _ = _pair(mdp, n0=30, n1=1)
+    pevi_cfg = PeviSettings(beta_override=0.4)
+    pds, no_share = _prepare_methods(mdp, d0, None, (MethodId.PDS, MethodId.NO_SHARE),
+                                     RewardSettings(), pevi_cfg, 0, None)
+    assert isinstance(pds, ValueError) and "pds needs an unlabeled dataset" in str(pds)
+    assert no_share.method is MethodId.NO_SHARE and no_share.n1 == 0
+    model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
+    _assert_same_problem(no_share.problem, _reference_problem(
+        mdp, d0, _empty_unlabeled(mdp), MethodId.NO_SHARE, model, pevi_cfg))
 
 
 def test_methods_never_perturb_cell_data():

@@ -181,7 +181,6 @@ def test_relabel_pds_never_exceeds_predict():
     pds = relabel(unlab, model, mdp.features, mode="pds")
     pred = relabel(unlab, model, mdp.features, mode="predict")
     assert np.all(pds.rewards <= pred.rewards + 1e-12)
-    assert pds.source_tag == "pds"
     # observed labels are kept, not overwritten by the pessimistic fill
     kept = relabel(lab, model, mdp.features, mode="pds")
     assert np.array_equal(kept.rewards, lab.rewards)
