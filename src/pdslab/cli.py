@@ -198,13 +198,30 @@ def build_mdp(spec: dict):
     return make_adversarial_mdp(**args)
 
 
+def _writable(path: str, name: str) -> Path:
+    """path as a Path, checked before any work to be a file that can be
+    written: its directory exists and it is not itself a directory. name
+    is the argument or field that gave it, for the message."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"{name} directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ConfigError(f"{name} {out} is a directory")
+    return out
+
+
+def _readable(path: str, name: str) -> Path:
+    """path as a Path, checked before any work to be an existing file."""
+    inp = Path(path)
+    if not inp.is_file():
+        raise ConfigError(f"{name} {inp} is not a file" if inp.exists()
+                          else f"{name} {inp} does not exist")
+    return inp
+
+
 def _output_paths(output: str) -> tuple[Path, Path]:
     """The CSV path and its markdown summary's path, checked before any cell runs."""
-    out = Path(output)
-    if not out.parent.is_dir():
-        raise ConfigError(f"output directory {out.parent} does not exist")
-    if out.is_dir():
-        raise ConfigError(f"output {out} is a directory")
+    out = _writable(output, "output")
     md_path = out.with_suffix(".md")
     if md_path == out:
         raise ConfigError(f"output {out} must not end in .md: its markdown summary "
@@ -274,6 +291,7 @@ def emit_table(csv_path: str | Path, group_by=("method", "n1")) -> str:
 
 
 def _cmd_gen_mdp(args) -> int:
+    _writable(args.out, "--out")
     spec = {"kind": args.kind, "gamma": args.gamma, "r_max": args.r_max}
     if args.kind == "adversarial":
         if args.states is not None:
@@ -299,7 +317,8 @@ def _cmd_gen_mdp(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    mdp = load_mdp(args.mdp)
+    _writable(args.out, "--out")
+    mdp = load_mdp(_readable(args.mdp, "--mdp"))
     policy = behavior_policy(mdp, args.quality)
     ds = sample_dataset(
         mdp, policy, n=args.n, horizon_reset=args.horizon_reset,
@@ -318,7 +337,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
-    model = load_ensemble(args.model)
+    inp, out = _readable(args.inp, "--in"), _writable(args.out, "--out")
+    model = load_ensemble(_readable(args.model, "--model"))
     if args.ensemble_size is not None and args.ensemble_size != model.l_count:
         raise ConfigError(
             f"--L {args.ensemble_size} does not match the model's {model.l_count} members"
@@ -332,21 +352,21 @@ def _cmd_relabel(args) -> int:
             raise ConfigError(f"--k must be 'auto' or a number, got {args.k!r}") from exc
     else:
         k_mode = "auto"
-    summary = relabel_file(args.inp, args.out, model, k_mode=k_mode,
-                           estimator=args.estimator)
+    summary = relabel_file(inp, out, model, k_mode=k_mode, estimator=args.estimator)
     print(json.dumps(summary))
     return EXIT_OK
 
 
 def _cmd_fit_ensemble(args) -> int:
-    mdp = load_mdp(args.mdp)
-    ds = read_jsonl(args.inp)
+    inp, out = _readable(args.inp, "--in"), _writable(args.out, "--out")
+    mdp = load_mdp(_readable(args.mdp, "--mdp"))
+    ds = read_jsonl(inp)
     model = fit_ensemble(
         ds, mdp.features, ensemble_size=args.ensemble_size, nu=args.nu,
         seed=args.seed, penalty_k=args.k, auto_a=args.a, epsilon=args.epsilon,
     )
-    save_ensemble(model, args.out)
-    print(f"wrote {args.out} ({model.l_count} members)")
+    save_ensemble(model, out)
+    print(f"wrote {out} ({model.l_count} members)")
     return EXIT_OK
 
 
@@ -388,7 +408,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_table(args) -> int:
     group_by = args.group_by.split(",")
-    print(emit_table(args.csv, group_by=group_by), end="")
+    print(emit_table(_readable(args.csv, "--csv"), group_by=group_by), end="")
     return EXIT_OK
 
 

@@ -19,14 +19,17 @@ block, which counts exactly the same entries.
 
 Transition files hold one {"s", "a", "r", "sp"} JSON object per line.
 read_transitions reads them in blocks of whole lines: a block of canonical
-lines, exactly as write_transitions emits them, is parsed with one regex pass
-and converted with int and float, which is what json does for those tokens;
+lines, exactly as write_transitions emits them, is checked with one regex
+fullmatch and parsed with one np.loadtxt, whose C parser reads ids as int64
+and rewards as float() does, which is what json does for those tokens;
 every other block, and a canonical block with an out-of-range reward, goes
 through the per-line json parser, which alone defines an accepted line and
-words the errors.
+words the errors. write_transitions renders rows in blocks and reprs each
+distinct reward of a block once.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -42,6 +45,12 @@ from pdslab.mdp import FeatureMap, LinearMdp, Policy, _apply_resolvent
 SIGMA_RANGE_CUTOFF = 1e-10  # eigenvalues of Sigma below this are treated as null space
 DEFAULT_NOISE_FRACTION = 0.1  # sigma = 0.1 * r_max when noise is requested without a scale
 NEGATIVE_REWARD_TOL = 1e-12  # rewards down to -tol count as rounding of 0 and clip to 0
+
+
+def check_shape(num_states: int, num_actions: int, features: FeatureMap) -> None:
+    """Raise unless features has a row for every (s, a) of a dataset of this shape."""
+    if features.num_states < num_states or features.num_actions < num_actions:
+        raise ValueError("dataset shape exceeds feature table shape")
 
 
 class OfflineDataset:
@@ -100,8 +109,7 @@ class OfflineDataset:
 
     def check_features(self, features: FeatureMap) -> None:
         """Raise unless features has a row for every (s, a) this dataset can hold."""
-        if features.num_states < self.num_states or features.num_actions < self.num_actions:
-            raise ValueError("dataset shape exceeds feature table shape")
+        check_shape(self.num_states, self.num_actions, features)
 
     def feature_rows(self, features: FeatureMap) -> np.ndarray:
         """phi(s_tau, a_tau) stacked into an (N, d) matrix."""
@@ -532,13 +540,19 @@ def write_header(path: str | Path, meta: dict) -> None:
 
 # readlines hint: blocks this small stay in cache, and read faster than 1 MiB blocks
 _READ_BLOCK_CHARS = 1 << 14
-_ID = r"(0|[1-9][0-9]{0,17})"  # no leading zero and at most 18 digits, so it fits int64
+_ID = r"(?:0|[1-9][0-9]{0,17})"  # no leading zero and at most 18 digits, so it fits int64
 # a line exactly as write_transitions emits it: ids as above, r null or a float
-# token with a fraction or an exponent, which float() reads as json does
-_CANONICAL_LINE = re.compile(
-    r'^\{"s": ' + _ID + r', "a": ' + _ID
-    + r', "r": (null|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
-    + r', "sp": ' + _ID + r'\}$', re.M)
+# token with a fraction or an exponent, which float() and np.loadtxt read as json does
+_CANONICAL_LINE = (
+    r'\{"s": ' + _ID + r', "a": ' + _ID
+    + r', "r": (?:null|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
+    + r', "sp": ' + _ID + r'\}')
+_CANONICAL_BLOCK = re.compile("(?:" + _CANONICAL_LINE + "\n)*")
+# deleting these from a canonical line leaves its four tokens and the commas between them
+_KEY_CHARS = str.maketrans("", "", '{}":sarp ')
+_RECORD = np.dtype([("s", np.int64), ("a", np.int64), ("r", np.float64), ("sp", np.int64)])
+# write_transitions renders this many rows per block
+_WRITE_BLOCK_ROWS = 1 << 14
 
 
 def read_transitions(path: str | Path):
@@ -550,9 +564,12 @@ def read_transitions(path: str | Path):
     record's 1-based line number) come back as int64, rewards as float, unclipped.
 
     The file is read in blocks of whole lines (readlines with a hint of
-    _READ_BLOCK_CHARS). A block whose every line is canonical is parsed with
-    one regex pass; any other block goes through the per-line json parser,
-    _append_lines, which alone defines what is accepted and words the errors.
+    _READ_BLOCK_CHARS). A block of newline-terminated canonical lines, which
+    one fullmatch of _CANONICAL_BLOCK accepts, is stripped to its tokens and
+    parsed with one np.loadtxt, whose C parser reads each float with
+    PyOS_string_to_double, as float() and json do; any other block goes
+    through the per-line json parser, _append_lines, which alone defines what
+    is accepted and words the errors.
     """
     columns = (array("q"), array("q"), array("d"), array("q"), array("q"))
     lineno = 1
@@ -567,20 +584,18 @@ def read_transitions(path: str | Path):
 def _append_canonical(lines: list, first_lineno: int, columns) -> bool:
     """Append a block of canonical lines to the columns; False, appending
     nothing, when some line is not canonical or its reward is out of range."""
-    rows = _CANONICAL_LINE.findall("".join(lines))
-    if len(rows) != len(lines):  # a match spans one whole line, so some line did not match
+    text = "".join(lines)
+    if not _CANONICAL_BLOCK.fullmatch(text):
         return False
-    s, a, r, sp = zip(*rows)
-    rewards = array("d", map(float, " ".join(r).replace("null", "nan").split()))  # null is NaN
-    values = np.frombuffer(rewards)
-    if ((values < -NEGATIVE_REWARD_TOL) | (values == np.inf)).any():
+    tokens = text.translate(_KEY_CHARS).replace("null", "nan")  # null is NaN
+    rows = np.loadtxt(io.StringIO(tokens), dtype=_RECORD, delimiter=",", comments=None,
+                      ndmin=1)
+    rewards = rows["r"]
+    if ((rewards < -NEGATIVE_REWARD_TOL) | (rewards == np.inf)).any():
         return False
-    states, actions, all_rewards, next_states, linenos = columns
-    states.extend(map(int, s))
-    actions.extend(map(int, a))
-    all_rewards.extend(rewards)
-    next_states.extend(map(int, sp))
-    linenos.extend(range(first_lineno, first_lineno + len(lines)))
+    linenos = np.arange(first_lineno, first_lineno + len(lines), dtype=np.int64)
+    for column, values in zip(columns, [rows[name] for name in _RECORD.names] + [linenos]):
+        column.frombytes(values.tobytes())
     return True
 
 
@@ -615,12 +630,22 @@ def write_transitions(path: str | Path, states, actions, rewards, next_states) -
     """One {"s","a","r","sp"} line per record of the column arrays, NaN rewards as null.
 
     Floats are written as repr(float), so each line is byte for byte what
-    json.dumps writes for the same record.
+    json.dumps writes for the same record. Rows are rendered in blocks of
+    _WRITE_BLOCK_ROWS: each block reprs each distinct reward once, telling
+    rewards apart by their bit pattern, which keeps -0.0 apart from 0.0 and
+    every NaN apart from every number.
     """
+    rewards = np.asarray(rewards, dtype=np.float64)
     with Path(path).open("w") as fh:
-        fh.writelines(f'{{"s": {s}, "a": {a}, "r": {"null" if r != r else repr(r)}, "sp": {sp}}}\n'
-                      for s, a, r, sp in zip(states.tolist(), actions.tolist(), rewards.tolist(),
-                                             next_states.tolist()))
+        for lo in range(0, len(rewards), _WRITE_BLOCK_ROWS):
+            hi = lo + _WRITE_BLOCK_ROWS
+            bits, which = np.unique(rewards[lo:hi].view(np.int64), return_inverse=True)
+            tokens = np.array(["null" if r != r else repr(r)
+                               for r in bits.view(np.float64).tolist()], dtype=object)
+            fh.writelines(f'{{"s": {s}, "a": {a}, "r": {r}, "sp": {sp}}}\n'
+                          for s, a, r, sp in zip(states[lo:hi].tolist(), actions[lo:hi].tolist(),
+                                                 tokens[which].tolist(),
+                                                 next_states[lo:hi].tolist()))
 
 
 def write_jsonl(dataset: OfflineDataset, path: str | Path, **provenance) -> None:

@@ -28,7 +28,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from pdslab.data import read_header, read_transitions, write_header, write_transitions
+from pdslab.data import (
+    check_shape,
+    read_header,
+    read_transitions,
+    write_header,
+    write_transitions,
+)
 from pdslab.mdp import FeatureMap
 from pdslab.reward import fill_missing
 from pdslab.ridge import Ridge
@@ -215,12 +221,16 @@ def relabel_file(
     is rewritten as repr(float), so {"s": 1, "a": 0, "r": 0.50, "sp": 2,
     "episode": 7} comes out as {"s": 1, "a": 0, "r": 0.5, "sp": 2}. Returns
     a summary with the row counts, the k actually used, and the written
-    rewards' mean/min/max.
+    rewards' mean/min/max. The input's sidecar header, if any, is copied
+    with "labeled": true; a header shape or a row that the model's feature
+    table does not cover raises ValueError before anything is written.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     states, actions, rewards, next_states, linenos = read_transitions(input_path)
     meta = read_header(input_path, len(states))
+    if meta is not None:  # the labeled file keeps this shape, so the model must cover it
+        check_shape(meta.get("num_states", 0), meta.get("num_actions", 0), model.features)
     num_states = model.features.num_states
     bad = ((states < 0) | (states >= num_states)
            | (actions < 0) | (actions >= model.features.num_actions))

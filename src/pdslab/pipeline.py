@@ -28,11 +28,14 @@ problems with the same code run_method uses, and the batch's datasets are
 dropped before the next batch. The PEVI problems are then solved in one
 pevi_lockstep per column, or per chunk of its seeds when the column's
 stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES. Every number in a
-row is bit for bit what run_method gives for that cell alone. A row's
-wall_ms is the cell's shared work (reward fit, coverage), an equal share of
-its row set's reduction (the mix and pevi_prepare), its own reward vector,
-an equal share of its lockstep solve, and its own policy evaluation
-(sampling, the oracle solve and the coverage bases are not counted).
+row is bit for bit what run_method gives for that cell alone. Methods that
+train on the same rows with the same rewards, which is every method of a
+cell whose d1 is empty, share one PEVI problem, solved and evaluated once.
+A row's wall_ms is the cell's shared work (reward fit, coverage), an equal
+share of its row set's reduction (the mix and pevi_prepare), its own reward
+vector, an equal share of its lockstep solve, and its own policy
+evaluation, the last three divided among the methods that share the
+problem (sampling, the oracle solve and the coverage bases are not counted).
 """
 from __future__ import annotations
 
@@ -272,7 +275,9 @@ def _prepare_methods(
     coverage_bases, built here when not given); if that shared work fails,
     every method gets its exception. Each method is then a reward vector on
     one of two row sets, d0 or d0 then d1 (see the module docstring), and
-    pevi_prepare reduces each row set once for all of its vectors.
+    pevi_prepare reduces each row set once for all of its vectors. The
+    methods on d0 all train on d0.rewards, so their _Prepared hold one
+    problem, which _solve_prepared solves once.
     """
     start = time.perf_counter()
     n1 = 0 if d1 is None else len(d1)
@@ -307,74 +312,101 @@ def _prepare_methods(
         table = fill_table(model, mdp.features, _RELABEL_MODE[method], mdp)
         return np.concatenate([d0.rewards, fill_missing(observed, table, d1.states, d1.actions)])
 
-    for members, rows_of, rewards_of in ((on_d0, lambda: d0, lambda m: d0.rewards),
-                                         (on_mixed, lambda: mix_datasets(d0, d1), mixed_rewards)):
-        if not members:
+    # each row set with its reward vectors, each vector with the methods that
+    # train on it: every method on d0 shares d0.rewards, and with it one problem
+    row_sets = (
+        (lambda: d0, [(on_d0, lambda: d0.rewards)] if on_d0 else []),
+        (lambda: mix_datasets(d0, d1),
+         [([m], lambda m=m: mixed_rewards(m)) for m in on_mixed]),
+    )
+    for rows_of, vectors in row_sets:
+        if not vectors:
             continue
         start = time.perf_counter()
         try:
             rows, rewards, own_s = rows_of(), [], []
-            for method in members:
+            for _, vector_of in vectors:
                 vector_start = time.perf_counter()
-                rewards.append(rewards_of(method))
+                rewards.append(vector_of())
                 own_s.append(time.perf_counter() - vector_start)
             config = pevi_cfg.config_for(mdp, len(rows))
             problems = pevi_prepare(rows, mdp.features, config, rewards)
         except Exception as exc:  # reported per method by the caller
-            outcomes.update(dict.fromkeys(members, exc))
+            for sharing, _ in vectors:
+                outcomes.update(dict.fromkeys(sharing, exc))
             continue
-        share_s = (time.perf_counter() - start - sum(own_s)) / len(members)
-        for method, problem, vector_s in zip(members, problems, own_s):
-            outcomes[method] = _Prepared(
-                method=method, problem=problem, n0=len(d0), n1=n1, c0=c0, c1=c1, seed=seed,
-                optimal_v=optimal_values.v, seconds=shared_s + share_s + vector_s,
-            )
+        members = sum(len(sharing) for sharing, _ in vectors)
+        share_s = (time.perf_counter() - start - sum(own_s)) / members
+        for (sharing, _), problem, vector_s in zip(vectors, problems, own_s):
+            for method in sharing:
+                outcomes[method] = _Prepared(
+                    method=method, problem=problem, n0=len(d0), n1=n1, c0=c0, c1=c1,
+                    seed=seed, optimal_v=optimal_values.v,
+                    seconds=shared_s + share_s + vector_s / len(sharing),
+                )
     return [outcomes[method] for method in methods]
 
 
 def _solve_prepared(mdp: LinearMdp, outcomes: list) -> list:
-    """Solve every _Prepared in outcomes with one pevi_lockstep, then evaluate
-    each policy exactly; returns outcomes with each _Prepared replaced by its
-    RunResult or the raised exception.
+    """Solve each distinct problem of the _Prepared in outcomes once, all in
+    one pevi_lockstep, then evaluate each solution's policy exactly; returns
+    outcomes with each _Prepared replaced by its RunResult or the raised
+    exception.
 
-    A row's wall time is its _Prepared seconds, an equal share of the
-    lockstep solve, and its own evaluation.
+    Methods that share a problem (every method of a cell whose d1 is empty)
+    share its solve and evaluation. A row's wall time is its _Prepared
+    seconds, an equal share of the lockstep solve per distinct problem and
+    its own evaluation, each of the last two divided among the methods that
+    share the problem.
     """
-    pending = [i for i, o in enumerate(outcomes) if isinstance(o, _Prepared)]
+    sharing: dict = {}  # id(problem) -> indices of the outcomes that hold it
+    for i, o in enumerate(outcomes):
+        if isinstance(o, _Prepared):
+            sharing.setdefault(id(o.problem), []).append(i)
+    groups = list(sharing.values())
     start = time.perf_counter()
     try:
-        solutions = pevi_lockstep([outcomes[i].problem for i in pending], mdp.features)
+        solutions = pevi_lockstep([outcomes[g[0]].problem for g in groups], mdp.features)
     except Exception as exc:  # reported per method by the caller
-        solutions = [exc] * len(pending)
-    share_s = (time.perf_counter() - start) / max(len(pending), 1)
+        solutions = [exc] * len(groups)
+    share_s = (time.perf_counter() - start) / max(len(groups), 1)
 
     outcomes = list(outcomes)
-    for i, solution in zip(pending, solutions):
-        if isinstance(solution, Exception):
-            outcomes[i] = solution
-            continue
-        prep, start = outcomes[i], time.perf_counter()
-        try:
-            gaps = prep.optimal_v - evaluate_policy(mdp, solution.policy).v
-            outcomes[i] = RunResult(
-                method=prep.method,
-                n0=prep.n0,
-                n1=prep.n1,
-                c0_dagger=prep.c0,
-                c1_dagger=prep.c1,
-                gamma=mdp.gamma,
-                dim=mdp.dim,
-                seed=prep.seed,
-                subopt_mean=float(mdp.init_dist @ gaps),
-                subopt_max=float(gaps.max()),
-                v_hat_start=float(mdp.init_dist @ solution.v_hat),
-                wall_time_ms=(prep.seconds + share_s + time.perf_counter() - start) * 1e3,
-                converged=solution.converged,
-                policy_actions=tuple(int(a) for a in np.argmax(solution.policy.probs, axis=1)),
-            )
-        except Exception as exc:  # reported per method by the caller
-            outcomes[i] = exc
+    for group, solution in zip(groups, solutions):
+        for i, result in zip(group, _run_results(mdp, [outcomes[i] for i in group], solution,
+                                                 share_s)):
+            outcomes[i] = result
     return outcomes
+
+
+def _run_results(mdp: LinearMdp, preps: list, solution, share_s: float) -> list:
+    """The RunResult of each _Prepared in preps, which share one problem, from
+    its solution or the exception that replaced it; every method gets the
+    same exception when the evaluation fails."""
+    if isinstance(solution, Exception):
+        return [solution] * len(preps)
+    start = time.perf_counter()
+    try:
+        gaps = preps[0].optimal_v - evaluate_policy(mdp, solution.policy).v
+        own_s = (share_s + time.perf_counter() - start) / len(preps)
+        return [RunResult(
+            method=prep.method,
+            n0=prep.n0,
+            n1=prep.n1,
+            c0_dagger=prep.c0,
+            c1_dagger=prep.c1,
+            gamma=mdp.gamma,
+            dim=mdp.dim,
+            seed=prep.seed,
+            subopt_mean=float(mdp.init_dist @ gaps),
+            subopt_max=float(gaps.max()),
+            v_hat_start=float(mdp.init_dist @ solution.v_hat),
+            wall_time_ms=(prep.seconds + own_s) * 1e3,
+            converged=solution.converged,
+            policy_actions=tuple(int(a) for a in np.argmax(solution.policy.probs, axis=1)),
+        ) for prep in preps]
+    except Exception as exc:  # reported per method by the caller
+        return [exc] * len(preps)
 
 
 @dataclass(frozen=True)

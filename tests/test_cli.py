@@ -519,6 +519,121 @@ def test_fit_ensemble_rejects_data_larger_than_mdp_exit_2(tmp_path, capsys):
     assert "exceeds feature table shape" in capsys.readouterr().err
 
 
+def test_relabel_rejects_a_header_shape_the_model_cannot_cover_exit_2(tmp_path, capsys):
+    small, wide = str(tmp_path / "small.json"), str(tmp_path / "wide.json")
+    for path, states in ((small, "6"), (wide, "9")):
+        entrypoint(["gen-mdp", "--kind", "lowrank", "--states", states, "--actions", "3",
+                    "--dim", "2", "--seed", "7", "--out", path])
+    lab_path, unl_path = str(tmp_path / "lab.jsonl"), tmp_path / "unl.jsonl"
+    entrypoint(["sample", "--mdp", small, "--n", "60", "--seed", "1", "--out", lab_path])
+    entrypoint(["sample", "--mdp", wide, "--n", "20", "--unlabeled", "--seed", "2",
+                "--out", str(unl_path)])
+    # every row fits the 6-state model, but the header still says 9 states
+    lines = [line for line in unl_path.read_text().splitlines(keepends=True)
+             if max(json.loads(line)["s"], json.loads(line)["sp"]) < 6]
+    unl_path.write_text("".join(lines))
+    header = json.loads(header_path(unl_path).read_text())
+    header_path(unl_path).write_text(json.dumps(dict(header, n=len(lines))))
+    model_path = str(tmp_path / "model.json")
+    assert entrypoint(["fit-ensemble", "--in", lab_path, "--mdp", small, "--L", "3",
+                       "--out", model_path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "filled.jsonl"
+    assert entrypoint(["relabel", "--in", str(unl_path), "--out", str(out),
+                       "--model", model_path]) == 2
+    assert "exceeds feature table shape" in capsys.readouterr().err
+    assert not out.exists() and not header_path(out).exists()
+
+
+def _file_commands(tmp_path):
+    """Working files for every file-taking subcommand, and its arguments."""
+    mdp, lab, unl, model = (str(tmp_path / name) for name in
+                            ("m.json", "lab.jsonl", "unl.jsonl", "model.json"))
+    for argv in (["gen-mdp", "--kind", "lowrank", "--states", "4", "--actions", "2",
+                  "--dim", "2", "--out", mdp],
+                 ["sample", "--mdp", mdp, "--n", "30", "--out", lab],
+                 ["sample", "--mdp", mdp, "--n", "10", "--unlabeled", "--out", unl],
+                 ["fit-ensemble", "--in", lab, "--mdp", mdp, "--L", "3", "--out", model]):
+        assert entrypoint(argv) == 0
+    out = str(tmp_path / "out.json")
+    return {
+        "gen-mdp": ["gen-mdp", "--kind", "tabular", "--states", "3", "--actions", "2",
+                    "--out", out],
+        "sample": ["sample", "--mdp", mdp, "--n", "5", "--out", out],
+        "fit-ensemble": ["fit-ensemble", "--in", lab, "--mdp", mdp, "--L", "3", "--out", out],
+        "relabel": ["relabel", "--in", unl, "--out", out, "--model", model, "--k", "1"],
+        "table": ["table", "--csv", lab],
+    }
+
+
+_UNUSABLE_FILE_ARGUMENTS = [
+    ("gen-mdp", "--out", "missing_dir", "directory .* does not exist"),
+    ("sample", "--mdp", "missing", "does not exist"),
+    ("sample", "--out", "missing_dir", "directory .* does not exist"),
+    ("fit-ensemble", "--in", "missing", "does not exist"),
+    ("fit-ensemble", "--mdp", "directory", "is not a file"),
+    ("fit-ensemble", "--out", "missing_dir", "directory .* does not exist"),
+    ("relabel", "--in", "missing", "does not exist"),
+    ("relabel", "--model", "missing", "does not exist"),
+    ("relabel", "--out", "missing_dir", "directory .* does not exist"),
+    ("relabel", "--out", "directory", "is a directory"),
+    ("table", "--csv", "missing", "does not exist"),
+]
+
+
+@pytest.mark.parametrize("command,flag,bad,message", _UNUSABLE_FILE_ARGUMENTS,
+                         ids=[f"{c}{f}-{b}" for c, f, b, _ in _UNUSABLE_FILE_ARGUMENTS])
+def test_unusable_file_arguments_exit_2_before_any_work(tmp_path, monkeypatch, capsys, command,
+                                                        flag, bad, message):
+    import pdslab.cli as cli
+
+    argv = _file_commands(tmp_path)[command]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv[argv.index(flag) + 1] = str({"missing": tmp_path / "nope.json",
+                                      "missing_dir": tmp_path / "nope" / "out.json",
+                                      "directory": tmp_path}[bad])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an unusable file argument")
+
+    for name in ("build_mdp", "load_mdp", "read_jsonl", "load_ensemble", "relabel_file",
+                 "emit_table"):
+        monkeypatch.setattr(cli, name, no_work)
+    capsys.readouterr()
+    assert entrypoint(argv) == 2
+    assert re.search(f"config error: {flag} .*{message}", capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_relabel_in_place(tmp_path, capsys):
+    # reading ends before writing starts, so --out may name the --in file
+    argv = _file_commands(tmp_path)["relabel"]
+    unl, out = Path(argv[argv.index("--in") + 1]), Path(argv[argv.index("--out") + 1])
+    capsys.readouterr()
+    assert entrypoint(argv) == 0
+    want = capsys.readouterr().out
+    argv[argv.index("--out") + 1] = str(unl)
+    assert entrypoint(argv) == 0
+    assert capsys.readouterr().out == want
+    assert unl.read_bytes() == out.read_bytes()
+    assert header_path(unl).read_bytes() == header_path(out).read_bytes()
+
+
+def test_write_failure_mid_relabel_exits_3(tmp_path, monkeypatch, capsys):
+    import pdslab.ensemble as ensemble
+
+    argv = _file_commands(tmp_path)["relabel"]
+
+    def failing_write(path, *columns):
+        Path(path).write_text('{"s": 0')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ensemble, "write_transitions", failing_write)
+    capsys.readouterr()
+    assert entrypoint(argv) == 3
+    assert "runtime error: OSError" in capsys.readouterr().err
+
+
 def test_bounds_subcommand(tmp_path, capsys):
     assert entrypoint(["bounds", "--d", "4", "--n0", "1000", "--n1", "0,10000",
                        "--c0", "0.5", "--c1", "0.5", "--format", "csv"]) == 0

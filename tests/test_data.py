@@ -471,7 +471,9 @@ def _read_outcome(read, path):
 
 
 def _canonical_line(s, a, r, sp):
-    return f'{{"s": {s}, "a": {a}, "r": {"null" if r is None else repr(r)}, "sp": {sp}}}'
+    """A line as write_transitions writes it; a str r is written as it is."""
+    token = "null" if r is None else r if isinstance(r, str) else repr(r)
+    return f'{{"s": {s}, "a": {a}, "r": {token}, "sp": {sp}}}'
 
 
 # lines that are not canonical: json accepts some of them, which must read the
@@ -507,19 +509,29 @@ _MUTATED_LINES = (
     '{"s": 1, "a": 0, "r": null}',
 )
 
+# the largest ids the canonical pattern takes (18 digits) and one past 2^53,
+# which a float could not hold
+_ids = st.integers(0, 10**18 - 1) | st.sampled_from([10**18 - 1, 2**53 + 1])
 _canonical_lines = st.builds(
     _canonical_line,
-    st.integers(0, 10**18 - 1), st.integers(0, 50),
+    _ids, st.integers(0, 50),
     st.none() | st.floats(0.0, 1e6, allow_nan=False) | st.floats(1e-300, 1e300)
-    | st.sampled_from([0.0, -0.0, -1e-13, 5e-324, 1e16, 1e22, 1.5e-7]),
-    st.integers(0, 10**18 - 1),
+    | st.floats(0.0, 2.2250738585072014e-308)  # zero and the subnormals
+    | st.sampled_from([0.0, -0.0, -1e-13, 5e-324, 1e16, 1e22, 1.5e-7, 0.30000000000000004,
+                       1.0000000000000002, 2.2250738585072014e-308, 1.7976931348623157e308])
+    # canonical tokens that repr never writes: one that overflows to inf, so
+    # the block falls back and the line is rejected, and ones that round
+    | st.sampled_from(["1e400", "2.2250738585072011e-308", "0.1000000000000000055511151231257827",
+                       "1E-7", "4e-324", "2e-324", "-0.0", "1.79769313486231581e308"]),
+    _ids,
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_canonical_lines | st.sampled_from(_MUTATED_LINES), max_size=12),
        endings=st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=12, max_size=12),
-       final_newline=st.booleans(), block_chars=st.integers(1, 200))
+       final_newline=st.booleans(),
+       block_chars=st.just(1) | st.integers(1, 200) | st.just(1 << 16))
 def test_block_reader_agrees_with_per_line_parser(tmp_path_factory, lines, endings, final_newline,
                                                   block_chars):
     text = "".join(line + end for line, end in zip(lines, endings))
@@ -567,6 +579,39 @@ def test_written_files_read_without_the_per_line_parser(tmp_path, monkeypatch, t
     back = read_jsonl(path)
     assert np.array_equal(back.states, both.states)
     assert np.array_equal(back.rewards, both.rewards, equal_nan=True)
+
+
+def _per_line_write(path, states, actions, rewards, next_states):
+    """The per-line writer: one f-string per record, repr of each reward."""
+    with open(path, "w") as fh:
+        fh.writelines(f'{{"s": {s}, "a": {a}, "r": {"null" if r != r else repr(r)}, "sp": {sp}}}\n'
+                      for s, a, r, sp in zip(states.tolist(), actions.tolist(), rewards.tolist(),
+                                             next_states.tolist()))
+
+
+def test_block_writer_equals_per_line_writer(tmp_path):
+    # more than two blocks of table rewards and unique rewards, with 0.0 next
+    # to -0.0 and NaNs of several payloads and both signs in one block
+    rng = np.random.default_rng(29)
+    n = 2 * data._WRITE_BLOCK_ROWS + 1234
+    states, actions = rng.integers(0, 10**18, n), rng.integers(0, 7, n)
+    next_states = rng.integers(0, 40, n)
+    rewards = rng.random(17)[rng.integers(0, 17, n)]
+    unique = rng.random(n) < 0.3
+    rewards[unique] = 10.0 ** rng.uniform(-320, 300, int(unique.sum()))
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                     0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    for lo in (0, data._WRITE_BLOCK_ROWS + 500):
+        rewards[lo:lo + 40] = np.tile([0.0, -0.0, 0.0, 1.0], 10)
+        rewards[lo + 40:lo + 90] = nans[np.arange(50) % len(nans)]
+    rewards[rng.choice(n, 200, replace=False)] = rng.choice(nans, 200)
+    got, want = tmp_path / "blocked.jsonl", tmp_path / "per_line.jsonl"
+    data.write_transitions(got, states, actions, rewards, next_states)
+    _per_line_write(want, states, actions, rewards, next_states)
+    assert got.read_bytes() == want.read_bytes()
+    first = got.read_text().splitlines()[:4]
+    assert [json.loads(line)["r"] for line in first] == [0.0, -0.0, 0.0, 1.0]
+    assert '"r": -0.0,' in first[1]
 
 
 # ---- dataset validation --------------------------------------------------------------

@@ -369,6 +369,26 @@ def test_relabel_file_error_reporting(tmp_path):
     assert not out.exists() and not header_path(out).exists()
 
 
+def test_relabel_file_rejects_a_header_shape_the_model_cannot_cover(tmp_path):
+    # the labeled file keeps the input's header, which fit_ensemble of the same
+    # MDP would then refuse, so relabel refuses it first and writes nothing
+    mdp = make_lowrank_mdp(6, 2, dim=2, seed=26)
+    model, _ = _fitted(mdp, n=30)
+    data = _uniform_data(mdp, n=8, seed=8, labeled=False)
+    src, out = tmp_path / "wide.jsonl", tmp_path / "wide_out.jsonl"
+    for shape in ({"num_states": 9}, {"num_actions": 3}):
+        write_jsonl(OfflineDataset(data.states, data.actions, None, data.next_states,
+                                   labeled=False, num_states=shape.get("num_states", 6),
+                                   num_actions=shape.get("num_actions", 2)), src)
+        with pytest.raises(ValueError, match="dataset shape exceeds feature table shape"):
+            relabel_file(src, out, model, k_mode=0.0)
+        assert not out.exists() and not header_path(out).exists()
+    # a header no larger than the model's table is copied as before
+    write_jsonl(data, src)
+    relabel_file(src, out, model, k_mode=0.0)
+    assert json.loads(header_path(out).read_text())["num_states"] == 6
+
+
 def test_model_json_round_trip(tmp_path):
     mdp = make_lowrank_mdp(5, 2, dim=3, seed=25)
     model, _ = _fitted(mdp, n=40)

@@ -291,10 +291,43 @@ def test_sweep_problems_equal_relabel_and_mix_reference(monkeypatch, make):
             d1 = (sample_dataset(mdp, pi1, n=n1, seed=d1_seed, labeled=False) if n1 else
                   _empty_unlabeled(mdp))
             model = fit_reward(d0, mdp.features, nu=2.0, r_max=mdp.r_max)
-            want += [_reference_problem(mdp, d0, d1, m, model, grid.pevi) for m in ALL_METHODS]
-    assert len(built) == len(want) == 20
+            # with d1 empty every method trains on d0 and shares one problem
+            methods = ALL_METHODS if n1 else (MethodId.NO_SHARE,)
+            want += [_reference_problem(mdp, d0, d1, m, model, grid.pevi) for m in methods]
+    assert len(built) == len(want) == 12
     for got, expected in zip(built, want):
         _assert_same_problem(got, expected)
+
+
+def test_empty_d1_cells_solve_one_problem_per_seed(monkeypatch):
+    # all five methods of an n1 = 0 cell train on d0 alone: the sweep hands
+    # pevi_lockstep one problem per seed, and each row is still what
+    # run_method gives for its method alone
+    import pdslab.pipeline as pipeline
+    from pdslab.pipeline import _cell_seeds
+
+    mdp = _mdp(seed=73)
+    grid = SweepGrid(n0_values=(35,), n1_values=(0,), methods=ALL_METHODS, seeds=(3, 0, 5),
+                     noise=True, pevi=PeviSettings(c=0.05))
+    calls, real = [], pipeline.pevi_lockstep
+
+    def recording(problems, features):
+        calls.append(len(problems))
+        return real(problems, features)
+
+    monkeypatch.setattr(pipeline, "pevi_lockstep", recording)
+    report = sweep(mdp, grid)
+    assert not report.failures and calls == [len(grid.seeds)]
+    oracle = solve_optimal(mdp)
+    pi0 = behavior_policy(mdp, "medium", oracle[0])
+    direct = []
+    for seed in grid.seeds:
+        d0 = sample_dataset(mdp, pi0, n=35, seed=_cell_seeds(seed, 35, 0, grid)[0], noise=True)
+        direct += [run_method(mdp, d0, _empty_unlabeled(mdp), m, grid.reward, grid.pevi,
+                              seed=seed, oracle=oracle) for m in ALL_METHODS]
+    assert len(calls) == 1 + len(direct)  # run_method solves its one problem alone
+    assert _strip_wall(results_to_csv(report.results)) == _strip_wall(results_to_csv(direct))
+    assert all(r.wall_time_ms > 0 for r in report.results)
 
 
 def test_partly_labeled_d1_matches_relabel_reference():
