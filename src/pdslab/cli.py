@@ -13,7 +13,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from pdslab.data import read_jsonl, sample_dataset, write_jsonl
-from pdslab.ensemble import fit_ensemble, load_ensemble, relabel_file, save_ensemble
+from pdslab.ensemble import (
+    AUTO_A_DEFAULT,
+    ESTIMATORS,
+    fit_ensemble,
+    load_ensemble,
+    relabel_file,
+    save_ensemble,
+)
 from pdslab.mdp import (
     load_mdp,
     make_adversarial_mdp,
@@ -339,20 +346,8 @@ def _cmd_run(args) -> int:
 def _cmd_relabel(args) -> int:
     inp, out = _readable(args.inp, "--in"), _writable(args.out, "--out")
     model = load_ensemble(_readable(args.model, "--model"))
-    if args.ensemble_size is not None and args.ensemble_size != model.l_count:
-        raise ConfigError(
-            f"--L {args.ensemble_size} does not match the model's {model.l_count} members"
-        )
-    if args.a is not None:
-        model = dataclasses.replace(model, auto_a=args.a)
-    if args.k != "auto":
-        try:
-            k_mode = float(args.k)
-        except ValueError as exc:
-            raise ConfigError(f"--k must be 'auto' or a number, got {args.k!r}") from exc
-    else:
-        k_mode = "auto"
-    summary = relabel_file(inp, out, model, k_mode=k_mode, estimator=args.estimator)
+    summary = relabel_file(inp, out, model, k_mode=args.k, estimator=args.estimator,
+                           auto_a=args.a)
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -361,10 +356,8 @@ def _cmd_fit_ensemble(args) -> int:
     inp, out = _readable(args.inp, "--in"), _writable(args.out, "--out")
     mdp = load_mdp(_readable(args.mdp, "--mdp"))
     ds = read_jsonl(inp)
-    model = fit_ensemble(
-        ds, mdp.features, ensemble_size=args.ensemble_size, nu=args.nu,
-        seed=args.seed, penalty_k=args.k, auto_a=args.a, epsilon=args.epsilon,
-    )
+    model = fit_ensemble(ds, mdp.features, ensemble_size=args.ensemble_size, nu=args.nu,
+                         seed=args.seed)
     save_ensemble(model, out)
     print(f"wrote {out} ({model.l_count} members)")
     return EXIT_OK
@@ -448,9 +441,8 @@ def _parser() -> argparse.ArgumentParser:
     rl.add_argument("--out", required=True)
     rl.add_argument("--model", required=True)
     rl.add_argument("--k", default="auto")
-    rl.add_argument("--a", type=float, default=None)
-    rl.add_argument("--L", dest="ensemble_size", type=int, default=None)
-    rl.add_argument("--estimator", choices=("min", "mean"), default="min")
+    rl.add_argument("--a", type=float, default=AUTO_A_DEFAULT)
+    rl.add_argument("--estimator", choices=ESTIMATORS, default="min")
     rl.set_defaults(func=_cmd_relabel)
 
     fe = sub.add_parser("fit-ensemble", help="fit a bootstrap reward ensemble")
@@ -460,9 +452,6 @@ def _parser() -> argparse.ArgumentParser:
     fe.add_argument("--L", dest="ensemble_size", type=int, default=10)
     fe.add_argument("--nu", type=float, default=1.0)
     fe.add_argument("--seed", type=int, default=0)
-    fe.add_argument("--k", type=float, default=None)
-    fe.add_argument("--a", type=float, default=25.0)
-    fe.add_argument("--epsilon", type=float, default=1e-8)
     fe.set_defaults(func=_cmd_fit_ensemble)
 
     b = sub.add_parser("bounds", help="print the closed-form bound table")
@@ -489,6 +478,9 @@ def _parser() -> argparse.ArgumentParser:
 def entrypoint(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad arguments, 0 after --help
+        return exc.code
+    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

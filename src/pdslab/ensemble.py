@@ -6,14 +6,15 @@ pair (s,a) with member predictions f_1..f_L the pessimistic reward is
     r_hat = max{ min_j f_j - k * sigma, 0 }        (the shipped default)
 
 with sigma the population standard deviation across members; the mean-based
-variant mu - k*sigma is available as estimator="mean". The penalty weight can
-be fixed or automatic,
+variant mu - k*sigma is available as estimator="mean". A model holds only what
+the fit produces; the penalty weight is chosen when a file is relabeled, as a
+fixed k or automatically as
 
     k = a * max(mu - mu_hat, 0) / (|mu| + eps),
 
-where mu is the labeled data's mean observed reward and mu_hat the mean
-ensemble prediction over the unlabeled rows being relabeled. The member
-minimum relates to a Gaussian order statistic through the quantile
+where mu is the labeled data's mean observed reward (kept on the model) and
+mu_hat the mean ensemble prediction over the unlabeled rows being relabeled.
+The member minimum relates to a Gaussian order statistic through the quantile
 coefficient Phi^{-1}((L - pi/8)/(L - pi/4 + 1)). Phi^{-1} is the standard
 library's statistics.NormalDist().inv_cdf, which stays within 2.2e-15 of
 scipy.stats.norm.ppf for L = 1..5000 and keeps scipy.stats out of the
@@ -41,9 +42,14 @@ from pdslab.ridge import Ridge
 
 AUTO_A_DEFAULT = 25.0
 ENSEMBLE_SIZE_DEFAULT = 10
-EPSILON_DEFAULT = 1e-8
+EPSILON = 1e-8
 K_CAP = 1e6
 ESTIMATORS = ("min", "mean")
+MODEL_FIELDS = ("members", "phi", "labeled_mean", "nu")
+# Older model files also stored penalty-weight settings. A file loads only if
+# each matches relabel's default; otherwise the message names the flag to pass.
+LEGACY_SETTINGS = {"penalty_k": (None, "--k"), "auto_a": (AUTO_A_DEFAULT, "--a"),
+                   "epsilon": (EPSILON, "a fixed --k")}
 
 
 def gaussian_min_coefficient(ensemble_size: int) -> float:
@@ -56,20 +62,13 @@ def gaussian_min_coefficient(ensemble_size: int) -> float:
 
 @dataclass(frozen=True)
 class EnsembleRewardModel:
-    """L fitted member parameter vectors plus the penalty-weight settings.
-
-    penalty_k=None means automatic: the Eq-style weight is resolved at
-    relabel time from the labeled mean and the unlabeled predicted mean.
-    """
+    """L fitted member parameter vectors and the labeled mean they were fit to."""
 
     members: np.ndarray  # (L, d)
     features: FeatureMap
     labeled_mean: float
     nu: float
     seed: int | None = None
-    penalty_k: float | None = None
-    auto_a: float = AUTO_A_DEFAULT
-    epsilon: float = EPSILON_DEFAULT
 
     def __post_init__(self):
         members = np.asarray(self.members, dtype=float)
@@ -81,13 +80,6 @@ class EnsembleRewardModel:
             raise ValueError("members must be finite")
         if not np.isfinite(self.labeled_mean):
             raise ValueError(f"labeled_mean must be finite, got {self.labeled_mean}")
-        if not (np.isfinite(self.auto_a) and self.auto_a > 0):
-            raise ValueError(f"auto_a must be finite and positive, got {self.auto_a}")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.penalty_k is not None and not (np.isfinite(self.penalty_k)
-                                               and self.penalty_k >= 0):
-            raise ValueError(f"penalty_k must be finite and nonnegative, got {self.penalty_k}")
         members.setflags(write=False)
         object.__setattr__(self, "members", members)
 
@@ -109,22 +101,27 @@ class EnsembleRewardModel:
             "labeled_mean": self.labeled_mean,
             "nu": self.nu,
             "seed": self.seed,
-            "penalty_k": self.penalty_k,
-            "auto_a": self.auto_a,
-            "epsilon": self.epsilon,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EnsembleRewardModel":
+        """Load a model; a file that stored a penalty weight other than
+        relabel's defaults is refused, naming the relabel flag to pass."""
+        for key in MODEL_FIELDS:
+            if key not in doc:
+                raise ValueError(f"model file is missing field {key!r}")
+        for key, (default, flag) in LEGACY_SETTINGS.items():
+            if doc.get(key, default) != default:
+                raise ValueError(
+                    f"model file sets {key}={doc[key]!r}, which relabel no longer reads: "
+                    f"the penalty weight is chosen at relabel time, so pass {flag} to relabel"
+                )
         return cls(
             members=np.asarray(doc["members"], dtype=float),
             features=FeatureMap(np.asarray(doc["phi"], dtype=float)),
             labeled_mean=float(doc["labeled_mean"]),
             nu=float(doc["nu"]),
             seed=doc.get("seed"),
-            penalty_k=doc.get("penalty_k"),
-            auto_a=float(doc.get("auto_a", AUTO_A_DEFAULT)),
-            epsilon=float(doc.get("epsilon", EPSILON_DEFAULT)),
         )
 
 
@@ -142,9 +139,6 @@ def fit_ensemble(
     ensemble_size: int = ENSEMBLE_SIZE_DEFAULT,
     nu: float = 1.0,
     seed: int = 0,
-    penalty_k: float | None = None,
-    auto_a: float = AUTO_A_DEFAULT,
-    epsilon: float = EPSILON_DEFAULT,
 ) -> EnsembleRewardModel:
     """Fit ensemble_size ridge members on bootstrap resamples of labeled data."""
     if ensemble_size < 2:
@@ -166,38 +160,15 @@ def fit_ensemble(
         labeled_mean=float(labeled.rewards.mean()),
         nu=nu,
         seed=seed,
-        penalty_k=penalty_k,
-        auto_a=auto_a,
-        epsilon=epsilon,
     )
 
 
-def auto_k(model: EnsembleRewardModel, labeled_mean_mu: float, unlabeled_pred_mean: float) -> float:
+def auto_k(model: EnsembleRewardModel, unlabeled_pred_mean: float,
+           a: float = AUTO_A_DEFAULT) -> float:
     """a * max(mu - mu_hat, 0) / (|mu| + eps), capped to avoid blowup at mu ~ 0."""
-    raw = model.auto_a * max(labeled_mean_mu - unlabeled_pred_mean, 0.0) / (
-        abs(labeled_mean_mu) + model.epsilon
-    )
+    mu = model.labeled_mean
+    raw = a * max(mu - unlabeled_pred_mean, 0.0) / (abs(mu) + EPSILON)
     return float(min(raw, K_CAP))
-
-
-def resolve_k(
-    model: EnsembleRewardModel,
-    k_override: float | None = None,
-    unlabeled_pred_mean: float | None = None,
-) -> float:
-    """Pick the penalty weight: explicit override, fixed model k, or automatic."""
-    if k_override is not None:
-        # an infinite k would also turn into NaN wherever sigma is 0
-        if not (np.isfinite(k_override) and k_override >= 0):
-            raise ValueError(f"k must be finite and nonnegative, got {k_override}")
-        return float(k_override)
-    if model.penalty_k is not None:
-        return model.penalty_k
-    if unlabeled_pred_mean is None:
-        raise ValueError(
-            "automatic k needs unlabeled_pred_mean (the mean prediction over the data being relabeled)"
-        )
-    return auto_k(model, model.labeled_mean, unlabeled_pred_mean)
 
 
 def _pessimistic_tables(model: EnsembleRewardModel, k: float, estimator: str):
@@ -212,14 +183,17 @@ def relabel_file(
     model: EnsembleRewardModel,
     k_mode: str | float = "auto",
     estimator: str = "min",
+    auto_a: float = AUTO_A_DEFAULT,
 ) -> dict:
     """Fill missing rewards in a JSONL transition file with ensemble estimates.
 
-    k_mode is "auto" or a nonnegative number. Lines that already carry a
-    reward keep their values and are tallied as passthrough, but every line
-    is written back in canonical form: only s, a, r and sp are kept, and r
-    is rewritten as repr(float), so {"s": 1, "a": 0, "r": 0.50, "sp": 2,
-    "episode": 7} comes out as {"s": 1, "a": 0, "r": 0.5, "sp": 2}. Returns
+    k_mode is "auto" (auto_k over the missing rows, with a = auto_a) or a
+    finite nonnegative number; k and a are checked before the input is read.
+    Lines that already carry a reward keep their values and are tallied as
+    passthrough, but every line is written back in canonical form: only s,
+    a, r and sp are kept, and r is rewritten as repr(float), so {"s": 1,
+    "a": 0, "r": 0.50, "sp": 2, "episode": 7} comes out as {"s": 1, "a": 0,
+    "r": 0.5, "sp": 2}. Returns
     a summary with the row counts, the k actually used, and the written
     rewards' mean/min/max. The input's sidecar header, if any, is copied
     with "labeled": true; a header shape or a row that the model's feature
@@ -227,6 +201,17 @@ def relabel_file(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    k = None
+    if k_mode != "auto":
+        try:
+            k = float(k_mode)
+        except ValueError as exc:
+            raise ValueError(f"k must be 'auto' or a number, got {k_mode!r}") from exc
+        # an infinite k would also turn into NaN wherever sigma is 0
+        if not (np.isfinite(k) and k >= 0):
+            raise ValueError(f"k must be finite and nonnegative, got {k}")
+    if not (np.isfinite(auto_a) and auto_a > 0):
+        raise ValueError(f"a must be finite and positive, got {auto_a}")
     states, actions, rewards, next_states, linenos = read_transitions(input_path)
     meta = read_header(input_path, len(states))
     if meta is not None:  # the labeled file keeps this shape, so the model must cover it
@@ -246,12 +231,10 @@ def relabel_file(
         )
 
     missing = np.isnan(rewards)
-    if k_mode != "auto":
-        k = resolve_k(model, k_override=float(k_mode))
-    elif missing.any():
+    if k is None and missing.any():
         rows = model.features.phi[states[missing], actions[missing]]
-        k = resolve_k(model, unlabeled_pred_mean=float((rows @ model.members.mean(axis=0)).mean()))
-    else:
+        k = auto_k(model, float((rows @ model.members.mean(axis=0)).mean()), auto_a)
+    elif k is None:
         k = 0.0
 
     filled = fill_missing(rewards, _pessimistic_tables(model, k, estimator), states, actions)

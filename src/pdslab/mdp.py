@@ -31,6 +31,9 @@ import numpy as np
 KERNEL_ROW_TOL = 1e-10     # transition rows must sum to 1 within this
 KERNEL_ENTRY_TOL = 1e-12   # entries may undershoot 0 by at most this
 REWARD_TOL = 1e-9
+# the keys an MDP file must hold; seed and feature_scale may be left out
+MDP_FIELDS = ("num_states", "num_actions", "dim", "gamma", "r_max", "phi", "mu", "theta",
+              "init_dist")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -210,6 +213,9 @@ class LinearMdp:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearMdp":
+        for key in MDP_FIELDS:
+            if key not in doc:
+                raise ValueError(f"MDP file is missing field {key!r}")
         S = int(doc["num_states"])
         A = int(doc["num_actions"])
         d = int(doc["dim"])

@@ -14,6 +14,7 @@ from pdslab.cli import (
     load_config,
 )
 from pdslab.data import header_path, read_jsonl
+from pdslab.ensemble import auto_k, load_ensemble
 from pdslab.mdp import load_mdp
 from pdslab.pipeline import CSV_HEADER, MethodId
 
@@ -275,9 +276,7 @@ def test_boundary_and_null_settings_accepted(tmp_path):
 
 
 def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        entrypoint(["frobnicate"])
-    assert exc.value.code == 2
+    assert entrypoint(["frobnicate"]) == 2
 
 
 def _parse_markdown_cells(md):
@@ -481,19 +480,10 @@ def test_fit_ensemble_and_relabel(tmp_path, capsys):
     assert "header says n=12 but the file holds 5 transitions" in capsys.readouterr().err
     assert not (tmp_path / "cut_out.jsonl").exists()
 
-    # declared ensemble size must match the stored model
-    assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,
-                       "--model", model_path, "--L", "7"]) == 2
-    assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,
-                       "--model", model_path, "--k", "fast"]) == 2
-
-    # ensemble numbers must be finite
-    for flag, value in (("--k", "nan"), ("--k", "inf"), ("--a", "nan")):
+    # the penalty weight must be a finite number
+    for flag, value in (("--k", "fast"), ("--k", "nan"), ("--k", "inf"), ("--a", "nan")):
         assert entrypoint(["relabel", "--in", unl_path, "--out", filled_path,
                            "--model", model_path, flag, value]) == 2
-    for flag in ("--k", "--epsilon"):
-        assert entrypoint(["fit-ensemble", "--in", lab_path, "--mdp", mdp_path,
-                           "--out", str(tmp_path / "bad_model.json"), flag, "nan"]) == 2
     capsys.readouterr()
     # a model file whose labeled mean is not finite is refused, not used for auto k
     nan_model = tmp_path / "nan_model.json"
@@ -504,6 +494,76 @@ def test_fit_ensemble_and_relabel(tmp_path, capsys):
                        "--model", str(nan_model), "--k", "auto"]) == 2
     assert "labeled_mean must be finite" in capsys.readouterr().err
     assert not nan_out.exists()
+
+
+def test_relabel_k_auto_reports_auto_k_of_the_model(tmp_path, capsys):
+    argv = _file_commands(tmp_path)["relabel"]
+    argv[argv.index("--k") + 1] = "auto"
+    model = load_ensemble(argv[argv.index("--model") + 1])
+    unl = read_jsonl(argv[argv.index("--in") + 1])
+    rows = model.features.phi[unl.states, unl.actions]
+    mu_hat = float((rows @ model.members.mean(axis=0)).mean())
+    for extra, a in (([], 25.0), (["--a", "10"], 10.0)):
+        capsys.readouterr()
+        assert entrypoint(argv + extra) == 0
+        k = json.loads(capsys.readouterr().out)["k"]
+        assert k > 0 and k == auto_k(model, mu_hat, a)
+
+
+@pytest.mark.parametrize("key,value,flag", [
+    ("penalty_k", 2.0, "--k"), ("auto_a", 10, "--a"), ("epsilon", 1e-6, "--k")])
+def test_older_model_file_with_its_own_weight_exits_2_naming_the_flag(tmp_path, capsys, key,
+                                                                      value, flag):
+    # such a file once relabeled with its stored setting; now relabel chooses
+    # the weight, so the file is refused rather than relabeled differently
+    argv = _file_commands(tmp_path)["relabel"]
+    model = Path(argv[argv.index("--model") + 1])
+    doc = dict(json.loads(model.read_text()), penalty_k=None, auto_a=25.0, epsilon=1e-08)
+    model.write_text(json.dumps(dict(doc, **{key: value})))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert entrypoint(argv) == 2
+    assert re.search(f"{key}={value!r}.* pass .*{flag} to relabel", capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+_REQUIRED_FIELDS = ([("--model", key) for key in ("members", "phi", "labeled_mean", "nu")]
+                    + [("--mdp", key) for key in ("num_states", "num_actions", "dim", "gamma",
+                                                   "r_max", "phi", "mu", "theta", "init_dist")])
+
+
+@pytest.mark.parametrize("flag,key", _REQUIRED_FIELDS,
+                         ids=[f"{flag}-{key}" for flag, key in _REQUIRED_FIELDS])
+def test_file_missing_a_required_field_exits_2(tmp_path, capsys, flag, key):
+    argv = _file_commands(tmp_path)["relabel" if flag == "--model" else "sample"]
+    path = Path(argv[argv.index(flag) + 1])
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert entrypoint(argv) == 2
+    assert f"file is missing field '{key}'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["relabel", "--in", "u.jsonl", "--out", "o.jsonl", "--model", "m.json", "--L", "7"],
+    ["relabel", "--in", "u.jsonl", "--out", "o.jsonl", "--model", "m.json", "--bogus", "1"],
+    ["fit-ensemble", "--in", "l.jsonl", "--mdp", "m.json", "--out", "o.json", "--k", "1"],
+    ["sample", "--mdp", "m.json", "--n", "abc", "--out", "o.jsonl"],
+], ids=["relabel--L", "relabel--bogus", "fit-ensemble--k", "sample--n-abc"])
+def test_argument_errors_return_2(tmp_path, monkeypatch, capsys, argv):
+    # argparse's own exit becomes entrypoint's return value, for in-process callers
+    monkeypatch.chdir(tmp_path)
+    assert entrypoint(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_returns_0(capsys):
+    assert entrypoint(["relabel", "--help"]) == 0
+    assert "--estimator" in capsys.readouterr().out
 
 
 def test_fit_ensemble_rejects_data_larger_than_mdp_exit_2(tmp_path, capsys):

@@ -1,21 +1,24 @@
 """The README's code runs as written."""
-import json
 import re
 import shlex
 from pathlib import Path
 
-from pdslab.cli import entrypoint, run_config
+from pdslab.cli import entrypoint
 from pdslab.data import read_jsonl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _section_code(title: str, lang: str) -> str:
+def _section_code(title: str, lang: str, index: int = 0) -> str:
     text = README.read_text()
     section = text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(rf"```{lang}\n(.*?)```", section, flags=re.S)
-    assert blocks, f"expected a {lang} block under '{title}'"
-    return blocks[0]
+    assert len(blocks) > index, f"expected {index + 1} {lang} block(s) under '{title}'"
+    return blocks[index]
+
+
+def _commands(block: str) -> list:
+    return [shlex.split(line) for line in block.splitlines() if line]
 
 
 def test_library_sketch_runs(capsys):
@@ -26,7 +29,7 @@ def test_library_sketch_runs(capsys):
 
 def test_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    commands = [shlex.split(line) for line in _section_code("CLI", "sh").splitlines() if line]
+    commands = _commands(_section_code("CLI", "sh"))
     assert [argv[:2] for argv in commands] == [
         ["pdslab", "gen-mdp"], ["pdslab", "sample"], ["pdslab", "sample"],
         ["pdslab", "fit-ensemble"], ["pdslab", "relabel"]]
@@ -36,11 +39,16 @@ def test_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
     assert filled.labeled and len(filled) == 5000
 
 
-def test_cli_config_runs(tmp_path):
-    doc = json.loads(_section_code("CLI", "json"))
-    doc["output"] = str(tmp_path / doc["output"])
-    path = tmp_path / "experiment.json"
-    path.write_text(json.dumps(doc))
-    assert run_config(path) == 0
+def test_cli_config_runs(tmp_path, monkeypatch, capsys):
+    # the README's config saved as experiment.json, then its sweep block as written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiment.json").write_text(_section_code("CLI", "json"))
+    commands = _commands(_section_code("CLI", "sh", index=1))
+    assert [argv[:2] for argv in commands] == [
+        ["pdslab", "run"], ["pdslab", "table"], ["pdslab", "bounds"]]
+    for argv in commands:
+        assert entrypoint(argv[1:]) == 0, argv
     rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
     assert len(rows) == 60  # 3 n1 cells x 4 methods x 5 seeds
+    printed = capsys.readouterr().out
+    assert "| pds |" in printed and "| offline_term |" in printed  # table, then bounds

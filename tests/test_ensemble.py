@@ -16,7 +16,6 @@ from pdslab.ensemble import (
     gaussian_min_coefficient,
     load_ensemble,
     relabel_file,
-    resolve_k,
     save_ensemble,
 )
 from pdslab.mdp import FeatureMap, Policy, make_adversarial_mdp, make_lowrank_mdp
@@ -28,7 +27,7 @@ def _uniform_data(mdp, n, seed=0, labeled=True, noise=False):
     return sample_dataset(mdp, pi, n=n, seed=seed, labeled=labeled, noise=noise)
 
 
-def _toy_model(members, labeled_mean=1.0, **kwargs):
+def _toy_model(members, labeled_mean=1.0):
     d = np.asarray(members).shape[1]
     feats = FeatureMap(np.full((1, 1, d), 1.0 / np.sqrt(d)))
     return EnsembleRewardModel(
@@ -36,7 +35,6 @@ def _toy_model(members, labeled_mean=1.0, **kwargs):
         features=feats,
         labeled_mean=labeled_mean,
         nu=1.0,
-        **kwargs,
     )
 
 
@@ -173,18 +171,19 @@ def test_coefficient_tracks_exact_order_statistic():
 
 def test_auto_k_zero_when_prediction_not_below():
     model = _toy_model([[0.0], [1.0]], labeled_mean=0.4)
-    assert auto_k(model, 0.4, 0.4) == 0.0
-    assert auto_k(model, 0.4, 0.9) == 0.0
+    assert auto_k(model, 0.4) == 0.0
+    assert auto_k(model, 0.9) == 0.0
 
 
 def test_auto_k_forced_arithmetic():
     model = _toy_model([[0.0], [1.0]], labeled_mean=1.0)
-    assert auto_k(model, 1.0, 0.5) == pytest.approx(12.5, rel=1e-6)
+    assert auto_k(model, 0.5) == pytest.approx(12.5, rel=1e-6)
+    assert auto_k(model, 0.5, 10.0) == pytest.approx(5.0, rel=1e-6)
 
 
 def test_auto_k_epsilon_guard_caps():
     model = _toy_model([[0.0], [1.0]], labeled_mean=0.0)
-    assert auto_k(model, 0.0, -0.1) == 1e6  # 25*0.1/1e-8 would be 2.5e8
+    assert auto_k(model, -0.1) == 1e6  # 25*0.1/1e-8 would be 2.5e8
 
 
 def test_auto_k_scale_invariant():
@@ -194,22 +193,29 @@ def test_auto_k_scale_invariant():
     base = fit_ensemble(ds, mdp.features, ensemble_size=6, nu=1e-6, seed=0)
     big = fit_ensemble(scaled, mdp.features, ensemble_size=6, nu=1e-6, seed=0)
     mu_hat = 0.3
-    k1 = auto_k(base, base.labeled_mean, mu_hat)
-    k2 = auto_k(big, big.labeled_mean, 5.0 * mu_hat)
+    k1 = auto_k(base, mu_hat)
+    k2 = auto_k(big, 5.0 * mu_hat)
     assert k1 > 0
     assert k2 == pytest.approx(k1, rel=1e-6)
 
 
-def test_resolve_k_priority_and_errors():
-    auto_model = _toy_model([[0.0], [1.0]], labeled_mean=1.0)
-    fixed = _toy_model([[0.0], [1.0]], labeled_mean=1.0, penalty_k=2.0)
-    assert resolve_k(fixed) == 2.0
-    assert resolve_k(fixed, k_override=0.5) == 0.5
-    assert resolve_k(auto_model, unlabeled_pred_mean=0.5) == pytest.approx(12.5, rel=1e-6)
-    with pytest.raises(ValueError, match="unlabeled_pred_mean"):
-        resolve_k(auto_model)
-    with pytest.raises(ValueError, match="nonnegative"):
-        resolve_k(auto_model, k_override=-1.0)
+def test_relabel_file_refuses_bad_k_and_a_before_writing(tmp_path):
+    # relabel_file is where the penalty weight is chosen, so it checks k and a
+    # before it reads the input: a missing input still reports the bad weight
+    mdp = make_lowrank_mdp(4, 2, dim=2, seed=27)
+    model, _ = _fitted(mdp, n=20)
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write_jsonl(_uniform_data(mdp, 10, seed=1, labeled=False), src)
+    bad_k, bad_a = "k must be finite and nonnegative", "a must be finite and positive"
+    for k_mode, auto_a, message in ((-1.0, 25.0, bad_k), (float("nan"), 25.0, bad_k),
+                                    (float("inf"), 25.0, bad_k),
+                                    ("fast", 25.0, "k must be 'auto' or a number"),
+                                    ("auto", float("nan"), bad_a), ("auto", 0.0, bad_a),
+                                    (1.0, -2.0, bad_a)):
+        for inp in (src, tmp_path / "missing.jsonl"):
+            with pytest.raises(ValueError, match=message):
+                relabel_file(inp, dst, model, k_mode=k_mode, auto_a=auto_a)
+            assert not dst.exists() and not header_path(dst).exists()
 
 
 # -------------------------------------------------------- pessimistic estimate
@@ -261,9 +267,9 @@ def test_mean_estimator_variant(tmp_path):
 # ------------------------------------------------------------- file relabeling
 
 
-def _fitted(mdp, n=80, seed=0, **kwargs):
+def _fitted(mdp, n=80, seed=0):
     ds = _uniform_data(mdp, n, seed=seed, noise=True)
-    return fit_ensemble(ds, mdp.features, ensemble_size=5, seed=11, **kwargs), ds
+    return fit_ensemble(ds, mdp.features, ensemble_size=5, seed=11), ds
 
 
 def test_relabel_file_fills_unlabeled(tmp_path):
@@ -295,7 +301,9 @@ def test_relabel_file_auto_k_matches_hand_computation(tmp_path):
     summary = relabel_file(src, dst, model, k_mode="auto")
     rows = mdp.features.phi[unlab.states, unlab.actions]
     mu_hat = float((rows @ model.members.mean(axis=0)).mean())
-    assert summary["k"] == pytest.approx(auto_k(model, model.labeled_mean, mu_hat))
+    assert summary["k"] == pytest.approx(auto_k(model, mu_hat))
+    summary = relabel_file(src, dst, model, k_mode="auto", auto_a=10.0)
+    assert summary["k"] == pytest.approx(auto_k(model, mu_hat, 10.0))
 
 
 def test_relabel_file_passthrough_and_empty(tmp_path):
@@ -397,9 +405,24 @@ def test_model_json_round_trip(tmp_path):
     back = load_ensemble(path)
     assert np.array_equal(back.members, model.members)
     assert np.array_equal(back.features.phi, model.features.phi)
-    assert back.penalty_k is None
-    assert back.labeled_mean == model.labeled_mean
-    assert (back.nu, back.auto_a, back.epsilon) == (model.nu, model.auto_a, model.epsilon)
+    assert (back.labeled_mean, back.nu, back.seed) == (model.labeled_mean, model.nu, model.seed)
+    # the file holds only what the fit produced; no penalty weight is stored
+    assert set(json.loads(path.read_text())) == {"members", "phi", "labeled_mean", "nu", "seed"}
+
+
+def test_older_model_file_with_default_weight_settings_relabels_the_same(tmp_path):
+    # files written before the weight moved to relabel time carry these keys
+    mdp = make_lowrank_mdp(5, 3, dim=2, seed=28)
+    model, _ = _fitted(mdp, n=60)
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(dict(model.to_dict(), penalty_k=None, auto_a=25.0,
+                                     epsilon=1e-08)) + "\n")
+    src = tmp_path / "in.jsonl"
+    write_jsonl(_uniform_data(mdp, 40, seed=3, labeled=False), src)
+    fresh_out, older_out = tmp_path / "fresh.jsonl", tmp_path / "older.jsonl"
+    assert (relabel_file(src, fresh_out, model, k_mode="auto")
+            == relabel_file(src, older_out, load_ensemble(older), k_mode="auto"))
+    assert fresh_out.read_bytes() == older_out.read_bytes()
 
 
 @settings(max_examples=25, deadline=None)
