@@ -24,8 +24,8 @@ fullmatch and parsed with one np.loadtxt, whose C parser reads ids as int64
 and rewards as float() does, which is what json does for those tokens;
 every other block, and a canonical block with an out-of-range reward, goes
 through the per-line json parser, which alone defines an accepted line and
-words the errors. write_transitions renders rows in blocks and reprs each
-distinct reward of a block once.
+words the errors. write_transitions renders rows in blocks, each distinct
+value of a block's column once.
 """
 from __future__ import annotations
 
@@ -138,10 +138,11 @@ _LOCKSTEP_BLOCK_ENTRIES = 1 << 20
 class _DrawTable(NamedTuple):
     """Cumulative rows without their last entry, set up for _draw_rows.
 
-    A flat table holds the rows as they are and coarse is None. A blocked
-    table pads each row with +inf to a whole number of k-wide blocks, one
-    more than the row's width // k, and coarse holds every row's k-th,
-    2k-th, ... entry, the last entry of each block the row fills.
+    A flat table holds the rows transposed, one contiguous array per entry
+    position, and coarse is None. A blocked table pads each row with +inf to
+    a whole number of k-wide blocks, one more than the row's width // k, and
+    coarse holds every row's k-th, 2k-th, ... entry, the last entry of each
+    block the row fills.
     """
 
     fine: np.ndarray
@@ -161,7 +162,7 @@ def _draw_table(cumulative: np.ndarray) -> _DrawTable:
     k = math.isqrt(width)
     if k and 2 * (width // k + k) <= width:
         return _blocked_table(upper, k)
-    return _DrawTable(np.ascontiguousarray(upper), None, 1)
+    return _DrawTable(np.ascontiguousarray(upper.T), None, 1)
 
 
 def _blocked_table(upper: np.ndarray, k: int) -> _DrawTable:
@@ -179,28 +180,31 @@ def _draw_rows(table: _DrawTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray
     beyond the row's mass to the last index. A blocked table counts the
     whole blocks whose last entry is <= u, then the entries <= u in the
     block after them; the +inf padding is never counted, so the result is
-    the flat count exactly.
+    the flat count exactly. A flat table is counted one entry position at a
+    time, which adds up the same integers.
     """
     if table.coarse is None:
-        return (table.fine.take(rows, axis=0) <= u[:, None]).sum(axis=1)
+        count = np.zeros(rows.shape, dtype=np.int64)
+        for column in table.fine:
+            count += column.take(rows) <= u
+        return count
     blocks = (table.coarse.take(rows, axis=0) <= u[:, None]).sum(axis=1)
     per_row = table.fine.shape[1] // table.k
     block = table.fine.reshape(-1, table.k).take(rows * per_row + blocks, axis=0)
     return blocks * table.k + (block <= u[:, None]).sum(axis=1)
 
 
-def _rollout(pi_table, sa_table, starts, first_rows, num_full, horizon, tail, step_u,
-             actions, next_states) -> None:
+def _rollout(pi_table, sa_table, num_actions, starts, first_rows, num_full, horizon, tail,
+             step_u, actions, next_states) -> None:
     """Step reset segments in lockstep, writing into the outputs.
 
     pi_table holds the policy's draw table per state and sa_table the
-    kernel's per (s, a) pair, at row s * A + a. Segment k starts in
+    kernel's per (s, a) pair, at row s * num_actions + a. Segment k starts in
     starts[k] at row first_rows[k] of step_u and the outputs, and runs for
     horizon steps when k < num_full, else for tail steps; the segments still
     running at any step are a prefix. The rows are taken step by step into
     one contiguous buffer, so each step reads and writes a slice of it.
     """
-    num_actions = sa_table.fine.shape[0] // pi_table.fine.shape[0]
     steps = np.arange(horizon)[:, None]
     rows = np.concatenate([(first_rows + steps[:tail]).ravel(),
                            (first_rows[:num_full] + steps[tail:]).ravel()])
@@ -300,9 +304,9 @@ def sample_datasets(
     next_states = np.empty(num_seeds * n, dtype=np.int64)
     block = max(1, _LOCKSTEP_BLOCK_ENTRIES // max(mdp.num_states, horizon_reset))
     for lo in range(0, first_rows.size, block):
-        _rollout(pi_table, sa_table, starts[lo:lo + block], first_rows[lo:lo + block],
-                 max(num_full - lo, 0), horizon_reset, tail, step_u.reshape(-1, 2),
-                 actions, next_states)
+        _rollout(pi_table, sa_table, mdp.num_actions, starts[lo:lo + block],
+                 first_rows[lo:lo + block], max(num_full - lo, 0), horizon_reset, tail,
+                 step_u.reshape(-1, 2), actions, next_states)
     # within a segment each step starts where the previous one ended
     states = np.empty(num_seeds * n, dtype=np.int64)
     states[1:] = next_states[:-1]
@@ -419,19 +423,25 @@ def _per_start_values(gram: np.ndarray, bases: CoverageBases) -> np.ndarray:
 
 
 def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp,
-                         optimal: Policy | CoverageBases) -> CoverageReport:
+                         optimal: Policy | CoverageBases,
+                         gram: np.ndarray | None = None) -> CoverageReport:
     """C-dagger of the dataset against the optimal occupancy from every start state.
 
     optimal is the optimal policy, or its coverage_bases when many datasets
-    are measured against the same occupancy.
+    are measured against the same occupancy. gram is the dataset's
+    sum_tau phi phi^T when the caller has reduced its rows already, as a
+    sweep does for a batch of datasets at once; otherwise the rows are
+    gathered and reduced here, with the same product.
     """
     if len(dataset) == 0:
         raise ValueError("coverage_coefficient requires a nonempty dataset")
     bases = optimal if isinstance(optimal, CoverageBases) else coverage_bases(mdp, optimal)
     if (bases.num_states, bases.dim) != (mdp.num_states, mdp.dim):
         raise ValueError("coverage bases do not match the mdp's shape")
-    feats = dataset.feature_rows(mdp.features)
-    gram = feats.T @ feats / len(dataset)
+    if gram is None:
+        feats = dataset.feature_rows(mdp.features)
+        gram = feats.T @ feats
+    gram = gram / len(dataset)
     per_start = _per_start_values(gram, bases)
     c = float(np.min(per_start))
     if not np.isfinite(c):
@@ -631,21 +641,31 @@ def write_transitions(path: str | Path, states, actions, rewards, next_states) -
 
     Floats are written as repr(float), so each line is byte for byte what
     json.dumps writes for the same record. Rows are rendered in blocks of
-    _WRITE_BLOCK_ROWS: each block reprs each distinct reward once, telling
-    rewards apart by their bit pattern, which keeps -0.0 apart from 0.0 and
-    every NaN apart from every number.
+    _WRITE_BLOCK_ROWS: per block, each column renders each of its distinct
+    values once, with the line's text around it, and the lines are these
+    pieces joined with object-array +. Rewards are told apart by their bit
+    pattern, which keeps -0.0 apart from 0.0 and every NaN apart from every
+    number.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     with Path(path).open("w") as fh:
         for lo in range(0, len(rewards), _WRITE_BLOCK_ROWS):
             hi = lo + _WRITE_BLOCK_ROWS
             bits, which = np.unique(rewards[lo:hi].view(np.int64), return_inverse=True)
-            tokens = np.array(["null" if r != r else repr(r)
-                               for r in bits.view(np.float64).tolist()], dtype=object)
-            fh.writelines(f'{{"s": {s}, "a": {a}, "r": {r}, "sp": {sp}}}\n'
-                          for s, a, r, sp in zip(states[lo:hi].tolist(), actions[lo:hi].tolist(),
-                                                 tokens[which].tolist(),
-                                                 next_states[lo:hi].tolist()))
+            reward_tokens = np.array(["null" if r != r else repr(r)
+                                      for r in bits.view(np.float64).tolist()], dtype=object)
+            lines = (_column_tokens(states[lo:hi], '{{"s": {}, "a": ')
+                     + _column_tokens(actions[lo:hi], '{}, "r": ')
+                     + reward_tokens[which]
+                     + _column_tokens(next_states[lo:hi], ', "sp": {}}}\n'))
+            fh.writelines(lines.tolist())
+
+
+def _column_tokens(values: np.ndarray, template: str) -> np.ndarray:
+    """template.format(v) for each of values, as an object array; each
+    distinct value is formatted once."""
+    distinct, which = np.unique(values, return_inverse=True)
+    return np.array([template.format(v) for v in distinct.tolist()], dtype=object)[which]
 
 
 def write_jsonl(dataset: OfflineDataset, path: str | Path, **provenance) -> None:

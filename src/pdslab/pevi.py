@@ -23,9 +23,12 @@ w_r and gamma * Lambda^{-1} B are built once per solve, so each sweep costs
 O(dS + SAd) and does not touch the N dataset rows. pevi_prepare reduces a
 row set to these pieces (a PeviProblem, whose size does not depend on N):
 Lambda, Gamma and gamma * Lambda^{-1} B once, and one w_r per reward vector
-on those rows. pevi_lockstep runs the sweeps of many problems over one
-feature map together, each with its own convergence; pevi_solve is a batch
-of one, and a problem gives the same numbers bit for bit in any batch. For
+on those rows. It gathers the rows and sums them, then calls
+pevi_problems, which builds the problems from those sums; a sweep sums the
+rows of a batch of datasets at once and calls pevi_problems per dataset.
+pevi_lockstep runs the sweeps of many problems over one feature map
+together, each with its own convergence; pevi_solve is a batch of one, and
+a problem gives the same numbers bit for bit in any batch. For
 one-hot features the sweep map is a sup-norm contraction, but general
 feature maps can defeat that, so the returned solution carries a converged
 flag and the residual trace instead of promising a fixed point.
@@ -148,37 +151,59 @@ class PeviProblem:
     bonus: np.ndarray          # Gamma, (S, A)
 
 
-def pevi_prepare(
-    dataset: OfflineDataset, features: FeatureMap, config: PeviConfig, rewards
-) -> list[PeviProblem]:
-    """One PeviProblem per vector in rewards, each holding one finite
-    nonnegative reward per row of dataset, whose own rewards are not read.
-    The rows are reduced once and shared, so each vector costs one w_r solve.
-    """
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("pevi_prepare requires a nonempty dataset")
+def check_rewards(rewards, n: int) -> list[np.ndarray]:
+    """The reward vectors as float arrays; raise ValueError unless each holds
+    one finite nonnegative reward per row of an n-row dataset."""
     rewards = [np.asarray(r, dtype=float) for r in rewards]
     for r in rewards:
         if r.shape != (n,):
             raise ValueError(f"reward vector of shape {r.shape} for {n} rows")
         if not (np.isfinite(r).all() and (r >= 0).all()):
             raise ValueError("reward vectors must be finite and nonnegative")
-    phi = dataset.feature_rows(features)
-    ridge = Ridge.from_rows(phi, config.lambda_reg)
+    return rewards
+
+
+def next_state_sums(columns: np.ndarray, next_states: np.ndarray, num_states: int) -> np.ndarray:
+    """B[k, s'], the sum of phi_k over the rows landing in s', so
+    phi^T v(s') = B v; columns holds the rows' features as a (d, N) array,
+    such as the transposed view of the (N, d) rows. Each bincount adds one
+    column's weights in row order."""
+    return np.stack([np.bincount(next_states, weights=column, minlength=num_states)
+                     for column in columns])
+
+
+def pevi_problems(gram: np.ndarray, next_sums: np.ndarray, reward_sums, features: FeatureMap,
+                  config: PeviConfig) -> list[PeviProblem]:
+    """One PeviProblem per entry of reward_sums, for a row set reduced to its
+    Gram sum_tau phi phi^T, its next-state sums B (next_state_sums) and one
+    sum_tau phi_tau r_tau per reward vector: Lambda is factored once and
+    each vector costs one w_r solve."""
+    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + gram)
     bonus = (config.beta * ridge.widths(features.matrix())).reshape(
         features.num_states, features.num_actions)
-    # B[k, s'] sums phi_k over the rows landing in s', so phi^T v(s') = B v.
-    next_sums = np.stack([
-        np.bincount(dataset.next_states, weights=phi[:, k], minlength=features.num_states)
-        for k in range(features.dim)
-    ])
     sweep_map = config.gamma * ridge.solve(next_sums)
     return [
         PeviProblem(config=config, lambda_matrix=ridge.matrix, sweep_map=sweep_map,
-                    w_reward=ridge.solve(phi.T @ r), bonus=bonus)
-        for r in rewards
+                    w_reward=ridge.solve(reward_sum), bonus=bonus)
+        for reward_sum in reward_sums
     ]
+
+
+def pevi_prepare(
+    dataset: OfflineDataset, features: FeatureMap, config: PeviConfig, rewards
+) -> list[PeviProblem]:
+    """One PeviProblem per vector in rewards, each holding one finite
+    nonnegative reward per row of dataset, whose own rewards are not read.
+    The rows are gathered and reduced once (pevi_problems), so each vector
+    costs one w_r solve.
+    """
+    n = len(dataset)
+    if n == 0:
+        raise ValueError("pevi_prepare requires a nonempty dataset")
+    rewards = check_rewards(rewards, n)
+    phi = dataset.feature_rows(features)
+    next_sums = next_state_sums(phi.T, dataset.next_states, features.num_states)
+    return pevi_problems(phi.T @ phi, next_sums, [phi.T @ r for r in rewards], features, config)
 
 
 def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:

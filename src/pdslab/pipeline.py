@@ -14,28 +14,40 @@ and is only a reward vector on them:
 Suboptimality is measured against the exact optimal policy, reported both
 in expectation over the initial distribution and as the worst state. Dataset
 seeds derive from the cell coordinates only, so every method inside a cell
-sees identical data. Work that does not depend on the method is done once
-per cell: the reward fit, coverage, and the pevi_prepare reduction of each
-of its row sets (d0, and d0 then d1). Work that depends only on the MDP is
-done once per sweep: the oracle solve and the coverage bases (the range
-bases of every start's optimal occupancy moment, see data.coverage_bases),
-so a cell's coverage costs one Gram and a few batched eigvalsh per dataset.
+sees identical data. Work that depends only on the MDP is done once per
+sweep: the oracle solve and the coverage bases (the range bases of every
+start's optimal occupancy moment, see data.coverage_bases), so a cell's
+coverage costs one Gram and a few batched eigvalsh per dataset.
 
-Sweeps run the grid column by column, a column being one (n0, n1) pair. Its
-seeds are sampled in batches (sample_datasets, one lockstep rollout per
-batch and dataset role), each cell of a batch is prepared up to its PEVI
-problems with the same code run_method uses, and the batch's datasets are
-dropped before the next batch. The PEVI problems are then solved in one
-pevi_lockstep per column, or per chunk of its seeds when the column's
-stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES. Every number in a
-row is bit for bit what run_method gives for that cell alone. Methods that
-train on the same rows with the same rewards, which is every method of a
-cell whose d1 is empty, share one PEVI problem, solved and evaluated once.
-A row's wall_ms is the cell's shared work (reward fit, coverage), an equal
-share of its row set's reduction (the mix and pevi_prepare), its own reward
-vector, an equal share of its lockstep solve, and its own policy
-evaluation, the last three divided among the methods that share the
-problem (sampling, the oracle solve and the coverage bases are not counted).
+Sweeps run the grid column by column, a column being one (n0, n1) pair, and
+prepare its cells in four stages over a batch of seeds:
+1. sample: one sample_datasets call draws the d0 of up to _SEED_BATCH_ROWS
+   rows' worth of seeds (n0 per seed), and one call per batch of up to
+   _SEED_BATCH_ROWS rows (n0 + n1 per seed) draws that batch's d1;
+2. reduce: one gather of each cell's feature rows, d0's then d1's, and the
+   Grams of d0, d1 and both and d0's sum phi r, stacked over the batch's
+   cells with np.matmul (_reduce_batch);
+3. per cell: the reward fit and both coverage coefficients from those sums,
+   each method's reward vector, then per row set (d0, and d0 then d1) the
+   next-state sums and pevi_problems, which factors Lambda once for all of
+   the row set's vectors; the vectors' sums phi r are stacked over the
+   batch in between (_prepare_cells);
+4. solve: one pevi_lockstep per column, or per chunk of its seeds when the
+   column's stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES, then
+   an exact evaluation of each policy.
+A batch's d1 and sums are dropped before the next batch is sampled.
+run_method is the same code on a batch of one cell. np.matmul repeats the
+2-D product per cell, so every number in a row is bit for bit what
+run_method gives for that cell alone. Methods that train on the same rows
+with the same rewards, which is every method of a cell whose d1 is empty,
+share one PEVI problem, solved and evaluated once.
+
+A row's wall_ms is an equal share of its batch's reduce stage (and of the
+stacked sums phi r of stage 3), its cell's reward fit and coverage, an
+equal share of its row set's next-state sums and pevi_problems, its own
+reward vector, an equal share of its lockstep solve and its own policy
+evaluation; the last three are divided among the methods that share the
+problem. Sampling, the oracle solve and the coverage bases are not counted.
 """
 from __future__ import annotations
 
@@ -44,6 +56,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,16 +65,23 @@ from pdslab.data import (
     OfflineDataset,
     coverage_bases,
     coverage_coefficient,
-    mix_datasets,
     sample_datasets,
 )
 from pdslab.mdp import LinearMdp, Policy, evaluate_policy, solve_optimal
-from pdslab.pevi import PeviConfig, PeviProblem, pevi_lockstep, pevi_prepare, theorem_beta
+from pdslab.pevi import (
+    PeviConfig,
+    PeviProblem,
+    check_rewards,
+    next_state_sums,
+    pevi_lockstep,
+    pevi_problems,
+    theorem_beta,
+)
 from pdslab.reward import ALPHA_MODES, fill_missing, fill_table, fit_reward
 
 # the sweep does not call these, but perfbench's tracer wraps them under
 # these names, so they stay importable from this module
-from pdslab.data import sample_dataset  # noqa: F401
+from pdslab.data import mix_datasets, sample_dataset  # noqa: F401
 from pdslab.pevi import pevi_solve  # noqa: F401
 from pdslab.reward import relabel  # noqa: F401
 
@@ -253,7 +273,7 @@ class _Prepared:
     c1: float
     seed: int
     optimal_v: np.ndarray
-    seconds: float  # the cell's shared work plus this method's own preparation
+    seconds: float  # this method's share of its batch's and cell's preparation
 
 
 def _prepare_methods(
@@ -270,81 +290,192 @@ def _prepare_methods(
     """Prepare each method's PEVI problem on one dataset pair: a _Prepared
     or the raised exception per method, in order.
 
-    The reward fit and both coverage coefficients do not depend on the
-    method, so they are computed once, against bases (the optimal policy's
-    coverage_bases, built here when not given); if that shared work fails,
-    every method gets its exception. Each method is then a reward vector on
-    one of two row sets, d0 or d0 then d1 (see the module docstring), and
-    pevi_prepare reduces each row set once for all of its vectors. The
-    methods on d0 all train on d0.rewards, so their _Prepared hold one
-    problem, which _solve_prepared solves once.
+    This checks what a sweep's sampled cells satisfy by construction, then
+    runs _prepare_cells on a batch of one cell, against bases (the optimal
+    policy's coverage_bases, built here when not given). A failed check, like
+    a failure of the work every method shares, gives every method its
+    exception. Methods that would train on d1 fail alone when d1 is missing
+    or does not have d0's shape.
     """
-    start = time.perf_counter()
-    n1 = 0 if d1 is None else len(d1)
     try:
         if not d0.labeled or len(d0) == 0:
             raise ValueError("run_method requires nonempty labeled d0")
         if d1 is not None and d1.labeled:
             raise ValueError("d1 must be reward-free")
+        d0.check_features(mdp.features)
+        if d1 is not None and len(d1) > 0:
+            d1.check_features(mdp.features)
         if oracle is None:
             oracle = solve_optimal(mdp)
-        optimal_policy, optimal_values = oracle
         if bases is None:
-            bases = coverage_bases(mdp, optimal_policy)
-        model = fit_reward(
-            d0, mdp.features, nu=reward_cfg.nu, delta=reward_cfg.delta,
-            r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode,
-        )
-        c0 = coverage_coefficient(d0, mdp, bases).c_dagger
-        c1 = coverage_coefficient(d1, mdp, bases).c_dagger if n1 > 0 else 0.0
+            bases = coverage_bases(mdp, oracle[0])
     except Exception as exc:  # reported per method by the caller
         return [exc] * len(methods)
-    shared_s = time.perf_counter() - start
+    if d1 is None:
+        unusable = "{} needs an unlabeled dataset (may be empty)"
+    elif len(d1) > 0 and (d1.num_states, d1.num_actions) != (d0.num_states, d0.num_actions):
+        unusable = (f"dataset shapes differ: ({d0.num_states},{d0.num_actions}) vs "
+                    f"({d1.num_states},{d1.num_actions})")
+    else:
+        unusable = None
+    outcomes = {m: ValueError(unusable.format(m.value)) for m in methods
+                if unusable and m is not MethodId.NO_SHARE}
+    rest = tuple(m for m in methods if m not in outcomes)
+    if rest:
+        outcomes.update(zip(rest, _prepare_cells(mdp, [(seed, d0, d1)], rest, reward_cfg,
+                                                 pevi_cfg, bases, oracle[1].v)))
+    return [outcomes[m] for m in methods]
 
-    outcomes = {m: ValueError(f"{m.value} needs an unlabeled dataset (may be empty)")
-                for m in methods if d1 is None and m is not MethodId.NO_SHARE}
-    on_d0 = [m for m in methods if m not in outcomes and (m is MethodId.NO_SHARE or n1 == 0)]
-    on_mixed = [m for m in methods if m not in outcomes and m not in on_d0]
 
-    def mixed_rewards(method):
-        # oracle replaces every d1 reward, the others fill only the missing ones
-        observed = None if method is MethodId.ORACLE else d1.rewards
-        table = fill_table(model, mdp.features, _RELABEL_MODE[method], mdp)
-        return np.concatenate([d0.rewards, fill_missing(observed, table, d1.states, d1.actions)])
+class _BatchSums(NamedTuple):
+    """A batch of cells reduced over their feature rows, stacked over the
+    cells; each cell has N = n0 + n1 rows, d0's then d1's."""
 
-    # each row set with its reward vectors, each vector with the methods that
-    # train on it: every method on d0 shares d0.rewards, and with it one problem
-    row_sets = (
-        (lambda: d0, [(on_d0, lambda: d0.rewards)] if on_d0 else []),
-        (lambda: mix_datasets(d0, d1),
-         [([m], lambda m=m: mixed_rewards(m)) for m in on_mixed]),
+    rows: np.ndarray             # (cells, N, d) feature rows
+    next_states: np.ndarray      # (cells, N)
+    gram0: np.ndarray            # (cells, d, d), sum phi phi^T over d0
+    reward0: np.ndarray          # (cells, d), sum phi r over d0
+    gram1: np.ndarray | None     # over d1, when n1 > 0
+    gram_all: np.ndarray | None  # over d0 then d1, when some method trains on both
+
+
+def _reduce_batch(features, cells, n0: int, n1: int, both: bool) -> _BatchSums:
+    """One gather of every cell's feature rows, then their Grams and d0's
+    sum phi r stacked over the cells with np.matmul. It repeats the 2-D
+    product per cell, so each sum has the bits of the cell's own product."""
+    pairs = np.empty((len(cells), n0 + n1), dtype=np.int64)
+    next_states = np.empty_like(pairs)
+    rewards = np.empty((len(cells), n0))
+    for i, (_, d0, d1) in enumerate(cells):
+        pairs[i, :n0] = d0.states * features.num_actions + d0.actions
+        next_states[i, :n0] = d0.next_states
+        rewards[i] = d0.rewards
+        if n1:
+            pairs[i, n0:] = d1.states * features.num_actions + d1.actions
+            next_states[i, n0:] = d1.next_states
+    rows = features.matrix().take(pairs, axis=0)
+    columns = rows.transpose(0, 2, 1)
+    return _BatchSums(
+        rows=rows,
+        next_states=next_states,
+        gram0=np.matmul(columns[:, :, :n0], rows[:, :n0]),
+        reward0=np.matmul(columns[:, :, :n0], rewards[:, :, None])[:, :, 0],
+        gram1=np.matmul(columns[:, :, n0:], rows[:, n0:]) if n1 else None,
+        gram_all=np.matmul(columns, rows) if n1 and both else None,
     )
-    for rows_of, vectors in row_sets:
-        if not vectors:
-            continue
+
+
+def _prepare_cells(mdp: LinearMdp, cells: list, methods: tuple, reward_cfg: RewardSettings,
+                   pevi_cfg: PeviSettings, bases: CoverageBases, optimal_v: np.ndarray) -> list:
+    """Prepare every method of each (seed, d0, d1) cell up to its PEVI
+    problems: a _Prepared or the raised exception per method, in (cell,
+    method) order. The cells' d0 share one length and so do their d1, which
+    may be None for an empty one.
+
+    Each method is a reward vector on one of two row sets, d0 or d0 then d1
+    (see the module docstring). The stages:
+    - reduce, for the batch (_reduce_batch): one gather of the feature
+      rows, then the Grams of d0, d1 and both, and d0's sum phi r;
+    - per cell: the reward fit and both coverage coefficients from those
+      sums, then each sharing method's reward vector, d0's rewards followed
+      by d1's filled from fill_table;
+    - for the batch: each sharing method's sum phi r over both, stacked;
+    - per cell and row set: the next-state sums and pevi_problems, which
+      factors Lambda once for all of the row set's vectors.
+    The methods on d0 all train on d0.rewards, so their _Prepared hold one
+    problem, which _solve_prepared solves once. A failed fit or coverage
+    fails every method of its cell, and a failed row set its own methods.
+    A row's seconds are an equal share of the batch stages, its cell's fit
+    and coverage, an equal share of its row set's stage and its own vector.
+    """
+    features = mdp.features
+    _, first_d0, first_d1 = cells[0]
+    n0, n1 = len(first_d0), 0 if first_d1 is None else len(first_d1)
+    on_d0 = tuple(m for m in methods if m is MethodId.NO_SHARE or n1 == 0)
+    on_both = tuple(m for m in methods if m not in on_d0)
+    start = time.perf_counter()
+    try:
+        sums = _reduce_batch(features, cells, n0, n1, bool(on_both))
+    except Exception as exc:  # reported per method by the caller
+        return [exc] * (len(cells) * len(methods))
+    batch_s = time.perf_counter() - start
+
+    # per cell: the shared work, then each sharing method's reward vector
+    vectors = np.zeros((len(on_both), len(cells), n0 + n1))
+    shared, vector_s = [], []
+    for i, (_, d0, d1) in enumerate(cells):
         start = time.perf_counter()
         try:
-            rows, rewards, own_s = rows_of(), [], []
-            for _, vector_of in vectors:
-                vector_start = time.perf_counter()
-                rewards.append(vector_of())
-                own_s.append(time.perf_counter() - vector_start)
-            config = pevi_cfg.config_for(mdp, len(rows))
-            problems = pevi_prepare(rows, mdp.features, config, rewards)
+            check_rewards([d0.rewards], n0)
+            model = fit_reward(d0, features, nu=reward_cfg.nu, delta=reward_cfg.delta,
+                               r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode,
+                               sums=(sums.gram0[i], sums.reward0[i]))
+            c0 = coverage_coefficient(d0, mdp, bases, gram=sums.gram0[i]).c_dagger
+            c1 = coverage_coefficient(d1, mdp, bases, gram=sums.gram1[i]).c_dagger if n1 else 0.0
         except Exception as exc:  # reported per method by the caller
-            for sharing, _ in vectors:
-                outcomes.update(dict.fromkeys(sharing, exc))
+            shared.append(exc)
+            vector_s.append(None)
             continue
-        members = sum(len(sharing) for sharing, _ in vectors)
-        share_s = (time.perf_counter() - start - sum(own_s)) / members
-        for (sharing, _), problem, vector_s in zip(vectors, problems, own_s):
-            for method in sharing:
-                outcomes[method] = _Prepared(
-                    method=method, problem=problem, n0=len(d0), n1=n1, c0=c0, c1=c1,
-                    seed=seed, optimal_v=optimal_values.v,
-                    seconds=shared_s + share_s + vector_s / len(sharing),
-                )
-    return [outcomes[method] for method in methods]
+        shared.append((c0, c1, time.perf_counter() - start))
+        own_s = []
+        try:
+            for vector, method in zip(vectors[:, i], on_both):
+                start = time.perf_counter()
+                # oracle replaces every d1 reward, the others fill only the missing ones
+                observed = None if method is MethodId.ORACLE else d1.rewards
+                table = fill_table(model, features, _RELABEL_MODE[method], mdp)
+                vector[:n0] = d0.rewards
+                vector[n0:] = fill_missing(observed, table, d1.states, d1.actions)
+                check_rewards([vector], n0 + n1)
+                own_s.append(time.perf_counter() - start)
+        except Exception as exc:  # reported per method by the caller
+            own_s = exc
+        vector_s.append(own_s)
+    start = time.perf_counter()
+    columns = sums.rows.transpose(0, 2, 1)
+    reward_both = [np.matmul(columns, v[:, :, None])[:, :, 0] for v in vectors]
+    batch_s += time.perf_counter() - start
+    batch_share_s = batch_s / (len(cells) * len(methods))
+
+    outcomes = []
+    for i, (seed, _, _) in enumerate(cells):
+        if isinstance(shared[i], Exception):
+            outcomes += [shared[i]] * len(methods)
+            continue
+        c0, c1, shared_s = shared[i]
+        # each row set: its methods grouped by the reward vector they share,
+        # the seconds each vector took, its row count, Gram and vector sums
+        row_sets = []
+        if on_d0:
+            row_sets.append(([on_d0], [0.0], n0, sums.gram0[i], [sums.reward0[i]]))
+        if on_both:
+            row_sets.append(([(m,) for m in on_both], vector_s[i], n0 + n1, sums.gram_all[i],
+                             [r[i] for r in reward_both]))
+        prepared = {}
+        for groups, own_s, n_rows, gram, reward_sums in row_sets:
+            members = [m for group in groups for m in group]
+            if isinstance(own_s, Exception):
+                prepared.update(dict.fromkeys(members, own_s))
+                continue
+            start = time.perf_counter()
+            try:
+                next_sums = next_state_sums(sums.rows[i, :n_rows].T,
+                                            sums.next_states[i, :n_rows], features.num_states)
+                problems = pevi_problems(gram, next_sums, reward_sums, features,
+                                         pevi_cfg.config_for(mdp, n_rows))
+            except Exception as exc:  # reported per method by the caller
+                prepared.update(dict.fromkeys(members, exc))
+                continue
+            set_s = (time.perf_counter() - start) / len(members)
+            for group, problem, group_s in zip(groups, problems, own_s):
+                for method in group:
+                    prepared[method] = _Prepared(
+                        method=method, problem=problem, n0=n0, n1=n1, c0=c0, c1=c1,
+                        seed=seed, optimal_v=optimal_v,
+                        seconds=batch_share_s + shared_s + set_s + group_s / len(group),
+                    )
+        outcomes += [prepared[m] for m in methods]
+    return outcomes
 
 
 def _solve_prepared(mdp: LinearMdp, outcomes: list) -> list:
@@ -474,42 +605,53 @@ def _cell_seeds(seed: int, n0: int, n1: int, grid: SweepGrid) -> tuple[int, int]
 
 def _prepare_batch(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seeds, oracle,
                    bases, behaviors) -> list:
-    """Sample the d0 and d1 of every seed in seeds with one sample_datasets
-    call each, then prepare every method of each cell: the outcomes in
-    (seed, method) order.
-
-    The datasets are locals, so they are gone before the next batch is
-    sampled; exceptions lose their tracebacks, which would keep them alive.
+    """Sample the d0 of every seed in seeds with one sample_datasets call,
+    then prepare the cells in batches of at most _SEED_BATCH_ROWS dataset
+    rows, n0 + n1 per seed (_prepare_d1_batch): the outcomes in (seed,
+    method) order. The d0 are locals, so they are gone when this returns.
     """
     d0_seeds, d1_seeds = zip(*(_cell_seeds(seed, n0, n1, grid) for seed in seeds))
-    pi0, pi1 = behaviors
     try:
-        d0s = sample_datasets(mdp, pi0, n0, d0_seeds, horizon_reset=grid.horizon_reset,
+        d0s = sample_datasets(mdp, behaviors[0], n0, d0_seeds, horizon_reset=grid.horizon_reset,
                               labeled=True, noise=grid.noise)
-        if n1 > 0:
-            d1s = sample_datasets(mdp, pi1, n1, d1_seeds, horizon_reset=grid.horizon_reset,
-                                  labeled=False)
-        else:
-            d1s = [OfflineDataset([], [], None, [], labeled=False, num_states=mdp.num_states,
-                                  num_actions=mdp.num_actions)] * len(seeds)
+    except Exception as exc:  # cell failures are data, not crashes
+        return [exc.with_traceback(None)] * (len(seeds) * len(grid.methods))
+    per_batch = max(1, _SEED_BATCH_ROWS // (n0 + n1))
+    outcomes = []
+    for lo in range(0, len(seeds), per_batch):
+        batch = slice(lo, lo + per_batch)
+        outcomes += _prepare_d1_batch(mdp, grid, n1, seeds[batch], d0s[batch], d1_seeds[batch],
+                                      oracle, bases, behaviors[1])
+    return outcomes
+
+
+def _prepare_d1_batch(mdp: LinearMdp, grid: SweepGrid, n1: int, seeds, d0s, d1_seeds, oracle,
+                      bases, behavior) -> list:
+    """Sample the d1 of a batch of cells with one sample_datasets call and
+    prepare the cells: the outcomes in (seed, method) order.
+
+    The d1 and the batch's sums are locals, so they are gone before the next
+    batch is sampled; exceptions lose their tracebacks, which would keep
+    them alive.
+    """
+    try:
+        d1s = (sample_datasets(mdp, behavior, n1, d1_seeds, horizon_reset=grid.horizon_reset,
+                               labeled=False) if n1 > 0 else [None] * len(seeds))
     except Exception as exc:  # cell failures are data, not crashes
         outcomes = [exc] * (len(seeds) * len(grid.methods))
     else:
-        outcomes = [
-            outcome
-            for seed, d0, d1 in zip(seeds, d0s, d1s)
-            for outcome in _prepare_methods(mdp, d0, d1, grid.methods, grid.reward,
-                                            grid.pevi, seed, oracle, bases)
-        ]
+        outcomes = _prepare_cells(mdp, list(zip(seeds, d0s, d1s)), grid.methods, grid.reward,
+                                  grid.pevi, bases, oracle[1].v)
     return [o.with_traceback(None) if isinstance(o, Exception) else o for o in outcomes]
 
 
 def _run_column(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, oracle, bases, behaviors):
     """Every seed's cell of one (n0, n1) grid column. The seeds are split
     into chunks of at most _SOLVE_CHUNK_ENTRIES problem entries; a chunk's
-    seeds are sampled and prepared in batches of at most _SEED_BATCH_ROWS
-    dataset rows, then all of its PEVI problems are solved in one lockstep."""
-    per_batch = max(1, _SEED_BATCH_ROWS // (n0 + n1))
+    d0 are sampled in batches of at most _SEED_BATCH_ROWS dataset rows, n0
+    per seed (_prepare_batch), then all of its PEVI problems are solved in
+    one lockstep."""
+    per_batch = max(1, _SEED_BATCH_ROWS // n0)
     per_problem = mdp.num_states * (mdp.num_actions + mdp.dim)
     per_chunk = max(1, _SOLVE_CHUNK_ENTRIES // (per_problem * len(grid.methods)))
     out, failures = [], []

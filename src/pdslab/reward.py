@@ -91,21 +91,28 @@ def fit_reward(
     delta: float = 0.1,
     r_max: float = 1.0,
     alpha_mode: str = "lemma",
+    sums: tuple | None = None,
 ) -> RewardModel:
     """Ridge regression of observed rewards onto features.
 
     alpha_mode picks the ellipsoid radius: "lemma" (default, the operative
     data-independent radius) or "theorem" (the simplified main-theorem
-    preset, which dominates it).
+    preset, which dominates it). sums is the pair (sum phi phi^T,
+    sum phi r) over the labeled rows when the caller has reduced them
+    already, as a sweep does for a batch of datasets at once; otherwise the
+    rows are gathered and reduced here, with the same products.
     """
     if not labeled.labeled:
         raise ValueError("fit_reward requires a labeled dataset")
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     n, d = len(labeled), features.dim
-    phi = labeled.feature_rows(features)
-    ridge = Ridge.from_rows(phi, nu)
-    theta_hat = ridge.solve(phi.T @ labeled.rewards if n > 0 else np.zeros(d))
+    if sums is None:
+        phi = labeled.feature_rows(features)
+        sums = phi.T @ phi, (phi.T @ labeled.rewards if n > 0 else np.zeros(d))
+    gram, reward_sum = sums
+    ridge = Ridge(nu * np.eye(d) + gram)
+    theta_hat = ridge.solve(reward_sum)
     if alpha_mode == "lemma":
         alpha = lemma_alpha(d, n, nu, delta, r_max)
     elif alpha_mode == "theorem":

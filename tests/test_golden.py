@@ -11,7 +11,9 @@ sweep configs must reproduce their pinned CSVs (wall_ms stripped), and the
 ridge estimators (PEVI, reward fit, ensemble) must reproduce their pinned
 outputs in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
 file from the installed pdslab; it was generated before the ridge solves
-moved into pdslab.ridge.
+moved into pdslab.ridge. `python tests/test_golden.py --gate-hashes` prints
+the sha256 of every equivalence-gate sweep CSV with wall_ms stripped and
+flags each that differs from GATE_HASHES.
 """
 import json
 from functools import partial
@@ -43,6 +45,14 @@ from pdslab.mdp import (
     solve_optimal,
 )
 from pdslab.pevi import PeviConfig, bonus_table, pevi_prepare, pevi_solve
+from pdslab.pipeline import (
+    MethodId,
+    PeviSettings,
+    RewardSettings,
+    SweepGrid,
+    results_to_csv,
+    sweep,
+)
 from pdslab.reward import deviation_table, fit_reward, pessimistic_table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -412,14 +422,10 @@ SWEEP_CONFIGS = {
 NUMERIC_COLUMNS = {"c0", "c1", "gamma", "subopt_mean", "subopt_max", "vhat_start"}
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
-def test_sweep_csv_matches_golden(name, tmp_path):
-    out = tmp_path / "results.csv"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(SWEEP_CONFIGS[name], output=str(out))))
-    assert run_config(cfg) == 0
-
-    got = [line.rsplit(",", 1)[0].split(",") for line in out.read_text().splitlines()]
+def _assert_matches_golden(csv_text, name):
+    """csv_text, its wall_ms column stripped, against tests/golden/<name>.csv:
+    numeric columns within 1e-12, every other column exactly."""
+    got = [line.rsplit(",", 1)[0].split(",") for line in csv_text.splitlines()]
     want = [line.split(",") for line in (GOLDEN / f"{name}.csv").read_text().splitlines()]
     assert got[0] == want[0] and len(got) == len(want)
     for got_row, want_row in zip(got[1:], want[1:]):
@@ -428,6 +434,29 @@ def test_sweep_csv_matches_golden(name, tmp_path):
                 assert abs(float(g) - float(w)) <= 1e-12, (column, g, w)
             else:
                 assert g == w, (column, g, w)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+def test_sweep_csv_matches_golden(name, tmp_path):
+    out = tmp_path / "results.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SWEEP_CONFIGS[name], output=str(out))))
+    assert run_config(cfg) == 0
+    _assert_matches_golden(out.read_text(), name)
+
+
+def test_chain_sweep_matches_golden():
+    """tests/golden/chain.csv holds the test_05 grid (more shared data on
+    the four-state chain) as the sweep gave it before its cells were
+    prepared in batched stages. Its n1 = 0, 2000 and 20000 columns run in
+    one, two and seventeen batches of cells."""
+    grid = SweepGrid(n0_values=(200,), n1_values=(0, 2000, 20000), methods=(MethodId.PDS,),
+                     seeds=tuple(range(50)), labeled_quality="medium",
+                     unlabeled_quality="medium", reward=RewardSettings(),
+                     pevi=PeviSettings(c=0.02))
+    report = sweep(chain_mdp(), grid)
+    assert not report.failures
+    _assert_matches_golden(results_to_csv(report.results), "chain")
 
 
 # seeded small MDPs of each kind and the dataset sizes the estimator pins use
@@ -510,7 +539,89 @@ def test_reward_fit_matches_golden_bit_for_bit(case, estimator_golden):
     for key in REWARD_FIT_KEYS:
         assert np.array_equal(got_all[key], estimator_golden[case][key]), key
 
+
+# sha256 of each equivalence-gate CSV with its wall_ms column stripped from
+# every line, as recorded in CHANGES.md. They record one BLAS kernel's
+# rounding, so `--gate-hashes` checks them on demand, not a test.
+GATE_HASHES = {
+    "golden tabular": "d7923abf90caaf5913f3c597d928766e8391e9169a6f10d654f158ae043257fd",
+    "golden lowrank": "670125ad12ab6509181882ffb0404cabc61405da4e6d2b43270bd1cff3cf6c83",
+    "golden adversarial": "5bcb8305d7912922032a622651cc9f562f0182a9e92e3e7b6afd8162b101f97b",
+    "README config": "a9eda221bb4c75bd77d23bdcfb3ba4bade0dbc3f1cb4d06c34469e811ea23ccb",
+    "README grid, five methods, seeds 0-19":
+        "9796fa6cd1039087bea474d965ac5330258a7580f0e2d397cbf9d6b138433aef",
+    "chain_sweep seed 0": "59bd70b7c5ceed72287ac3466a50ffeca8a0acb0fd5c527a5e01a9c30efb66b9",
+    "chain_sweep seed 1": "4cd529286db1adc53d902c8279e4b0c8e82008d3692683efc34408d6d0b3ed30",
+    "chain_sweep seed 2": "2541c545cb5e3aac9cccd10486867cb0d33ad02b519e9c1b181532ecaa641925",
+    "large_lowrank seed 0": "7294cbda92fba7b54958ae9be242aa1de1ef5ed3ee21ee9e9e95ed94c31ccef3",
+}
+
+
+def _gate_csvs(tmp):
+    """(name, CSV text) of each equivalence gate, in GATE_HASHES order: the
+    golden sweep configs, the README config and its grid with every method
+    and seeds 0-19, and perfbench's chain_sweep and large_lowrank inputs,
+    written into the directory tmp."""
+    import contextlib
+    import io
+    import re
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs  # perfbench's seeded workload inputs
+    import workloads
+
+    def run(name, config):
+        out = tmp / f"{name}.csv"
+        cfg = tmp / f"{name}.json"
+        cfg.write_text(json.dumps(dict(config, output=str(out))))
+        with contextlib.redirect_stdout(io.StringIO()):
+            if run_config(cfg) != 0:
+                raise RuntimeError(f"the {name} sweep failed")
+        return out.read_text()
+
+    for name in ("tabular", "lowrank", "adversarial"):
+        yield f"golden {name}", run(name, SWEEP_CONFIGS[name])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli = readme.split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    config = json.loads(re.findall(r"```json\n(.*?)```", cli, flags=re.S)[0])
+    yield "README config", run("readme", config)
+    yield "README grid, five methods, seeds 0-19", run(
+        "readme-grid", dict(config, methods=[m.value for m in MethodId], seeds=list(range(20))))
+    for seed in range(3):
+        spec = inputs.prepare("chain_sweep", seed, "full", tmp / f"chain-{seed}")
+        yield f"chain_sweep seed {seed}", workloads.ChainSweep(spec).call()[1]
+    spec = inputs.prepare("large_lowrank", 0, "full", tmp / "large")
+    yield "large_lowrank seed 0", run("large", json.loads(Path(spec["config"]).read_text()))
+
+
+def _print_gate_hashes() -> int:
+    """Print the sha256 of each gate CSV with wall_ms stripped, flagging each
+    that differs from GATE_HASHES; 1 if any does."""
+    import hashlib
+    import tempfile
+
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _gate_csvs(Path(tmp)):
+            stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+            digest = hashlib.sha256(stripped.encode()).hexdigest()
+            same = digest == GATE_HASHES[name]
+            differ += not same
+            print(f"{digest}  {name}{'' if same else '  DIFFERS from ' + GATE_HASHES[name]}")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Rewrite tests/golden/estimators.json "
+                                     "from the installed pdslab, or check the gate CSVs.")
+    parser.add_argument("--gate-hashes", action="store_true",
+                        help="print the sha256 of every equivalence-gate CSV with wall_ms "
+                             "stripped and exit 1 if any differs from GATE_HASHES")
+    if parser.parse_args().gate_hashes:
+        raise SystemExit(_print_gate_hashes())
     lines = [f"{json.dumps(case)}: {json.dumps(_estimator_outputs(case))}"
              for case in ESTIMATOR_CASES]
     (GOLDEN / "estimators.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -4,11 +4,12 @@ fails in Tracer.install before it measures anything.
 
 test_every_traced_name_exists guards only the names. It does not check that
 the sweep still calls what they name: pipeline.sample_dataset,
-pipeline.pevi_solve and pipeline.relabel stay importable for the tracer, but
-the sweep calls sample_datasets, pevi_lockstep and fill_table, so the traced
-data.sample_dataset.*, pevi.* and reward.relabel.* metrics read 0 on the
-sweep workloads until the tracer wraps what the sweep calls. The coverage
-layer is checked through a traced sweep."""
+pipeline.pevi_solve, pipeline.relabel and pipeline.mix_datasets stay
+importable for the tracer, but the sweep calls sample_datasets,
+pevi_lockstep and fill_table and mixes no datasets, so the traced
+data.sample_dataset.*, pevi.*, reward.relabel.* and data.mix_datasets.*
+metrics read 0 on the sweep workloads until the tracer wraps what the sweep
+calls. The coverage layer is checked through a traced sweep."""
 import importlib.util
 from pathlib import Path
 
@@ -44,8 +45,9 @@ def test_every_traced_name_exists():
 
 def test_traced_sweep_counts_every_coverage_call():
     """The sweep measures coverage through pipeline.coverage_coefficient with
-    the dataset and mdp the tracer binds, so the traced calls and solves
-    count every coverage the sweep computes rather than reading 0."""
+    the dataset and mdp the tracer binds (and the Gram its batch reduced),
+    so the traced calls and solves count every coverage the sweep computes
+    rather than reading 0."""
     tracing = _tracing()
     mdp = make_lowrank_mdp(5, 2, dim=2, seed=3)
     grid = pdslab.pipeline.SweepGrid(n0_values=(40,), n1_values=(0, 30),

@@ -330,6 +330,87 @@ def test_empty_d1_cells_solve_one_problem_per_seed(monkeypatch):
     assert all(r.wall_time_ms > 0 for r in report.results)
 
 
+def test_one_failed_fit_fails_only_its_cell(monkeypatch):
+    # a batch prepares its cells together, but a cell's failure is its own:
+    # the second fit of the sweep (seed 1 of the n1 = 30 column) raises
+    import pdslab.pipeline as pipeline
+
+    mdp = _mdp(seed=79)
+    grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS, seeds=(0, 1, 2),
+                     noise=True, pevi=PeviSettings(c=0.05))
+    clean = sweep(mdp, grid)
+    calls, real = [], pipeline.fit_reward
+
+    def second_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("reward fit failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_reward", second_fails)
+    report = sweep(mdp, grid)
+    assert len(calls) == 6
+    assert [(f["method"], f["n1"], f["seed"]) for f in report.failures] == [
+        (m.value, 30, 1) for m in ALL_METHODS]
+    assert all(f["error"] == "ValueError: reward fit failed" for f in report.failures)
+    want = [r for r in clean.results if (r.n1, r.seed) != (30, 1)]
+    assert _strip_wall(results_to_csv(report.results)) == _strip_wall(results_to_csv(want))
+
+
+def test_multi_batch_column_equals_separate_datasets(monkeypatch):
+    # a column split into several batches of cells: every c0, c1 and PEVI
+    # problem is what the cell's own datasets give, one by one
+    import pdslab.pipeline as pipeline
+    from pdslab.data import coverage_coefficient
+    from pdslab.pipeline import _cell_seeds
+
+    mdp = _mdp(seed=83)
+    grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS,
+                     seeds=(5, 0, 3, 8, 1, 6), noise=True, pevi=PeviSettings(c=0.05))
+    # d0 in batches of three seeds (120 rows), each cut into cells of at
+    # most two seeds (140 rows of d0 and d1)
+    monkeypatch.setattr(pipeline, "_SEED_BATCH_ROWS", 140)
+    built, sampled = [], []
+    real_lockstep, real_sample = pipeline.pevi_lockstep, pipeline.sample_datasets
+
+    def recording(problems, features):
+        built.extend(problems)
+        return real_lockstep(problems, features)
+
+    def counting(mdp, behavior, n, seeds, **kwargs):
+        sampled.append((n, len(seeds)))
+        return real_sample(mdp, behavior, n, seeds, **kwargs)
+
+    monkeypatch.setattr(pipeline, "pevi_lockstep", recording)
+    monkeypatch.setattr(pipeline, "sample_datasets", counting)
+    report = sweep(mdp, grid)
+    assert not report.failures
+    assert [batch for batch in sampled if batch[0] == 30] == [(30, 2), (30, 1)] * 2
+
+    oracle = solve_optimal(mdp)
+    pi0 = behavior_policy(mdp, "medium", oracle[0])
+    pi1 = behavior_policy(mdp, "expert", oracle[0])
+    rows, want = iter(report.results), []
+    for n1 in grid.n1_values:
+        for seed in grid.seeds:
+            d0_seed, d1_seed = _cell_seeds(seed, 40, n1, grid)
+            d0 = sample_dataset(mdp, pi0, n=40, seed=d0_seed, noise=True)
+            d1 = (sample_dataset(mdp, pi1, n=n1, seed=d1_seed, labeled=False) if n1 else
+                  _empty_unlabeled(mdp))
+            c0 = coverage_coefficient(d0, mdp, oracle[0]).c_dagger
+            c1 = coverage_coefficient(d1, mdp, oracle[0]).c_dagger if n1 else 0.0
+            for method in ALL_METHODS:
+                row = next(rows)
+                assert (row.seed, row.n1, row.method) == (seed, n1, method)
+                assert (row.c0_dagger, row.c1_dagger) == (c0, c1)
+            model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
+            methods = ALL_METHODS if n1 else (MethodId.NO_SHARE,)
+            want += [_reference_problem(mdp, d0, d1, m, model, grid.pevi) for m in methods]
+    assert len(built) == len(want) == 36
+    for got, expected in zip(built, want):
+        _assert_same_problem(got, expected)
+
+
 def test_partly_labeled_d1_matches_relabel_reference():
     # oracle replaces d1's observed rewards too; the other methods keep them
     from pdslab.pipeline import _prepare_methods

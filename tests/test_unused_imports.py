@@ -2,9 +2,9 @@
 
 An import whose line carries `# noqa: F401` is exempt only where perfbench's
 tracer wraps it: its (module, name) must be a site in `WRAPPED` of
-perfbench/tracing.py (pipeline keeps three names, sample_dataset, pevi_solve
-and relabel, for the tracer that the sweep itself no longer calls). Any
-other marked import is reported like an unused one.
+perfbench/tracing.py (pipeline keeps four names, mix_datasets,
+sample_dataset, pevi_solve and relabel, for the tracer that the sweep itself
+no longer calls). Any other marked import is reported like an unused one.
 `__init__.py` is skipped: its imports are the package's public exports.
 Uses count in code and in annotations, quoted ones included.
 """
