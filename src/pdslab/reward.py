@@ -152,7 +152,7 @@ def pessimistic_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
 
 def fill_missing(rewards, table: np.ndarray, states, actions) -> np.ndarray:
     """rewards with each NaN row (every row if rewards is None) set to table[s, a]."""
-    fills = table[states, actions]
+    fills = table.reshape(-1).take(states * table.shape[1] + actions)
     return fills if rewards is None else np.where(np.isnan(rewards), fills, rewards)
 
 

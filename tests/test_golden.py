@@ -10,8 +10,9 @@ dense S x S solves their factored d x d solves replaced, the acceptance
 sweep configs must reproduce their pinned CSVs (wall_ms stripped), and the
 ridge estimators (PEVI, reward fit, ensemble) must reproduce their pinned
 outputs in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
-file from the installed pdslab; it was generated before the ridge solves
-moved into pdslab.ridge. `python tests/test_golden.py --gate-hashes` prints
+file from the installed pdslab; it was last rewritten when pdslab.ridge moved
+from scipy's Cholesky solves to numpy's, which moved no pinned value by more
+than 4.6e-13. `python tests/test_golden.py --gate-hashes` prints
 the sha256 of every equivalence-gate sweep CSV with wall_ms stripped and
 flags each that differs from GATE_HASHES.
 """
@@ -545,15 +546,15 @@ def test_reward_fit_matches_golden_bit_for_bit(case, estimator_golden):
 # rounding, so `--gate-hashes` checks them on demand, not a test.
 GATE_HASHES = {
     "golden tabular": "d7923abf90caaf5913f3c597d928766e8391e9169a6f10d654f158ae043257fd",
-    "golden lowrank": "670125ad12ab6509181882ffb0404cabc61405da4e6d2b43270bd1cff3cf6c83",
-    "golden adversarial": "5bcb8305d7912922032a622651cc9f562f0182a9e92e3e7b6afd8162b101f97b",
-    "README config": "a9eda221bb4c75bd77d23bdcfb3ba4bade0dbc3f1cb4d06c34469e811ea23ccb",
+    "golden lowrank": "4229cc334be2f32ccdfb298b884bd5379fa2cc855e68a51bc49fe0d1fd44164d",
+    "golden adversarial": "7a3b7d652ede24b4c3dd027c58427b7d81398d9c78d6e63563ab5aecc89f2f95",
+    "README config": "a3fea0e6649677973f5ea8d8cb17fd1e0a0ba9db22b505b06197eb2e2f86cc89",
     "README grid, five methods, seeds 0-19":
-        "9796fa6cd1039087bea474d965ac5330258a7580f0e2d397cbf9d6b138433aef",
-    "chain_sweep seed 0": "59bd70b7c5ceed72287ac3466a50ffeca8a0acb0fd5c527a5e01a9c30efb66b9",
-    "chain_sweep seed 1": "4cd529286db1adc53d902c8279e4b0c8e82008d3692683efc34408d6d0b3ed30",
-    "chain_sweep seed 2": "2541c545cb5e3aac9cccd10486867cb0d33ad02b519e9c1b181532ecaa641925",
-    "large_lowrank seed 0": "7294cbda92fba7b54958ae9be242aa1de1ef5ed3ee21ee9e9e95ed94c31ccef3",
+        "33d892092d22ba55f5e64445739b94e7c2268586099361ba082d4882033e108c",
+    "chain_sweep seed 0": "ac07294de01ae04292e97c4feb1b5904af610636775de4023905cacd402e00d3",
+    "chain_sweep seed 1": "341c45cffa1b25bb84ec677cd0a83a9e1bb2ddb51d53f5899039e118c6adc183",
+    "chain_sweep seed 2": "d1ddeeba6bac872a7f4a66808f9f8ffb5bd05f02987bcd1b40f234865688f1d9",
+    "large_lowrank seed 0": "2c5b6a0c252d998020baa38e4eee95fb97d8a7eecd75d9534e20e1a4b581ce0c",
 }
 
 

@@ -16,6 +16,7 @@ from pdslab.reward import (
     RewardModel,
     confidence_coverage_trial,
     deviation_table,
+    fill_missing,
     fit_reward,
     lemma_alpha,
     pessimistic_table,
@@ -186,6 +187,23 @@ def test_relabel_pds_never_exceeds_predict():
     assert np.array_equal(kept.rewards, lab.rewards)
     fills = pessimistic_table(model, mdp.features)[lab.states, lab.actions]
     assert not np.array_equal(kept.rewards, fills)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (4, 7)])
+def test_fill_missing_equals_two_array_gather(shape):
+    rng = np.random.default_rng(sum(shape))
+    table = rng.random(shape)
+    n = 200
+    states, actions = rng.integers(0, shape[0], n), rng.integers(0, shape[1], n)
+    fills = table[states, actions]
+    observed = rng.random(n)
+    part_nan = np.where(rng.random(n) < 0.4, np.nan, observed)
+    for rewards, want in ((None, fills), (observed, observed),
+                          (part_nan, np.where(np.isnan(part_nan), fills, part_nan))):
+        got = fill_missing(rewards, table, states, actions)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # a transposed table is not C-contiguous; the gather still reads table[s, a]
+    assert np.array_equal(fill_missing(None, table.T, actions, states), fills)
 
 
 def test_relabel_argument_errors():
