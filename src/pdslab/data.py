@@ -1,17 +1,20 @@
 """Offline dataset sampling, mixing, and exact coverage computation.
 
 Datasets are columnar (state/action/reward/next_state arrays) and immutable
-by convention. The coverage coefficient follows the generalized-eigenvalue
-reading: the largest C with  (1/N) sum phi phi^T  >=  C * Sigma_{pi*,s}
-for every start state s, where Sigma is the (1-gamma)-normalized discounted
-occupancy second moment, computed exactly from one linear solve: d x d
-through the kernel's factorization when d < S, S x S otherwise.
+by convention. phi depends only on (s, a), so a dataset reduces to its
+pair ids s*A + a (OfflineDataset.pair_ids): one bincount gives its visit
+counts n(s, a) and its Gram is sum_pairs n phi phi^T (FeatureMap.gram).
+The coverage coefficient follows the generalized-eigenvalue reading: the
+largest C with  (1/N) sum phi phi^T  >=  C * Sigma_{pi*,s}  for every start
+state s, where Sigma is the (1-gamma)-normalized discounted occupancy second
+moment, computed exactly from one linear solve: d x d through the kernel's
+factorization when d < S, S x S otherwise.
 
 Sigma and its eigendecomposition depend only on the MDP and pi*, so
 coverage_bases computes the per-start bases once: a sweep builds them next
 to its oracle solve and, like that solve, they count in no row's wall_ms.
-Each dataset then costs one Gram and, per group of starts of equal Sigma
-rank, one stacked reduction and one batched eigvalsh.
+Each dataset then costs its counts' Gram and, per group of starts of equal
+Sigma rank, one stacked reduction and one batched eigvalsh.
 
 The sampler draws each step by inverse CDF. On wide rows the search runs in
 two levels, over every k-th cumulative entry and then within one k-wide
@@ -111,10 +114,11 @@ class OfflineDataset:
         """Raise unless features has a row for every (s, a) this dataset can hold."""
         check_shape(self.num_states, self.num_actions, features)
 
-    def feature_rows(self, features: FeatureMap) -> np.ndarray:
-        """phi(s_tau, a_tau) stacked into an (N, d) matrix."""
+    def pair_ids(self, features: FeatureMap) -> np.ndarray:
+        """s_tau * A + a_tau per row, A being features' action count: the
+        row of features.matrix() that holds phi(s_tau, a_tau)."""
         self.check_features(features)
-        return features.matrix().take(self.states * features.num_actions + self.actions, axis=0)
+        return self.states * features.num_actions + self.actions
 
     def with_rewards(self, rewards, labeled: bool = True) -> "OfflineDataset":
         return OfflineDataset(self.states, self.actions, rewards, self.next_states,
@@ -423,25 +427,19 @@ def _per_start_values(gram: np.ndarray, bases: CoverageBases) -> np.ndarray:
 
 
 def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp,
-                         optimal: Policy | CoverageBases,
-                         gram: np.ndarray | None = None) -> CoverageReport:
+                         optimal: Policy | CoverageBases) -> CoverageReport:
     """C-dagger of the dataset against the optimal occupancy from every start state.
 
     optimal is the optimal policy, or its coverage_bases when many datasets
-    are measured against the same occupancy. gram is the dataset's
-    sum_tau phi phi^T when the caller has reduced its rows already, as a
-    sweep does for a batch of datasets at once; otherwise the rows are
-    gathered and reduced here, with the same product.
+    are measured against the same occupancy.
     """
     if len(dataset) == 0:
         raise ValueError("coverage_coefficient requires a nonempty dataset")
     bases = optimal if isinstance(optimal, CoverageBases) else coverage_bases(mdp, optimal)
     if (bases.num_states, bases.dim) != (mdp.num_states, mdp.dim):
         raise ValueError("coverage bases do not match the mdp's shape")
-    if gram is None:
-        feats = dataset.feature_rows(mdp.features)
-        gram = feats.T @ feats
-    gram = gram / len(dataset)
+    features = mdp.features
+    gram = features.gram(features.pair_sums(dataset.pair_ids(features))) / len(dataset)
     per_start = _per_start_values(gram, bases)
     c = float(np.min(per_start))
     if not np.isfinite(c):
@@ -534,11 +532,16 @@ def read_header(path: str | Path, count: int) -> dict | None:
     """The sidecar header of a transition file, or None when it has none.
 
     count is the number of transitions read from the file; raise ValueError
-    when the header's n says otherwise.
+    when the header is not a JSON object or its n says otherwise.
     """
     hp = header_path(path)
-    meta = json.loads(hp.read_text()) if hp.exists() else None
-    if meta is not None and "n" in meta and meta["n"] != count:
+    if not hp.exists():
+        return None
+    meta = json.loads(hp.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{hp}: the header must be a JSON object, got "
+                         f"{type(meta).__name__}")
+    if "n" in meta and meta["n"] != count:
         raise ValueError(f"{path}: header says n={meta['n']} but the file holds "
                          f"{count} transitions")
     return meta

@@ -140,7 +140,9 @@ def fit_ensemble(
     nu: float = 1.0,
     seed: int = 0,
 ) -> EnsembleRewardModel:
-    """Fit ensemble_size ridge members on bootstrap resamples of labeled data."""
+    """Fit ensemble_size ridge members on bootstrap resamples of labeled data;
+    a resample reduces to the visit counts and per-pair reward sums of the
+    rows it draws, summed in draw order."""
     if ensemble_size < 2:
         raise ValueError(f"ensemble_size must be >= 2, got {ensemble_size}")
     if not labeled.labeled or len(labeled) == 0:
@@ -148,12 +150,13 @@ def fit_ensemble(
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     n, d = len(labeled), features.dim
-    phi_rows = labeled.feature_rows(features)
+    pairs, rows = labeled.pair_ids(features), features.matrix()
     members = np.empty((ensemble_size, d))
     for j, child in enumerate(np.random.SeedSequence(seed).spawn(ensemble_size)):
         idx = np.random.default_rng(child).integers(0, n, size=n)
-        sub = phi_rows[idx]
-        members[j] = Ridge.from_rows(sub, nu).solve(sub.T @ labeled.rewards[idx])
+        drawn = pairs[idx]
+        ridge = Ridge(nu * np.eye(d) + features.gram(features.pair_sums(drawn)))
+        members[j] = ridge.solve(rows.T @ features.pair_sums(drawn, labeled.rewards[idx]))
     return EnsembleRewardModel(
         members=members,
         features=features,

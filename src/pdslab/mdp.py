@@ -85,6 +85,17 @@ class FeatureMap:
         """All features stacked row-major into an (S*A, d) matrix."""
         return self.phi.reshape(-1, self.dim)
 
+    def pair_sums(self, pairs: np.ndarray, weights=None) -> np.ndarray:
+        """Per pair id s*A + a, how many entries of pairs hold it or, with
+        weights, the sum of their weights, added in row order: (S*A,)."""
+        return np.bincount(pairs, weights=weights, minlength=self.matrix().shape[0])
+
+    def gram(self, counts: np.ndarray) -> np.ndarray:
+        """sum over pairs of counts * phi phi^T, (d, d): the Gram of a row
+        set that visits each pair counts times, whatever the rows' order."""
+        rows = self.matrix()
+        return (rows.T * counts) @ rows
+
 
 @dataclass(frozen=True)
 class LinearMdp:

@@ -20,12 +20,13 @@ phi_tau[k], a d x S matrix,
     w_hat = w_r + gamma * Lambda^{-1} B v,   w_r = Lambda^{-1} sum_tau phi_tau r_tau.
 
 w_r and gamma * Lambda^{-1} B are built once per solve, so each sweep costs
-O(dS + SAd) and does not touch the N dataset rows. pevi_prepare reduces a
-row set to these pieces (a PeviProblem, whose size does not depend on N):
-Lambda, Gamma and gamma * Lambda^{-1} B once, and one w_r per reward vector
-on those rows. It gathers the rows and sums them, then calls
-pevi_problems, which builds the problems from those sums; a sweep sums the
-rows of a batch of datasets at once and calls pevi_problems per dataset.
+O(dS + SAd) and does not touch the N dataset rows. pevi_problems reduces a
+row set, given as its pair ids s*A + a and next states, to these pieces (a
+PeviProblem, whose size does not depend on N): Lambda from the visit
+counts' Gram, Gamma and gamma * Lambda^{-1} B once, and per reward vector
+on those rows w_r from Phi^T times the vector's per-pair sums. No (N, d)
+row matrix is formed: B adds each feature column's values in row order,
+and so does each per-pair reward sum. pevi_prepare runs it on a dataset.
 pevi_lockstep runs the sweeps of many problems over one feature map
 together, each with its own convergence; pevi_solve is a batch of one, and
 a problem gives the same numbers bit for bit in any batch. For
@@ -163,29 +164,22 @@ def check_rewards(rewards, n: int) -> list[np.ndarray]:
     return rewards
 
 
-def next_state_sums(columns: np.ndarray, next_states: np.ndarray, num_states: int) -> np.ndarray:
-    """B[k, s'], the sum of phi_k over the rows landing in s', so
-    phi^T v(s') = B v; columns holds the rows' features as a (d, N) array,
-    such as the transposed view of the (N, d) rows. Each bincount adds one
-    column's weights in row order."""
-    return np.stack([np.bincount(next_states, weights=column, minlength=num_states)
-                     for column in columns])
-
-
-def pevi_problems(gram: np.ndarray, next_sums: np.ndarray, reward_sums, features: FeatureMap,
+def pevi_problems(features: FeatureMap, pairs: np.ndarray, next_states: np.ndarray, rewards,
                   config: PeviConfig) -> list[PeviProblem]:
-    """One PeviProblem per entry of reward_sums, for a row set reduced to its
-    Gram sum_tau phi phi^T, its next-state sums B (next_state_sums) and one
-    sum_tau phi_tau r_tau per reward vector: Lambda is factored once and
-    each vector costs one w_r solve."""
-    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + gram)
-    bonus = (config.beta * ridge.widths(features.matrix())).reshape(
-        features.num_states, features.num_actions)
+    """One PeviProblem per vector in rewards, for the row set whose rows
+    have these pair ids and next states: Lambda is factored once and each
+    vector costs one w_r solve."""
+    rows, counts = features.matrix(), features.pair_sums(pairs)
+    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + features.gram(counts))
+    bonus = (config.beta * ridge.widths(rows)).reshape(features.num_states, features.num_actions)
+    # B[k, s'], the sum of phi_k over the rows landing in s', so phi^T v(s') = B v
+    next_sums = np.stack([np.bincount(next_states, weights=column.take(pairs),
+                                      minlength=features.num_states) for column in rows.T])
     sweep_map = config.gamma * ridge.solve(next_sums)
     return [
         PeviProblem(config=config, lambda_matrix=ridge.matrix, sweep_map=sweep_map,
-                    w_reward=ridge.solve(reward_sum), bonus=bonus)
-        for reward_sum in reward_sums
+                    w_reward=ridge.solve(rows.T @ features.pair_sums(pairs, r)), bonus=bonus)
+        for r in rewards
     ]
 
 
@@ -193,17 +187,14 @@ def pevi_prepare(
     dataset: OfflineDataset, features: FeatureMap, config: PeviConfig, rewards
 ) -> list[PeviProblem]:
     """One PeviProblem per vector in rewards, each holding one finite
-    nonnegative reward per row of dataset, whose own rewards are not read.
-    The rows are gathered and reduced once (pevi_problems), so each vector
-    costs one w_r solve.
+    nonnegative reward per row of dataset, whose own rewards are not read
+    (pevi_problems on the dataset's rows).
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("pevi_prepare requires a nonempty dataset")
-    rewards = check_rewards(rewards, n)
-    phi = dataset.feature_rows(features)
-    next_sums = next_state_sums(phi.T, dataset.next_states, features.num_states)
-    return pevi_problems(phi.T @ phi, next_sums, [phi.T @ r for r in rewards], features, config)
+    return pevi_problems(features, dataset.pair_ids(features), dataset.next_states,
+                         check_rewards(rewards, n), config)
 
 
 def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:

@@ -17,37 +17,33 @@ seeds derive from the cell coordinates only, so every method inside a cell
 sees identical data. Work that depends only on the MDP is done once per
 sweep: the oracle solve and the coverage bases (the range bases of every
 start's optimal occupancy moment, see data.coverage_bases), so a cell's
-coverage costs one Gram and a few batched eigvalsh per dataset.
+coverage costs the Gram of its visit counts and a few batched eigvalsh per
+dataset.
 
-Sweeps run the grid column by column, a column being one (n0, n1) pair, and
-prepare its cells in four stages over a batch of seeds:
+Sweeps run the grid column by column, a column being one (n0, n1) pair, in
+three stages:
 1. sample: one sample_datasets call draws the d0 of up to _SEED_BATCH_ROWS
    rows' worth of seeds (n0 per seed), and one call per batch of up to
    _SEED_BATCH_ROWS rows (n0 + n1 per seed) draws that batch's d1;
-2. reduce: one gather of each cell's feature rows, d0's then d1's, and the
-   Grams of d0, d1 and both and d0's sum phi r, stacked over the batch's
-   cells with np.matmul (_reduce_batch);
-3. per cell: the reward fit and both coverage coefficients from those sums,
-   each method's reward vector, then per row set (d0, and d0 then d1) the
-   next-state sums and pevi_problems, which factors Lambda once for all of
-   the row set's vectors; the vectors' sums phi r are stacked over the
-   batch in between (_prepare_cells);
-4. solve: one pevi_lockstep per column, or per chunk of its seeds when the
+2. per cell (_prepare_cell): the reward fit and both coverage
+   coefficients, each method's reward vector, then per row set (d0, and d0
+   then d1) pevi_problems, which reduces the rows to their visit counts and
+   per-pair sums and factors Lambda once for all of the row set's vectors;
+3. solve: one pevi_lockstep per column, or per chunk of its seeds when the
    column's stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES, then
    an exact evaluation of each policy.
-A batch's d1 and sums are dropped before the next batch is sampled.
-run_method is the same code on a batch of one cell. np.matmul repeats the
-2-D product per cell, so every number in a row is bit for bit what
-run_method gives for that cell alone. Methods that train on the same rows
-with the same rewards, which is every method of a cell whose d1 is empty,
-share one PEVI problem, solved and evaluated once.
+A batch's d1 are dropped before the next batch is sampled. run_method runs
+the same per-cell code, and a lockstep gives each problem the bits it gets
+alone, so every number in a row is bit for bit what run_method gives for
+that cell alone. Methods that train on the same rows with the same rewards,
+which is every method of a cell whose d1 is empty, share one PEVI problem,
+solved and evaluated once.
 
-A row's wall_ms is an equal share of its batch's reduce stage (and of the
-stacked sums phi r of stage 3), its cell's reward fit and coverage, an
-equal share of its row set's next-state sums and pevi_problems, its own
-reward vector, an equal share of its lockstep solve and its own policy
-evaluation; the last three are divided among the methods that share the
-problem. Sampling, the oracle solve and the coverage bases are not counted.
+A row's wall_ms is its cell's reward fit and coverage, an equal share of
+its row set's pevi_problems, its own reward vector, an equal share of its
+lockstep solve and its own policy evaluation; the last three are divided
+among the methods that share the problem. Sampling, the oracle solve and
+the coverage bases are not counted.
 """
 from __future__ import annotations
 
@@ -56,8 +52,6 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
-
 import numpy as np
 
 from pdslab.data import (
@@ -72,7 +66,6 @@ from pdslab.pevi import (
     PeviConfig,
     PeviProblem,
     check_rewards,
-    next_state_sums,
     pevi_lockstep,
     pevi_problems,
     theorem_beta,
@@ -273,7 +266,7 @@ class _Prepared:
     c1: float
     seed: int
     optimal_v: np.ndarray
-    seconds: float  # this method's share of its batch's and cell's preparation
+    seconds: float  # this method's share of its cell's preparation
 
 
 def _prepare_methods(
@@ -291,11 +284,11 @@ def _prepare_methods(
     or the raised exception per method, in order.
 
     This checks what a sweep's sampled cells satisfy by construction, then
-    runs _prepare_cells on a batch of one cell, against bases (the optimal
-    policy's coverage_bases, built here when not given). A failed check, like
-    a failure of the work every method shares, gives every method its
-    exception. Methods that would train on d1 fail alone when d1 is missing
-    or does not have d0's shape.
+    runs _prepare_cell against bases (the optimal policy's coverage_bases,
+    built here when not given). A failed check, like a failure of the work
+    every method shares, gives every method its exception. Methods that
+    would train on d1 fail alone when d1 is missing or does not have d0's
+    shape.
     """
     try:
         if not d0.labeled or len(d0) == 0:
@@ -322,160 +315,86 @@ def _prepare_methods(
                 if unusable and m is not MethodId.NO_SHARE}
     rest = tuple(m for m in methods if m not in outcomes)
     if rest:
-        outcomes.update(zip(rest, _prepare_cells(mdp, [(seed, d0, d1)], rest, reward_cfg,
-                                                 pevi_cfg, bases, oracle[1].v)))
+        outcomes.update(zip(rest, _prepare_cell(mdp, seed, d0, d1, rest, reward_cfg, pevi_cfg,
+                                                bases, oracle[1].v)))
     return [outcomes[m] for m in methods]
 
 
-class _BatchSums(NamedTuple):
-    """A batch of cells reduced over their feature rows, stacked over the
-    cells; each cell has N = n0 + n1 rows, d0's then d1's."""
-
-    rows: np.ndarray             # (cells, N, d) feature rows
-    next_states: np.ndarray      # (cells, N)
-    gram0: np.ndarray            # (cells, d, d), sum phi phi^T over d0
-    reward0: np.ndarray          # (cells, d), sum phi r over d0
-    gram1: np.ndarray | None     # over d1, when n1 > 0
-    gram_all: np.ndarray | None  # over d0 then d1, when some method trains on both
-
-
-def _reduce_batch(features, cells, n0: int, n1: int, both: bool) -> _BatchSums:
-    """One gather of every cell's feature rows, then their Grams and d0's
-    sum phi r stacked over the cells with np.matmul. It repeats the 2-D
-    product per cell, so each sum has the bits of the cell's own product."""
-    pairs = np.empty((len(cells), n0 + n1), dtype=np.int64)
-    next_states = np.empty_like(pairs)
-    rewards = np.empty((len(cells), n0))
-    for i, (_, d0, d1) in enumerate(cells):
-        pairs[i, :n0] = d0.states * features.num_actions + d0.actions
-        next_states[i, :n0] = d0.next_states
-        rewards[i] = d0.rewards
-        if n1:
-            pairs[i, n0:] = d1.states * features.num_actions + d1.actions
-            next_states[i, n0:] = d1.next_states
-    rows = features.matrix().take(pairs, axis=0)
-    columns = rows.transpose(0, 2, 1)
-    return _BatchSums(
-        rows=rows,
-        next_states=next_states,
-        gram0=np.matmul(columns[:, :, :n0], rows[:, :n0]),
-        reward0=np.matmul(columns[:, :, :n0], rewards[:, :, None])[:, :, 0],
-        gram1=np.matmul(columns[:, :, n0:], rows[:, n0:]) if n1 else None,
-        gram_all=np.matmul(columns, rows) if n1 and both else None,
-    )
-
-
-def _prepare_cells(mdp: LinearMdp, cells: list, methods: tuple, reward_cfg: RewardSettings,
-                   pevi_cfg: PeviSettings, bases: CoverageBases, optimal_v: np.ndarray) -> list:
-    """Prepare every method of each (seed, d0, d1) cell up to its PEVI
-    problems: a _Prepared or the raised exception per method, in (cell,
-    method) order. The cells' d0 share one length and so do their d1, which
-    may be None for an empty one.
+def _prepare_cell(mdp: LinearMdp, seed: int, d0: OfflineDataset, d1: OfflineDataset | None,
+                  methods: tuple, reward_cfg: RewardSettings, pevi_cfg: PeviSettings,
+                  bases: CoverageBases, optimal_v: np.ndarray) -> list:
+    """Prepare every method of one cell up to its PEVI problem: a _Prepared
+    or the raised exception per method, in order. d1 is None when empty.
 
     Each method is a reward vector on one of two row sets, d0 or d0 then d1
-    (see the module docstring). The stages:
-    - reduce, for the batch (_reduce_batch): one gather of the feature
-      rows, then the Grams of d0, d1 and both, and d0's sum phi r;
-    - per cell: the reward fit and both coverage coefficients from those
-      sums, then each sharing method's reward vector, d0's rewards followed
-      by d1's filled from fill_table;
-    - for the batch: each sharing method's sum phi r over both, stacked;
-    - per cell and row set: the next-state sums and pevi_problems, which
-      factors Lambda once for all of the row set's vectors.
-    The methods on d0 all train on d0.rewards, so their _Prepared hold one
-    problem, which _solve_prepared solves once. A failed fit or coverage
-    fails every method of its cell, and a failed row set its own methods.
-    A row's seconds are an equal share of the batch stages, its cell's fit
-    and coverage, an equal share of its row set's stage and its own vector.
+    (see the module docstring). First the cell's reward fit and both
+    coverage coefficients, then each sharing method's vector, d0's rewards
+    followed by d1's filled from fill_table, then per row set
+    pevi_problems, which factors Lambda once for all of the row set's
+    vectors. The methods on d0 all train on d0.rewards, so their _Prepared
+    hold one problem, which _solve_prepared solves once. A failed fit or
+    coverage fails every method, and a failed row set its own methods. A
+    method's seconds are the fit and coverage, an equal share of its row
+    set's pevi_problems and its own vector.
     """
     features = mdp.features
-    _, first_d0, first_d1 = cells[0]
-    n0, n1 = len(first_d0), 0 if first_d1 is None else len(first_d1)
+    n0, n1 = len(d0), 0 if d1 is None else len(d1)
     on_d0 = tuple(m for m in methods if m is MethodId.NO_SHARE or n1 == 0)
     on_both = tuple(m for m in methods if m not in on_d0)
     start = time.perf_counter()
     try:
-        sums = _reduce_batch(features, cells, n0, n1, bool(on_both))
+        check_rewards([d0.rewards], n0)
+        model = fit_reward(d0, features, nu=reward_cfg.nu, delta=reward_cfg.delta,
+                           r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode)
+        c0 = coverage_coefficient(d0, mdp, bases).c_dagger
+        c1 = coverage_coefficient(d1, mdp, bases).c_dagger if n1 else 0.0
     except Exception as exc:  # reported per method by the caller
-        return [exc] * (len(cells) * len(methods))
-    batch_s = time.perf_counter() - start
+        return [exc] * len(methods)
+    shared_s = time.perf_counter() - start
 
-    # per cell: the shared work, then each sharing method's reward vector
-    vectors = np.zeros((len(on_both), len(cells), n0 + n1))
-    shared, vector_s = [], []
-    for i, (_, d0, d1) in enumerate(cells):
-        start = time.perf_counter()
+    # each row set: its datasets, its methods grouped by the reward vector
+    # they share, the vectors and the seconds each vector took
+    row_sets = []
+    if on_d0:
+        row_sets.append(((d0,), [on_d0], [d0.rewards], [0.0]))
+    if on_both:
+        vectors, own_s = [], []
         try:
-            check_rewards([d0.rewards], n0)
-            model = fit_reward(d0, features, nu=reward_cfg.nu, delta=reward_cfg.delta,
-                               r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode,
-                               sums=(sums.gram0[i], sums.reward0[i]))
-            c0 = coverage_coefficient(d0, mdp, bases, gram=sums.gram0[i]).c_dagger
-            c1 = coverage_coefficient(d1, mdp, bases, gram=sums.gram1[i]).c_dagger if n1 else 0.0
-        except Exception as exc:  # reported per method by the caller
-            shared.append(exc)
-            vector_s.append(None)
-            continue
-        shared.append((c0, c1, time.perf_counter() - start))
-        own_s = []
-        try:
-            for vector, method in zip(vectors[:, i], on_both):
+            for method in on_both:
                 start = time.perf_counter()
                 # oracle replaces every d1 reward, the others fill only the missing ones
                 observed = None if method is MethodId.ORACLE else d1.rewards
                 table = fill_table(model, features, _RELABEL_MODE[method], mdp)
-                vector[:n0] = d0.rewards
-                vector[n0:] = fill_missing(observed, table, d1.states, d1.actions)
-                check_rewards([vector], n0 + n1)
+                vector = np.concatenate(
+                    [d0.rewards, fill_missing(observed, table, d1.states, d1.actions)])
+                vectors += check_rewards([vector], n0 + n1)
                 own_s.append(time.perf_counter() - start)
         except Exception as exc:  # reported per method by the caller
             own_s = exc
-        vector_s.append(own_s)
-    start = time.perf_counter()
-    columns = sums.rows.transpose(0, 2, 1)
-    reward_both = [np.matmul(columns, v[:, :, None])[:, :, 0] for v in vectors]
-    batch_s += time.perf_counter() - start
-    batch_share_s = batch_s / (len(cells) * len(methods))
-
-    outcomes = []
-    for i, (seed, _, _) in enumerate(cells):
-        if isinstance(shared[i], Exception):
-            outcomes += [shared[i]] * len(methods)
+        row_sets.append(((d0, d1), [(m,) for m in on_both], vectors, own_s))
+    prepared = {}
+    for datasets, groups, vectors, own_s in row_sets:
+        members = [m for group in groups for m in group]
+        if isinstance(own_s, Exception):
+            prepared.update(dict.fromkeys(members, own_s))
             continue
-        c0, c1, shared_s = shared[i]
-        # each row set: its methods grouped by the reward vector they share,
-        # the seconds each vector took, its row count, Gram and vector sums
-        row_sets = []
-        if on_d0:
-            row_sets.append(([on_d0], [0.0], n0, sums.gram0[i], [sums.reward0[i]]))
-        if on_both:
-            row_sets.append(([(m,) for m in on_both], vector_s[i], n0 + n1, sums.gram_all[i],
-                             [r[i] for r in reward_both]))
-        prepared = {}
-        for groups, own_s, n_rows, gram, reward_sums in row_sets:
-            members = [m for group in groups for m in group]
-            if isinstance(own_s, Exception):
-                prepared.update(dict.fromkeys(members, own_s))
-                continue
-            start = time.perf_counter()
-            try:
-                next_sums = next_state_sums(sums.rows[i, :n_rows].T,
-                                            sums.next_states[i, :n_rows], features.num_states)
-                problems = pevi_problems(gram, next_sums, reward_sums, features,
-                                         pevi_cfg.config_for(mdp, n_rows))
-            except Exception as exc:  # reported per method by the caller
-                prepared.update(dict.fromkeys(members, exc))
-                continue
-            set_s = (time.perf_counter() - start) / len(members)
-            for group, problem, group_s in zip(groups, problems, own_s):
-                for method in group:
-                    prepared[method] = _Prepared(
-                        method=method, problem=problem, n0=n0, n1=n1, c0=c0, c1=c1,
-                        seed=seed, optimal_v=optimal_v,
-                        seconds=batch_share_s + shared_s + set_s + group_s / len(group),
-                    )
-        outcomes += [prepared[m] for m in methods]
-    return outcomes
+        start = time.perf_counter()
+        try:
+            pairs = np.concatenate([d.pair_ids(features) for d in datasets])
+            problems = pevi_problems(features, pairs,
+                                     np.concatenate([d.next_states for d in datasets]),
+                                     vectors, pevi_cfg.config_for(mdp, len(pairs)))
+        except Exception as exc:  # reported per method by the caller
+            prepared.update(dict.fromkeys(members, exc))
+            continue
+        set_s = (time.perf_counter() - start) / len(members)
+        for group, problem, group_s in zip(groups, problems, own_s):
+            for method in group:
+                prepared[method] = _Prepared(
+                    method=method, problem=problem, n0=n0, n1=n1, c0=c0, c1=c1, seed=seed,
+                    optimal_v=optimal_v, seconds=shared_s + set_s + group_s / len(group),
+                )
+    return [prepared[m] for m in methods]
 
 
 def _solve_prepared(mdp: LinearMdp, outcomes: list) -> list:
@@ -628,11 +547,10 @@ def _prepare_batch(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seeds, ora
 def _prepare_d1_batch(mdp: LinearMdp, grid: SweepGrid, n1: int, seeds, d0s, d1_seeds, oracle,
                       bases, behavior) -> list:
     """Sample the d1 of a batch of cells with one sample_datasets call and
-    prepare the cells: the outcomes in (seed, method) order.
+    prepare the cells one by one: the outcomes in (seed, method) order.
 
-    The d1 and the batch's sums are locals, so they are gone before the next
-    batch is sampled; exceptions lose their tracebacks, which would keep
-    them alive.
+    The d1 are locals, so they are gone before the next batch is sampled;
+    exceptions lose their tracebacks, which would keep them alive.
     """
     try:
         d1s = (sample_datasets(mdp, behavior, n1, d1_seeds, horizon_reset=grid.horizon_reset,
@@ -640,8 +558,9 @@ def _prepare_d1_batch(mdp: LinearMdp, grid: SweepGrid, n1: int, seeds, d0s, d1_s
     except Exception as exc:  # cell failures are data, not crashes
         outcomes = [exc] * (len(seeds) * len(grid.methods))
     else:
-        outcomes = _prepare_cells(mdp, list(zip(seeds, d0s, d1s)), grid.methods, grid.reward,
-                                  grid.pevi, bases, oracle[1].v)
+        outcomes = [o for seed, d0, d1 in zip(seeds, d0s, d1s)
+                    for o in _prepare_cell(mdp, seed, d0, d1, grid.methods, grid.reward,
+                                           grid.pevi, bases, oracle[1].v)]
     return [o.with_traceback(None) if isinstance(o, Exception) else o for o in outcomes]
 
 

@@ -59,7 +59,8 @@ class RewardModel:
     delta: float
     r_max: float = 1.0
     # the factored Lambda; fit_reward hands over the one it built from the
-    # rows, which is then trusted as is instead of validated and refactored
+    # visit counts, which is then trusted as is instead of validated and
+    # refactored
     ridge: Ridge | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,28 +92,23 @@ def fit_reward(
     delta: float = 0.1,
     r_max: float = 1.0,
     alpha_mode: str = "lemma",
-    sums: tuple | None = None,
 ) -> RewardModel:
     """Ridge regression of observed rewards onto features.
 
-    alpha_mode picks the ellipsoid radius: "lemma" (default, the operative
-    data-independent radius) or "theorem" (the simplified main-theorem
-    preset, which dominates it). sums is the pair (sum phi phi^T,
-    sum phi r) over the labeled rows when the caller has reduced them
-    already, as a sweep does for a batch of datasets at once; otherwise the
-    rows are gathered and reduced here, with the same products.
+    The rows reduce to their visit counts, whose Gram gives Lambda, and
+    their per-pair reward sums, summed in row order; Phi^T maps those to
+    sum phi r. alpha_mode picks the ellipsoid radius: "lemma" (default, the
+    operative data-independent radius) or "theorem" (the simplified
+    main-theorem preset, which dominates it).
     """
     if not labeled.labeled:
         raise ValueError("fit_reward requires a labeled dataset")
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     n, d = len(labeled), features.dim
-    if sums is None:
-        phi = labeled.feature_rows(features)
-        sums = phi.T @ phi, (phi.T @ labeled.rewards if n > 0 else np.zeros(d))
-    gram, reward_sum = sums
-    ridge = Ridge(nu * np.eye(d) + gram)
-    theta_hat = ridge.solve(reward_sum)
+    pairs = labeled.pair_ids(features)
+    ridge = Ridge(nu * np.eye(d) + features.gram(features.pair_sums(pairs)))
+    theta_hat = ridge.solve(features.matrix().T @ features.pair_sums(pairs, labeled.rewards))
     if alpha_mode == "lemma":
         alpha = lemma_alpha(d, n, nu, delta, r_max)
     elif alpha_mode == "theorem":

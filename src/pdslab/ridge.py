@@ -1,6 +1,9 @@
 """Ridge solves against Lambda = reg*I + sum_tau phi_tau phi_tau^T, shared by
-PEVI, the reward fit and the ensemble members. The PEVI bonus and the PDS
-reward penalty are one ellipsoid width sqrt(phi^T Lambda^{-1} phi) at two scales.
+PEVI, the reward fit and the ensemble members. phi depends only on (s, a),
+so each caller sums over pairs instead of rows, sum_(s,a) n(s,a) phi phi^T
+with n the visit counts (FeatureMap.gram). The PEVI bonus and the PDS
+reward penalty are one ellipsoid width sqrt(phi^T Lambda^{-1} phi) at two
+scales.
 
 With Lambda = U^T U, U the upper Cholesky factor, Lambda^{-1} rhs is two
 triangular solves and each width is the norm of one, ||U^{-T} phi||. numpy
@@ -18,11 +21,6 @@ class Ridge:
         lam = np.asarray(matrix, dtype=float)
         self.matrix = 0.5 * (lam + lam.T)
         self._upper = np.linalg.cholesky(self.matrix, upper=True)
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, reg: float) -> "Ridge":
-        """reg * I + rows^T rows for an (N, d) row matrix."""
-        return cls(reg * np.eye(rows.shape[1]) + rows.T @ rows)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Lambda^{-1} rhs for a (d,) or (d, m) rhs."""

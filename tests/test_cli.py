@@ -605,6 +605,19 @@ def test_relabel_rejects_a_header_shape_the_model_cannot_cover_exit_2(tmp_path, 
     assert not out.exists() and not header_path(out).exists()
 
 
+@pytest.mark.parametrize("command", ["fit-ensemble", "relabel"])
+@pytest.mark.parametrize("header", ["[1, 2]", '"x"', "3"])
+def test_a_header_that_is_not_an_object_exits_2(tmp_path, capsys, command, header):
+    argv = _file_commands(tmp_path)[command]
+    data_path = argv[argv.index("--in") + 1]
+    header_path(data_path).write_text(header + "\n")
+    capsys.readouterr()
+    assert entrypoint(argv) == 2
+    err = capsys.readouterr().err
+    assert "the header must be a JSON object" in err and str(header_path(data_path)) in err
+    assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
 def _file_commands(tmp_path):
     """Working files for every file-taking subcommand, and its arguments."""
     mdp, lab, unl, model = (str(tmp_path / name) for name in

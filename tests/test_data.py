@@ -26,9 +26,12 @@ from pdslab.mdp import (
     LinearMdp,
     Policy,
     make_adversarial_mdp,
+    make_lowrank_mdp,
     make_tabular_mdp,
     solve_optimal,
 )
+from pdslab.pevi import PeviConfig, pevi_prepare
+from pdslab.reward import fit_reward
 
 
 def dataset_from_pairs(pairs, mdp):
@@ -347,6 +350,28 @@ def test_coverage_requires_nonempty(tabular_5x3):
     pistar, _ = solve_optimal(tabular_5x3)
     with pytest.raises(ValueError, match="nonempty"):
         coverage_coefficient(empty, tabular_5x3, pistar)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_dataset_is_its_visit_counts(seed):
+    """phi depends only on (s, a), so every Gram of a dataset is a function
+    of its visit counts: reordering the rows leaves Lambda, the coverage
+    Gram and the PEVI bonus with the same bits."""
+    mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=seed)
+    ds = sample_dataset(mdp, Policy.uniform(6, 3), 3000, seed=seed, noise=True)
+    order = np.random.default_rng(seed).permutation(len(ds))
+    shuffled = OfflineDataset(ds.states[order], ds.actions[order], ds.rewards[order],
+                              ds.next_states[order], labeled=True, num_states=6, num_actions=3)
+    pistar, _ = solve_optimal(mdp)
+    cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=0.3)
+    got, want = ([fit_reward(d, mdp.features).lambda_matrix,
+                  coverage_coefficient(d, mdp, pistar).gram,
+                  coverage_coefficient(d, mdp, pistar).c_dagger,
+                  pevi_prepare(d, mdp.features, cfg, [d.rewards])[0].lambda_matrix,
+                  pevi_prepare(d, mdp.features, cfg, [d.rewards])[0].bonus]
+                 for d in (shuffled, ds))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 # ---- exact-frequency fixtures ----------------------------------------------------

@@ -10,9 +10,12 @@ dense S x S solves their factored d x d solves replaced, the acceptance
 sweep configs must reproduce their pinned CSVs (wall_ms stripped), and the
 ridge estimators (PEVI, reward fit, ensemble) must reproduce their pinned
 outputs in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
-file from the installed pdslab; it was last rewritten when pdslab.ridge moved
-from scipy's Cholesky solves to numpy's, which moved no pinned value by more
-than 4.6e-13. `python tests/test_golden.py --gate-hashes` prints
+file from the installed pdslab; it was last rewritten when every Gram became
+the Gram of the rows' visit counts, sum over pairs of n phi phi^T, and each
+sum phi r came from per-pair reward sums: lambda_matrix moved by up to
+1.59e-12 (lowrank-6/n=3000, now 2.3e-13 from the exactly rounded Lambda
+where the row product was 1.8e-12 from it), every other float by at most
+1.1e-13, and no integer. `python tests/test_golden.py --gate-hashes` prints
 the sha256 of every equivalence-gate sweep CSV with wall_ms stripped and
 flags each that differs from GATE_HASHES.
 """
@@ -191,7 +194,9 @@ COVERAGE_MDPS = {
 @pytest.mark.parametrize("kind", sorted(COVERAGE_MDPS))
 def test_coverage_bases_equal_per_start_loop(kind):
     """Per-start values, c_dagger and the Gram are the per-start loop's
-    floats exactly, from the optimal policy and from prebuilt bases alike."""
+    floats exactly, from the optimal policy and from prebuilt bases alike.
+    The loop's Gram sums over the visited pairs, as coverage_coefficient
+    does, and is within 1e-12 of the row product it stands for."""
     make, n = COVERAGE_MDPS[kind]
     mdp = make()
     optimal = solve_optimal(mdp)[0]
@@ -204,8 +209,12 @@ def test_coverage_bases_equal_per_start_loop(kind):
     behaviors = [optimal.mixed_with_uniform(0.3), Policy.uniform(mdp.num_states, mdp.num_actions)]
     for seed, behavior in enumerate(behaviors):
         dataset = sample_dataset(mdp, behavior, n, seed=seed)
+        rows = mdp.features.matrix()
+        counts = np.bincount(dataset.states * mdp.num_actions + dataset.actions,
+                             minlength=len(rows))
+        gram = (rows.T * counts) @ rows / len(dataset)
         phi = mdp.features.phi[dataset.states, dataset.actions]
-        gram = phi.T @ phi / len(dataset)
+        assert np.abs(gram - phi.T @ phi / len(dataset)).max() <= 1e-12 * np.abs(gram).max()
         want = [_min_generalized_eig(gram, sigma) for sigma in sigmas]
         for optimal_or_bases in (optimal, prebuilt):
             report = coverage_coefficient(dataset, mdp, optimal_or_bases)
@@ -546,15 +555,15 @@ def test_reward_fit_matches_golden_bit_for_bit(case, estimator_golden):
 # rounding, so `--gate-hashes` checks them on demand, not a test.
 GATE_HASHES = {
     "golden tabular": "d7923abf90caaf5913f3c597d928766e8391e9169a6f10d654f158ae043257fd",
-    "golden lowrank": "4229cc334be2f32ccdfb298b884bd5379fa2cc855e68a51bc49fe0d1fd44164d",
-    "golden adversarial": "7a3b7d652ede24b4c3dd027c58427b7d81398d9c78d6e63563ab5aecc89f2f95",
-    "README config": "a3fea0e6649677973f5ea8d8cb17fd1e0a0ba9db22b505b06197eb2e2f86cc89",
+    "golden lowrank": "a1e20c173f9085b872e9c4e26b25f6bf75970a017c89215824c0d0d494ee6e0c",
+    "golden adversarial": "e62da7e46f1cb3a7400988b1e5bdaa6739be380a98dabf3fe187b27743d3c790",
+    "README config": "f877e8035289c897d307febf8b21f4af43e893184131b139ee2533b84672cb5e",
     "README grid, five methods, seeds 0-19":
-        "33d892092d22ba55f5e64445739b94e7c2268586099361ba082d4882033e108c",
-    "chain_sweep seed 0": "ac07294de01ae04292e97c4feb1b5904af610636775de4023905cacd402e00d3",
-    "chain_sweep seed 1": "341c45cffa1b25bb84ec677cd0a83a9e1bb2ddb51d53f5899039e118c6adc183",
-    "chain_sweep seed 2": "d1ddeeba6bac872a7f4a66808f9f8ffb5bd05f02987bcd1b40f234865688f1d9",
-    "large_lowrank seed 0": "2c5b6a0c252d998020baa38e4eee95fb97d8a7eecd75d9534e20e1a4b581ce0c",
+        "1971719f5d394f66f16e25530f5d0234ce85052be089b89b6295644e616c08c6",
+    "chain_sweep seed 0": "b4bbd69837b9321e27301870533a941f9c45451a7fbc91036e103ac33c373de1",
+    "chain_sweep seed 1": "07f3bb9fb2953b78506ef6af707ce31a2c3f3904de9b7e1f573c93ac2ef0d68e",
+    "chain_sweep seed 2": "1228923a7fec29a4572bce7ae5678eca7dc84bb697bd26da0e5a3f5f97dd153a",
+    "large_lowrank seed 0": "48b062db7fe58c538e03b9f78fe3691445a76fbef31912e64585a4b6fb2dcc6f",
 }
 
 

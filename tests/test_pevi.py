@@ -317,9 +317,9 @@ def test_solver_deterministic():
 def _row_form_pevi(dataset, features, config):
     """The sweep that pevi_solve replaced: every sweep gathers v(s') over the
     N dataset rows and ridge-regresses r + gamma * v(s') onto them."""
-    phi = dataset.feature_rows(features)
-    ridge = Ridge.from_rows(phi, config.lambda_reg)
     rows = features.matrix()
+    phi = rows[dataset.states * features.num_actions + dataset.actions]
+    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + phi.T @ phi)
     num_states, num_actions = features.num_states, features.num_actions
     gamma_table = (config.beta * ridge.widths(rows)).reshape(num_states, num_actions)
     v = np.zeros(num_states)

@@ -33,7 +33,7 @@ def test_widths_equal_dense_quadratic_form(d):
     lam, rows = _lambda_and_rows(d, seed=d)
     want = np.sqrt(np.diag(rows @ np.linalg.solve(lam, rows.T)))
     _assert_close(Ridge(lam).widths(rows), want)
-    _assert_close(Ridge.from_rows(rows, 0.5).widths(rows), want)
+    _assert_close(Ridge(0.5 * np.eye(d) + rows.T @ rows).widths(rows), want)
 
 
 @pytest.mark.parametrize("matrix", [
