@@ -303,13 +303,17 @@ def _cmd_gen_mdp(args) -> int:
     if args.kind == "adversarial":
         if args.states is not None:
             raise ConfigError("--states does not apply to the adversarial kind")
+        if args.seed is not None:
+            raise ConfigError("--seed does not apply to the adversarial kind")
         if args.dim is None:
             raise ConfigError("--dim is required for the adversarial kind")
         spec.update(num_actions=args.actions, dim=args.dim)
     else:
         if args.states is None:
             raise ConfigError(f"--states is required for the {args.kind} kind")
-        spec.update(num_states=args.states, num_actions=args.actions, seed=args.seed)
+        # a None seed would draw a fresh MDP on every call
+        spec.update(num_states=args.states, num_actions=args.actions,
+                    seed=0 if args.seed is None else args.seed)
         if args.kind == "lowrank":
             if args.dim is None:
                 raise ConfigError("--dim is required for the lowrank kind")
@@ -417,7 +421,7 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--dim", type=int)
     g.add_argument("--gamma", type=float, default=0.9)
     g.add_argument("--r-max", dest="r_max", type=float, default=1.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int)  # 0 for the kinds it applies to
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gen_mdp)
 

@@ -133,9 +133,9 @@ class CoverageReport:
     per_start_state_values: np.ndarray  # (S,), min generalized eigenvalue per start
 
 
-# Lockstep rollouts compare a (segments, S) block per step and gather a
-# block's (segments x horizon) rows up front; segments are processed in
-# blocks that keep both near this many entries.
+# Lockstep rollouts compare a (segments, S) block per step and write a
+# block's (segments x horizon) rows; segments are processed in blocks that
+# keep both near this many entries.
 _LOCKSTEP_BLOCK_ENTRIES = 1 << 20
 
 
@@ -206,26 +206,21 @@ def _rollout(pi_table, sa_table, num_actions, starts, first_rows, num_full, hori
     kernel's per (s, a) pair, at row s * num_actions + a. Segment k starts in
     starts[k] at row first_rows[k] of step_u and the outputs, and runs for
     horizon steps when k < num_full, else for tail steps; the segments still
-    running at any step are a prefix. The rows are taken step by step into
-    one contiguous buffer, so each step reads and writes a slice of it.
+    running at any step are a prefix. Each step gathers its running
+    segments' rows of step_u and scatters its draws straight into the
+    outputs, so no buffer outlives a step.
     """
-    steps = np.arange(horizon)[:, None]
-    rows = np.concatenate([(first_rows + steps[:tail]).ravel(),
-                           (first_rows[:num_full] + steps[tail:]).ravel()])
-    u = step_u[rows]
-    drawn_a, drawn_s = np.empty(rows.size, dtype=np.int64), np.empty(rows.size, dtype=np.int64)
-    s, lo = starts, 0
+    s, rows = starts, first_rows.copy()
     for t in range(horizon):
         if t == tail:
-            s = s[:num_full]
-        hi = lo + s.shape[0]
-        if hi == lo:
+            s, rows = s[:num_full], rows[:num_full]
+        if not s.size:
             break
-        a = _draw_rows(pi_table, s, u[lo:hi, 0])
-        s = _draw_rows(sa_table, s * num_actions + a, u[lo:hi, 1])
-        drawn_a[lo:hi], drawn_s[lo:hi] = a, s
-        lo = hi
-    actions[rows], next_states[rows] = drawn_a, drawn_s
+        u = step_u[rows]
+        a = _draw_rows(pi_table, s, u[:, 0])
+        s = _draw_rows(sa_table, s * num_actions + a, u[:, 1])
+        actions[rows], next_states[rows] = a, s
+        rows += 1
 
 
 def sample_dataset(
@@ -277,7 +272,7 @@ def sample_datasets(
 
     seeds = list(seeds)
     num_seeds = len(seeds)
-    # no segment holds more than n rows, and the rollout sizes its buffers
+    # no segment holds more than n rows, and the rollout sizes its blocks
     # by the horizon, so a reset past n must not cost more than one at n
     horizon_reset = min(horizon_reset, n)
     num_resets = -(-n // horizon_reset)
@@ -532,7 +527,10 @@ def read_header(path: str | Path, count: int) -> dict | None:
     """The sidecar header of a transition file, or None when it has none.
 
     count is the number of transitions read from the file; raise ValueError
-    when the header is not a JSON object or its n says otherwise.
+    when the header is not a JSON object, when it holds num_states or
+    num_actions that are not positive JSON integers, n that is not a
+    nonnegative one or labeled that is not a boolean, or when its n says
+    otherwise.
     """
     hp = header_path(path)
     if not hp.exists():
@@ -541,6 +539,13 @@ def read_header(path: str | Path, count: int) -> dict | None:
     if not isinstance(meta, dict):
         raise ValueError(f"{hp}: the header must be a JSON object, got "
                          f"{type(meta).__name__}")
+    for key, want, ok in (
+            ("num_states", "a positive integer", lambda v: type(v) is int and v > 0),
+            ("num_actions", "a positive integer", lambda v: type(v) is int and v > 0),
+            ("n", "a nonnegative integer", lambda v: type(v) is int and v >= 0),
+            ("labeled", "a boolean", lambda v: type(v) is bool)):
+        if key in meta and not ok(meta[key]):
+            raise ValueError(f"{hp}: header field {key!r} must be {want}, got {meta[key]!r}")
     if "n" in meta and meta["n"] != count:
         raise ValueError(f"{path}: header says n={meta['n']} but the file holds "
                          f"{count} transitions")

@@ -22,9 +22,11 @@ dataset.
 
 Sweeps run the grid column by column, a column being one (n0, n1) pair, in
 three stages:
-1. sample: one sample_datasets call draws the d0 of up to _SEED_BATCH_ROWS
-   rows' worth of seeds (n0 per seed), and one call per batch of up to
-   _SEED_BATCH_ROWS rows (n0 + n1 per seed) draws that batch's d1;
+1. sample: d0 and d1 each come from their own generator (_datasets),
+   which draws its kind for as many seeds as fit in _SEED_BATCH_ROWS rows
+   (n0 or n1 per seed) with one sample_datasets call, made when the first
+   of those seeds' cells is prepared; a failed call fails every method of
+   its seeds' cells and no other cell;
 2. per cell (_prepare_cell): the reward fit and both coverage
    coefficients, each method's reward vector, then per row set (d0, and d0
    then d1) pevi_problems, which reduces the rows to their visit counts and
@@ -32,12 +34,12 @@ three stages:
 3. solve: one pevi_lockstep per column, or per chunk of its seeds when the
    column's stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES, then
    an exact evaluation of each policy.
-A batch's d1 are dropped before the next batch is sampled. run_method runs
-the same per-cell code, and a lockstep gives each problem the bits it gets
-alone, so every number in a row is bit for bit what run_method gives for
-that cell alone. Methods that train on the same rows with the same rewards,
-which is every method of a cell whose d1 is empty, share one PEVI problem,
-solved and evaluated once.
+A call's datasets are dropped before the next call of their kind.
+run_method runs the same per-cell code, and a lockstep gives each problem
+the bits it gets alone, so every number in a row is bit for bit what
+run_method gives for that cell alone. Methods that train on the same rows
+with the same rewards, which is every method of a cell whose d1 is empty,
+share one PEVI problem, solved and evaluated once.
 
 A row's wall_ms is its cell's reward fit and coverage, an equal share of
 its row set's pevi_problems, its own reward vector, an equal share of its
@@ -83,8 +85,9 @@ _EPS_GREEDY = {"expert": 0.05, "medium": 0.3}
 
 CSV_HEADER = "method,n0,n1,c0,c1,gamma,d,seed,subopt_mean,subopt_max,vhat_start,wall_ms"
 
-# A sweep samples the seeds of one grid column in batches of at most this
-# many dataset rows, n0 + n1 per seed; a batch holds at least one seed.
+# A sweep samples each kind of dataset (d0, d1) of a grid column in calls of
+# at most this many of that kind's rows, n0 or n1 per seed; a call holds at
+# least one seed.
 _SEED_BATCH_ROWS = 1 << 16
 
 # A sweep solves a column's PEVI problems in lockstep chunks of whole seeds
@@ -475,16 +478,14 @@ class SweepGrid:
     def __post_init__(self):
         if not self.n0_values or not self.n1_values or not self.methods or not self.seeds:
             raise ValueError("grid axes must be nonempty")
-        for name, values in (("n0", self.n0_values), ("n1", self.n1_values),
-                             ("seed", self.seeds)):
+        for name, values, ok, want in (
+                ("n0 values", self.n0_values, _positive, "integers >= 1"),
+                ("n1 values", self.n1_values, lambda v: v >= 0, "integers >= 0"),
+                ("seeds", self.seeds, lambda v: v >= 0, "nonnegative integers")):
+            for value in values:
+                _require(name, value, ok, want, integer=True)
             if len(set(values)) != len(values):
-                raise ValueError(f"{name} values must be distinct, got {list(values)}")
-        if any(s < 0 for s in self.seeds):
-            raise ValueError(f"seeds must be nonnegative, got {list(self.seeds)}")
-        if any(n < 1 for n in self.n0_values):
-            raise ValueError("n0 values must be >= 1")
-        if any(n < 0 for n in self.n1_values):
-            raise ValueError("n1 values must be >= 0")
+                raise ValueError(f"{name} must be distinct, got {list(values)}")
         for name, q in (("labeled_quality", self.labeled_quality),
                         ("unlabeled_quality", self.unlabeled_quality)):
             if q not in QUALITIES:
@@ -522,64 +523,50 @@ def _cell_seeds(seed: int, n0: int, n1: int, grid: SweepGrid) -> tuple[int, int]
     return int(state[0]), int(state[1])
 
 
-def _prepare_batch(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, seeds, oracle,
-                   bases, behaviors) -> list:
-    """Sample the d0 of every seed in seeds with one sample_datasets call,
-    then prepare the cells in batches of at most _SEED_BATCH_ROWS dataset
-    rows, n0 + n1 per seed (_prepare_d1_batch): the outcomes in (seed,
-    method) order. The d0 are locals, so they are gone when this returns.
+def _datasets(mdp: LinearMdp, behavior: Policy, n: int, seeds, **kwargs):
+    """Yield each seed's dataset of n rows, from sample_datasets calls (given
+    kwargs) of at most _SEED_BATCH_ROWS // n seeds, at least one; None per
+    seed when n is 0. A failed call yields its exception once per seed of
+    that call, without its traceback, which would keep the call's frames
+    alive. A call's datasets are dropped before the next call is made.
     """
-    d0_seeds, d1_seeds = zip(*(_cell_seeds(seed, n0, n1, grid) for seed in seeds))
-    try:
-        d0s = sample_datasets(mdp, behaviors[0], n0, d0_seeds, horizon_reset=grid.horizon_reset,
-                              labeled=True, noise=grid.noise)
-    except Exception as exc:  # cell failures are data, not crashes
-        return [exc.with_traceback(None)] * (len(seeds) * len(grid.methods))
-    per_batch = max(1, _SEED_BATCH_ROWS // (n0 + n1))
-    outcomes = []
-    for lo in range(0, len(seeds), per_batch):
-        batch = slice(lo, lo + per_batch)
-        outcomes += _prepare_d1_batch(mdp, grid, n1, seeds[batch], d0s[batch], d1_seeds[batch],
-                                      oracle, bases, behaviors[1])
-    return outcomes
-
-
-def _prepare_d1_batch(mdp: LinearMdp, grid: SweepGrid, n1: int, seeds, d0s, d1_seeds, oracle,
-                      bases, behavior) -> list:
-    """Sample the d1 of a batch of cells with one sample_datasets call and
-    prepare the cells one by one: the outcomes in (seed, method) order.
-
-    The d1 are locals, so they are gone before the next batch is sampled;
-    exceptions lose their tracebacks, which would keep them alive.
-    """
-    try:
-        d1s = (sample_datasets(mdp, behavior, n1, d1_seeds, horizon_reset=grid.horizon_reset,
-                               labeled=False) if n1 > 0 else [None] * len(seeds))
-    except Exception as exc:  # cell failures are data, not crashes
-        outcomes = [exc] * (len(seeds) * len(grid.methods))
-    else:
-        outcomes = [o for seed, d0, d1 in zip(seeds, d0s, d1s)
-                    for o in _prepare_cell(mdp, seed, d0, d1, grid.methods, grid.reward,
-                                           grid.pevi, bases, oracle[1].v)]
-    return [o.with_traceback(None) if isinstance(o, Exception) else o for o in outcomes]
+    per_call = max(1, _SEED_BATCH_ROWS // max(n, 1))
+    for lo in range(0, len(seeds), per_call):
+        batch = seeds[lo:lo + per_call]
+        try:
+            datasets = (sample_datasets(mdp, behavior, n, batch, **kwargs) if n
+                        else [None] * len(batch))
+        except Exception as exc:  # cell failures are data, not crashes
+            datasets = [exc.with_traceback(None)] * len(batch)
+        yield from datasets
+        del datasets
 
 
 def _run_column(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, oracle, bases, behaviors):
     """Every seed's cell of one (n0, n1) grid column. The seeds are split
     into chunks of at most _SOLVE_CHUNK_ENTRIES problem entries; a chunk's
-    d0 are sampled in batches of at most _SEED_BATCH_ROWS dataset rows, n0
-    per seed (_prepare_batch), then all of its PEVI problems are solved in
-    one lockstep."""
-    per_batch = max(1, _SEED_BATCH_ROWS // n0)
+    cells are prepared one by one from its d0 and d1 (_datasets), then all
+    of its PEVI problems are solved in one lockstep. A cell whose d0 or d1
+    failed to sample fails every method with that exception."""
     per_problem = mdp.num_states * (mdp.num_actions + mdp.dim)
     per_chunk = max(1, _SOLVE_CHUNK_ENTRIES // (per_problem * len(grid.methods)))
     out, failures = [], []
     for chunk_lo in range(0, len(grid.seeds), per_chunk):
         seeds = grid.seeds[chunk_lo:chunk_lo + per_chunk]
+        d0_seeds, d1_seeds = zip(*(_cell_seeds(seed, n0, n1, grid) for seed in seeds))
+        d0s = _datasets(mdp, behaviors[0], n0, d0_seeds, horizon_reset=grid.horizon_reset,
+                        labeled=True, noise=grid.noise)
+        d1s = _datasets(mdp, behaviors[1], n1, d1_seeds, horizon_reset=grid.horizon_reset,
+                        labeled=False)
         outcomes = []
-        for lo in range(0, len(seeds), per_batch):
-            outcomes += _prepare_batch(mdp, grid, n0, n1, seeds[lo:lo + per_batch], oracle,
-                                       bases, behaviors)
+        for seed, d0, d1 in zip(seeds, d0s, d1s):
+            failed = d0 if isinstance(d0, Exception) else d1
+            cell = ([failed] * len(grid.methods) if isinstance(failed, Exception) else
+                    _prepare_cell(mdp, seed, d0, d1, grid.methods, grid.reward, grid.pevi,
+                                  bases, oracle[1].v))
+            # a traceback would keep the cell's datasets alive until the solve
+            outcomes += [o.with_traceback(None) if isinstance(o, Exception) else o
+                         for o in cell]
         keys = [(seed, method) for seed in seeds for method in grid.methods]
         for (seed, method), outcome in zip(keys, _solve_prepared(mdp, outcomes)):
             if isinstance(outcome, RunResult):

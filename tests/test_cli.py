@@ -393,6 +393,9 @@ def test_gen_mdp_kind_flag_mismatches_exit_2(tmp_path):
                        "--actions", "2", "--dim", "3", "--out", out]) == 2
     assert entrypoint(["gen-mdp", "--kind", "lowrank", "--states", "4",
                        "--actions", "2", "--out", out]) == 2
+    # the adversarial MDP has no randomness, so a seed would be ignored
+    assert entrypoint(["gen-mdp", "--kind", "adversarial", "--actions", "3",
+                       "--dim", "2", "--seed", "7", "--out", out]) == 2
 
 
 def test_non_finite_mdp_file_exits_2(tmp_path, capsys):
@@ -615,6 +618,29 @@ def test_a_header_that_is_not_an_object_exits_2(tmp_path, capsys, command, heade
     assert entrypoint(argv) == 2
     err = capsys.readouterr().err
     assert "the header must be a JSON object" in err and str(header_path(data_path)) in err
+    assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+@pytest.mark.parametrize("command", ["fit-ensemble", "relabel"])
+@pytest.mark.parametrize("key,value", [
+    ("num_states", 2.7),  # read_jsonl truncated it to 2
+    ("num_states", 4.0),
+    ("num_states", "3"),
+    ("num_states", True),
+    ("num_actions", 0),
+    ("n", -1),
+    ("labeled", "yes"),
+    ("labeled", 1),
+])
+def test_a_header_field_of_the_wrong_type_exits_2(tmp_path, capsys, command, key, value):
+    argv = _file_commands(tmp_path)[command]
+    hp = header_path(argv[argv.index("--in") + 1])
+    meta = json.loads(hp.read_text())
+    hp.write_text(json.dumps({**meta, key: value}) + "\n")
+    capsys.readouterr()
+    assert entrypoint(argv) == 2
+    err = capsys.readouterr().err
+    assert f"header field '{key}' must be" in err and str(hp) in err
     assert not Path(argv[argv.index("--out") + 1]).exists()
 
 

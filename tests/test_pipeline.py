@@ -183,6 +183,39 @@ def test_sampling_failure_is_recorded_per_method(monkeypatch):
         (n1, seed, m) for n1 in (0, 25) for seed in (0, 1) for m in (MethodId.PDS, MethodId.UDS)]
 
 
+@pytest.mark.parametrize("labeled", [True, False], ids=["d0", "d1"])
+def test_a_failed_sampling_call_fails_only_its_cells(monkeypatch, labeled):
+    # each kind samples the six seeds in three calls of two; the second call
+    # of one kind raises, which fails its two seeds' cells and no others
+    import pdslab.pipeline as pipeline
+
+    mdp = _mdp(seed=91)
+    grid = SweepGrid(n0_values=(40,), n1_values=(30,), methods=ALL_METHODS,
+                     seeds=(7, 2, 0, 5, 9, 4), noise=True, pevi=PeviSettings(c=0.05))
+    monkeypatch.setattr(pipeline, "_SEED_BATCH_ROWS", 80)
+    clean = sweep(mdp, grid)
+    real, calls = pipeline.sample_datasets, []
+
+    def flaky(mdp, behavior, n, seeds, **kwargs):
+        if kwargs["labeled"] is labeled:
+            calls.append(tuple(seeds))
+            if len(calls) == 2:
+                raise RuntimeError("sampler broke")
+        return real(mdp, behavior, n, seeds, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_datasets", flaky)
+    report = sweep(mdp, grid)
+    assert not clean.failures and len(calls) == 3
+    assert all(len(c) == 2 for c in calls)
+    broken = (0, 5)
+    assert sorted((f["seed"], f["method"]) for f in report.failures) == sorted(
+        (seed, m.value) for seed in broken for m in ALL_METHODS)
+    assert all(f["error"] == "RuntimeError: sampler broke" and (f["n0"], f["n1"]) == (40, 30)
+               for f in report.failures)
+    kept = [r for r in clean.results if r.seed not in broken]
+    assert _strip_wall(results_to_csv(report.results)) == _strip_wall(results_to_csv(kept))
+
+
 def test_sweep_rows_match_per_method_runs():
     # the per-cell shared work must not change what any single method reports
     from pdslab.pipeline import _cell_seeds
@@ -367,8 +400,8 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
     mdp = _mdp(seed=83)
     grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS,
                      seeds=(5, 0, 3, 8, 1, 6), noise=True, pevi=PeviSettings(c=0.05))
-    # d0 in batches of three seeds (120 rows), each cut into cells of at
-    # most two seeds (140 rows of d0 and d1)
+    # d0 in calls of three seeds (120 rows) and d1 in calls of four seeds
+    # (120 rows), each kind's calls holding at most 140 of its rows
     monkeypatch.setattr(pipeline, "_SEED_BATCH_ROWS", 140)
     built, sampled = [], []
     real_lockstep, real_sample = pipeline.pevi_lockstep, pipeline.sample_datasets
@@ -385,7 +418,8 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
     monkeypatch.setattr(pipeline, "sample_datasets", counting)
     report = sweep(mdp, grid)
     assert not report.failures
-    assert [batch for batch in sampled if batch[0] == 30] == [(30, 2), (30, 1)] * 2
+    # each kind's next call is made when its first seed's cell is prepared
+    assert sampled == [(40, 3), (30, 4), (40, 3), (30, 2), (40, 3), (40, 3)]
 
     oracle = solve_optimal(mdp)
     pi0 = behavior_policy(mdp, "medium", oracle[0])
@@ -540,6 +574,23 @@ def test_grid_rejects_repeated_axis_values(axis, values, match):
     axes = dict(n0_values=(50,), n1_values=(0,), methods=("pds",), seeds=(0,))
     axes[axis] = values
     with pytest.raises(ValueError, match=rf"{match} .*distinct"):
+        SweepGrid(**axes)
+
+
+@pytest.mark.parametrize("axis,values,match", [
+    ("seeds", (0.5,), "seeds"),  # data keyed by int(0.5), but 0.5 in the CSV
+    ("seeds", (True,), "seeds"),
+    ("seeds", (0, 1.0), "seeds"),
+    ("n0_values", (40.0,), "n0"),
+    ("n0_values", (True,), "n0"),
+    ("n1_values", (0, 20.5), "n1"),
+    ("n1_values", (True,), "n1"),
+    ("n1_values", (float("nan"),), "n1"),
+])
+def test_grid_rejects_non_integer_axis_values(axis, values, match):
+    axes = dict(n0_values=(50,), n1_values=(0,), methods=("pds",), seeds=(0,))
+    axes[axis] = values
+    with pytest.raises(ValueError, match=rf"{match} .*integers"):
         SweepGrid(**axes)
 
 
