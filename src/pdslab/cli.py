@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,6 +115,14 @@ class ExperimentConfig:
         }
         allowed, required = per_kind[kind]
         _require_fields("mdp", mdp, allowed, required)
+        # the makers would take true as 1 and 4.0 as a count, so check each value here
+        for key, value in mdp.items():
+            types = (int, float) if key in ("gamma", "r_max") else int
+            if key != "kind" and (isinstance(value, bool) or not isinstance(value, types)
+                                  or not math.isfinite(value) or key == "r_max" and value <= 0):
+                want = {"gamma": "a finite number", "r_max": "finite and positive"}
+                raise ConfigError(f"mdp.{key} must be {want.get(key, 'an integer')}, "
+                                  f"got {value!r}")
 
         data = dict(doc["data"])
         _require_fields(

@@ -4,6 +4,7 @@ Datasets are columnar (state/action/reward/next_state arrays) and immutable
 by convention. phi depends only on (s, a), so a dataset reduces to its
 pair ids s*A + a (OfflineDataset.pair_ids): one bincount gives its visit
 counts n(s, a) and its Gram is sum_pairs n phi phi^T (FeatureMap.gram).
+PEVI also reads s', from a row set's (s, a, s') counts (transition_counts).
 The coverage coefficient follows the generalized-eigenvalue reading: the
 largest C with  (1/N) sum phi phi^T  >=  C * Sigma_{pi*,s}  for every start
 state s, where Sigma is the (1-gamma)-normalized discounted occupancy second
@@ -61,7 +62,8 @@ class OfflineDataset:
 
     rewards is None for fully reward-free data; otherwise a float array in
     which NaN marks individual missing labels (mixing labeled with
-    unlabeled data produces such partial labelings).
+    unlabeled data produces such partial labelings) and every other reward
+    is finite and nonnegative.
     """
 
     def __init__(
@@ -89,9 +91,9 @@ class OfflineDataset:
             rewards = np.array(rewards, dtype=float, copy=True)
             if rewards.shape[0] != n:
                 raise ValueError("rewards length mismatch")
-            finite = rewards[~np.isnan(rewards)]
-            if finite.size and finite.min() < -NEGATIVE_REWARD_TOL:
-                raise ValueError("rewards must be nonnegative")
+            # a NaN, which marks a missing label, fails both tests
+            if np.isinf(rewards).any() or (rewards < -NEGATIVE_REWARD_TOL).any():
+                raise ValueError("rewards must be finite and nonnegative or NaN")
         if labeled and n > 0 and (rewards is None or np.isnan(rewards).any()):
             raise ValueError("labeled dataset requires a reward on every transition")
         for a in (states, actions, next_states):
@@ -124,6 +126,14 @@ class OfflineDataset:
         return OfflineDataset(self.states, self.actions, rewards, self.next_states,
                               labeled=labeled, num_states=self.num_states,
                               num_actions=self.num_actions)
+
+
+def transition_counts(datasets, features: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct transition ids (s*A + a)*S + s' of the rows of datasets,
+    S and A being features', sorted, and how many rows hold each: all that
+    Lambda, Gamma and B read of a row set, whatever the rows' order."""
+    return np.unique(np.concatenate([d.pair_ids(features) * features.num_states + d.next_states
+                                     for d in datasets]), return_counts=True)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,12 @@ phi_tau[k], a d x S matrix,
     w_hat = w_r + gamma * Lambda^{-1} B v,   w_r = Lambda^{-1} sum_tau phi_tau r_tau.
 
 w_r and gamma * Lambda^{-1} B are built once per solve, so each sweep costs
-O(dS + SAd) and does not touch the N dataset rows. pevi_problems reduces a
-row set, given as its pair ids s*A + a and next states, to these pieces (a
-PeviProblem, whose size does not depend on N): Lambda from the visit
-counts' Gram, Gamma and gamma * Lambda^{-1} B once, and per reward vector
-on those rows w_r from Phi^T times the vector's per-pair sums. No (N, d)
-row matrix is formed: B adds each feature column's values in row order,
-and so does each per-pair reward sum. pevi_prepare runs it on a dataset.
+O(dS + SAd) and does not touch the N dataset rows. phi depends only on
+(s, a), so pevi_problems reads a row set as its (s, a, s') counts and each
+reward vector as its per-pair sums, and reduces them to a PeviProblem,
+whose size does not depend on N: Lambda from the visit counts' Gram, Gamma
+and gamma * Lambda^{-1} B once, with B from the counts (next_state_sums),
+and per vector w_r from Phi^T times it. pevi_prepare runs it on a dataset.
 pevi_lockstep runs the sweeps of many problems over one feature map
 together, each with its own convergence; pevi_solve is a batch of one, and
 a problem gives the same numbers bit for bit in any batch. For
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pdslab.data import OfflineDataset
+from pdslab.data import OfflineDataset, transition_counts
 from pdslab.mdp import FeatureMap, Policy
 from pdslab.ridge import Ridge
 
@@ -101,21 +100,6 @@ class PeviConfig:
         v_max = r_max / (1.0 - gamma)
         return cls(lambda_reg=lambda_reg, beta=beta, gamma=gamma, v_max=v_max, **kwargs)
 
-    @classmethod
-    def theorem_preset(
-        cls,
-        d: int,
-        n_total: int,
-        gamma: float,
-        r_max: float,
-        delta: float = 0.1,
-        c: float = 1.0,
-        lambda_reg: float = 1.0,
-        **kwargs,
-    ) -> "PeviConfig":
-        beta = theorem_beta(d, n_total, gamma, r_max, delta, c)
-        return cls.for_mdp(gamma, r_max, beta, lambda_reg=lambda_reg, **kwargs)
-
 
 @dataclass(frozen=True)
 class PeviSolution:
@@ -164,37 +148,44 @@ def check_rewards(rewards, n: int) -> list[np.ndarray]:
     return rewards
 
 
-def pevi_problems(features: FeatureMap, pairs: np.ndarray, next_states: np.ndarray, rewards,
-                  config: PeviConfig) -> list[PeviProblem]:
-    """One PeviProblem per vector in rewards, for the row set whose rows
-    have these pair ids and next states: Lambda is factored once and each
-    vector costs one w_r solve."""
-    rows, counts = features.matrix(), features.pair_sums(pairs)
-    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + features.gram(counts))
+def next_state_sums(features: FeatureMap, transitions: np.ndarray,
+                    counts: np.ndarray) -> np.ndarray:
+    """B[k, s'], the sum of phi_k over the rows landing in s', (d, S), of the
+    row set with these transition counts (data.transition_counts): per
+    feature column one bincount weighted by phi_k * count."""
+    pairs, next_states = np.divmod(transitions, features.num_states)
+    return np.stack([np.bincount(next_states, weights=column.take(pairs) * counts,
+                                 minlength=features.num_states)
+                     for column in features.matrix().T])
+
+
+def pevi_problems(features: FeatureMap, transitions: np.ndarray, counts: np.ndarray,
+                  reward_sums, config: PeviConfig) -> list[PeviProblem]:
+    """One PeviProblem per vector of per-pair reward sums in reward_sums, for
+    the row set with these transition counts (data.transition_counts):
+    Lambda is factored once and each vector costs one w_r solve."""
+    rows = features.matrix()
+    visits = features.pair_sums(transitions // features.num_states, counts)
+    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + features.gram(visits))
     bonus = (config.beta * ridge.widths(rows)).reshape(features.num_states, features.num_actions)
-    # B[k, s'], the sum of phi_k over the rows landing in s', so phi^T v(s') = B v
-    next_sums = np.stack([np.bincount(next_states, weights=column.take(pairs),
-                                      minlength=features.num_states) for column in rows.T])
-    sweep_map = config.gamma * ridge.solve(next_sums)
+    sweep_map = config.gamma * ridge.solve(next_state_sums(features, transitions, counts))
     return [
         PeviProblem(config=config, lambda_matrix=ridge.matrix, sweep_map=sweep_map,
-                    w_reward=ridge.solve(rows.T @ features.pair_sums(pairs, r)), bonus=bonus)
-        for r in rewards
+                    w_reward=ridge.solve(rows.T @ sums), bonus=bonus)
+        for sums in reward_sums
     ]
 
 
-def pevi_prepare(
-    dataset: OfflineDataset, features: FeatureMap, config: PeviConfig, rewards
-) -> list[PeviProblem]:
-    """One PeviProblem per vector in rewards, each holding one finite
-    nonnegative reward per row of dataset, whose own rewards are not read
-    (pevi_problems on the dataset's rows).
-    """
-    n = len(dataset)
-    if n == 0:
+def pevi_prepare(dataset: OfflineDataset, features: FeatureMap, config: PeviConfig,
+                 rewards) -> list[PeviProblem]:
+    """pevi_problems on dataset's transition counts and, per vector in
+    rewards, which holds one finite nonnegative reward per row, its per-pair
+    sums in row order; the dataset's own rewards are not read."""
+    if len(dataset) == 0:
         raise ValueError("pevi_prepare requires a nonempty dataset")
-    return pevi_problems(features, dataset.pair_ids(features), dataset.next_states,
-                         check_rewards(rewards, n), config)
+    pairs = dataset.pair_ids(features)
+    sums = [features.pair_sums(pairs, r) for r in check_rewards(rewards, len(dataset))]
+    return pevi_problems(features, *transition_counts([dataset], features), sums, config)
 
 
 def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:

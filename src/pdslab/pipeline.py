@@ -3,7 +3,7 @@
 A run takes a labeled dataset d0 and a reward-free dataset d1, fills in d1's
 rewards according to the method (reward.fill_table), and hands the union to
 the pessimistic solver; so every method but no_share trains on the same rows
-and is only a reward vector on them:
+and is only a reward vector on them, held as its per-pair sums:
 
     pds            lower-confidence reward (prediction minus ellipsoid width)
     uds            zero reward everywhere
@@ -27,10 +27,10 @@ three stages:
    (n0 or n1 per seed) with one sample_datasets call, made when the first
    of those seeds' cells is prepared; a failed call fails every method of
    its seeds' cells and no other cell;
-2. per cell (_prepare_cell): the reward fit and both coverage
-   coefficients, each method's reward vector, then per row set (d0, and d0
-   then d1) pevi_problems, which reduces the rows to their visit counts and
-   per-pair sums and factors Lambda once for all of the row set's vectors;
+2. per cell (_prepare_cell): the reward fit, both coverage coefficients,
+   then per row set (d0, and d0 then d1) each method's per-pair reward
+   sums, the row set's transition counts and pevi_problems, which factors
+   Lambda once for all of the row set's vectors;
 3. solve: one pevi_lockstep per column, or per chunk of its seeds when the
    column's stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES, then
    an exact evaluation of each policy.
@@ -41,11 +41,11 @@ run_method gives for that cell alone. Methods that train on the same rows
 with the same rewards, which is every method of a cell whose d1 is empty,
 share one PEVI problem, solved and evaluated once.
 
-A row's wall_ms is its cell's reward fit and coverage, an equal share of
-its row set's pevi_problems, its own reward vector, an equal share of its
-lockstep solve and its own policy evaluation; the last three are divided
-among the methods that share the problem. Sampling, the oracle solve and
-the coverage bases are not counted.
+A row's wall_ms is its cell's shared work (see _prepare_cell), an equal
+share of its row set's, an equal share of its lockstep solve and its own
+policy evaluation; the last two are divided among the methods that share
+the problem. Sampling, the oracle solve and the coverage bases are not
+counted.
 """
 from __future__ import annotations
 
@@ -62,17 +62,17 @@ from pdslab.data import (
     coverage_bases,
     coverage_coefficient,
     sample_datasets,
+    transition_counts,
 )
 from pdslab.mdp import LinearMdp, Policy, evaluate_policy, solve_optimal
 from pdslab.pevi import (
     PeviConfig,
     PeviProblem,
-    check_rewards,
     pevi_lockstep,
     pevi_problems,
     theorem_beta,
 )
-from pdslab.reward import ALPHA_MODES, fill_missing, fill_table, fit_reward
+from pdslab.reward import ALPHA_MODES, fill_table, fit_reward
 
 # the sweep does not call these, but perfbench's tracer wraps them under
 # these names, so they stay importable from this module
@@ -329,16 +329,16 @@ def _prepare_cell(mdp: LinearMdp, seed: int, d0: OfflineDataset, d1: OfflineData
     """Prepare every method of one cell up to its PEVI problem: a _Prepared
     or the raised exception per method, in order. d1 is None when empty.
 
-    Each method is a reward vector on one of two row sets, d0 or d0 then d1
-    (see the module docstring). First the cell's reward fit and both
-    coverage coefficients, then each sharing method's vector, d0's rewards
-    followed by d1's filled from fill_table, then per row set
-    pevi_problems, which factors Lambda once for all of the row set's
-    vectors. The methods on d0 all train on d0.rewards, so their _Prepared
-    hold one problem, which _solve_prepared solves once. A failed fit or
-    coverage fails every method, and a failed row set its own methods. A
-    method's seconds are the fit and coverage, an equal share of its row
-    set's pevi_problems and its own vector.
+    Each method is a vector of per-pair reward sums on one of two row sets,
+    d0 or d0 then d1. The shared work is the reward fit, both coverage
+    coefficients, s0, the per-pair sums of d0's rewards in row order, and
+    d1's per-pair counts of rows (n1) and of rows without a label (miss1)
+    and sums of observed rewards (obs1). A sharing method has the vector
+    s0 + obs1 + miss1 * fill, fill being its fill_table; oracle, which
+    replaces every d1 reward, has s0 + n1 * r. The methods on d0 share s0
+    and so one problem, which _solve_prepared solves once. A failure of the
+    shared work fails every method, and a failed row set its own methods.
+    A method's seconds are the shared work and its share of its row set's.
     """
     features = mdp.features
     n0, n1 = len(d0), 0 if d1 is None else len(d1)
@@ -346,57 +346,45 @@ def _prepare_cell(mdp: LinearMdp, seed: int, d0: OfflineDataset, d1: OfflineData
     on_both = tuple(m for m in methods if m not in on_d0)
     start = time.perf_counter()
     try:
-        check_rewards([d0.rewards], n0)
         model = fit_reward(d0, features, nu=reward_cfg.nu, delta=reward_cfg.delta,
                            r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode)
         c0 = coverage_coefficient(d0, mdp, bases).c_dagger
         c1 = coverage_coefficient(d1, mdp, bases).c_dagger if n1 else 0.0
+        s0 = features.pair_sums(d0.pair_ids(features), d0.rewards)
+        if on_both:
+            pairs1 = d1.pair_ids(features)
+            n1_pairs = features.pair_sums(pairs1)
+            if d1.rewards is None:
+                s0_obs1, miss1 = s0, n1_pairs
+            else:
+                seen = ~np.isnan(d1.rewards)
+                s0_obs1 = s0 + features.pair_sums(pairs1[seen], d1.rewards[seen])
+                miss1 = features.pair_sums(pairs1[~seen])
     except Exception as exc:  # reported per method by the caller
         return [exc] * len(methods)
     shared_s = time.perf_counter() - start
 
-    # each row set: its datasets, its methods grouped by the reward vector
-    # they share, the vectors and the seconds each vector took
-    row_sets = []
-    if on_d0:
-        row_sets.append(((d0,), [on_d0], [d0.rewards], [0.0]))
-    if on_both:
-        vectors, own_s = [], []
-        try:
-            for method in on_both:
-                start = time.perf_counter()
-                # oracle replaces every d1 reward, the others fill only the missing ones
-                observed = None if method is MethodId.ORACLE else d1.rewards
-                table = fill_table(model, features, _RELABEL_MODE[method], mdp)
-                vector = np.concatenate(
-                    [d0.rewards, fill_missing(observed, table, d1.states, d1.actions)])
-                vectors += check_rewards([vector], n0 + n1)
-                own_s.append(time.perf_counter() - start)
-        except Exception as exc:  # reported per method by the caller
-            own_s = exc
-        row_sets.append(((d0, d1), [(m,) for m in on_both], vectors, own_s))
+    def reward_sums(method):
+        fill = fill_table(model, features, _RELABEL_MODE[method], mdp).reshape(-1)
+        return s0 + n1_pairs * fill if method is MethodId.ORACLE else s0_obs1 + miss1 * fill
+
     prepared = {}
-    for datasets, groups, vectors, own_s in row_sets:
-        members = [m for group in groups for m in group]
-        if isinstance(own_s, Exception):
-            prepared.update(dict.fromkeys(members, own_s))
+    for datasets, members in (((d0,), on_d0), ((d0, d1), on_both)):
+        if not members:
             continue
         start = time.perf_counter()
         try:
-            pairs = np.concatenate([d.pair_ids(features) for d in datasets])
-            problems = pevi_problems(features, pairs,
-                                     np.concatenate([d.next_states for d in datasets]),
-                                     vectors, pevi_cfg.config_for(mdp, len(pairs)))
+            vectors = [s0] if len(datasets) == 1 else [reward_sums(m) for m in members]
+            problems = pevi_problems(features, *transition_counts(datasets, features), vectors,
+                                     pevi_cfg.config_for(mdp, sum(map(len, datasets))))
         except Exception as exc:  # reported per method by the caller
             prepared.update(dict.fromkeys(members, exc))
             continue
-        set_s = (time.perf_counter() - start) / len(members)
-        for group, problem, group_s in zip(groups, problems, own_s):
-            for method in group:
-                prepared[method] = _Prepared(
-                    method=method, problem=problem, n0=n0, n1=n1, c0=c0, c1=c1, seed=seed,
-                    optimal_v=optimal_v, seconds=shared_s + set_s + group_s / len(group),
-                )
+        seconds = shared_s + (time.perf_counter() - start) / len(members)
+        problems *= len(members) // len(problems)  # the methods on d0 share one
+        prepared.update((method, _Prepared(
+            method=method, problem=problem, n0=n0, n1=n1, c0=c0, c1=c1, seed=seed,
+            optimal_v=optimal_v, seconds=seconds)) for method, problem in zip(members, problems))
     return [prepared[m] for m in methods]
 
 

@@ -22,7 +22,7 @@ from pdslab.mdp import (
     make_tabular_mdp,
     solve_optimal,
 )
-from pdslab.pevi import PeviConfig, pevi_solve
+from pdslab.pevi import PeviConfig, pevi_solve, theorem_beta
 from pdslab.pipeline import (
     MethodId,
     PeviSettings,
@@ -89,8 +89,8 @@ def test_02_pessimistic_value_underestimates():
         mdp = make_tabular_mdp(states, actions, gamma=0.9, seed=i // 5)
         beh = behavior_policy(mdp, "medium")
         ds = sample_dataset(mdp, beh, 120, seed=1000 + i, noise=True)
-        cfg = PeviConfig.theorem_preset(mdp.dim, len(ds), mdp.gamma, mdp.r_max,
-                                        delta=0.1, c=1.0)
+        cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=theorem_beta(
+            mdp.dim, len(ds), mdp.gamma, mdp.r_max, delta=0.1, c=1.0))
         sol = pevi_solve(ds, mdp.features, cfg)
         s0 = int(np.argmax(mdp.init_dist))
         v_pi = evaluate_policy(mdp, sol.policy).v[s0]

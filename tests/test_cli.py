@@ -440,6 +440,31 @@ def test_non_finite_r_max_exits_2(tmp_path, monkeypatch, capsys, kind, r_max):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", True), ("r_max", True), ("gamma", False), ("num_states", 4.0), ("num_actions", "2"),
+    ("dim", None), ("seed", None), ("seed", 3.0), ("gamma", "0.9"), ("gamma", float("nan")),
+])
+def test_wrongly_typed_mdp_values_exit_2_naming_the_field(tmp_path, monkeypatch, capsys, field,
+                                                          value):
+    # true ran as MDP seed 1 or r_max 1, and 4.0 states failed without naming the field
+    import pdslab.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a cell ran on a rejected config")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    doc = _base_doc(tmp_path)
+    doc["mdp"][field] = value
+    with pytest.raises(ConfigError, match=f"mdp.{field} must be"):
+        ExperimentConfig.from_dict(doc)
+    assert entrypoint(["run", "--config", _write_config(tmp_path, doc)]) == 2
+    assert f"mdp.{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+    # integers are numbers: gamma 0 and r_max 2 are accepted
+    doc["mdp"].update(_base_doc(tmp_path)["mdp"], gamma=0, r_max=2)
+    assert ExperimentConfig.from_dict(doc).mdp["r_max"] == 2
+
+
 def test_fit_ensemble_and_relabel(tmp_path, capsys):
     mdp_path = str(tmp_path / "m.json")
     entrypoint(["gen-mdp", "--kind", "lowrank", "--states", "5", "--actions", "3",

@@ -355,8 +355,12 @@ def test_coverage_requires_nonempty(tabular_5x3):
 @pytest.mark.parametrize("seed", range(5))
 def test_a_dataset_is_its_visit_counts(seed):
     """phi depends only on (s, a), so every Gram of a dataset is a function
-    of its visit counts: reordering the rows leaves Lambda, the coverage
-    Gram and the PEVI bonus with the same bits."""
+    of its visit counts, and every PEVI problem field a function of its
+    (s, a, s') counts and per-pair reward sums: reordering the rows leaves
+    Lambda, the coverage Gram and every field of the PEVI problems with the
+    same bits. The per-pair sums are added in row order, so the noisy
+    rewards' w_reward is left out; the noiseless rewards, one value per
+    pair, sum to the same bits in any order."""
     mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=seed)
     ds = sample_dataset(mdp, Policy.uniform(6, 3), 3000, seed=seed, noise=True)
     order = np.random.default_rng(seed).permutation(len(ds))
@@ -367,11 +371,47 @@ def test_a_dataset_is_its_visit_counts(seed):
     got, want = ([fit_reward(d, mdp.features).lambda_matrix,
                   coverage_coefficient(d, mdp, pistar).gram,
                   coverage_coefficient(d, mdp, pistar).c_dagger,
-                  pevi_prepare(d, mdp.features, cfg, [d.rewards])[0].lambda_matrix,
-                  pevi_prepare(d, mdp.features, cfg, [d.rewards])[0].bonus]
+                  *pevi_prepare(d, mdp.features, cfg,
+                                [d.rewards, mdp.rewards[d.states, d.actions]])]
                  for d in (shuffled, ds))
-    for g, w in zip(got, want):
+    for g, w in zip(got[:3], want[:3]):
         assert np.array_equal(g, w)
+    for g, w in zip(got[3:], want[3:]):
+        assert g.config == w.config
+        for name in ("lambda_matrix", "sweep_map", "bonus"):
+            assert np.array_equal(getattr(g, name), getattr(w, name)), name
+    assert np.array_equal(got[4].w_reward, want[4].w_reward)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_sweep_row_set_is_its_transition_counts(seed):
+    """Permuting d0's and d1's rows leaves every method's PEVI problem on
+    d0 and on d0 then d1 with the same bits. d0's rewards are noiseless,
+    one value per pair, so its row-order per-pair sums do not depend on the
+    order either."""
+    from pdslab.pipeline import MethodId, PeviSettings, RewardSettings, _prepare_methods
+
+    mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=seed)
+    pi = Policy.uniform(6, 3)
+    d0 = sample_dataset(mdp, pi, 300, seed=seed)
+    d1 = sample_dataset(mdp, pi, 2000, seed=seed + 10, labeled=False)
+    rng = np.random.default_rng(seed)
+
+    def permuted(d):
+        order = rng.permutation(len(d))
+        return OfflineDataset(d.states[order], d.actions[order],
+                              None if d.rewards is None else d.rewards[order],
+                              d.next_states[order], labeled=d.labeled, num_states=6,
+                              num_actions=3)
+
+    methods = tuple(MethodId)
+    got, want = (_prepare_methods(mdp, a, b, methods, RewardSettings(),
+                                  PeviSettings(c=0.05), seed, None)
+                 for a, b in ((permuted(d0), permuted(d1)), (d0, d1)))
+    for g, w in zip(got, want):
+        assert g.method is w.method and g.problem.config == w.problem.config
+        for name in ("lambda_matrix", "sweep_map", "w_reward", "bonus"):
+            assert np.array_equal(getattr(g.problem, name), getattr(w.problem, name)), name
 
 
 # ---- exact-frequency fixtures ----------------------------------------------------
@@ -649,6 +689,19 @@ def test_dataset_id_validation():
         OfflineDataset([0], [3], None, [0], labeled=False, num_states=5, num_actions=3)
     with pytest.raises(ValueError, match="reward"):
         OfflineDataset([0], [0], None, [0], labeled=True, num_states=5, num_actions=3)
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_rewards_are_refused(labeled, bad):
+    # NaN marks a missing label; an infinite reward is an error, which a
+    # reward fit would otherwise turn into an all-NaN theta_hat
+    with pytest.raises(ValueError, match="finite"):
+        OfflineDataset([0, 1, 2], [0, 1, 0], [0.5, bad, 0.2], [1, 2, 0], labeled=labeled,
+                       num_states=3, num_actions=2)
+    partial = OfflineDataset([0, 1], [0, 1], [0.5, np.nan], [1, 2], labeled=False,
+                             num_states=3, num_actions=2)
+    assert np.isnan(partial.rewards[1])
 
 
 @settings(max_examples=20, deadline=None)

@@ -19,7 +19,9 @@ where the row product was 1.8e-12 from it), every other float by at most
 the sha256 of every equivalence-gate sweep CSV with wall_ms stripped and
 flags each that differs from GATE_HASHES.
 """
+import dataclasses
 import json
+import math
 from functools import partial
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from pdslab.data import (
     coverage_coefficient,
     occupancy_second_moments,
     sample_dataset,
+    transition_counts,
 )
 from pdslab.ensemble import fit_ensemble
 from pdslab.mdp import (
@@ -48,7 +51,14 @@ from pdslab.mdp import (
     make_tabular_mdp,
     solve_optimal,
 )
-from pdslab.pevi import PeviConfig, bonus_table, pevi_prepare, pevi_solve
+from pdslab.pevi import (
+    PeviConfig,
+    bonus_table,
+    pevi_lockstep,
+    pevi_prepare,
+    pevi_problems,
+    pevi_solve,
+)
 from pdslab.pipeline import (
     MethodId,
     PeviSettings,
@@ -57,7 +67,8 @@ from pdslab.pipeline import (
     results_to_csv,
     sweep,
 )
-from pdslab.reward import deviation_table, fit_reward, pessimistic_table
+from pdslab.reward import deviation_table, fill_table, fit_reward, pessimistic_table
+from pdslab.ridge import Ridge
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -455,18 +466,54 @@ def test_sweep_csv_matches_golden(name, tmp_path):
     _assert_matches_golden(out.read_text(), name)
 
 
+CHAIN_GRID = SweepGrid(n0_values=(200,), n1_values=(0, 2000, 20000), methods=(MethodId.PDS,),
+                       seeds=tuple(range(50)), labeled_quality="medium",
+                       unlabeled_quality="medium", reward=RewardSettings(),
+                       pevi=PeviSettings(c=0.02))
+
+
 def test_chain_sweep_matches_golden():
     """tests/golden/chain.csv holds the test_05 grid (more shared data on
     the four-state chain) as the sweep gave it before its cells were
     prepared in batched stages. Its n1 = 0, 2000 and 20000 columns run in
-    one, two and seventeen batches of cells."""
-    grid = SweepGrid(n0_values=(200,), n1_values=(0, 2000, 20000), methods=(MethodId.PDS,),
-                     seeds=tuple(range(50)), labeled_quality="medium",
-                     unlabeled_quality="medium", reward=RewardSettings(),
-                     pevi=PeviSettings(c=0.02))
-    report = sweep(chain_mdp(), grid)
+    one, two and seventeen batches of cells. The n1 = 20000 column's
+    vhat_start was re-pinned when B and the reward sums came from
+    transition counts (see the test below)."""
+    report = sweep(chain_mdp(), CHAIN_GRID)
     assert not report.failures
     _assert_matches_golden(results_to_csv(report.results), "chain")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chain_vhat_start_matches_exactly_summed_problem(seed):
+    """A cell of the chain golden's n1 = 20000 column against PEVI on the
+    same Lambda and bonus with B and the per-pair reward sums exactly
+    rounded (math.fsum over the 20200 rows): vhat_start agrees within 1e-13.
+    Summed row by row, as before, it was up to 2.7e-12 off."""
+    from pdslab.pipeline import _cell_seeds, behavior_policy, run_method
+
+    mdp = chain_mdp()
+    features, rows = mdp.features, mdp.features.matrix()
+    oracle = solve_optimal(mdp)
+    behavior = behavior_policy(mdp, "medium", oracle[0])
+    d0_seed, d1_seed = _cell_seeds(seed, 200, 20000, CHAIN_GRID)
+    d0 = sample_dataset(mdp, behavior, 200, seed=d0_seed)
+    d1 = sample_dataset(mdp, behavior, 20000, seed=d1_seed, labeled=False)
+    row = run_method(mdp, d0, d1, MethodId.PDS, CHAIN_GRID.reward, CHAIN_GRID.pevi, seed, oracle)
+
+    fill = fill_table(fit_reward(d0, features, r_max=mdp.r_max), features, "pds").reshape(-1)
+    pairs = np.concatenate([d0.pair_ids(features), d1.pair_ids(features)])
+    next_states = np.concatenate([d0.next_states, d1.next_states])
+    rewards = np.concatenate([d0.rewards, fill[d1.pair_ids(features)]])
+    sums = np.array([math.fsum(rewards[pairs == p]) for p in range(rows.shape[0])])
+    next_sums = np.array([[math.fsum(column[pairs[next_states == s]])
+                           for s in range(mdp.num_states)] for column in rows.T])
+    config = CHAIN_GRID.pevi.config_for(mdp, len(pairs))
+    (problem,) = pevi_problems(features, *transition_counts([d0, d1], features), [sums], config)
+    exact = dataclasses.replace(
+        problem, sweep_map=config.gamma * Ridge(problem.lambda_matrix).solve(next_sums))
+    (solution,) = pevi_lockstep([exact], features)
+    assert abs(row.v_hat_start - float(mdp.init_dist @ solution.v_hat)) <= 1e-13
 
 
 # seeded small MDPs of each kind and the dataset sizes the estimator pins use
@@ -555,15 +602,15 @@ def test_reward_fit_matches_golden_bit_for_bit(case, estimator_golden):
 # rounding, so `--gate-hashes` checks them on demand, not a test.
 GATE_HASHES = {
     "golden tabular": "d7923abf90caaf5913f3c597d928766e8391e9169a6f10d654f158ae043257fd",
-    "golden lowrank": "a1e20c173f9085b872e9c4e26b25f6bf75970a017c89215824c0d0d494ee6e0c",
-    "golden adversarial": "e62da7e46f1cb3a7400988b1e5bdaa6739be380a98dabf3fe187b27743d3c790",
-    "README config": "f877e8035289c897d307febf8b21f4af43e893184131b139ee2533b84672cb5e",
+    "golden lowrank": "9d9c0960960c19c85808a4729a7e0fdd11a7cb8b94cd6dc01f373ba3359ca0b3",
+    "golden adversarial": "7a3b7d652ede24b4c3dd027c58427b7d81398d9c78d6e63563ab5aecc89f2f95",
+    "README config": "f9ebe86227bcc8c4d1e63d493571d70b58d57fe6970ba68722a22b24cee3b12b",
     "README grid, five methods, seeds 0-19":
-        "1971719f5d394f66f16e25530f5d0234ce85052be089b89b6295644e616c08c6",
-    "chain_sweep seed 0": "b4bbd69837b9321e27301870533a941f9c45451a7fbc91036e103ac33c373de1",
-    "chain_sweep seed 1": "07f3bb9fb2953b78506ef6af707ce31a2c3f3904de9b7e1f573c93ac2ef0d68e",
-    "chain_sweep seed 2": "1228923a7fec29a4572bce7ae5678eca7dc84bb697bd26da0e5a3f5f97dd153a",
-    "large_lowrank seed 0": "48b062db7fe58c538e03b9f78fe3691445a76fbef31912e64585a4b6fb2dcc6f",
+        "0ffab346d7f07d22cf1e055d32f3ed6134131c8daf191356be8d5f053b50a538",
+    "chain_sweep seed 0": "4e028abd411127b9e7b1921e85d5b59983fbd95a079ecf5d99bd51939df14046",
+    "chain_sweep seed 1": "71f45fd2e2df64dcaa70a73ca6d7530ba818590310feaae7eebe43d3b252247a",
+    "chain_sweep seed 2": "818b94c5b3ed5535f31ab0893a1566fdcd8e14a7f5e55e0802bc91bc3c7824a7",
+    "large_lowrank seed 0": "7865f0ae9aade4334c3e9a04b7daf31e328fec8243915794789ab95bdc1f9acf",
 }
 
 

@@ -1,6 +1,9 @@
 """Pessimistic value iteration: regression pieces, bonuses, and the solver."""
+import math
+
 import numpy as np
 import pytest
+from conftest import chain_mdp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +13,7 @@ from pdslab.data import (
     mix_datasets,
     quantize_transitions,
     sample_dataset,
+    transition_counts,
 )
 from pdslab.mdp import (
     FeatureMap,
@@ -23,6 +27,7 @@ from pdslab.mdp import (
 from pdslab.pevi import (
     PeviConfig,
     bonus_table,
+    next_state_sums,
     pevi_lockstep,
     pevi_prepare,
     pevi_solve,
@@ -282,8 +287,8 @@ def test_solver_pessimistic_with_theorem_bonus():
     trials, hits = 50, 0
     for t in range(trials):
         ds = _uniform_data(mdp, 300, seed=1000 + t)
-        cfg = PeviConfig.theorem_preset(d=2, n_total=300, gamma=0.9, r_max=mdp.r_max,
-                                        delta=0.1)
+        cfg = PeviConfig.for_mdp(0.9, mdp.r_max, beta=theorem_beta(
+            d=2, n_total=300, gamma=0.9, r_max=mdp.r_max, delta=0.1))
         sol = pevi_solve(ds, mdp.features, cfg)
         actual = evaluate_policy(mdp, sol.policy)
         hits += bool(np.all(sol.v_hat <= actual.v + 1e-9))
@@ -364,6 +369,26 @@ def test_solver_matches_row_form_sweep(kind, n, beta, max_sweeps):
     assert np.abs(sol.q_hat - q).max() <= 1e-12
     assert np.abs(sol.w_hat - w).max() <= 1e-12
     assert np.abs(np.subtract(sol.residuals, residuals)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_next_state_sums_are_within_an_ulp_or_so_of_exact(seed):
+    """B of a chain-sized row set (200 labeled and 20000 reward-free rows)
+    against the exactly rounded row sums (math.fsum): each entry adds one
+    rounded phi_k * count per distinct (s, a), so it is within a few ulps,
+    where adding the 20200 rows one at a time drifts by hundreds."""
+    mdp = chain_mdp()
+    features, rows = mdp.features, mdp.features.matrix()
+    probs = np.random.default_rng(seed).random((mdp.num_states, mdp.num_actions))
+    behavior = Policy(probs / probs.sum(axis=1, keepdims=True))
+    d0 = sample_dataset(mdp, behavior, 200, seed=seed)
+    d1 = sample_dataset(mdp, behavior, 20000, seed=seed + 100, labeled=False)
+    got = next_state_sums(features, *transition_counts([d0, d1], features))
+    pairs = np.concatenate([d.pair_ids(features) for d in (d0, d1)])
+    next_states = np.concatenate([d0.next_states, d1.next_states])
+    exact = np.array([[math.fsum(column[pairs[next_states == s]])
+                       for s in range(mdp.num_states)] for column in rows.T])
+    assert (np.abs(got - exact) <= 4 * np.spacing(np.abs(exact))).all()
 
 
 def _lone_sweeps(problem, features):
@@ -470,7 +495,8 @@ def test_config_validation_and_defaults():
         PeviConfig(lambda_reg=1.0, beta=0.0, gamma=0.9, v_max=10.0, tol=-1e-9)
     with pytest.raises(ValueError, match="max_sweeps"):
         PeviConfig(lambda_reg=1.0, beta=0.0, gamma=0.9, v_max=10.0, max_sweeps=0)
-    preset = PeviConfig.theorem_preset(d=4, n_total=10**4, gamma=0.9, r_max=1.0)
+    preset = PeviConfig.for_mdp(0.9, 1.0, beta=theorem_beta(d=4, n_total=10**4, gamma=0.9,
+                                                             r_max=1.0, delta=0.1))
     assert preset.beta == pytest.approx(162.91396148988122, rel=1e-12)
     assert preset.v_max == pytest.approx(10.0)
 

@@ -288,10 +288,38 @@ def _reference_problem(mdp, d0, d1, method, model, pevi_cfg):
     return problem
 
 
-def _assert_same_problem(got, want):
+def _assert_same_problem(got, want, w_reward_tol=0.0):
+    """got and want agree bit for bit, apart from w_reward, which may differ
+    by w_reward_tol in each entry."""
     assert got.config == want.config
     for name in PROBLEM_FIELDS:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if name != "w_reward":
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (np.abs(got.w_reward - want.w_reward) <= w_reward_tol).all()
+
+
+def _summation_bound(mdp, want, datasets):
+    """How far apart two w_reward of the row set datasets (d0 then d1) may
+    be when their per-pair reward sums were added in different orders.
+
+    The reference adds each pair's n(s, a) rewards, all in [0, r_max], one
+    row at a time; the sweep adds d0's rows, then d1's observed rewards and
+    n_miss * fill, in at most n + 2 rounded steps. By the recursive
+    summation bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    eq. 4.4) each is within gamma_(n+2) * n * r_max of the exact sum, with
+    gamma_k = k u / (1 - k u) and u the unit roundoff, so the two are within
+    twice that. Lambda^-1 Phi^T carries that gap into w_reward at most as
+    |Lambda^-1 Phi^T| times it, and each side's Phi^T product and two
+    triangular solves add a first-order forward error of at most
+    (d + 2) u kappa_inf(Lambda) |w_reward|.
+    """
+    features, u = mdp.features, np.finfo(float).eps / 2
+    n = sum(features.pair_sums(d.pair_ids(features)) for d in datasets)
+    gamma = (n + 2) * u / (1 - (n + 2) * u)
+    carried = np.abs(np.linalg.solve(want.lambda_matrix, features.matrix().T)) @ (
+        2 * gamma * n * mdp.r_max)
+    kappa = np.linalg.cond(want.lambda_matrix, np.inf)
+    return carried + 2 * (features.dim + 2) * u * kappa * np.abs(want.w_reward).max()
 
 
 @pytest.mark.parametrize("make", [
@@ -326,10 +354,14 @@ def test_sweep_problems_equal_relabel_and_mix_reference(monkeypatch, make):
             model = fit_reward(d0, mdp.features, nu=2.0, r_max=mdp.r_max)
             # with d1 empty every method trains on d0 and shares one problem
             methods = ALL_METHODS if n1 else (MethodId.NO_SHARE,)
-            want += [_reference_problem(mdp, d0, d1, m, model, grid.pevi) for m in methods]
+            want += [(_reference_problem(mdp, d0, d1, m, model, grid.pevi),
+                      (d0, d1) if m is not MethodId.NO_SHARE and n1 else None)
+                     for m in methods]
     assert len(built) == len(want) == 12
-    for got, expected in zip(built, want):
-        _assert_same_problem(got, expected)
+    for got, (expected, row_set) in zip(built, want):
+        # a problem on d0 alone has the reference's reward sums bit for bit
+        tol = 0.0 if row_set is None else _summation_bound(mdp, expected, row_set)
+        _assert_same_problem(got, expected, tol)
 
 
 def test_empty_d1_cells_solve_one_problem_per_seed(monkeypatch):
@@ -395,7 +427,7 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
     # problem is what the cell's own datasets give, one by one
     import pdslab.pipeline as pipeline
     from pdslab.data import coverage_coefficient
-    from pdslab.pipeline import _cell_seeds
+    from pdslab.pipeline import _cell_seeds, _prepare_methods
 
     mdp = _mdp(seed=83)
     grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS,
@@ -437,9 +469,10 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
                 row = next(rows)
                 assert (row.seed, row.n1, row.method) == (seed, n1, method)
                 assert (row.c0_dagger, row.c1_dagger) == (c0, c1)
-            model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
-            methods = ALL_METHODS if n1 else (MethodId.NO_SHARE,)
-            want += [_reference_problem(mdp, d0, d1, m, model, grid.pevi) for m in methods]
+            alone = _prepare_methods(mdp, d0, d1, ALL_METHODS, grid.reward, grid.pevi, seed,
+                                     oracle)
+            # with d1 empty the methods share one problem, which is solved once
+            want += [p.problem for p in (alone if n1 else alone[:1])]
     assert len(built) == len(want) == 36
     for got, expected in zip(built, want):
         _assert_same_problem(got, expected)
@@ -458,8 +491,9 @@ def test_partly_labeled_d1_matches_relabel_reference():
     model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
     for method, got in zip(ALL_METHODS, prepared):
         assert got.method is method
-        _assert_same_problem(got.problem,
-                             _reference_problem(mdp, d0, d1, method, model, pevi_cfg))
+        want = _reference_problem(mdp, d0, d1, method, model, pevi_cfg)
+        tol = 0.0 if method is MethodId.NO_SHARE else _summation_bound(mdp, want, (d0, d1))
+        _assert_same_problem(got.problem, want, tol)
 
 
 def test_missing_d1_fails_only_the_sharing_methods():
