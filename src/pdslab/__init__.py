@@ -43,7 +43,6 @@ from pdslab.pevi import (
     PeviSolution,
     bonus_table,
     pevi_lockstep,
-    pevi_prepare,
     pevi_solve,
     theorem_beta,
 )

@@ -64,6 +64,14 @@ def _require_fields(section: str, doc: dict, allowed: set, required: set) -> Non
             raise ConfigError(f"missing field '{key}' in {section}")
 
 
+def _section(doc: dict, name: str) -> dict:
+    """A copy of the config's section name, {} when absent; it must be a JSON object."""
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _as_int_list(value, name: str) -> tuple:
     if isinstance(value, bool):
         raise ConfigError(f"'{name}' must be an integer or list of integers")
@@ -96,12 +104,12 @@ class ExperimentConfig:
                      "seeds", "output"},
             required={"schema_version", "mdp", "data", "methods", "seeds", "output"},
         )
-        if doc["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {doc['schema_version']!r}, want {SCHEMA_VERSION}"
-            )
+        version = doc["schema_version"]
+        # true and 1.0 compare equal to 1, so check the type too
+        if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version!r}, want {SCHEMA_VERSION}")
 
-        mdp = dict(doc["mdp"])
+        mdp = _section(doc, "mdp")
         kind = mdp.get("kind")
         if kind not in MDP_KINDS:
             raise ConfigError(f"mdp.kind must be one of {MDP_KINDS}, got {kind!r}")
@@ -124,7 +132,7 @@ class ExperimentConfig:
                 raise ConfigError(f"mdp.{key} must be {want.get(key, 'an integer')}, "
                                   f"got {value!r}")
 
-        data = dict(doc["data"])
+        data = _section(doc, "data")
         _require_fields(
             "data", data,
             allowed={"n0", "n1", "labeled_quality", "unlabeled_quality", "noise",
@@ -143,10 +151,10 @@ class ExperimentConfig:
         if not isinstance(methods, list) or not methods:
             raise ConfigError("'methods' must be a nonempty list")
 
-        reward = dict(doc.get("reward", {}))
+        reward = _section(doc, "reward")
         _require_fields("reward", reward,
                         allowed={"nu", "delta", "alpha_mode"}, required=set())
-        pevi = dict(doc.get("pevi", {}))
+        pevi = _section(doc, "pevi")
         _require_fields(
             "pevi", pevi,
             allowed={"lambda_reg", "delta", "c", "beta_override", "tol", "max_sweeps"},

@@ -1,10 +1,10 @@
 """Offline dataset sampling, mixing, and exact coverage computation.
 
 Datasets are columnar (state/action/reward/next_state arrays) and immutable
-by convention. phi depends only on (s, a), so a dataset reduces to its
-pair ids s*A + a (OfflineDataset.pair_ids): one bincount gives its visit
-counts n(s, a) and its Gram is sum_pairs n phi phi^T (FeatureMap.gram).
-PEVI also reads s', from a row set's (s, a, s') counts (transition_counts).
+by convention. phi depends only on (s, a), so the reward fit, coverage and
+PEVI read a dataset only through its RowCounts (OfflineDataset.counts):
+visit counts n(s, a), per-pair reward sums and its (s, a, s') counts. Its
+Gram is sum_pairs n phi phi^T (FeatureMap.gram).
 The coverage coefficient follows the generalized-eigenvalue reading: the
 largest C with  (1/N) sum phi phi^T  >=  C * Sigma_{pi*,s}  for every start
 state s, where Sigma is the (1-gamma)-normalized discounted occupancy second
@@ -108,6 +108,7 @@ class OfflineDataset:
         self.labeled = bool(labeled)
         self.num_states = int(num_states)
         self.num_actions = int(num_actions)
+        self._counts = {}  # the rows are read-only, so counts() keeps each record
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -122,18 +123,48 @@ class OfflineDataset:
         self.check_features(features)
         return self.states * features.num_actions + self.actions
 
+    def counts(self, features: FeatureMap) -> "RowCounts":
+        """The RowCounts of this dataset's rows under features' shape (S, A),
+        reduced on the first call for that shape and kept."""
+        key = (features.num_states, features.num_actions)
+        if key not in self._counts:
+            pairs = self.pair_ids(features)
+            visits = features.pair_sums(pairs)
+            if self.rewards is None:
+                sums, missing = np.zeros(visits.shape), visits
+            else:
+                seen = ~np.isnan(self.rewards)
+                sums = features.pair_sums(pairs[seen], self.rewards[seen])
+                missing = features.pair_sums(pairs[~seen])
+            record = RowCounts(visits, sums, missing, *np.unique(
+                pairs * features.num_states + self.next_states, return_counts=True))
+            for a in record:
+                a.setflags(write=False)
+            self._counts[key] = record
+        return self._counts[key]
+
     def with_rewards(self, rewards, labeled: bool = True) -> "OfflineDataset":
         return OfflineDataset(self.states, self.actions, rewards, self.next_states,
                               labeled=labeled, num_states=self.num_states,
                               num_actions=self.num_actions)
 
 
-def transition_counts(datasets, features: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct transition ids (s*A + a)*S + s' of the rows of datasets,
-    S and A being features', sorted, and how many rows hold each: all that
-    Lambda, Gamma and B read of a row set, whatever the rows' order."""
-    return np.unique(np.concatenate([d.pair_ids(features) * features.num_states + d.next_states
-                                     for d in datasets]), return_counts=True)
+class RowCounts(NamedTuple):
+    """All that the reward fit, coverage and PEVI read of a row set."""
+
+    visits: np.ndarray       # rows per pair id s*A + a, (S*A,)
+    reward_sums: np.ndarray  # observed rewards per pair, added in row order
+    missing: np.ndarray      # rows per pair without a reward
+    transitions: np.ndarray  # the sorted distinct ids (s*A + a)*S + s'
+    counts: np.ndarray       # rows per transition id
+
+    def union(self, other: "RowCounts") -> "RowCounts":
+        """The record of this row set followed by other's."""
+        transitions, inverse = np.unique(np.concatenate([self.transitions, other.transitions]),
+                                         return_inverse=True)
+        counts = np.bincount(inverse, np.concatenate([self.counts, other.counts]))
+        return RowCounts(self.visits + other.visits, self.reward_sums + other.reward_sums,
+                         self.missing + other.missing, transitions, counts.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -444,7 +475,7 @@ def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp,
     if (bases.num_states, bases.dim) != (mdp.num_states, mdp.dim):
         raise ValueError("coverage bases do not match the mdp's shape")
     features = mdp.features
-    gram = features.gram(features.pair_sums(dataset.pair_ids(features))) / len(dataset)
+    gram = features.gram(dataset.counts(features).visits) / len(dataset)
     per_start = _per_start_values(gram, bases)
     c = float(np.min(per_start))
     if not np.isfinite(c):

@@ -37,7 +37,7 @@ from pdslab.data import (
     write_transitions,
 )
 from pdslab.mdp import FeatureMap
-from pdslab.reward import fill_missing
+from pdslab.reward import check_positive, fill_missing
 from pdslab.ridge import Ridge
 
 AUTO_A_DEFAULT = 25.0
@@ -80,6 +80,7 @@ class EnsembleRewardModel:
             raise ValueError("members must be finite")
         if not np.isfinite(self.labeled_mean):
             raise ValueError(f"labeled_mean must be finite, got {self.labeled_mean}")
+        check_positive("nu", self.nu)
         members.setflags(write=False)
         object.__setattr__(self, "members", members)
 
@@ -147,8 +148,7 @@ def fit_ensemble(
         raise ValueError(f"ensemble_size must be >= 2, got {ensemble_size}")
     if not labeled.labeled or len(labeled) == 0:
         raise ValueError("fit_ensemble requires nonempty labeled data")
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    check_positive("nu", nu)
     n, d = len(labeled), features.dim
     pairs, rows = labeled.pair_ids(features), features.matrix()
     members = np.empty((ensemble_size, d))

@@ -21,14 +21,14 @@ phi_tau[k], a d x S matrix,
 
 w_r and gamma * Lambda^{-1} B are built once per solve, so each sweep costs
 O(dS + SAd) and does not touch the N dataset rows. phi depends only on
-(s, a), so pevi_problems reads a row set as its (s, a, s') counts and each
-reward vector as its per-pair sums, and reduces them to a PeviProblem,
-whose size does not depend on N: Lambda from the visit counts' Gram, Gamma
-and gamma * Lambda^{-1} B once, with B from the counts (next_state_sums),
-and per vector w_r from Phi^T times it. pevi_prepare runs it on a dataset.
-pevi_lockstep runs the sweeps of many problems over one feature map
-together, each with its own convergence; pevi_solve is a batch of one, and
-a problem gives the same numbers bit for bit in any batch. For
+(s, a), so pevi_problems reads a row set as its RowCounts
+(OfflineDataset.counts) and each reward vector as its per-pair sums, and
+reduces them to a PeviProblem, whose size does not depend on N: Lambda
+from the visit counts' Gram, Gamma and gamma * Lambda^{-1} B once, with B
+from the (s, a, s') counts (next_state_sums), and per vector w_r from
+Phi^T times it. pevi_lockstep runs the sweeps of many problems over one
+feature map together, each with its own convergence; pevi_solve is a batch
+of one, and a problem gives the same numbers bit for bit in any batch. For
 one-hot features the sweep map is a sup-norm contraction, but general
 feature maps can defeat that, so the returned solution carries a converged
 flag and the residual trace instead of promising a fixed point.
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pdslab.data import OfflineDataset, transition_counts
+from pdslab.data import OfflineDataset, RowCounts
 from pdslab.mdp import FeatureMap, Policy
 from pdslab.ridge import Ridge
 
@@ -136,56 +136,30 @@ class PeviProblem:
     bonus: np.ndarray          # Gamma, (S, A)
 
 
-def check_rewards(rewards, n: int) -> list[np.ndarray]:
-    """The reward vectors as float arrays; raise ValueError unless each holds
-    one finite nonnegative reward per row of an n-row dataset."""
-    rewards = [np.asarray(r, dtype=float) for r in rewards]
-    for r in rewards:
-        if r.shape != (n,):
-            raise ValueError(f"reward vector of shape {r.shape} for {n} rows")
-        if not (np.isfinite(r).all() and (r >= 0).all()):
-            raise ValueError("reward vectors must be finite and nonnegative")
-    return rewards
-
-
-def next_state_sums(features: FeatureMap, transitions: np.ndarray,
-                    counts: np.ndarray) -> np.ndarray:
+def next_state_sums(features: FeatureMap, counts: RowCounts) -> np.ndarray:
     """B[k, s'], the sum of phi_k over the rows landing in s', (d, S), of the
-    row set with these transition counts (data.transition_counts): per
-    feature column one bincount weighted by phi_k * count."""
-    pairs, next_states = np.divmod(transitions, features.num_states)
-    return np.stack([np.bincount(next_states, weights=column.take(pairs) * counts,
+    row set with these counts: per feature column one bincount over its
+    transitions weighted by phi_k * count."""
+    pairs, next_states = np.divmod(counts.transitions, features.num_states)
+    return np.stack([np.bincount(next_states, weights=column.take(pairs) * counts.counts,
                                  minlength=features.num_states)
                      for column in features.matrix().T])
 
 
-def pevi_problems(features: FeatureMap, transitions: np.ndarray, counts: np.ndarray,
-                  reward_sums, config: PeviConfig) -> list[PeviProblem]:
+def pevi_problems(features: FeatureMap, counts: RowCounts, reward_sums,
+                  config: PeviConfig) -> list[PeviProblem]:
     """One PeviProblem per vector of per-pair reward sums in reward_sums, for
-    the row set with these transition counts (data.transition_counts):
-    Lambda is factored once and each vector costs one w_r solve."""
+    the row set with these counts: Lambda is factored once and each vector
+    costs one w_r solve."""
     rows = features.matrix()
-    visits = features.pair_sums(transitions // features.num_states, counts)
-    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + features.gram(visits))
+    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + features.gram(counts.visits))
     bonus = (config.beta * ridge.widths(rows)).reshape(features.num_states, features.num_actions)
-    sweep_map = config.gamma * ridge.solve(next_state_sums(features, transitions, counts))
+    sweep_map = config.gamma * ridge.solve(next_state_sums(features, counts))
     return [
         PeviProblem(config=config, lambda_matrix=ridge.matrix, sweep_map=sweep_map,
                     w_reward=ridge.solve(rows.T @ sums), bonus=bonus)
         for sums in reward_sums
     ]
-
-
-def pevi_prepare(dataset: OfflineDataset, features: FeatureMap, config: PeviConfig,
-                 rewards) -> list[PeviProblem]:
-    """pevi_problems on dataset's transition counts and, per vector in
-    rewards, which holds one finite nonnegative reward per row, its per-pair
-    sums in row order; the dataset's own rewards are not read."""
-    if len(dataset) == 0:
-        raise ValueError("pevi_prepare requires a nonempty dataset")
-    pairs = dataset.pair_ids(features)
-    sums = [features.pair_sums(pairs, r) for r in check_rewards(rewards, len(dataset))]
-    return pevi_problems(features, *transition_counts([dataset], features), sums, config)
 
 
 def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
@@ -260,9 +234,12 @@ def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
 def pevi_solve(
     dataset: OfflineDataset, features: FeatureMap, config: PeviConfig
 ) -> PeviSolution:
-    """pevi_prepare of a labeled dataset's own rewards, then pevi_lockstep on
-    a batch of one."""
+    """pevi_problems of a nonempty labeled dataset's counts and its own reward
+    sums, then pevi_lockstep on a batch of one."""
+    if len(dataset) == 0:
+        raise ValueError("pevi_solve requires a nonempty dataset")
     if not dataset.labeled:
         raise ValueError("pevi_solve requires a fully labeled dataset")
-    return pevi_lockstep(pevi_prepare(dataset, features, config, [dataset.rewards]),
+    counts = dataset.counts(features)
+    return pevi_lockstep(pevi_problems(features, counts, [counts.reward_sums], config),
                          features)[0]

@@ -27,10 +27,10 @@ three stages:
    (n0 or n1 per seed) with one sample_datasets call, made when the first
    of those seeds' cells is prepared; a failed call fails every method of
    its seeds' cells and no other cell;
-2. per cell (_prepare_cell): the reward fit, both coverage coefficients,
+2. per cell (_prepare_cell): the reward fit and both coverage
+   coefficients, which reduce d0 and d1 once (OfflineDataset.counts),
    then per row set (d0, and d0 then d1) each method's per-pair reward
-   sums, the row set's transition counts and pevi_problems, which factors
-   Lambda once for all of the row set's vectors;
+   sums and pevi_problems, which factors Lambda once for all of them;
 3. solve: one pevi_lockstep per column, or per chunk of its seeds when the
    column's stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES, then
    an exact evaluation of each policy.
@@ -62,7 +62,6 @@ from pdslab.data import (
     coverage_bases,
     coverage_coefficient,
     sample_datasets,
-    transition_counts,
 )
 from pdslab.mdp import LinearMdp, Policy, evaluate_policy, solve_optimal
 from pdslab.pevi import (
@@ -330,11 +329,11 @@ def _prepare_cell(mdp: LinearMdp, seed: int, d0: OfflineDataset, d1: OfflineData
     or the raised exception per method, in order. d1 is None when empty.
 
     Each method is a vector of per-pair reward sums on one of two row sets,
-    d0 or d0 then d1. The shared work is the reward fit, both coverage
-    coefficients, s0, the per-pair sums of d0's rewards in row order, and
-    d1's per-pair counts of rows (n1) and of rows without a label (miss1)
-    and sums of observed rewards (obs1). A sharing method has the vector
-    s0 + obs1 + miss1 * fill, fill being its fill_table; oracle, which
+    d0 or d0 then d1. The shared work is the reward fit and both coverage
+    coefficients, which reduce each dataset to its RowCounts once: s0 and
+    obs1 are d0's and d1's reward_sums, n1 and miss1 d1's visits and
+    missing. A sharing method has the vector s0 + obs1 + miss1 * fill, fill
+    being its fill_table, on the union of both records; oracle, which
     replaces every d1 reward, has s0 + n1 * r. The methods on d0 share s0
     and so one problem, which _solve_prepared solves once. A failure of the
     shared work fails every method, and a failed row set its own methods.
@@ -350,33 +349,25 @@ def _prepare_cell(mdp: LinearMdp, seed: int, d0: OfflineDataset, d1: OfflineData
                            r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode)
         c0 = coverage_coefficient(d0, mdp, bases).c_dagger
         c1 = coverage_coefficient(d1, mdp, bases).c_dagger if n1 else 0.0
-        s0 = features.pair_sums(d0.pair_ids(features), d0.rewards)
-        if on_both:
-            pairs1 = d1.pair_ids(features)
-            n1_pairs = features.pair_sums(pairs1)
-            if d1.rewards is None:
-                s0_obs1, miss1 = s0, n1_pairs
-            else:
-                seen = ~np.isnan(d1.rewards)
-                s0_obs1 = s0 + features.pair_sums(pairs1[seen], d1.rewards[seen])
-                miss1 = features.pair_sums(pairs1[~seen])
+        counts0, counts1 = d0.counts(features), d1.counts(features) if n1 else None
     except Exception as exc:  # reported per method by the caller
         return [exc] * len(methods)
     shared_s = time.perf_counter() - start
 
-    def reward_sums(method):
+    def reward_sums(method, both):
         fill = fill_table(model, features, _RELABEL_MODE[method], mdp).reshape(-1)
-        return s0 + n1_pairs * fill if method is MethodId.ORACLE else s0_obs1 + miss1 * fill
+        return (counts0.reward_sums + counts1.visits * fill if method is MethodId.ORACLE
+                else both.reward_sums + counts1.missing * fill)
 
     prepared = {}
-    for datasets, members in (((d0,), on_d0), ((d0, d1), on_both)):
+    for sharing, members, n_rows in ((False, on_d0, n0), (True, on_both, n0 + n1)):
         if not members:
             continue
         start = time.perf_counter()
         try:
-            vectors = [s0] if len(datasets) == 1 else [reward_sums(m) for m in members]
-            problems = pevi_problems(features, *transition_counts(datasets, features), vectors,
-                                     pevi_cfg.config_for(mdp, sum(map(len, datasets))))
+            counts = counts0.union(counts1) if sharing else counts0
+            vectors = [reward_sums(m, counts) for m in members] if sharing else [counts.reward_sums]
+            problems = pevi_problems(features, counts, vectors, pevi_cfg.config_for(mdp, n_rows))
         except Exception as exc:  # reported per method by the caller
             prepared.update(dict.fromkeys(members, exc))
             continue

@@ -25,12 +25,17 @@ RELABEL_MODES = ("pds", "uds", "predict", "oracle")
 ALPHA_MODES = ("lemma", "theorem")
 
 
+def check_positive(name: str, value) -> None:
+    """Raise ValueError naming the argument unless value is a finite positive number."""
+    if not (np.isfinite(value) and value > 0):  # NaN fails both tests
+        raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
 def lemma_alpha(dim: int, n_labeled: int, nu: float, delta: float, r_max: float) -> float:
     """Data-independent ellipsoid radius for the ridge reward estimate."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    check_positive("nu", nu)
     return float(
         np.sqrt(nu)
         + r_max * np.sqrt(2.0 * np.log(1.0 / delta) + dim * np.log(1.0 + n_labeled / (nu * dim)))
@@ -95,20 +100,20 @@ def fit_reward(
 ) -> RewardModel:
     """Ridge regression of observed rewards onto features.
 
-    The rows reduce to their visit counts, whose Gram gives Lambda, and
-    their per-pair reward sums, summed in row order; Phi^T maps those to
-    sum phi r. alpha_mode picks the ellipsoid radius: "lemma" (default, the
-    operative data-independent radius) or "theorem" (the simplified
-    main-theorem preset, which dominates it).
+    The rows are read through their counts (OfflineDataset.counts): the
+    visit counts, whose Gram gives Lambda, and the per-pair reward sums,
+    which Phi^T maps to sum phi r. alpha_mode picks the ellipsoid radius:
+    "lemma" (default, the operative data-independent radius) or "theorem"
+    (the simplified main-theorem preset, which dominates it).
     """
     if not labeled.labeled:
         raise ValueError("fit_reward requires a labeled dataset")
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    check_positive("nu", nu)
+    check_positive("r_max", r_max)
     n, d = len(labeled), features.dim
-    pairs = labeled.pair_ids(features)
-    ridge = Ridge(nu * np.eye(d) + features.gram(features.pair_sums(pairs)))
-    theta_hat = ridge.solve(features.matrix().T @ features.pair_sums(pairs, labeled.rewards))
+    counts = labeled.counts(features)
+    ridge = Ridge(nu * np.eye(d) + features.gram(counts.visits))
+    theta_hat = ridge.solve(features.matrix().T @ counts.reward_sums)
     if alpha_mode == "lemma":
         alpha = lemma_alpha(d, n, nu, delta, r_max)
     elif alpha_mode == "theorem":

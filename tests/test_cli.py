@@ -125,6 +125,48 @@ def test_schema_version_checked(tmp_path):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_schema_version_must_be_the_integer(tmp_path, monkeypatch, value):
+    # true and 1.0 compare equal to 1 and were accepted
+    import pdslab.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a cell ran on a rejected config")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    doc = _base_doc(tmp_path, schema_version=value)
+    with pytest.raises(ConfigError, match="schema_version"):
+        ExperimentConfig.from_dict(doc)
+    assert entrypoint(["run", "--config", _write_config(tmp_path, doc)]) == 2
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("section,value", [
+    ("reward", []),
+    ("pevi", [["c", 0.5]]),
+    ("mdp", [["kind", "tabular"], ["num_states", 4], ["num_actions", 2]]),
+    ("data", [["n0", [40]]]),
+    ("mdp", "x"),
+    ("reward", None),
+    ("data", 3),
+])
+def test_a_section_that_is_not_an_object_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                           section, value):
+    # lists of pairs were read as dicts, and "x" or null failed without naming the section
+    import pdslab.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a cell ran on a rejected config")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    doc = _base_doc(tmp_path, **{section: value})
+    with pytest.raises(ConfigError, match=f"'{section}' must be a JSON object"):
+        ExperimentConfig.from_dict(doc)
+    assert entrypoint(["run", "--config", _write_config(tmp_path, doc)]) == 2
+    assert f"'{section}' must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_round_trip_is_a_fixed_point(tmp_path):
     cfg = ExperimentConfig.from_dict(_base_doc(tmp_path, methods=["pds", "uds"]))
     doc2 = cfg.to_dict()
@@ -522,6 +564,17 @@ def test_fit_ensemble_and_relabel(tmp_path, capsys):
                        "--model", str(nan_model), "--k", "auto"]) == 2
     assert "labeled_mean must be finite" in capsys.readouterr().err
     assert not nan_out.exists()
+
+
+@pytest.mark.parametrize("nu", ["inf", "nan", "0"])
+def test_fit_ensemble_non_finite_nu_exits_2_naming_it(tmp_path, capsys, nu):
+    # --nu inf wrote an all-zero model that relabel then filled zeros from
+    argv = _file_commands(tmp_path)["fit-ensemble"]
+    out = Path(argv[argv.index("--out") + 1])
+    capsys.readouterr()
+    assert entrypoint(argv + ["--nu", nu]) == 2
+    assert "nu must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_relabel_k_auto_reports_auto_k_of_the_model(tmp_path, capsys):

@@ -30,7 +30,7 @@ from pdslab.mdp import (
     make_tabular_mdp,
     solve_optimal,
 )
-from pdslab.pevi import PeviConfig, pevi_prepare
+from pdslab.pevi import PeviConfig, pevi_problems
 from pdslab.reward import fit_reward
 
 
@@ -371,8 +371,11 @@ def test_a_dataset_is_its_visit_counts(seed):
     got, want = ([fit_reward(d, mdp.features).lambda_matrix,
                   coverage_coefficient(d, mdp, pistar).gram,
                   coverage_coefficient(d, mdp, pistar).c_dagger,
-                  *pevi_prepare(d, mdp.features, cfg,
-                                [d.rewards, mdp.rewards[d.states, d.actions]])]
+                  *pevi_problems(mdp.features, d.counts(mdp.features),
+                                 [d.counts(mdp.features).reward_sums,
+                                  mdp.features.pair_sums(d.pair_ids(mdp.features),
+                                                         mdp.rewards[d.states, d.actions])],
+                                 cfg)]
                  for d in (shuffled, ds))
     for g, w in zip(got[:3], want[:3]):
         assert np.array_equal(g, w)
@@ -412,6 +415,68 @@ def test_a_sweep_row_set_is_its_transition_counts(seed):
         assert g.method is w.method and g.problem.config == w.problem.config
         for name in ("lambda_matrix", "sweep_map", "w_reward", "bonus"):
             assert np.array_equal(getattr(g.problem, name), getattr(w.problem, name)), name
+
+
+def test_a_five_method_cell_reduces_each_dataset_once(monkeypatch):
+    """The reward fit, both coverage coefficients and both row sets' PEVI
+    problems read d0 and d1 through their kept counts, so each dataset's
+    rows are read once per cell."""
+    from pdslab.pipeline import MethodId, PeviSettings, RewardSettings, _prepare_methods
+
+    mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=1)
+    pi = Policy.uniform(6, 3)
+    d0 = sample_dataset(mdp, pi, 300, seed=1)
+    d1 = sample_dataset(mdp, pi, 2000, seed=2, labeled=False)
+    reads = {id(d0): 0, id(d1): 0}
+    pair_ids = OfflineDataset.pair_ids
+
+    def counted(self, features):
+        reads[id(self)] += 1
+        return pair_ids(self, features)
+
+    monkeypatch.setattr(OfflineDataset, "pair_ids", counted)
+    outcomes = _prepare_methods(mdp, d0, d1, tuple(MethodId), RewardSettings(),
+                                PeviSettings(c=0.05), 0, None)
+    assert not any(isinstance(o, Exception) for o in outcomes)
+    assert reads == {id(d0): 1, id(d1): 1}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_union_of_counts_is_the_mixed_datasets_counts(seed):
+    """d0's counts then d1's merge to the counts of mix_datasets(d0, d1),
+    whose reward sums differ only in the order the rewards are added."""
+    mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=seed)
+    pi = Policy.uniform(6, 3)
+    features = mdp.features
+    a = sample_dataset(mdp, pi, 300, seed=seed, noise=True)
+    unlabeled = sample_dataset(mdp, pi, 500, seed=seed + 10, labeled=False)
+    partial = mix_datasets(sample_dataset(mdp, pi, 200, seed=seed + 20), unlabeled)
+    for b in (unlabeled, partial):
+        got = a.counts(features).union(b.counts(features))
+        want = mix_datasets(a, b).counts(features)
+        for name in ("visits", "missing", "transitions", "counts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.allclose(got.reward_sums, want.reward_sums, rtol=1e-12, atol=0)
+
+
+def test_counts_are_kept_per_feature_shape():
+    """A dataset of A = 2 actions under feature maps with 2 and 3 actions
+    has pair ids s*A + a and transition ids (s*A + a)*S + s' in each map's
+    own A, and each shape keeps its own record."""
+    ds = OfflineDataset([0, 1, 1], [1, 0, 1], [0.5, 0.25, 1.0], [1, 0, 1], labeled=True,
+                        num_states=2, num_actions=2)
+    narrow = FeatureMap(np.full((2, 2, 1), 0.5))
+    wide = FeatureMap(np.full((2, 3, 1), 0.5))
+    small, large = ds.counts(narrow), ds.counts(wide)
+    assert small.visits.tolist() == [0, 1, 1, 1]
+    assert large.visits.tolist() == [0, 1, 0, 1, 1, 0]
+    assert small.transitions.tolist() == [3, 4, 7] and small.counts.tolist() == [1, 1, 1]
+    assert large.transitions.tolist() == [3, 6, 9] and large.counts.tolist() == [1, 1, 1]
+    assert large.reward_sums.tolist() == [0.0, 0.5, 0.0, 0.25, 1.0, 0.0]
+    assert ds.counts(narrow) is small and ds.counts(wide) is large
+    with pytest.raises(ValueError, match="read-only"):
+        small.visits[0] = 1
 
 
 # ---- exact-frequency fixtures ----------------------------------------------------

@@ -1,6 +1,8 @@
-"""The README's code runs as written."""
+"""The README's code runs as written, and its module table names what exists."""
+import importlib
 import re
 import shlex
+from functools import reduce
 from pathlib import Path
 
 from pdslab.cli import entrypoint
@@ -52,3 +54,24 @@ def test_cli_config_runs(tmp_path, monkeypatch, capsys):
     assert len(rows) == 60  # 3 n1 cells x 4 methods x 5 seeds
     printed = capsys.readouterr().out
     assert "| pds |" in printed and "| offline_term |" in printed  # table, then bounds
+
+
+def test_module_table_names_resolve():
+    """Every backticked snake_case or dotted name in the module table's
+    contents column is an attribute of its row's module, or of the pdslab
+    module it starts with (`mdp.FeatureMap.gram`)."""
+    section = README.read_text().split("## What is in the box\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(pdslab\.\w+)` \| (.*) \|$", section, flags=re.M)
+    assert len(rows) >= 9
+    names = 0
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", contents):
+            if "_" not in name and "." not in name:
+                continue
+            parts, owner = name.split("."), module
+            if len(parts) > 1 and not hasattr(module, parts[0]):
+                owner = importlib.import_module(f"pdslab.{parts.pop(0)}")
+            reduce(getattr, parts, owner)  # an AttributeError names what is stale
+            names += 1
+    assert names >= 3

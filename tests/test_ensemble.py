@@ -437,3 +437,15 @@ def test_pessimistic_estimate_bounds(seed, k, ell):
     val = _toy_estimate(model, k)
     assert 0.0 <= val <= max(model.member_table().min(), 0.0) + 1e-12
     assert val == pytest.approx(_pessimistic_reward(model, 0, 0, k), abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0, -1.0])
+def test_ensemble_requires_finite_positive_nu(nu):
+    # inf fit an all-zero model and nan failed as "members must be finite"
+    mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
+    ds = _uniform_data(mdp, 20)
+    with pytest.raises(ValueError, match="nu must be a finite positive number"):
+        fit_ensemble(ds, mdp.features, ensemble_size=3, nu=nu)
+    model = _toy_model([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValueError, match="nu must be a finite positive number"):
+        EnsembleRewardModel(model.members, model.features, model.labeled_mean, nu=nu)

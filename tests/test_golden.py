@@ -37,7 +37,6 @@ from pdslab.data import (
     coverage_coefficient,
     occupancy_second_moments,
     sample_dataset,
-    transition_counts,
 )
 from pdslab.ensemble import fit_ensemble
 from pdslab.mdp import (
@@ -55,7 +54,6 @@ from pdslab.pevi import (
     PeviConfig,
     bonus_table,
     pevi_lockstep,
-    pevi_prepare,
     pevi_problems,
     pevi_solve,
 )
@@ -509,7 +507,8 @@ def test_chain_vhat_start_matches_exactly_summed_problem(seed):
     next_sums = np.array([[math.fsum(column[pairs[next_states == s]])
                            for s in range(mdp.num_states)] for column in rows.T])
     config = CHAIN_GRID.pevi.config_for(mdp, len(pairs))
-    (problem,) = pevi_problems(features, *transition_counts([d0, d1], features), [sums], config)
+    counts = d0.counts(features).union(d1.counts(features))
+    (problem,) = pevi_problems(features, counts, [sums], config)
     exact = dataclasses.replace(
         problem, sweep_map=config.gamma * Ridge(problem.lambda_matrix).solve(next_sums))
     (solution,) = pevi_lockstep([exact], features)
@@ -538,8 +537,9 @@ def _estimator_outputs(case):
     sol = pevi_solve(ds, feats, cfg)
     model = fit_reward(ds, feats, nu=2.0)
     # the Bellman ridge regression of r + gamma * v(s') at one fixed v
-    (regress,) = pevi_prepare(ds, feats, PeviConfig(lambda_reg=0.5, beta=0.0, gamma=mdp.gamma,
-                                                    v_max=cfg.v_max), [ds.rewards])
+    (regress,) = pevi_problems(feats, ds.counts(feats), [ds.counts(feats).reward_sums],
+                               PeviConfig(lambda_reg=0.5, beta=0.0, gamma=mdp.gamma,
+                                          v_max=cfg.v_max))
     empty = fit_reward(OfflineDataset([], [], [], [], labeled=True, num_states=mdp.num_states,
                                       num_actions=mdp.num_actions), feats, nu=2.0)
     out = {

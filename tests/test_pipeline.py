@@ -4,7 +4,7 @@ import pytest
 
 from pdslab.data import OfflineDataset, mix_datasets, sample_dataset
 from pdslab.mdp import Policy, make_lowrank_mdp, make_tabular_mdp, solve_optimal
-from pdslab.pevi import pevi_prepare, pevi_solve
+from pdslab.pevi import pevi_problems, pevi_solve
 from pdslab.pipeline import (
     CSV_HEADER,
     MethodId,
@@ -283,8 +283,9 @@ def _reference_problem(mdp, d0, d1, method, model, pevi_cfg):
     train = d0
     if method is not MethodId.NO_SHARE and len(d1) > 0:
         train = mix_datasets(d0, relabel(d1, model, mdp.features, REFERENCE_MODES[method], mdp))
-    (problem,) = pevi_prepare(train, mdp.features, pevi_cfg.config_for(mdp, len(train)),
-                              [train.rewards])
+    counts = train.counts(mdp.features)
+    (problem,) = pevi_problems(mdp.features, counts, [counts.reward_sums],
+                               pevi_cfg.config_for(mdp, len(train)))
     return problem
 
 

@@ -300,3 +300,18 @@ def test_relabel_outputs_stay_in_reward_range(seed, n, nu, mode):
     assert np.all(out.rewards >= 0.0)
     assert np.all(out.rewards <= mdp.r_max + 1e-12)
     assert np.all(deviation_table(model, mdp.features) >= 0.0)
+
+
+@pytest.mark.parametrize("nu,r_max,name", [
+    (float("nan"), 1.0, "nu"), (float("inf"), 1.0, "nu"), (0.0, 1.0, "nu"),
+    (1.0, float("inf"), "r_max"), (1.0, float("nan"), "r_max"), (1.0, 0.0, "r_max"),
+])
+def test_fit_reward_requires_finite_positive_nu_and_r_max(nu, r_max, name):
+    # nan gave an all-NaN theta_hat; inf, nan or 0 gave models with such alpha or r_max
+    mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
+    ds = _uniform_data(mdp, 20)
+    with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+        fit_reward(ds, mdp.features, nu=nu, r_max=r_max)
+    if name == "nu":
+        with pytest.raises(ValueError, match="nu must be a finite positive number"):
+            lemma_alpha(2, 20, nu, 0.1, 1.0)
