@@ -196,25 +196,57 @@ class _DrawTable(NamedTuple):
 
 
 def _draw_table(cumulative: np.ndarray) -> _DrawTable:
-    """The draw table of a 2-D array of cumulative rows.
+    """The draw table of a 2-D array of cumulative rows."""
+    return _fill_table(*cumulative.shape, [(0, cumulative)])
 
-    Blocked rows compare width // k + k entries per draw where flat rows
-    compare width, with k = isqrt(width); rows are blocked only where that
-    is at most half as many.
+
+def _kernel_table(mdp: LinearMdp) -> _DrawTable:
+    """The draw table of mdp's cumulative kernel rows, row s*A + a for pair
+    (s, a): built on the first call for mdp, one block of states at a time
+    (LinearMdp.kernel_blocks), and kept on mdp, which never changes."""
+    tables = mdp._tables
+    if "kernel" not in tables:
+        S, A = mdp.num_states, mdp.num_actions
+        table = _fill_table(S * A, S, (
+            (lo * A, np.cumsum(p, axis=2).reshape(-1, S)) for lo, p in mdp.kernel_blocks()))
+        for a in (table.fine, table.coarse):
+            if a is not None:
+                a.setflags(write=False)  # every later call shares it
+        tables["kernel"] = table
+    return tables["kernel"]
+
+
+def _fill_table(rows: int, entries: int, blocks, k: int | None = None) -> _DrawTable:
+    """The draw table of rows cumulative rows of entries entries each,
+    written straight into place from blocks: (first row, 2-D block of
+    consecutive rows) pairs that cover every row. Only each row's first
+    entries - 1 entries are read.
+
+    The rows are blocked k entries wide, or flat when k is 0. By default
+    blocked rows compare width // k + k entries per draw where flat rows
+    compare width, with width = entries - 1 and k = isqrt(width), and rows
+    are blocked only where that is at most half as many.
     """
-    upper = cumulative[:, :-1]
-    width = upper.shape[1]
-    k = math.isqrt(width)
-    if k and 2 * (width // k + k) <= width:
-        return _blocked_table(upper, k)
-    return _DrawTable(np.ascontiguousarray(upper.T), None, 1)
+    width = entries - 1
+    if k is None:
+        k = math.isqrt(width)
+        k = k if k and 2 * (width // k + k) <= width else 0
+    if not k:
+        fine = np.empty((width, rows))
+        for lo, block in blocks:
+            fine[:, lo:lo + len(block)] = block[:, :width].T
+        return _DrawTable(fine, None, 1)
+    fine = np.empty((rows, (width // k + 1) * k))
+    fine[:, width:] = np.inf
+    for lo, block in blocks:
+        fine[lo:lo + len(block), :width] = block[:, :width]
+    return _DrawTable(fine, np.ascontiguousarray(fine[:, k - 1:width:k]), k)
 
 
 def _blocked_table(upper: np.ndarray, k: int) -> _DrawTable:
-    rows, width = upper.shape
-    fine = np.full((rows, (width // k + 1) * k), np.inf)
-    fine[:, :width] = upper
-    return _DrawTable(fine, np.ascontiguousarray(fine[:, k - 1:width:k]), k)
+    """The table of the rows upper, cumulative rows without their last
+    entry, blocked k entries wide."""
+    return _fill_table(len(upper), upper.shape[1] + 1, [(0, upper)], k)
 
 
 def _draw_rows(table: _DrawTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -336,10 +368,9 @@ def sample_datasets(
                           for x in (first_rows, starts))
     num_full = num_seeds * (num_resets - (tail < horizon_reset))
 
-    # contiguous tables, built once: take() on a strided table first copies all of it
+    # contiguous tables: take() on a strided table first copies all of it
     pi_table = _draw_table(np.cumsum(behavior.probs, axis=1))
-    sa_table = _draw_table(np.cumsum(mdp.transitions, axis=2).reshape(
-        mdp.num_states * mdp.num_actions, -1))
+    sa_table = _kernel_table(mdp)
     actions = np.empty(num_seeds * n, dtype=np.int64)
     next_states = np.empty(num_seeds * n, dtype=np.int64)
     block = max(1, _LOCKSTEP_BLOCK_ENTRIES // max(mdp.num_states, horizon_reset))

@@ -31,6 +31,9 @@ import numpy as np
 KERNEL_ROW_TOL = 1e-10     # transition rows must sum to 1 within this
 KERNEL_ENTRY_TOL = 1e-12   # entries may undershoot 0 by at most this
 REWARD_TOL = 1e-9
+# the kernel is checked and computed in blocks of states holding near this
+# many of its S*A*S entries, so no array of that size is made on the way
+KERNEL_BLOCK_ENTRIES = 1 << 16
 # the keys an MDP file must hold; seed and feature_scale may be left out
 MDP_FIELDS = ("num_states", "num_actions", "dim", "gamma", "r_max", "phi", "mu", "theta",
               "init_dist")
@@ -40,6 +43,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _state_blocks(num_states: int, num_actions: int) -> list:
+    """Consecutive (lo, hi) ranges covering every state, each holding
+    near KERNEL_BLOCK_ENTRIES kernel entries and at least one state."""
+    step = max(1, KERNEL_BLOCK_ENTRIES // (num_actions * num_states))
+    return [(lo, min(lo + step, num_states)) for lo in range(0, num_states, step)]
 
 
 def _check_r_max(r_max: float) -> None:
@@ -141,20 +151,22 @@ class LinearMdp:
         if tnorm > cap * (1 + 1e-9):
             raise ValueError(f"||theta|| = {tnorm:.12g} exceeds sqrt(d)*r_max = {cap:.12g}")
 
-        # Derived transition kernel, with floating-point hygiene: entries in
-        # [-1e-12, 0) are clamped to 0 and each row renormalized.
-        p = np.einsum("sad,de->sae", self.features.phi, mu)
-        p_min = p.min()
+        # The kernel is clip(phi mu) / row_sums (kernel_rows): entries in
+        # [-1e-12, 0) are clamped to 0 and each row renormalized. Checked one
+        # block of states at a time, so no S x A x S array is made here.
+        phi = self.features.phi
+        p_min, row_sums = np.inf, np.empty((S, A))
+        for lo, hi in _state_blocks(S, A):
+            p = np.einsum("sad,de->sae", phi[lo:hi], mu)
+            p_min = min(p_min, p.min())
+            row_sums[lo:hi] = np.clip(p, 0.0, None, out=p).sum(axis=2)
         if p_min < -KERNEL_ENTRY_TOL:
             raise ValueError(f"negative transition probability {p_min:.3e}")
-        p = np.clip(p, 0.0, None)
-        row_sums = p.sum(axis=2)
         if np.abs(row_sums - 1.0).max() > KERNEL_ROW_TOL:
             bad = np.abs(row_sums - 1.0).max()
             raise ValueError(f"transition rows must sum to 1 within 1e-10 (off by {bad:.3e})")
-        p = p / row_sums[:, :, None]
 
-        r = self.features.phi @ theta
+        r = phi @ theta
         if r.min() < -REWARD_TOL or r.max() > self.r_max + REWARD_TOL:
             raise ValueError(
                 f"rewards <phi,theta> must lie in [0, r_max]; saw [{r.min():.6g}, {r.max():.6g}]"
@@ -169,15 +181,23 @@ class LinearMdp:
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "theta", _readonly(theta))
         object.__setattr__(self, "init_dist", _readonly(init))
-        object.__setattr__(self, "_p_table", _readonly(p))
         object.__setattr__(self, "_r_table", _readonly(r))
-        # Row-normalized phi times mu is the stored kernel up to rounding
-        # unless the clip changed an entry. The exact solves use it only
-        # then, and only when d < S, where its d x d systems are the smaller.
+        object.__setattr__(self, "_row_sums", _readonly(row_sums))
+        # Row-normalized phi times mu is the kernel up to rounding unless the
+        # clip changed an entry. The exact solves use it only then, and only
+        # when d < S, where its d x d systems are the smaller; such an MDP
+        # stores no kernel. Every other MDP stores P, which its dense solves
+        # read on every call; when d >= S its phi is no smaller.
         factor = None
         if d < S and p_min >= 0.0:
-            factor = _readonly(self.features.phi / row_sums[:, :, None])
+            factor = _readonly(phi / row_sums[:, :, None])
         object.__setattr__(self, "_factor", factor)
+        object.__setattr__(self, "_kernel", None)
+        if factor is None:
+            object.__setattr__(self, "_kernel", _readonly(self.kernel_rows(0, S)))
+        # tables derived from the MDP alone, which their builders keep here
+        # on first use (data._kernel_table): the MDP never changes
+        object.__setattr__(self, "_tables", {})
 
     @property
     def num_states(self) -> int:
@@ -197,8 +217,26 @@ class LinearMdp:
 
     @property
     def transitions(self) -> np.ndarray:
-        """P[s, a, s'], shape (S, A, S)."""
-        return self._p_table
+        """P[s, a, s'], shape (S, A, S): the stored kernel, or for an MDP
+        with a factor a fresh array computed on every access."""
+        return self.kernel_rows(0, self.num_states)
+
+    def kernel_rows(self, lo: int, hi: int) -> np.ndarray:
+        """P[lo:hi], shape (hi - lo, A, S): a view of the stored kernel, or
+        clip(phi mu) / row_sums computed for those states alone, which is
+        bit for bit those rows of the whole product."""
+        if self._kernel is not None:
+            return self._kernel[lo:hi]
+        p = np.einsum("sad,de->sae", self.features.phi[lo:hi], self.mu)
+        np.clip(p, 0.0, None, out=p)
+        p /= self._row_sums[lo:hi, :, None]
+        return p
+
+    def kernel_blocks(self):
+        """(lo, kernel_rows(lo, hi)) for consecutive blocks of states that
+        cover them all, each holding near KERNEL_BLOCK_ENTRIES entries."""
+        for lo, hi in _state_blocks(self.num_states, self.num_actions):
+            yield lo, self.kernel_rows(lo, hi)
 
     @property
     def rewards(self) -> np.ndarray:
@@ -227,17 +265,26 @@ class LinearMdp:
         for key in MDP_FIELDS:
             if key not in doc:
                 raise ValueError(f"MDP file is missing field {key!r}")
-        S = int(doc["num_states"])
-        A = int(doc["num_actions"])
-        d = int(doc["dim"])
-        phi = np.asarray(doc["phi"], dtype=float).reshape(S, A, d)
+        for key in ("num_states", "num_actions", "dim"):
+            if type(doc[key]) is not int or doc[key] < 1:
+                raise ValueError(f"MDP field {key!r} must be a positive integer, "
+                                 f"got {doc[key]!r}")
+        S, A, d = doc["num_states"], doc["num_actions"], doc["dim"]
+        arrays = {}
+        for key, size, formula in (("phi", S * A * d, "num_states*num_actions*dim"),
+                                   ("mu", d * S, "dim*num_states"), ("theta", d, "dim"),
+                                   ("init_dist", S, "num_states")):
+            arrays[key] = np.asarray(doc[key], dtype=float)
+            if arrays[key].size != size:
+                raise ValueError(f"MDP field {key!r} must hold {formula} = {size} numbers, "
+                                 f"got {arrays[key].size}")
         return cls(
-            features=FeatureMap(phi),
-            mu=np.asarray(doc["mu"], dtype=float).reshape(d, S),
-            theta=np.asarray(doc["theta"], dtype=float),
+            features=FeatureMap(arrays["phi"].reshape(S, A, d)),
+            mu=arrays["mu"].reshape(d, S),
+            theta=arrays["theta"],
             gamma=float(doc["gamma"]),
             r_max=float(doc["r_max"]),
-            init_dist=np.asarray(doc["init_dist"], dtype=float),
+            init_dist=arrays["init_dist"],
             seed=doc.get("seed"),
             feature_scale=float(doc.get("feature_scale", 1.0)),
         )

@@ -69,6 +69,8 @@ class RewardModel:
     ridge: Ridge | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("nu", "r_max", "alpha"):
+            check_positive(name, getattr(self, name))
         theta = np.asarray(self.theta_hat, dtype=float)
         lam = np.asarray(self.lambda_matrix, dtype=float) if self.ridge is None else self.ridge.matrix
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1] or theta.shape != (lam.shape[0],):

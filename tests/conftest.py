@@ -24,6 +24,18 @@ def chain_mdp() -> LinearMdp:
     return LinearMdp(FeatureMap(phi), mu, theta, gamma=0.9, r_max=1.0, init_dist=init)
 
 
+def clipped_lowrank_mdp() -> LinearMdp:
+    """A lowrank MDP (d = 2 < S = 4) whose last pair has features
+    (1 + 1e-12, -1e-12): its kernel row undershoots 0 by 5e-13 at two
+    states, inside the tolerance, so the clip changes those entries."""
+    rng = np.random.default_rng(0)
+    phi = rng.dirichlet(np.ones(2), size=(4, 2))
+    phi[3, 1] = [1.0 + 1e-12, -1e-12]
+    mu = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+    return LinearMdp(FeatureMap(phi), mu, np.array([0.5, 1.0]), gamma=0.9, r_max=1.0,
+                     init_dist=np.full(4, 0.25))
+
+
 @pytest.fixture
 def tabular_5x3():
     return make_tabular_mdp(5, 3, gamma=0.95, r_max=1.0, seed=42)

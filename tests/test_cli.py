@@ -628,6 +628,25 @@ def test_file_missing_a_required_field_exits_2(tmp_path, capsys, flag, key):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+_BAD_MDP_FIELDS = [("num_states", 6.7), ("dim", "2"), ("num_actions", True),
+                   ("phi", "drop"), ("mu", "drop"), ("theta", "drop"), ("init_dist", "drop")]
+
+
+@pytest.mark.parametrize("command", ["sample", "fit-ensemble"])
+@pytest.mark.parametrize("key,value", _BAD_MDP_FIELDS,
+                         ids=[f"{key}-{value}" for key, value in _BAD_MDP_FIELDS])
+def test_mdp_file_with_bad_shape_field_exits_2(tmp_path, capsys, command, key, value):
+    argv = _file_commands(tmp_path)[command]
+    path = Path(argv[argv.index("--mdp") + 1])
+    doc = json.loads(path.read_text())
+    doc[key] = doc[key][:-1] if value == "drop" else value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert entrypoint(argv) == 2
+    assert f"MDP field {key!r} must" in capsys.readouterr().err
+    assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["relabel", "--in", "u.jsonl", "--out", "o.jsonl", "--model", "m.json", "--L", "7"],
     ["relabel", "--in", "u.jsonl", "--out", "o.jsonl", "--model", "m.json", "--bogus", "1"],

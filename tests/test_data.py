@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdslab.data as data
+from conftest import chain_mdp, clipped_lowrank_mdp
 from pdslab.data import (
     OfflineDataset,
     coverage_coefficient,
@@ -25,6 +27,7 @@ from pdslab.mdp import (
     FeatureMap,
     LinearMdp,
     Policy,
+    _state_blocks,
     make_adversarial_mdp,
     make_lowrank_mdp,
     make_tabular_mdp,
@@ -185,6 +188,69 @@ def test_draw_table_blocks_only_wide_rows():
     assert all(blocked(w) for w in range(16, 400))
     table = data._draw_table(np.zeros((3, 401)))
     assert (table.k, table.fine.shape, table.coarse.shape) == (20, (3, 420), (3, 20))
+
+
+# blocked lowrank rows (the first and last), the flat chain, and two MDPs that
+# store their kernel: tabular (d >= S) and a clipped kernel (no factor); S = 300
+# with A = 3 is not a whole number of build blocks
+KERNEL_TABLE_MDPS = {
+    "lowrank-50": lambda: make_lowrank_mdp(50, 3, dim=4, gamma=0.9, seed=7),
+    "chain": chain_mdp,
+    "tabular": lambda: make_tabular_mdp(7, 3, gamma=0.9, seed=11),
+    "lowrank-clipped": clipped_lowrank_mdp,
+    "lowrank-300": lambda: make_lowrank_mdp(300, 3, dim=5, gamma=0.9, seed=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_TABLE_MDPS))
+def test_kernel_table_equals_table_of_whole_kernel(kind):
+    mdp = KERNEL_TABLE_MDPS[kind]()
+    S, A = mdp.num_states, mdp.num_actions
+    blocks = _state_blocks(S, A)
+    assert blocks[-1][1] == S
+    if kind == "lowrank-300":
+        assert len(blocks) > 1 and S % (blocks[0][1] - blocks[0][0])
+    want = data._draw_table(np.cumsum(mdp.transitions, axis=2).reshape(S * A, -1))
+    got = data._kernel_table(mdp)
+    assert (got.coarse is None) == (kind in ("chain", "tabular", "lowrank-clipped"))
+    assert got.k == want.k and got.fine.flags.c_contiguous
+    assert np.array_equal(got.fine, want.fine)
+    assert (got.coarse is None and want.coarse is None) or np.array_equal(got.coarse, want.coarse)
+    assert data._kernel_table(mdp) is got
+
+
+def test_sampler_builds_the_kernel_table_once_per_mdp(monkeypatch):
+    mdp = make_lowrank_mdp(50, 3, dim=4, gamma=0.9, seed=7)
+    real, calls = LinearMdp.kernel_blocks, []
+    monkeypatch.setattr(LinearMdp, "kernel_blocks",
+                        lambda self: calls.append(self) or real(self))
+    behavior = Policy.uniform(50, 3)
+    first = sample_datasets(mdp, behavior, 120, [0, 1], horizon_reset=7)
+    again = sample_datasets(mdp, behavior, 120, [0, 1], horizon_reset=7)
+    assert calls == [mdp]
+    for a, b in zip(first, again):
+        assert np.array_equal(a.next_states, b.next_states)
+
+
+def test_factored_kernel_and_its_table_are_built_a_block_at_a_time():
+    """No S*A*S-sized temporary: building a factored MDP peaks well below
+    its kernel's bytes, and its draw table below the table's bytes plus one
+    kernel's."""
+    S, A = 400, 4
+    kernel_bytes = S * A * S * 8
+    tracemalloc.start()
+    try:
+        mdp = make_lowrank_mdp(S, A, dim=8, gamma=0.9, seed=3)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = data._kernel_table(mdp)
+        table_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert mdp._factor is not None
+    assert built < kernel_bytes / 2
+    assert table_peak < table.fine.nbytes + table.coarse.nbytes + kernel_bytes / 2
 
 
 # ---- mixing -------------------------------------------------------------------

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chain_mdp
+from conftest import chain_mdp, clipped_lowrank_mdp
 from pdslab.cli import run_config
 from pdslab.data import (
     SIGMA_RANGE_CUTOFF,
@@ -363,18 +363,6 @@ def test_solve_optimal_equals_per_state_backups(kind):
     _assert_matches_dense(mdp, (report.v, report.q), (want.v, want.q))
 
 
-def _clipped_lowrank_mdp():
-    """A lowrank MDP (d = 2 < S = 4) whose last pair has features
-    (1 + 1e-12, -1e-12): its kernel row undershoots 0 by 5e-13 at two
-    states, inside the tolerance, so the clip changes those entries."""
-    rng = np.random.default_rng(0)
-    phi = rng.dirichlet(np.ones(2), size=(4, 2))
-    phi[3, 1] = [1.0 + 1e-12, -1e-12]
-    mu = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
-    return LinearMdp(FeatureMap(phi), mu, np.array([0.5, 1.0]), gamma=0.9, r_max=1.0,
-                     init_dist=np.full(4, 0.25))
-
-
 # lowrank MDPs that keep a kernel factor: S from 6 to 400, A = 1, odd S >= 13
 FACTORED_MDPS = {
     "lowrank-6": lambda: make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=4),
@@ -387,7 +375,7 @@ DENSE_MDPS = {
     "chain": chain_mdp,
     "tabular": lambda: make_tabular_mdp(7, 3, gamma=0.9, seed=11),
     "adversarial": lambda: make_adversarial_mdp(4, dim=2, gamma=0.9),
-    "lowrank-clipped": _clipped_lowrank_mdp,
+    "lowrank-clipped": clipped_lowrank_mdp,
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pdslab.mdp import (
     Policy,
     ValueReport,
     _check_value_range,
+    _state_blocks,
     evaluate_policy,
     load_mdp,
     make_adversarial_mdp,
@@ -318,6 +320,42 @@ def test_policy_helpers():
     np.testing.assert_allclose(mixed.probs, [[0.1, 0.9]] * 2)
 
 
+def test_factored_mdp_holds_no_kernel_sized_array():
+    S, A = 60, 3
+    mdp = make_lowrank_mdp(S, A, dim=4, gamma=0.9, seed=0)
+    assert mdp._factor is not None
+    held = [v for owner in (mdp, mdp.features) for v in vars(owner).values()
+            if isinstance(v, np.ndarray)]
+    assert held and max(a.size for a in held) < S * A * S
+    # the kernel it computes on demand is the whole product's, row-normalized
+    p = np.clip(np.einsum("sad,de->sae", mdp.features.phi, mdp.mu), 0.0, None)
+    assert np.array_equal(mdp.transitions, p / p.sum(axis=2)[:, :, None])
+
+
+def _two_feature_mdp(num_states, num_actions, last_pair):
+    """Feature 0 moves to state 0 and feature 1 to state 1; every pair has
+    features (0.5, 0.5) except the last state's last action, last_pair."""
+    phi = np.full((num_states, num_actions, 2), 0.5)
+    phi[-1, -1] = last_pair
+    mu = np.zeros((2, num_states))
+    mu[0, 0] = mu[1, 1] = 1.0
+    return LinearMdp(FeatureMap(phi), mu, np.array([0.5, 0.5]), gamma=0.9, r_max=1.0,
+                     init_dist=np.full(num_states, 1.0 / num_states))
+
+
+@pytest.mark.parametrize("last_pair,message", [
+    ([0.99, -0.01], "negative transition probability -1.000e-02"),
+    ([0.5, 0.4], "transition rows must sum to 1 within 1e-10 (off by 1.000e-01)"),
+])
+def test_kernel_error_in_the_last_state_block_raises(last_pair, message):
+    S, A = 300, 3
+    blocks = _state_blocks(S, A)
+    assert len(blocks) > 1 and blocks[-1] == (blocks[-1][0], S) and blocks[-1][0] > 0
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        _two_feature_mdp(S, A, last_pair)
+    assert _two_feature_mdp(S, A, [0.5, 0.5])._factor is not None
+
+
 # ---- serialization -----------------------------------------------------------
 
 
@@ -334,6 +372,32 @@ def test_json_round_trip_is_lossless(tmp_path, tabular_5x3, lowrank_6x3x2):
         assert back.feature_scale == mdp.feature_scale
         assert back.content_hash() == mdp.content_hash()
         json.loads(path.read_text())  # stays valid JSON
+
+
+@pytest.mark.parametrize("key,value", [
+    ("num_states", 6.7), ("num_states", 6.0), ("num_states", True), ("num_actions", "3"),
+    ("num_actions", 0), ("dim", "2"), ("dim", -2), ("dim", None),
+])
+def test_from_dict_requires_positive_integer_shape(lowrank_6x3x2, key, value):
+    doc = lowrank_6x3x2.to_dict()
+    doc[key] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"MDP field {key!r} must be a positive integer, got {value!r}")):
+        LinearMdp.from_dict(doc)
+
+
+@pytest.mark.parametrize("key,want", [
+    ("phi", "num_states*num_actions*dim = 36"), ("mu", "dim*num_states = 12"),
+    ("theta", "dim = 2"), ("init_dist", "num_states = 6"),
+])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_from_dict_checks_array_lengths(lowrank_6x3x2, key, want, change):
+    doc = lowrank_6x3x2.to_dict()
+    doc[key] = doc[key][:-1] if change < 0 else doc[key] + [0.0]
+    got = len(doc[key])
+    with pytest.raises(ValueError, match=re.escape(
+            f"MDP field {key!r} must hold {want} numbers, got {got}")):
+        LinearMdp.from_dict(doc)
 
 
 # ---- property tests ----------------------------------------------------------

@@ -274,6 +274,20 @@ def test_model_invariant_validation():
         RewardModel(np.zeros(2), eye, alpha=0.5, nu=1.0, n_labeled=0, delta=0.1)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("nu", float("nan")), ("nu", float("inf")), ("nu", 0.0), ("nu", -1.0),
+    ("r_max", float("nan")), ("r_max", float("inf")), ("r_max", 0.0),
+    ("alpha", float("nan")), ("alpha", float("inf")),
+])
+def test_model_requires_finite_positive_nu_r_max_and_alpha(name, value):
+    # each of these built a model before, NaN passing the eigenvalue and alpha checks
+    args = dict(theta_hat=np.zeros(2), lambda_matrix=np.eye(2), alpha=2.0, nu=1.0,
+                n_labeled=0, delta=0.1, r_max=1.0)
+    args[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+        RewardModel(**args)
+
+
 def test_fit_is_deterministic():
     mdp = make_lowrank_mdp(6, 3, dim=3, seed=5)
     ds = _uniform_data(mdp, 100, seed=1, noise=True)
