@@ -6,10 +6,8 @@ from pdslab.data import (
     OfflineDataset,
     coverage_bases,
     coverage_coefficient,
-    exhaustive_dataset,
     mix_datasets,
     occupancy_second_moments,
-    quantize_transitions,
     read_jsonl,
     sample_dataset,
     sample_datasets,
@@ -41,7 +39,6 @@ from pdslab.pevi import (
     PeviConfig,
     PeviProblem,
     PeviSolution,
-    bonus_table,
     pevi_lockstep,
     pevi_solve,
     theorem_beta,
@@ -61,7 +58,6 @@ from pdslab.pipeline import (
 )
 from pdslab.reward import (
     RewardModel,
-    confidence_coverage_trial,
     deviation_table,
     fit_reward,
     lemma_alpha,

@@ -243,12 +243,6 @@ def _fill_table(rows: int, entries: int, blocks, k: int | None = None) -> _DrawT
     return _DrawTable(fine, np.ascontiguousarray(fine[:, k - 1:width:k]), k)
 
 
-def _blocked_table(upper: np.ndarray, k: int) -> _DrawTable:
-    """The table of the rows upper, cumulative rows without their last
-    entry, blocked k entries wide."""
-    return _fill_table(len(upper), upper.shape[1] + 1, [(0, upper)], k)
-
-
 def _draw_rows(table: _DrawTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw from row rows[i] of the table with u[i].
 
@@ -512,80 +506,6 @@ def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp,
     if not np.isfinite(c):
         c = np.inf
     return CoverageReport(c_dagger=max(0.0, c), gram=gram, per_start_state_values=per_start)
-
-
-# ---- exact-frequency fixtures ----------------------------------------------
-
-
-def _largest_remainder_counts(probs: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to `total` proportional to probs (largest remainder)."""
-    raw = probs * total
-    counts = np.floor(raw).astype(np.int64)
-    short = total - counts.sum()
-    if short > 0:
-        order = np.argsort(-(raw - counts), kind="stable")
-        counts[order[:short]] += 1
-    return counts
-
-
-def quantize_transitions(mdp: LinearMdp, denominator: int) -> LinearMdp:
-    """Tabular MDP with every transition probability snapped to k/denominator.
-
-    Only defined for one-hot (tabular) feature maps, where mu rows are the
-    transition distributions themselves. Used to build datasets whose
-    empirical frequencies match the model exactly.
-    """
-    if denominator < 1:
-        raise ValueError("denominator must be >= 1")
-    _require_onehot(mdp)
-    mu = np.stack(
-        [_largest_remainder_counts(row, denominator) / denominator for row in mdp.mu]
-    )
-    return LinearMdp(
-        features=mdp.features,
-        mu=mu,
-        theta=mdp.theta,
-        gamma=mdp.gamma,
-        r_max=mdp.r_max,
-        init_dist=mdp.init_dist,
-        seed=mdp.seed,
-    )
-
-
-def exhaustive_dataset(mdp: LinearMdp, visits_per_pair: int) -> OfflineDataset:
-    """Every (s,a) visited exactly visits_per_pair times with next-state
-    counts exactly proportional to P(.|s,a).
-
-    Requires visits_per_pair * P to be integral (see quantize_transitions);
-    rewards are the exact noiseless values.
-    """
-    if visits_per_pair < 1:
-        raise ValueError("visits_per_pair must be >= 1")
-    raw = mdp.transitions * visits_per_pair
-    counts = np.rint(raw).astype(np.int64)
-    if np.abs(raw - counts).max() > 1e-9:
-        raise ValueError(
-            "visits_per_pair * P must be integral; quantize the MDP first"
-        )
-    # (s, a, s') triples in row-major order, each repeated by its count
-    flat = np.repeat(np.arange(counts.size), counts.ravel())
-    states, actions, next_states = np.unravel_index(flat, counts.shape)
-    return OfflineDataset(
-        states,
-        actions,
-        mdp.rewards[states, actions],
-        next_states,
-        labeled=True,
-        num_states=mdp.num_states,
-        num_actions=mdp.num_actions,
-    )
-
-
-def _require_onehot(mdp: LinearMdp) -> None:
-    phi = mdp.features.matrix()
-    onehot = (phi.sum(axis=1) == 1.0) & (np.count_nonzero(phi, axis=1) == 1)
-    if not onehot.all():
-        raise ValueError("operation requires one-hot (tabular) features")
 
 
 # ---- serialization ----------------------------------------------------------

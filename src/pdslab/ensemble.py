@@ -36,7 +36,7 @@ from pdslab.data import (
     write_header,
     write_transitions,
 )
-from pdslab.mdp import FeatureMap
+from pdslab.mdp import FeatureMap, json_number, json_numbers
 from pdslab.reward import check_positive, fill_missing
 from pdslab.ridge import Ridge
 
@@ -118,10 +118,10 @@ class EnsembleRewardModel:
                     f"the penalty weight is chosen at relabel time, so pass {flag} to relabel"
                 )
         return cls(
-            members=np.asarray(doc["members"], dtype=float),
-            features=FeatureMap(np.asarray(doc["phi"], dtype=float)),
-            labeled_mean=float(doc["labeled_mean"]),
-            nu=float(doc["nu"]),
+            members=json_numbers("model", "members", doc["members"]),
+            features=FeatureMap(json_numbers("model", "phi", doc["phi"])),
+            labeled_mean=json_number("model", "labeled_mean", doc["labeled_mean"]),
+            nu=json_number("model", "nu", doc["nu"]),
             seed=doc.get("seed"),
         )
 

@@ -45,6 +45,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def json_number(what: str, key: str, value) -> float:
+    """value, field key of a what file, as a float; anything but a JSON
+    number (a bool, string or null, say) raises a ValueError naming the
+    field instead of passing through float()."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} field {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_numbers(what: str, key: str, value) -> np.ndarray:
+    """value, field key of a what file and JSON numbers in nested lists, as
+    a float array; any other entry raises a ValueError naming the field."""
+    items = np.asarray(value, dtype=object).ravel()
+    if not set(map(type, items)) <= {int, float}:
+        bad = next(v for v in items if type(v) not in (int, float))
+        raise ValueError(f"{what} field {key!r} must hold only numbers, got {bad!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _state_blocks(num_states: int, num_actions: int) -> list:
     """Consecutive (lo, hi) ranges covering every state, each holding
     near KERNEL_BLOCK_ENTRIES kernel entries and at least one state."""
@@ -274,7 +293,7 @@ class LinearMdp:
         for key, size, formula in (("phi", S * A * d, "num_states*num_actions*dim"),
                                    ("mu", d * S, "dim*num_states"), ("theta", d, "dim"),
                                    ("init_dist", S, "num_states")):
-            arrays[key] = np.asarray(doc[key], dtype=float)
+            arrays[key] = json_numbers("MDP", key, doc[key])
             if arrays[key].size != size:
                 raise ValueError(f"MDP field {key!r} must hold {formula} = {size} numbers, "
                                  f"got {arrays[key].size}")
@@ -282,11 +301,11 @@ class LinearMdp:
             features=FeatureMap(arrays["phi"].reshape(S, A, d)),
             mu=arrays["mu"].reshape(d, S),
             theta=arrays["theta"],
-            gamma=float(doc["gamma"]),
-            r_max=float(doc["r_max"]),
+            gamma=json_number("MDP", "gamma", doc["gamma"]),
+            r_max=json_number("MDP", "r_max", doc["r_max"]),
             init_dist=arrays["init_dist"],
             seed=doc.get("seed"),
-            feature_scale=float(doc.get("feature_scale", 1.0)),
+            feature_scale=json_number("MDP", "feature_scale", doc.get("feature_scale", 1.0)),
         )
 
     def content_hash(self) -> str:

@@ -114,14 +114,6 @@ class PeviSolution:
     residuals: tuple = field(default=())
 
 
-def bonus_table(lambda_matrix: np.ndarray, features: FeatureMap, beta: float) -> np.ndarray:
-    """beta * sqrt(phi^T Lambda^{-1} phi) at every (s,a), shape (S, A)."""
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be a finite nonnegative number, got {beta}")
-    widths = Ridge(lambda_matrix).widths(features.matrix())
-    return (beta * widths).reshape(features.num_states, features.num_actions)
-
-
 @dataclass(frozen=True)
 class PeviProblem:
     """One dataset's PEVI solve reduced to what its sweeps read.

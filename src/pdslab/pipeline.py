@@ -248,9 +248,30 @@ def run_method(
 
     oracle, if given, is a precomputed (optimal_policy, optimal_values) pair;
     sweeps pass it to avoid re-solving the same MDP hundreds of times.
+
+    The refusals here cover what a sweep's sampled cells satisfy by
+    construction. Only the methods that train on d1 need it present (it may
+    be empty) and, when nonempty, of d0's shape.
     """
-    (outcome,) = _solve_prepared(mdp, _prepare_methods(
-        mdp, d0, d1, (MethodId(method),), reward_cfg, pevi_cfg, seed, oracle))
+    method = MethodId(method)
+    if not d0.labeled or len(d0) == 0:
+        raise ValueError("run_method requires nonempty labeled d0")
+    if d1 is not None and d1.labeled:
+        raise ValueError("d1 must be reward-free")
+    d0.check_features(mdp.features)
+    if d1 is not None and len(d1) > 0:
+        d1.check_features(mdp.features)
+    if method is not MethodId.NO_SHARE:
+        if d1 is None:
+            raise ValueError(f"{method.value} needs an unlabeled dataset (may be empty)")
+        if len(d1) > 0 and (d1.num_states, d1.num_actions) != (d0.num_states, d0.num_actions):
+            raise ValueError(f"dataset shapes differ: ({d0.num_states},{d0.num_actions}) vs "
+                             f"({d1.num_states},{d1.num_actions})")
+    if oracle is None:
+        oracle = solve_optimal(mdp)
+    (outcome,) = _solve_prepared(mdp, _prepare_cell(
+        mdp, seed, d0, d1, (method,), reward_cfg, pevi_cfg, coverage_bases(mdp, oracle[0]),
+        oracle[1].v))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -271,62 +292,11 @@ class _Prepared:
     seconds: float  # this method's share of its cell's preparation
 
 
-def _prepare_methods(
-    mdp: LinearMdp,
-    d0: OfflineDataset,
-    d1: OfflineDataset | None,
-    methods: tuple,
-    reward_cfg: RewardSettings,
-    pevi_cfg: PeviSettings,
-    seed: int,
-    oracle: tuple | None,
-    bases: CoverageBases | None = None,
-) -> list:
-    """Prepare each method's PEVI problem on one dataset pair: a _Prepared
-    or the raised exception per method, in order.
-
-    This checks what a sweep's sampled cells satisfy by construction, then
-    runs _prepare_cell against bases (the optimal policy's coverage_bases,
-    built here when not given). A failed check, like a failure of the work
-    every method shares, gives every method its exception. Methods that
-    would train on d1 fail alone when d1 is missing or does not have d0's
-    shape.
-    """
-    try:
-        if not d0.labeled or len(d0) == 0:
-            raise ValueError("run_method requires nonempty labeled d0")
-        if d1 is not None and d1.labeled:
-            raise ValueError("d1 must be reward-free")
-        d0.check_features(mdp.features)
-        if d1 is not None and len(d1) > 0:
-            d1.check_features(mdp.features)
-        if oracle is None:
-            oracle = solve_optimal(mdp)
-        if bases is None:
-            bases = coverage_bases(mdp, oracle[0])
-    except Exception as exc:  # reported per method by the caller
-        return [exc] * len(methods)
-    if d1 is None:
-        unusable = "{} needs an unlabeled dataset (may be empty)"
-    elif len(d1) > 0 and (d1.num_states, d1.num_actions) != (d0.num_states, d0.num_actions):
-        unusable = (f"dataset shapes differ: ({d0.num_states},{d0.num_actions}) vs "
-                    f"({d1.num_states},{d1.num_actions})")
-    else:
-        unusable = None
-    outcomes = {m: ValueError(unusable.format(m.value)) for m in methods
-                if unusable and m is not MethodId.NO_SHARE}
-    rest = tuple(m for m in methods if m not in outcomes)
-    if rest:
-        outcomes.update(zip(rest, _prepare_cell(mdp, seed, d0, d1, rest, reward_cfg, pevi_cfg,
-                                                bases, oracle[1].v)))
-    return [outcomes[m] for m in methods]
-
-
 def _prepare_cell(mdp: LinearMdp, seed: int, d0: OfflineDataset, d1: OfflineDataset | None,
                   methods: tuple, reward_cfg: RewardSettings, pevi_cfg: PeviSettings,
                   bases: CoverageBases, optimal_v: np.ndarray) -> list:
     """Prepare every method of one cell up to its PEVI problem: a _Prepared
-    or the raised exception per method, in order. d1 is None when empty.
+    or the raised exception per method, in order. d1 may be None or empty.
 
     Each method is a vector of per-pair reward sums on one of two row sets,
     d0 or d0 then d1. The shared work is the reward fit and both coverage

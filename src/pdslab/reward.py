@@ -194,29 +194,3 @@ def relabel(
     return unlabeled.with_rewards(
         fill_missing(observed, table, unlabeled.states, unlabeled.actions), labeled=True)
 
-
-def confidence_coverage_trial(
-    mdp: LinearMdp,
-    n0: int,
-    noise: bool | float,
-    delta: float,
-    trials: int,
-    seed: int = 0,
-    nu: float = 1.0,
-    behavior=None,
-) -> float:
-    """Fraction of fresh-data fits with ||theta* - theta_hat||_Lambda <= alpha."""
-    from pdslab.data import sample_dataset
-    from pdslab.mdp import Policy
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if behavior is None:
-        behavior = Policy.uniform(mdp.num_states, mdp.num_actions)
-    hits = 0
-    for sub in np.random.SeedSequence(seed).generate_state(trials):
-        ds = sample_dataset(mdp, behavior, n=n0, seed=int(sub), noise=noise)
-        model = fit_reward(ds, mdp.features, nu=nu, delta=delta, r_max=mdp.r_max)
-        err = mdp.theta - model.theta_hat
-        hits += float(err @ model.lambda_matrix @ err) <= model.alpha**2
-    return hits / trials

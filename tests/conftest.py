@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pdslab.mdp import FeatureMap, LinearMdp, make_lowrank_mdp, make_tabular_mdp
+from pdslab.data import OfflineDataset, sample_dataset
+from pdslab.mdp import FeatureMap, LinearMdp, Policy, make_lowrank_mdp, make_tabular_mdp
+from pdslab.reward import fit_reward
 
 
 def chain_mdp() -> LinearMdp:
@@ -68,3 +70,101 @@ def policy_eval_oracle(p, r, gamma, probs, residual=1e-12, max_iter=2_000_000):
             return v_new
         v = v_new
     raise AssertionError("oracle policy evaluation did not converge")
+
+
+# ---- exact-frequency fixtures ----------------------------------------------
+
+
+def _largest_remainder_counts(probs: np.ndarray, total: int) -> np.ndarray:
+    """Integer counts summing to `total` proportional to probs (largest remainder)."""
+    raw = probs * total
+    counts = np.floor(raw).astype(np.int64)
+    short = total - counts.sum()
+    if short > 0:
+        order = np.argsort(-(raw - counts), kind="stable")
+        counts[order[:short]] += 1
+    return counts
+
+
+def quantize_transitions(mdp: LinearMdp, denominator: int) -> LinearMdp:
+    """Tabular MDP with every transition probability snapped to k/denominator.
+
+    Only defined for one-hot (tabular) feature maps, where mu rows are the
+    transition distributions themselves. Used to build datasets whose
+    empirical frequencies match the model exactly.
+    """
+    if denominator < 1:
+        raise ValueError("denominator must be >= 1")
+    _require_onehot(mdp)
+    mu = np.stack(
+        [_largest_remainder_counts(row, denominator) / denominator for row in mdp.mu]
+    )
+    return LinearMdp(
+        features=mdp.features,
+        mu=mu,
+        theta=mdp.theta,
+        gamma=mdp.gamma,
+        r_max=mdp.r_max,
+        init_dist=mdp.init_dist,
+        seed=mdp.seed,
+    )
+
+
+def exhaustive_dataset(mdp: LinearMdp, visits_per_pair: int) -> OfflineDataset:
+    """Every (s,a) visited exactly visits_per_pair times with next-state
+    counts exactly proportional to P(.|s,a).
+
+    Requires visits_per_pair * P to be integral (see quantize_transitions);
+    rewards are the exact noiseless values.
+    """
+    if visits_per_pair < 1:
+        raise ValueError("visits_per_pair must be >= 1")
+    raw = mdp.transitions * visits_per_pair
+    counts = np.rint(raw).astype(np.int64)
+    if np.abs(raw - counts).max() > 1e-9:
+        raise ValueError(
+            "visits_per_pair * P must be integral; quantize the MDP first"
+        )
+    # (s, a, s') triples in row-major order, each repeated by its count
+    flat = np.repeat(np.arange(counts.size), counts.ravel())
+    states, actions, next_states = np.unravel_index(flat, counts.shape)
+    return OfflineDataset(
+        states,
+        actions,
+        mdp.rewards[states, actions],
+        next_states,
+        labeled=True,
+        num_states=mdp.num_states,
+        num_actions=mdp.num_actions,
+    )
+
+
+def _require_onehot(mdp: LinearMdp) -> None:
+    phi = mdp.features.matrix()
+    onehot = (phi.sum(axis=1) == 1.0) & (np.count_nonzero(phi, axis=1) == 1)
+    if not onehot.all():
+        raise ValueError("operation requires one-hot (tabular) features")
+
+
+def confidence_coverage_trial(
+    mdp: LinearMdp,
+    n0: int,
+    noise: bool | float,
+    delta: float,
+    trials: int,
+    seed: int = 0,
+    nu: float = 1.0,
+    behavior=None,
+) -> float:
+    """Fraction of fresh-data fits with ||theta* - theta_hat||_Lambda <= alpha."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if behavior is None:
+        behavior = Policy.uniform(mdp.num_states, mdp.num_actions)
+    hits = 0
+    for sub in np.random.SeedSequence(seed).generate_state(trials):
+        ds = sample_dataset(mdp, behavior, n=n0, seed=int(sub), noise=noise)
+        model = fit_reward(ds, mdp.features, nu=nu, delta=delta, r_max=mdp.r_max)
+        err = mdp.theta - model.theta_hat
+        hits += float(err @ model.lambda_matrix @ err) <= model.alpha**2
+    return hits / trials

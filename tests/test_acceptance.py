@@ -10,9 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import chain_mdp
+from conftest import (
+    chain_mdp,
+    confidence_coverage_trial,
+    exhaustive_dataset,
+    quantize_transitions,
+)
 from pdslab.cli import run_config
-from pdslab.data import exhaustive_dataset, quantize_transitions, sample_dataset, write_jsonl
+from pdslab.data import sample_dataset, write_jsonl
 from pdslab.ensemble import fit_ensemble, gaussian_min_coefficient, relabel_file
 from pdslab.mdp import (
     FeatureMap,
@@ -32,7 +37,7 @@ from pdslab.pipeline import (
     run_method,
     sweep,
 )
-from pdslab.reward import confidence_coverage_trial, fit_reward, relabel
+from pdslab.reward import fit_reward, relabel
 from pdslab.theory import BoundInputs, bound_holds_rate, sbr_approx, sbr_exact, uds_bias
 
 

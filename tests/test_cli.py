@@ -629,7 +629,8 @@ def test_file_missing_a_required_field_exits_2(tmp_path, capsys, flag, key):
 
 
 _BAD_MDP_FIELDS = [("num_states", 6.7), ("dim", "2"), ("num_actions", True),
-                   ("phi", "drop"), ("mu", "drop"), ("theta", "drop"), ("init_dist", "drop")]
+                   ("phi", "drop"), ("mu", "drop"), ("theta", "drop"), ("init_dist", "drop"),
+                   ("gamma", "0.9"), ("gamma", None), ("r_max", True), ("feature_scale", False)]
 
 
 @pytest.mark.parametrize("command", ["sample", "fit-ensemble"])
@@ -645,6 +646,27 @@ def test_mdp_file_with_bad_shape_field_exits_2(tmp_path, capsys, command, key, v
     assert entrypoint(argv) == 2
     assert f"MDP field {key!r} must" in capsys.readouterr().err
     assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+_BAD_MODEL_FIELDS = [("members", "strings"), ("phi", "strings"), ("labeled_mean", True),
+                     ("nu", "1"), ("nu", None)]
+
+
+@pytest.mark.parametrize("key,value", _BAD_MODEL_FIELDS,
+                         ids=[f"{key}-{value}" for key, value in _BAD_MODEL_FIELDS])
+def test_model_file_with_non_number_field_exits_2(tmp_path, capsys, key, value):
+    # such a file loaded through float(), and relabel --k auto ran on it
+    argv = _file_commands(tmp_path)["relabel"]
+    argv[argv.index("--k") + 1] = "auto"
+    path = Path(argv[argv.index("--model") + 1])
+    doc = json.loads(path.read_text())
+    doc[key] = json.loads(json.dumps(doc[key]), parse_float=str) if value == "strings" else value
+    path.write_text(json.dumps(doc))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert entrypoint(argv) == 2
+    assert f"model field {key!r} must" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("argv", [

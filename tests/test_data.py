@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdslab.data as data
-from conftest import chain_mdp, clipped_lowrank_mdp
+from conftest import chain_mdp, clipped_lowrank_mdp, exhaustive_dataset, quantize_transitions
 from pdslab.data import (
     OfflineDataset,
+    coverage_bases,
     coverage_coefficient,
-    exhaustive_dataset,
     header_path,
     mix_datasets,
     occupancy_second_moments,
-    quantize_transitions,
     read_jsonl,
     sample_dataset,
     sample_datasets,
@@ -173,7 +172,8 @@ def test_blocked_draw_equals_searchsorted():
         rows = np.repeat(np.arange(upper.shape[0]), probes.size)
         u = np.tile(probes, upper.shape[0])
         want = np.concatenate([np.searchsorted(row, probes, side="right") for row in upper])
-        tables = [data._blocked_table(upper, k) for k in range(1, width + 1)]
+        tables = [data._fill_table(len(upper), width + 1, [(0, upper)], k)
+                  for k in range(1, width + 1)]
         tables.append(data._draw_table(np.hstack([upper, np.ones((upper.shape[0], 1))])))
         for table in tables:
             assert np.array_equal(data._draw_rows(table, rows, u), want), (width, table.k)
@@ -458,7 +458,7 @@ def test_a_sweep_row_set_is_its_transition_counts(seed):
     d0 and on d0 then d1 with the same bits. d0's rewards are noiseless,
     one value per pair, so its row-order per-pair sums do not depend on the
     order either."""
-    from pdslab.pipeline import MethodId, PeviSettings, RewardSettings, _prepare_methods
+    from pdslab.pipeline import MethodId, PeviSettings, RewardSettings, _prepare_cell
 
     mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=seed)
     pi = Policy.uniform(6, 3)
@@ -473,9 +473,10 @@ def test_a_sweep_row_set_is_its_transition_counts(seed):
                               d.next_states[order], labeled=d.labeled, num_states=6,
                               num_actions=3)
 
-    methods = tuple(MethodId)
-    got, want = (_prepare_methods(mdp, a, b, methods, RewardSettings(),
-                                  PeviSettings(c=0.05), seed, None)
+    methods, (policy, values) = tuple(MethodId), solve_optimal(mdp)
+    bases = coverage_bases(mdp, policy)
+    got, want = (_prepare_cell(mdp, seed, a, b, methods, RewardSettings(),
+                               PeviSettings(c=0.05), bases, values.v)
                  for a, b in ((permuted(d0), permuted(d1)), (d0, d1)))
     for g, w in zip(got, want):
         assert g.method is w.method and g.problem.config == w.problem.config
@@ -487,7 +488,7 @@ def test_a_five_method_cell_reduces_each_dataset_once(monkeypatch):
     """The reward fit, both coverage coefficients and both row sets' PEVI
     problems read d0 and d1 through their kept counts, so each dataset's
     rows are read once per cell."""
-    from pdslab.pipeline import MethodId, PeviSettings, RewardSettings, _prepare_methods
+    from pdslab.pipeline import MethodId, PeviSettings, RewardSettings, _prepare_cell
 
     mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=1)
     pi = Policy.uniform(6, 3)
@@ -500,9 +501,11 @@ def test_a_five_method_cell_reduces_each_dataset_once(monkeypatch):
         reads[id(self)] += 1
         return pair_ids(self, features)
 
+    policy, values = solve_optimal(mdp)
+    bases = coverage_bases(mdp, policy)
     monkeypatch.setattr(OfflineDataset, "pair_ids", counted)
-    outcomes = _prepare_methods(mdp, d0, d1, tuple(MethodId), RewardSettings(),
-                                PeviSettings(c=0.05), 0, None)
+    outcomes = _prepare_cell(mdp, 0, d0, d1, tuple(MethodId), RewardSettings(),
+                             PeviSettings(c=0.05), bases, values.v)
     assert not any(isinstance(o, Exception) for o in outcomes)
     assert reads == {id(d0): 1, id(d1): 1}
 

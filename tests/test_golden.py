@@ -52,7 +52,6 @@ from pdslab.mdp import (
 )
 from pdslab.pevi import (
     PeviConfig,
-    bonus_table,
     pevi_lockstep,
     pevi_problems,
     pevi_solve,
@@ -530,6 +529,9 @@ def _estimator_outputs(case):
                                           v_max=cfg.v_max))
     empty = fit_reward(OfflineDataset([], [], [], [], labeled=True, num_states=mdp.num_states,
                                       num_actions=mdp.num_actions), feats, nu=2.0)
+    # PEVI's bonus line (pevi_problems) at beta = 0.3 on the solution's Lambda
+    bonus = 0.3 * Ridge(sol.lambda_matrix).widths(feats.matrix()).reshape(mdp.num_states,
+                                                                         mdp.num_actions)
     out = {
         "q_hat": sol.q_hat,
         "w_hat": sol.w_hat,
@@ -539,8 +541,8 @@ def _estimator_outputs(case):
         "policy": np.argmax(sol.policy.probs, axis=1),
         "bellman_regress": regress.w_reward
         + regress.sweep_map @ np.linspace(0.0, cfg.v_max, mdp.num_states),
-        "bonus_table": bonus_table(sol.lambda_matrix, feats, 0.3),
-        "uncertainty_bonus": bonus_table(sol.lambda_matrix, feats, 0.3)[last],
+        "bonus_table": bonus,
+        "uncertainty_bonus": bonus[last],
         "theta_hat": model.theta_hat,
         "deviation_table": deviation_table(model, feats),
         "reward_deviation": deviation_table(model, feats)[last],

@@ -386,6 +386,29 @@ def test_from_dict_requires_positive_integer_shape(lowrank_6x3x2, key, value):
         LinearMdp.from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("gamma", "0.9"), ("gamma", None), ("gamma", False), ("r_max", True), ("r_max", "1"),
+    ("r_max", [1.0]), ("feature_scale", True), ("feature_scale", "1.0"),
+])
+def test_from_dict_requires_number_fields(lowrank_6x3x2, key, value):
+    # float() once let "0.9" and true load, and failed on null with its own text
+    doc = lowrank_6x3x2.to_dict()
+    doc[key] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"MDP field {key!r} must be a number, got {value!r}")):
+        LinearMdp.from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["phi", "mu", "theta", "init_dist"])
+@pytest.mark.parametrize("entry", ["0.5", True, None, [0.5]])
+def test_from_dict_requires_number_entries(lowrank_6x3x2, key, entry):
+    doc = lowrank_6x3x2.to_dict()
+    doc[key][-1] = entry
+    with pytest.raises(ValueError, match=re.escape(
+            f"MDP field {key!r} must hold only numbers, got {entry!r}")):
+        LinearMdp.from_dict(doc)
+
+
 @pytest.mark.parametrize("key,want", [
     ("phi", "num_states*num_actions*dim = 36"), ("mu", "dim*num_states = 12"),
     ("theta", "dim = 2"), ("init_dist", "num_states = 6"),

@@ -3,15 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chain_mdp
+from conftest import chain_mdp, exhaustive_dataset, quantize_transitions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdslab.data import (
     OfflineDataset,
-    exhaustive_dataset,
     mix_datasets,
-    quantize_transitions,
     sample_dataset,
 )
 from pdslab.mdp import (
@@ -25,7 +23,6 @@ from pdslab.mdp import (
 )
 from pdslab.pevi import (
     PeviConfig,
-    bonus_table,
     next_state_sums,
     pevi_lockstep,
     pevi_problems,
@@ -40,8 +37,8 @@ def _uniform_data(mdp, n, seed=0, labeled=True):
     return sample_dataset(mdp, pi, n=n, seed=seed, labeled=labeled)
 
 
-def _prepared(ds, features, lambda_reg, gamma=0.0):
-    cfg = PeviConfig(lambda_reg=lambda_reg, beta=0.0, gamma=gamma, v_max=1.0)
+def _prepared(ds, features, lambda_reg, gamma=0.0, beta=0.0):
+    cfg = PeviConfig(lambda_reg=lambda_reg, beta=beta, gamma=gamma, v_max=1.0)
     counts = ds.counts(features)
     (problem,) = pevi_problems(features, counts, [counts.reward_sums], cfg)
     return problem
@@ -50,6 +47,11 @@ def _prepared(ds, features, lambda_reg, gamma=0.0):
 def _gram(ds, features, lambda_reg):
     """lambda_reg * I + sum of phi phi^T over the dataset rows."""
     return _prepared(ds, features, lambda_reg).lambda_matrix
+
+
+def _bonus(ds, features, lambda_reg, beta):
+    """PEVI's bonus table beta * sqrt(phi^T Lambda^{-1} phi), shape (S, A)."""
+    return _prepared(ds, features, lambda_reg, beta=beta).bonus
 
 
 def _regress(ds, features, v, lambda_reg, gamma):
@@ -183,18 +185,19 @@ def test_weight_norm_bound_on_every_sweep():
 
 def test_bonus_zero_beta():
     mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
-    lam = _gram(_uniform_data(mdp, 10), mdp.features, 1.0)
-    assert np.all(bonus_table(lam, mdp.features, 0.0) == 0.0)
+    ds = _uniform_data(mdp, 10)
+    assert np.all(_bonus(ds, mdp.features, 1.0, 0.0) == 0.0)
     for beta in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="beta"):
-            bonus_table(lam, mdp.features, beta)
+            _bonus(ds, mdp.features, 1.0, beta)
 
 
 def test_bonus_identity_gram_unit_feature():
     phi = np.zeros((1, 1, 2))
     phi[0, 0] = [0.6, 0.8]
     feats = FeatureMap(phi)
-    got = bonus_table(2.5 * np.eye(2), feats, 1.7)[0, 0]
+    empty = OfflineDataset([], [], [], [], labeled=True, num_states=1, num_actions=1)
+    got = _bonus(empty, feats, 2.5, 1.7)[0, 0]  # Lambda = 2.5 * I
     assert got == pytest.approx(1.7 / np.sqrt(2.5), abs=1e-12)
 
 
@@ -202,8 +205,8 @@ def test_bonus_shrinks_when_dataset_doubles():
     mdp = make_lowrank_mdp(6, 3, dim=3, seed=6)
     ds = _uniform_data(mdp, 40, seed=1)
     doubled = mix_datasets(ds, ds)
-    small = bonus_table(_gram(ds, mdp.features, 1.0), mdp.features, 2.0)
-    big = bonus_table(_gram(doubled, mdp.features, 1.0), mdp.features, 2.0)
+    small = _bonus(ds, mdp.features, 1.0, 2.0)
+    big = _bonus(doubled, mdp.features, 1.0, 2.0)
     assert np.all(big <= small + 1e-12)
     assert big.min() < small.min()
 
@@ -216,8 +219,8 @@ def test_bonus_invariant_under_permutation():
         ds.states[perm], ds.actions[perm], ds.rewards[perm], ds.next_states[perm],
         labeled=True, num_states=5, num_actions=3,
     )
-    a = bonus_table(_gram(ds, mdp.features, 1.0), mdp.features, 1.0)
-    b = bonus_table(_gram(shuffled, mdp.features, 1.0), mdp.features, 1.0)
+    a = _bonus(ds, mdp.features, 1.0, 1.0)
+    b = _bonus(shuffled, mdp.features, 1.0, 1.0)
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -264,7 +267,7 @@ def test_solver_solution_invariants():
     # q_hat must literally be the clamped regression-minus-bonus table
     rebuilt = np.clip(
         (mdp.features.matrix() @ sol.w_hat).reshape(6, 3)
-        - bonus_table(sol.lambda_matrix, mdp.features, 1.5),
+        - _bonus(ds, mdp.features, 1.0, 1.5),
         0.0, mdp.v_max,
     )
     assert np.abs(sol.q_hat - rebuilt).max() < 1e-12

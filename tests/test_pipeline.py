@@ -1,8 +1,10 @@
 """Method runs, grids, and result tables."""
+import re
+
 import numpy as np
 import pytest
 
-from pdslab.data import OfflineDataset, mix_datasets, sample_dataset
+from pdslab.data import OfflineDataset, coverage_bases, mix_datasets, sample_dataset
 from pdslab.mdp import Policy, make_lowrank_mdp, make_tabular_mdp, solve_optimal
 from pdslab.pevi import pevi_problems, pevi_solve
 from pdslab.pipeline import (
@@ -101,6 +103,39 @@ def test_run_method_argument_errors():
                                    num_states=5, num_actions=3)
     with pytest.raises(ValueError, match="d0"):
         run_method(mdp, empty_labeled, d1, MethodId.PDS)
+
+    # what run_method refuses for every method, and what only the methods
+    # that train on d1 refuse
+    d0, d1 = _pair(mdp, n0=30, n1=20)
+    sharing = [m for m in ALL_METHODS if m is not MethodId.NO_SHARE]
+    for method in ALL_METHODS:
+        for bad_d0 in (empty_labeled, d1):
+            with pytest.raises(ValueError, match="^run_method requires nonempty labeled d0$"):
+                run_method(mdp, bad_d0, d1, method)
+        with pytest.raises(ValueError, match="^d1 must be reward-free$"):
+            run_method(mdp, d0, d0, method)
+    for method in sharing:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{method.value} needs an unlabeled dataset (may be empty)")):
+            run_method(mdp, d0, None, method)
+    alone = run_method(mdp, d0, None, MethodId.NO_SHARE)
+    assert alone.n1 == 0
+
+    # a d1 of fewer states fits the feature map but not d0
+    small = make_lowrank_mdp(4, 3, dim=2, gamma=0.9, seed=23)
+    other = sample_dataset(small, Policy.uniform(4, 3), n=20, seed=1, labeled=False)
+    for method in sharing:
+        with pytest.raises(ValueError, match=re.escape("dataset shapes differ: (5,3) vs (4,3)")):
+            run_method(mdp, d0, other, method)
+    kept = run_method(mdp, d0, other, MethodId.NO_SHARE)
+    assert kept.n1 == 20
+    assert (kept.v_hat_start, kept.policy_actions) == (alone.v_hat_start, alone.policy_actions)
+    # a d1 of more states than the feature map has refuses every method
+    large = make_lowrank_mdp(6, 3, dim=2, gamma=0.9, seed=23)
+    over = sample_dataset(large, Policy.uniform(6, 3), n=20, seed=1, labeled=False)
+    for method in ALL_METHODS:
+        with pytest.raises(ValueError, match="^dataset shape exceeds feature table shape$"):
+            run_method(mdp, d0, over, method)
 
 
 def test_plentiful_noiseless_labels_align_pds_with_oracle():
@@ -428,7 +463,7 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
     # problem is what the cell's own datasets give, one by one
     import pdslab.pipeline as pipeline
     from pdslab.data import coverage_coefficient
-    from pdslab.pipeline import _cell_seeds, _prepare_methods
+    from pdslab.pipeline import _cell_seeds, _prepare_cell
 
     mdp = _mdp(seed=83)
     grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS,
@@ -455,6 +490,7 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
     assert sampled == [(40, 3), (30, 4), (40, 3), (30, 2), (40, 3), (40, 3)]
 
     oracle = solve_optimal(mdp)
+    bases = coverage_bases(mdp, oracle[0])
     pi0 = behavior_policy(mdp, "medium", oracle[0])
     pi1 = behavior_policy(mdp, "expert", oracle[0])
     rows, want = iter(report.results), []
@@ -470,8 +506,8 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
                 row = next(rows)
                 assert (row.seed, row.n1, row.method) == (seed, n1, method)
                 assert (row.c0_dagger, row.c1_dagger) == (c0, c1)
-            alone = _prepare_methods(mdp, d0, d1, ALL_METHODS, grid.reward, grid.pevi, seed,
-                                     oracle)
+            alone = _prepare_cell(mdp, seed, d0, d1, ALL_METHODS, grid.reward, grid.pevi,
+                                  bases, oracle[1].v)
             # with d1 empty the methods share one problem, which is solved once
             want += [p.problem for p in (alone if n1 else alone[:1])]
     assert len(built) == len(want) == 36
@@ -481,14 +517,16 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
 
 def test_partly_labeled_d1_matches_relabel_reference():
     # oracle replaces d1's observed rewards too; the other methods keep them
-    from pdslab.pipeline import _prepare_methods
+    from pdslab.pipeline import _prepare_cell
 
     mdp = _mdp(seed=67)
     d0, d1 = _pair(mdp, n0=30, n1=20, noise=True)
     observed = np.where(np.arange(20) % 3 == 0, 0.5, np.nan)
     d1 = d1.with_rewards(observed, labeled=False)
     pevi_cfg = PeviSettings(beta_override=0.4)
-    prepared = _prepare_methods(mdp, d0, d1, ALL_METHODS, RewardSettings(), pevi_cfg, 0, None)
+    oracle = solve_optimal(mdp)
+    prepared = _prepare_cell(mdp, 0, d0, d1, ALL_METHODS, RewardSettings(), pevi_cfg,
+                             coverage_bases(mdp, oracle[0]), oracle[1].v)
     model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
     for method, got in zip(ALL_METHODS, prepared):
         assert got.method is method
@@ -498,14 +536,16 @@ def test_partly_labeled_d1_matches_relabel_reference():
 
 
 def test_missing_d1_fails_only_the_sharing_methods():
-    from pdslab.pipeline import _prepare_methods
+    from pdslab.pipeline import _prepare_cell
 
     mdp = _mdp(seed=71)
     d0, _ = _pair(mdp, n0=30, n1=1)
     pevi_cfg = PeviSettings(beta_override=0.4)
-    pds, no_share = _prepare_methods(mdp, d0, None, (MethodId.PDS, MethodId.NO_SHARE),
-                                     RewardSettings(), pevi_cfg, 0, None)
-    assert isinstance(pds, ValueError) and "pds needs an unlabeled dataset" in str(pds)
+    with pytest.raises(ValueError, match="pds needs an unlabeled dataset"):
+        run_method(mdp, d0, None, MethodId.PDS, RewardSettings(), pevi_cfg)
+    oracle = solve_optimal(mdp)
+    (no_share,) = _prepare_cell(mdp, 0, d0, None, (MethodId.NO_SHARE,), RewardSettings(),
+                                pevi_cfg, coverage_bases(mdp, oracle[0]), oracle[1].v)
     assert no_share.method is MethodId.NO_SHARE and no_share.n1 == 0
     model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
     _assert_same_problem(no_share.problem, _reference_problem(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import confidence_coverage_trial
 from pdslab.data import OfflineDataset, mix_datasets, sample_dataset
 from pdslab.mdp import (
     FeatureMap,
@@ -14,7 +15,6 @@ from pdslab.mdp import (
 )
 from pdslab.reward import (
     RewardModel,
-    confidence_coverage_trial,
     deviation_table,
     fill_missing,
     fit_reward,
