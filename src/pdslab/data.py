@@ -17,9 +17,12 @@ to its oracle solve and, like that solve, they count in no row's wall_ms.
 Each dataset then costs its counts' Gram and, per group of starts of equal
 Sigma rank, one stacked reduction and one batched eigvalsh.
 
-The sampler draws each step by inverse CDF. On wide rows the search runs in
-two levels, over every k-th cumulative entry and then within one k-wide
-block, which counts exactly the same entries.
+The sampler steps the reset segments of a batch of seeds in lockstep and
+step-major, so each step reads its uniforms and states and writes its draws
+as contiguous slices; each seed's columns are then written once, in row
+order, into arrays its dataset keeps. Each draw is by inverse CDF; on wide
+rows the search runs in two levels, over every k-th cumulative entry and
+then within one k-wide block, which counts exactly the same entries.
 
 Transition files hold one {"s", "a", "r", "sp"} JSON object per line.
 read_transitions reads them in blocks of whole lines: a block of canonical
@@ -57,13 +60,25 @@ def check_shape(num_states: int, num_actions: int, features: FeatureMap) -> None
         raise ValueError("dataset shape exceeds feature table shape")
 
 
+def _column(values, dtype) -> np.ndarray:
+    """values as a read-only dtype array: kept when it already is one that
+    owns its data (a sampled column, another dataset's), else copied."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.base is None and not values.flags.writeable):
+        values = np.array(values, dtype=dtype, copy=True)
+        values.setflags(write=False)
+    return values
+
+
 class OfflineDataset:
     """Ordered transition records with an explicit labeled flag.
 
     rewards is None for fully reward-free data; otherwise a float array in
     which NaN marks individual missing labels (mixing labeled with
     unlabeled data produces such partial labelings) and every other reward
-    is finite and nonnegative.
+    is finite and nonnegative. Every column is read-only: an array its
+    caller could still write is copied, and a read-only one that owns its
+    data (a sampled column, another dataset's) is kept as it is.
     """
 
     def __init__(
@@ -76,9 +91,7 @@ class OfflineDataset:
         num_states: int,
         num_actions: int,
     ):
-        states = np.array(states, dtype=np.int64, copy=True)
-        actions = np.array(actions, dtype=np.int64, copy=True)
-        next_states = np.array(next_states, dtype=np.int64, copy=True)
+        states, actions, next_states = (_column(x, np.int64) for x in (states, actions, next_states))
         n = states.shape[0]
         if not (actions.shape[0] == next_states.shape[0] == n):
             raise ValueError("state/action/next_state arrays must share length")
@@ -88,7 +101,7 @@ class OfflineDataset:
             if actions.min() < 0 or actions.max() >= num_actions:
                 raise ValueError("action id out of range")
         if rewards is not None:
-            rewards = np.array(rewards, dtype=float, copy=True)
+            rewards = _column(rewards, np.float64)
             if rewards.shape[0] != n:
                 raise ValueError("rewards length mismatch")
             # a NaN, which marks a missing label, fails both tests
@@ -96,9 +109,8 @@ class OfflineDataset:
                 raise ValueError("rewards must be finite and nonnegative or NaN")
         if labeled and n > 0 and (rewards is None or np.isnan(rewards).any()):
             raise ValueError("labeled dataset requires a reward on every transition")
-        for a in (states, actions, next_states):
-            a.setflags(write=False)
-        if rewards is not None:
+        # np.clip(rewards, 0.0, None) changes only entries with the sign bit set
+        if rewards is not None and np.signbit(rewards).any():
             rewards = np.clip(rewards, 0.0, None)
             rewards.setflags(write=False)
         self.states = states
@@ -174,9 +186,8 @@ class CoverageReport:
     per_start_state_values: np.ndarray  # (S,), min generalized eigenvalue per start
 
 
-# Lockstep rollouts compare a (segments, S) block per step and write a
-# block's (segments x horizon) rows; segments are processed in blocks that
-# keep both near this many entries.
+# A rollout block steps at most this many segments x S entries: no per-step
+# comparison is larger, and no buffer of a block scales with the horizon.
 _LOCKSTEP_BLOCK_ENTRIES = 1 << 20
 
 
@@ -265,29 +276,32 @@ def _draw_rows(table: _DrawTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray
     return blocks * table.k + (block <= u[:, None]).sum(axis=1)
 
 
-def _rollout(pi_table, sa_table, num_actions, starts, first_rows, num_full, horizon, tail,
-             step_u, actions, next_states) -> None:
-    """Step reset segments in lockstep, writing into the outputs.
-
-    pi_table holds the policy's draw table per state and sa_table the
-    kernel's per (s, a) pair, at row s * num_actions + a. Segment k starts in
-    starts[k] at row first_rows[k] of step_u and the outputs, and runs for
-    horizon steps when k < num_full, else for tail steps; the segments still
-    running at any step are a prefix. Each step gathers its running
-    segments' rows of step_u and scatters its draws straight into the
-    outputs, so no buffer outlives a step.
+def _rollout(pi_table, sa_table, num_actions, u, actions, states) -> None:
+    """Step a block of segments in lockstep: step t reads u[0, t], u[1, t]
+    and states[t] and writes actions[t] and states[t + 1], contiguous slices
+    with one entry per segment. pi_table holds the policy's draw table per
+    state, sa_table the kernel's per (s, a) pair, at row s * num_actions + a.
     """
-    s, rows = starts, first_rows.copy()
-    for t in range(horizon):
-        if t == tail:
-            s, rows = s[:num_full], rows[:num_full]
-        if not s.size:
-            break
-        u = step_u[rows]
-        a = _draw_rows(pi_table, s, u[:, 0])
-        s = _draw_rows(sa_table, s * num_actions + a, u[:, 1])
-        actions[rows], next_states[rows] = a, s
-        rows += 1
+    for t in range(len(actions)):
+        a = _draw_rows(pi_table, states[t], u[0, t])
+        actions[t], states[t + 1] = a, _draw_rows(sa_table, states[t] * num_actions + a, u[1, t])
+
+
+def _seed_copy(rows, seed, head, rest, into_rows: bool):
+    """Copy one seed's entries of one kind between rows, its n rows in row
+    order, and head and rest, the kind laid out as in sample_datasets with
+    steps then segments last (after a row's vector, if any): into rows,
+    which become read-only, when into_rows, else out of them. Returns rows."""
+    tail, horizon = head.shape[-2], head.shape[-2] + rest.shape[-2]
+    g = (len(rows) - tail) // horizon  # the seed's segments before its last
+    segments = rows[:g * horizon].reshape(g, horizon, *rows.shape[1:]).T
+    for pair in ((segments[..., :tail, :], head[..., seed * g:seed * g + g]),
+                 (segments[..., tail:, :], rest[..., seed * g:seed * g + g]),
+                 (rows[g * horizon:].T, head[..., rest.shape[-1] + seed])):
+        np.copyto(*(pair if into_rows else pair[::-1]))
+    if into_rows:
+        rows.setflags(write=False)
+    return rows
 
 
 def sample_dataset(
@@ -325,7 +339,9 @@ def sample_datasets(
     Each seed draws from its own default_rng(seed) in sample_dataset's
     order: the reset uniforms, then the step uniforms, then the noise. Every
     draw depends only on its own uniforms, so each dataset is bit for bit
-    what sample_dataset gives for its seed alone.
+    what sample_dataset gives for its seed alone. The uniforms are freed
+    after the rollout, and each seed's columns are written once, into
+    read-only arrays its dataset keeps.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -339,54 +355,56 @@ def sample_datasets(
 
     seeds = list(seeds)
     num_seeds = len(seeds)
-    # no segment holds more than n rows, and the rollout sizes its blocks
-    # by the horizon, so a reset past n must not cost more than one at n
-    horizon_reset = min(horizon_reset, n)
+    horizon_reset = min(horizon_reset, n)  # no segment holds more than n rows
     num_resets = -(-n // horizon_reset)
     tail = n - (num_resets - 1) * horizon_reset  # length of each seed's last segment
+    # Step-major, a column per segment: seed i's segment g < num_resets - 1
+    # is column i * (num_resets - 1) + g and its last segment column
+    # full + i. Head arrays hold steps t < tail of every segment; rest arrays
+    # hold the later steps of the first `full` columns, the only segments
+    # that run them.
+    full = num_seeds * (num_resets - 1)
+    shapes = (tail, full + num_seeds), (horizon_reset - tail, full)
+    u = [np.empty((2, *shape)) for shape in shapes]
     reset_u = np.empty((num_seeds, num_resets))
-    step_u = np.empty((num_seeds, n, 2))
-    reward_noise = np.empty((num_seeds, n)) if labeled and sigma > 0 else None
+    reward_noise = [None] * num_seeds
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         reset_u[i] = rng.random(num_resets)
-        step_u[i] = rng.random((n, 2))
-        if reward_noise is not None:
+        _seed_copy(rng.random((n, 2)), i, *u, into_rows=False)
+        if labeled and sigma > 0:
             reward_noise[i] = rng.uniform(-sigma, sigma, size=n)
 
-    # seed i's segment g covers rows i*n + g*horizon_reset on; the full
-    # segments of every seed come first and the last segments after them
-    first_rows = np.arange(num_seeds)[:, None] * n + np.arange(num_resets) * horizon_reset
+    actions = [np.empty(shape, dtype=np.int64) for shape in shapes]
+    states = [np.empty((steps + 1, width), dtype=np.int64) for steps, width in shapes]
     starts = np.searchsorted(np.cumsum(mdp.init_dist)[:-1], reset_u, side="right")
-    first_rows, starts = (np.concatenate([x[:, :-1].ravel(), x[:, -1]])
-                          for x in (first_rows, starts))
-    num_full = num_seeds * (num_resets - (tail < horizon_reset))
-
+    states[0][0] = np.concatenate([starts[:, :-1].ravel(), starts[:, -1]])
     # contiguous tables: take() on a strided table first copies all of it
     pi_table = _draw_table(np.cumsum(behavior.probs, axis=1))
     sa_table = _kernel_table(mdp)
-    actions = np.empty(num_seeds * n, dtype=np.int64)
-    next_states = np.empty(num_seeds * n, dtype=np.int64)
-    block = max(1, _LOCKSTEP_BLOCK_ENTRIES // max(mdp.num_states, horizon_reset))
-    for lo in range(0, first_rows.size, block):
-        _rollout(pi_table, sa_table, mdp.num_actions, starts[lo:lo + block],
-                 first_rows[lo:lo + block], max(num_full - lo, 0), horizon_reset, tail,
-                 step_u.reshape(-1, 2), actions, next_states)
-    # within a segment each step starts where the previous one ended
-    states = np.empty(num_seeds * n, dtype=np.int64)
-    states[1:] = next_states[:-1]
-    states[first_rows] = starts
+    block = max(1, _LOCKSTEP_BLOCK_ENTRIES // mdp.num_states)
+    for p, (_, width) in enumerate(shapes):
+        if p:  # the first `full` segments go on from their last head states
+            states[1][0] = states[0][-1, :full]
+        for lo in range(0, width, block):
+            _rollout(pi_table, sa_table, mdp.num_actions,
+                     *(x[p][..., lo:lo + block] for x in (u, actions, states)))
+    del u
 
-    rewards = [None] * num_seeds
-    if labeled:
-        rewards = mdp.rewards[states, actions].reshape(num_seeds, n)
-        if reward_noise is not None:
-            rewards = np.clip(rewards + reward_noise, 0.0, mdp.r_max)
+    states, actions, next_states = (  # the step-major arrays are dropped once copied
+        [_seed_copy(np.empty(n, dtype=np.int64), i, *steps, into_rows=True)
+         for i in range(num_seeds)]
+        for steps in ((states[0][:-1], states[1][:-1]), actions, (states[0][1:], states[1][1:])))
+    rewards = [mdp.rewards[s, a] if labeled else None for s, a in zip(states, actions)]
+    for r, r_noise in zip(rewards, reward_noise):
+        if r_noise is not None:
+            np.clip(np.add(r, r_noise, out=r), 0.0, mdp.r_max, out=r)
+        if r is not None:
+            r.setflags(write=False)
     return [
         OfflineDataset(s, a, r, sp, labeled=labeled, num_states=mdp.num_states,
                        num_actions=mdp.num_actions)
-        for s, a, r, sp in zip(states.reshape(num_seeds, n), actions.reshape(num_seeds, n),
-                               rewards, next_states.reshape(num_seeds, n))
+        for s, a, r, sp in zip(states, actions, rewards, next_states)
     ]
 
 

@@ -36,7 +36,7 @@ from pdslab.data import (
     write_header,
     write_transitions,
 )
-from pdslab.mdp import FeatureMap, json_number, json_numbers
+from pdslab.mdp import FeatureMap, json_number, json_numbers, json_seed
 from pdslab.reward import check_positive, fill_missing
 from pdslab.ridge import Ridge
 
@@ -122,7 +122,7 @@ class EnsembleRewardModel:
             features=FeatureMap(json_numbers("model", "phi", doc["phi"])),
             labeled_mean=json_number("model", "labeled_mean", doc["labeled_mean"]),
             nu=json_number("model", "nu", doc["nu"]),
-            seed=doc.get("seed"),
+            seed=json_seed("model", doc.get("seed")),
         )
 
 

@@ -54,6 +54,14 @@ def json_number(what: str, key: str, value) -> float:
     return float(value)
 
 
+def json_seed(what: str, value) -> int | None:
+    """value, the seed field of a what file: a JSON integer or null; a bool,
+    float, string, list or object raises a ValueError naming the field."""
+    if value is not None and type(value) is not int:
+        raise ValueError(f"{what} field 'seed' must be an integer or null, got {value!r}")
+    return value
+
+
 def json_numbers(what: str, key: str, value) -> np.ndarray:
     """value, field key of a what file and JSON numbers in nested lists, as
     a float array; any other entry raises a ValueError naming the field."""
@@ -304,7 +312,7 @@ class LinearMdp:
             gamma=json_number("MDP", "gamma", doc["gamma"]),
             r_max=json_number("MDP", "r_max", doc["r_max"]),
             init_dist=arrays["init_dist"],
-            seed=doc.get("seed"),
+            seed=json_seed("MDP", doc.get("seed")),
             feature_scale=json_number("MDP", "feature_scale", doc.get("feature_scale", 1.0)),
         )
 

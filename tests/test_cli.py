@@ -630,7 +630,8 @@ def test_file_missing_a_required_field_exits_2(tmp_path, capsys, flag, key):
 
 _BAD_MDP_FIELDS = [("num_states", 6.7), ("dim", "2"), ("num_actions", True),
                    ("phi", "drop"), ("mu", "drop"), ("theta", "drop"), ("init_dist", "drop"),
-                   ("gamma", "0.9"), ("gamma", None), ("r_max", True), ("feature_scale", False)]
+                   ("gamma", "0.9"), ("gamma", None), ("r_max", True), ("feature_scale", False),
+                   ("seed", {"x": [1]}), ("seed", True)]
 
 
 @pytest.mark.parametrize("command", ["sample", "fit-ensemble"])
@@ -649,7 +650,7 @@ def test_mdp_file_with_bad_shape_field_exits_2(tmp_path, capsys, command, key, v
 
 
 _BAD_MODEL_FIELDS = [("members", "strings"), ("phi", "strings"), ("labeled_mean", True),
-                     ("nu", "1"), ("nu", None)]
+                     ("nu", "1"), ("nu", None), ("seed", {"x": [1]}), ("seed", 2.0)]
 
 
 @pytest.mark.parametrize("key,value", _BAD_MODEL_FIELDS,

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from array import array
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -251,6 +252,78 @@ def test_factored_kernel_and_its_table_are_built_a_block_at_a_time():
     assert mdp._factor is not None
     assert built < kernel_bytes / 2
     assert table_peak < table.fine.nbytes + table.coarse.nbytes + kernel_bytes / 2
+
+
+@pytest.mark.parametrize("labeled,noise", [(True, 0.3), (True, False), (False, False)])
+def test_sampled_columns_are_read_only_and_no_two_seeds_share_memory(tabular_5x3, labeled,
+                                                                       noise):
+    # 230 rows in segments of 40 leave each seed a partial last segment
+    batch = sample_datasets(tabular_5x3, Policy.uniform(5, 3), 230, [4, 5, 6], horizon_reset=40,
+                            labeled=labeled, noise=noise)
+    columns = [[c for c in (ds.states, ds.actions, ds.next_states, ds.rewards) if c is not None]
+               for ds in batch]
+    for ds_columns in columns:
+        assert len(ds_columns) == 3 + labeled
+        for column in ds_columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+    for first, second in combinations(columns, 2):
+        assert not any(np.shares_memory(x, y) for x in first for y in second)
+
+
+def test_dataset_copies_every_array_its_caller_could_still_write():
+    states, actions, next_states = np.array([0, 1, 2]), np.array([1, 0, 1]), np.array([1, 2, 0])
+    rewards = np.array([0.5, 0.0, 1.0])
+    ds = OfflineDataset(states, actions, rewards, next_states, labeled=True, num_states=3,
+                        num_actions=2)
+    for a in (states, actions, next_states, rewards):
+        a[0] = 2
+    assert (ds.states[0], ds.actions[0], ds.next_states[0], ds.rewards[0]) == (0, 1, 1, 0.5)
+    # a read-only view of a writable array, and a list, are copied too
+    base = np.array([0, 1, 2])
+    view = base.view()
+    view.setflags(write=False)
+    ds = OfflineDataset(view, [1, 0, 1], [0.5, np.nan, 1.0], view, labeled=False, num_states=3,
+                        num_actions=2)
+    base[:] = 1
+    assert ds.states.tolist() == ds.next_states.tolist() == [0, 1, 2]
+    assert not np.shares_memory(ds.states, base) and not ds.rewards.flags.writeable
+    # a read-only int64 array that owns its data, such as another dataset's
+    # column, is kept as it is
+    assert ds.with_rewards(None, labeled=False).states is ds.states
+
+
+def test_dataset_clips_kept_rewards_without_touching_them():
+    # -0.0 and a rounding negative become +0.0, as np.clip(rewards, 0.0, None)
+    # gives, in a new array: the caller's read-only array keeps its values
+    rewards = np.array([-0.0, -1e-13, 0.5])
+    rewards.setflags(write=False)
+    ds = OfflineDataset([0, 1, 0], [0, 0, 0], rewards, [1, 0, 1], labeled=True, num_states=2,
+                        num_actions=1)
+    assert ds.rewards.tolist() == [0.0, 0.0, 0.5] and not np.signbit(ds.rewards).any()
+    assert np.signbit(rewards[:2]).all() and not ds.rewards.flags.writeable
+    kept = np.array([0.0, 0.25, 0.5])
+    kept.setflags(write=False)
+    assert OfflineDataset([0, 1, 0], [0, 0, 0], kept, [1, 0, 1], labeled=True, num_states=2,
+                          num_actions=1).rewards is kept
+
+
+def test_sampler_peak_memory_per_row():
+    """3 seeds x 20000 unlabeled chain rows peak below 48 bytes per row: the
+    step-major uniforms (16) and draws (16) while stepping, then the draws
+    and each seed's three columns (24), each written once and kept by its
+    dataset; a second copy of any column would reach the bound."""
+    mdp, behavior = chain_mdp(), Policy.uniform(4, 3)
+    sample_datasets(mdp, behavior, 10, [0], labeled=False)  # builds the MDP's kernel table
+    tracemalloc.start()
+    try:
+        batch = sample_datasets(mdp, behavior, 20000, [0, 1, 2], labeled=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(ds) for ds in batch] == [20000] * 3
+    assert peak / 60000 < 48
 
 
 # ---- mixing -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Bootstrap reward ensembles, the extreme-value coefficient, and file relabeling."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -408,6 +409,17 @@ def test_model_json_round_trip(tmp_path):
     assert (back.labeled_mean, back.nu, back.seed) == (model.labeled_mean, model.nu, model.seed)
     # the file holds only what the fit produced; no penalty weight is stored
     assert set(json.loads(path.read_text())) == {"members", "phi", "labeled_mean", "nu", "seed"}
+
+
+@pytest.mark.parametrize("value", [{"x": [1]}, [1], True, 1.0, "3"], ids=repr)
+def test_model_file_seed_must_be_an_integer_or_null(value):
+    doc = EnsembleRewardModel(np.zeros((2, 2)), FeatureMap(np.full((2, 1, 2), 0.5)), 0.5, 1.0,
+                              seed=3).to_dict()
+    assert EnsembleRewardModel.from_dict(doc).seed == 3
+    assert EnsembleRewardModel.from_dict(dict(doc, seed=None)).seed is None
+    with pytest.raises(ValueError, match=re.escape(
+            f"model field 'seed' must be an integer or null, got {value!r}")):
+        EnsembleRewardModel.from_dict(dict(doc, seed=value))
 
 
 def test_older_model_file_with_default_weight_settings_relabels_the_same(tmp_path):

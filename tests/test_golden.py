@@ -9,25 +9,32 @@ evaluations), evaluate_policy and occupancy_second_moments must match the
 dense S x S solves their factored d x d solves replaced, the acceptance
 sweep configs must reproduce their pinned CSVs (wall_ms stripped), and the
 ridge estimators (PEVI, reward fit, ensemble) must reproduce their pinned
-outputs in tests/golden/estimators.json. `python tests/test_golden.py` rewrites that
-file from the installed pdslab; it was last rewritten when every Gram became
-the Gram of the rows' visit counts, sum over pairs of n phi phi^T, and each
-sum phi r came from per-pair reward sums: lambda_matrix moved by up to
-1.59e-12 (lowrank-6/n=3000, now 2.3e-13 from the exactly rounded Lambda
-where the row product was 1.8e-12 from it), every other float by at most
-1.1e-13, and no integer. `python tests/test_golden.py --gate-hashes` prints
-the sha256 of every equivalence-gate sweep CSV with wall_ms stripped and
-flags each that differs from GATE_HASHES.
+outputs in tests/golden/estimators.json. `python tests/test_golden.py`
+rewrites that file from the pdslab in this checkout's src (it puts src on
+sys.path itself, so no PYTHONPATH is needed); it was last rewritten when
+every Gram became the Gram of the rows' visit counts, sum over pairs of
+n phi phi^T, and each sum phi r came from per-pair reward sums:
+lambda_matrix moved by up to 1.59e-12 (lowrank-6/n=3000, now 2.3e-13 from
+the exactly rounded Lambda where the row product was 1.8e-12 from it),
+every other float by at most 1.1e-13, and no integer.
+`python tests/test_golden.py --gate-hashes` prints the sha256 of every
+equivalence-gate sweep CSV with wall_ms stripped and flags each that
+differs from GATE_HASHES.
 """
 import dataclasses
 import json
 import math
+import sys
 from functools import partial
 from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: import this checkout's pdslab, as pytest does
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 import pytest
 
+import pdslab.data as data
 from conftest import chain_mdp, clipped_lowrank_mdp
 from pdslab.cli import run_config
 from pdslab.data import (
@@ -37,6 +44,7 @@ from pdslab.data import (
     coverage_coefficient,
     occupancy_second_moments,
     sample_dataset,
+    sample_datasets,
 )
 from pdslab.ensemble import fit_ensemble
 from pdslab.mdp import (
@@ -139,6 +147,26 @@ def test_sampler_matches_scalar_rollout(kind, n, horizon_reset, noise):
                                    labeled=False, seed=seed)
         assert unlabeled.rewards is None
         assert np.array_equal(unlabeled.next_states, want[2])
+
+
+@pytest.mark.parametrize("block_entries", [1, 150])
+@pytest.mark.parametrize("kind", ["tabular", "lowrank-wide"])
+def test_batched_sampler_matches_scalar_rollout_seed_by_seed(monkeypatch, kind, block_entries):
+    """Several seeds in one call, each with a partial last segment, stepped
+    in blocks of one segment or a few: every dataset is the plain rollout of
+    its own seed, so the step-major layout and its head/rest split drop,
+    duplicate or swap no row."""
+    monkeypatch.setattr(data, "_LOCKSTEP_BLOCK_ENTRIES", block_entries)
+    mdp = MDPS[kind]()
+    behavior = _random_policy(mdp, 5)
+    seeds = [3, 0, 2**40 + 3, 17]
+    for n, horizon_reset, noise in ((1037, 100, True), (263, 7, False), (20, 15, 0.05)):
+        batch = sample_datasets(mdp, behavior, n, seeds, horizon_reset=horizon_reset,
+                                labeled=True, noise=noise)
+        for seed, got in zip(seeds, batch):
+            want = _reference_rollout(mdp, behavior, n, horizon_reset, seed, noise)
+            for name, expected in zip(("states", "actions", "next_states", "rewards"), want):
+                assert np.array_equal(getattr(got, name), expected), (n, seed, name)
 
 
 def _per_start_solve(mdp, policy, start_state):
@@ -587,6 +615,20 @@ def test_reward_fit_matches_golden_bit_for_bit(case, estimator_golden):
         assert np.array_equal(got_all[key], estimator_golden[case][key]), key
 
 
+def test_script_finds_pdslab_without_pythonpath(tmp_path):
+    """The documented `python tests/test_golden.py --gate-hashes` needs no
+    PYTHONPATH: run as a script from another directory with PYTHONPATH
+    unset, the file imports this checkout's pdslab and --help exits 0."""
+    import os
+    import subprocess
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--help"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "--gate-hashes" in done.stdout
+
+
 # sha256 of each equivalence-gate CSV with its wall_ms column stripped from
 # every line, as recorded in CHANGES.md. They record one BLAS kernel's
 # rounding, so `--gate-hashes` checks them on demand, not a test.
@@ -612,7 +654,6 @@ def _gate_csvs(tmp):
     import contextlib
     import io
     import re
-    import sys
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     import inputs  # perfbench's seeded workload inputs
@@ -663,7 +704,7 @@ if __name__ == "__main__":
     import argparse
 
     parser = argparse.ArgumentParser(description="Rewrite tests/golden/estimators.json "
-                                     "from the installed pdslab, or check the gate CSVs.")
+                                     "from this checkout's pdslab, or check the gate CSVs.")
     parser.add_argument("--gate-hashes", action="store_true",
                         help="print the sha256 of every equivalence-gate CSV with wall_ms "
                              "stripped and exit 1 if any differs from GATE_HASHES")

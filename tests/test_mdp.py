@@ -399,6 +399,25 @@ def test_from_dict_requires_number_fields(lowrank_6x3x2, key, value):
         LinearMdp.from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [{"x": [1]}, [1], True, 1.0, 2.5, "3"], ids=repr)
+def test_from_dict_requires_an_integer_or_null_seed(lowrank_6x3x2, value):
+    # the seed only labels the file, but content_hash hashes it
+    doc = lowrank_6x3x2.to_dict()
+    doc["seed"] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"MDP field 'seed' must be an integer or null, got {value!r}")):
+        LinearMdp.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [None, 0, 7, -3, 2**40])
+def test_from_dict_keeps_an_integer_or_null_seed(lowrank_6x3x2, value):
+    doc = lowrank_6x3x2.to_dict()
+    doc["seed"] = value
+    assert LinearMdp.from_dict(doc).seed == value
+    del doc["seed"]
+    assert LinearMdp.from_dict(doc).seed is None
+
+
 @pytest.mark.parametrize("key", ["phi", "mu", "theta", "init_dist"])
 @pytest.mark.parametrize("entry", ["0.5", True, None, [0.5]])
 def test_from_dict_requires_number_entries(lowrank_6x3x2, key, entry):
