@@ -24,23 +24,30 @@ order, into arrays its dataset keeps. Each draw is by inverse CDF; on wide
 rows the search runs in two levels, over every k-th cumulative entry and
 then within one k-wide block, which counts exactly the same entries.
 
-Transition files hold one {"s", "a", "r", "sp"} JSON object per line.
-read_transitions reads them in blocks of whole lines: a block of canonical
-lines, exactly as write_transitions emits them, is checked with one regex
-fullmatch and parsed with one np.loadtxt, whose C parser reads ids as int64
-and rewards as float() does, which is what json does for those tokens;
-every other block, and a canonical block with an out-of-range reward, goes
-through the per-line json parser, which alone defines an accepted line and
-words the errors. write_transitions renders rows in blocks, each distinct
-value of a block's column once.
+Transition files hold one {"s", "a", "r", "sp"} JSON object per line, in
+UTF-8. read_transitions reads them in fixed-size chunks and parses the
+text up to each chunk's last newline as one block, no object per line: a block
+of canonical lines, exactly as write_transitions emits them, is checked with
+one regex fullmatch and parsed with one np.loadtxt, whose C parser reads ids
+as int64 and rewards as float() does, which is what json does for those
+tokens; every other block, and a canonical block with an out-of-range
+reward, is split into lines for the per-line json parser, which alone
+defines an accepted line and words the errors. write_transitions renders
+rows in blocks, each distinct value of a block's column once, and writes
+each block as one joined string. Both writers fill a new file beside the
+destination and rename it into place once complete, so a failed write,
+also one onto its own input, leaves the destination as it was.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
+import os
 import re
+import stat
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -545,7 +552,7 @@ def read_header(path: str | Path, count: int) -> dict | None:
     hp = header_path(path)
     if not hp.exists():
         return None
-    meta = json.loads(hp.read_text())
+    meta = json.loads(hp.read_text(encoding="utf-8"))
     if not isinstance(meta, dict):
         raise ValueError(f"{hp}: the header must be a JSON object, got "
                          f"{type(meta).__name__}")
@@ -563,10 +570,13 @@ def read_header(path: str | Path, count: int) -> dict | None:
 
 
 def write_header(path: str | Path, meta: dict) -> None:
-    header_path(path).write_text(json.dumps(meta) + "\n")
+    """Write path's sidecar header, replacing the old one only once complete."""
+    with _replacing(header_path(path)) as fh:
+        fh.write(json.dumps(meta) + "\n")
 
 
-# readlines hint: blocks this small stay in cache, and read faster than 1 MiB blocks
+# read_transitions reads the file in chunks of this many characters: a block
+# this small stays in cache, and chunks up to 2^18 measured no faster
 _READ_BLOCK_CHARS = 1 << 14
 _ID = r"(?:0|[1-9][0-9]{0,17})"  # no leading zero and at most 18 digits, so it fits int64
 # a line exactly as write_transitions emits it: ids as above, r null or a float
@@ -579,8 +589,34 @@ _CANONICAL_BLOCK = re.compile("(?:" + _CANONICAL_LINE + "\n)*")
 # deleting these from a canonical line leaves its four tokens and the commas between them
 _KEY_CHARS = str.maketrans("", "", '{}":sarp ')
 _RECORD = np.dtype([("s", np.int64), ("a", np.int64), ("r", np.float64), ("sp", np.int64)])
+# the surrogateescape error handler decodes each byte that is not UTF-8 to one of these
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 # write_transitions renders this many rows per block
 _WRITE_BLOCK_ROWS = 1 << 14
+
+
+@contextmanager
+def _replacing(path: str | Path):
+    """A new UTF-8 text file to write in place of path: it is created in
+    path's directory and replaces path only once the with block completes,
+    and is removed when the block raises, so a failed write leaves path
+    as it was. path keeps its permission bits; a symlink is written through.
+    A path that is not a regular file, such as a pipe or /dev/stdout, holds
+    nothing to keep and cannot be replaced, so it is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        if os.path.exists(target):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def read_transitions(path: str | Path):
@@ -590,41 +626,61 @@ def read_transitions(path: str | Path):
     integers (not booleans) that fit int64; r must be a finite number
     >= -NEGATIVE_REWARD_TOL or null, which reads as NaN. Ids and linenos (each
     record's 1-based line number) come back as int64, rewards as float, unclipped.
+    The file is UTF-8; a line holding a byte that is not raises like any
+    other malformed line.
 
-    The file is read in blocks of whole lines (readlines with a hint of
-    _READ_BLOCK_CHARS). A block of newline-terminated canonical lines, which
-    one fullmatch of _CANONICAL_BLOCK accepts, is stripped to its tokens and
-    parsed with one np.loadtxt, whose C parser reads each float with
-    PyOS_string_to_double, as float() and json do; any other block goes
-    through the per-line json parser, _append_lines, which alone defines what
-    is accepted and words the errors.
+    The file is read in chunks of _READ_BLOCK_CHARS characters, and each
+    block ends after a chunk's last newline: the rest of the chunk, the
+    start of a line, is kept as pieces until a later chunk ends that line.
+    A block of canonical lines, which one fullmatch of _CANONICAL_BLOCK
+    accepts, is stripped to its tokens and parsed with one np.loadtxt, whose
+    C parser reads each float with PyOS_string_to_double, as float() and
+    json do; any other block is split into lines and goes through the
+    per-line json parser, _append_lines, which alone defines what is
+    accepted and words the errors.
     """
     columns = (array("q"), array("q"), array("d"), array("q"), array("q"))
-    lineno = 1
-    with Path(path).open() as fh:
-        while lines := fh.readlines(_READ_BLOCK_CHARS):
-            if not _append_canonical(lines, lineno, columns):
-                _append_lines(lines, lineno, columns)
-            lineno += len(lines)
+    lineno, pieces = 1, []
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
+        while chunk := fh.read(_READ_BLOCK_CHARS):
+            end = chunk.rfind("\n") + 1
+            if end:
+                lineno += _append_block("".join(pieces + [chunk[:end]]), lineno, columns)
+                pieces = []
+            if end < len(chunk):
+                pieces.append(chunk[end:])
+    if pieces:  # a last line without a newline
+        _append_block("".join(pieces), lineno, columns)
     return tuple(np.asarray(c) for c in columns)
 
 
-def _append_canonical(lines: list, first_lineno: int, columns) -> bool:
-    """Append a block of canonical lines to the columns; False, appending
-    nothing, when some line is not canonical or its reward is out of range."""
-    text = "".join(lines)
+def _append_block(text: str, first_lineno: int, columns) -> int:
+    """Append the lines of text to the columns and return how many it holds."""
+    count = _append_canonical(text, first_lineno, columns)
+    if not count:
+        # StringIO splits after each "\n" only, as the file's own readlines would
+        lines = io.StringIO(text).readlines()
+        _append_lines(lines, first_lineno, columns)
+        count = len(lines)
+    return count
+
+
+def _append_canonical(text: str, first_lineno: int, columns) -> int:
+    """Append a block of canonical lines to the columns and return how many
+    there are; 0, appending nothing, when some line is not canonical or its
+    reward is out of range."""
     if not _CANONICAL_BLOCK.fullmatch(text):
-        return False
+        return 0
     tokens = text.translate(_KEY_CHARS).replace("null", "nan")  # null is NaN
     rows = np.loadtxt(io.StringIO(tokens), dtype=_RECORD, delimiter=",", comments=None,
                       ndmin=1)
     rewards = rows["r"]
     if ((rewards < -NEGATIVE_REWARD_TOL) | (rewards == np.inf)).any():
-        return False
-    linenos = np.arange(first_lineno, first_lineno + len(lines), dtype=np.int64)
+        return 0
+    linenos = np.arange(first_lineno, first_lineno + len(rows), dtype=np.int64)
     for column, values in zip(columns, [rows[name] for name in _RECORD.names] + [linenos]):
         column.frombytes(values.tobytes())
-    return True
+    return len(rows)
 
 
 def _append_lines(lines: list, first_lineno: int, columns) -> None:
@@ -635,6 +691,8 @@ def _append_lines(lines: list, first_lineno: int, columns) -> None:
         if not line.strip():
             continue
         try:
+            if byte := _NOT_UTF8.search(line):
+                raise ValueError(f"byte 0x{ord(byte[0]) - 0xDC00:02X} is not UTF-8")
             doc = json.loads(line)
             s, a, r, sp = doc["s"], doc["a"], doc["r"], doc["sp"]
             if type(s) is not int or type(a) is not int or type(sp) is not int:
@@ -660,23 +718,25 @@ def write_transitions(path: str | Path, states, actions, rewards, next_states) -
     Floats are written as repr(float), so each line is byte for byte what
     json.dumps writes for the same record. Rows are rendered in blocks of
     _WRITE_BLOCK_ROWS: per block, each column renders each of its distinct
-    values once, with the line's text around it, and the lines are these
-    pieces joined with object-array +. Rewards are told apart by their bit
-    pattern, which keeps -0.0 apart from 0.0 and every NaN apart from every
-    number.
+    values once, with the line's text around it, into its column of one
+    rows x 4 object array, which is joined into one string and written with
+    one call. Rewards are told apart by their bit pattern, which keeps -0.0
+    apart from 0.0 and every NaN apart from every number. The file is
+    written beside path and replaces it only once complete.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
-    with Path(path).open("w") as fh:
+    with _replacing(path) as fh:
         for lo in range(0, len(rewards), _WRITE_BLOCK_ROWS):
             hi = lo + _WRITE_BLOCK_ROWS
             bits, which = np.unique(rewards[lo:hi].view(np.int64), return_inverse=True)
             reward_tokens = np.array(["null" if r != r else repr(r)
                                       for r in bits.view(np.float64).tolist()], dtype=object)
-            lines = (_column_tokens(states[lo:hi], '{{"s": {}, "a": ')
-                     + _column_tokens(actions[lo:hi], '{}, "r": ')
-                     + reward_tokens[which]
-                     + _column_tokens(next_states[lo:hi], ', "sp": {}}}\n'))
-            fh.writelines(lines.tolist())
+            pieces = np.empty((len(which), 4), dtype=object)
+            pieces[:, 0] = _column_tokens(states[lo:hi], '{{"s": {}, "a": ')
+            pieces[:, 1] = _column_tokens(actions[lo:hi], '{}, "r": ')
+            pieces[:, 2] = reward_tokens[which]
+            pieces[:, 3] = _column_tokens(next_states[lo:hi], ', "sp": {}}}\n')
+            fh.write("".join(pieces.ravel().tolist()))
 
 
 def _column_tokens(values: np.ndarray, template: str) -> np.ndarray:

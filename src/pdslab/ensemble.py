@@ -235,7 +235,9 @@ def relabel_file(
 
     missing = np.isnan(rewards)
     if k is None and missing.any():
-        rows = model.features.phi[states[missing], actions[missing]]
+        features = model.features  # phi[s, a] is row s*A + a of the stacked matrix
+        rows = features.matrix().take(states[missing] * features.num_actions + actions[missing],
+                                      axis=0)
         k = auto_k(model, float((rows @ model.members.mean(axis=0)).mean()), auto_a)
     elif k is None:
         k = 0.0

@@ -853,6 +853,55 @@ def test_write_failure_mid_relabel_exits_3(tmp_path, monkeypatch, capsys):
     assert "runtime error: OSError" in capsys.readouterr().err
 
 
+def test_a_byte_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys):
+    argv = _file_commands(tmp_path)["fit-ensemble"]
+    lab = Path(argv[argv.index("--in") + 1])
+    lines = lab.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:-2] + b', "note": "\xff"}\n'
+    lab.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert entrypoint(argv) == 2
+    assert "malformed transition at line 3: byte 0xFF is not UTF-8" in capsys.readouterr().err
+
+
+def test_failed_in_place_relabel_leaves_its_input(tmp_path, monkeypatch, capsys):
+    import pdslab.data as data
+
+    argv = _file_commands(tmp_path)["relabel"]
+    unl = Path(argv[argv.index("--in") + 1])
+    argv[argv.index("--out") + 1] = str(unl)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    written = []
+
+    class FullDisk:
+        """A file whose first write lands and whose second fails with ENOSPC."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if written:
+                raise OSError(28, "No space left on device")
+            self.fh.write(text)
+            self.fh.flush()
+            written.append(self.fh.name)
+
+    monkeypatch.setattr(data, "_WRITE_BLOCK_ROWS", 4)  # the 10 rows take three blocks
+    monkeypatch.setattr(data, "open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs)),
+                        raising=False)
+    capsys.readouterr()
+    assert entrypoint(argv) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(written) == 1 and written[0] != str(unl)  # the first block went to a new file
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_bounds_subcommand(tmp_path, capsys):
     assert entrypoint(["bounds", "--d", "4", "--n0", "1000", "--n1", "0,10000",
                        "--c0", "0.5", "--c1", "0.5", "--format", "csv"]) == 0

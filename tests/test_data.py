@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import tracemalloc
 from array import array
 from itertools import combinations
@@ -833,6 +835,88 @@ def test_bad_canonical_line_in_later_block_names_its_line(tmp_path, monkeypatch)
         data.read_transitions(path)
 
 
+def test_a_line_longer_than_many_chunks_reads_as_one_line(tmp_path, monkeypatch):
+    # 2^14 chunks of 64 characters end inside the one long line; the last
+    # line has no newline
+    path = tmp_path / "long.jsonl"
+    note = '{"s": 3, "a": 1, "r": null, "sp": 0, "note": "' + "x" * (1 << 20) + '"}'
+    path.write_text("\n".join([_canonical_line(1, 0, 0.5, 2), note, _canonical_line(4, 0, None, 1),
+                               _canonical_line(5, 1, 0.25, 0)]))
+    monkeypatch.setattr(data, "_READ_BLOCK_CHARS", 64)
+    got = data.read_transitions(path)
+    want = _per_line_columns(path)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[0].tolist() == [1, 3, 4, 5] and got[4].tolist() == [1, 2, 3, 4]
+
+
+_GOOD_LINE = b'{"s": 0, "a": 0, "r": null, "sp": 0}'
+
+
+@pytest.mark.parametrize("text,line,byte", [
+    # in a string json would take, after lines ended by "\r" and "\r\n"
+    (_GOOD_LINE + b"\r" + _GOOD_LINE + b"\r\n" + _GOOD_LINE[:-1] + b', "note": "\xff"}\n', 3, "FF"),
+    (_GOOD_LINE + b"\n\n" + b'{"s": 0, "a": 0, "r": 0.5\xe9, "sp": 0}\n', 3, "E9"),
+    (_GOOD_LINE + b"\n" + b'{"s": 0, "a": 0, "r": null, "sp": 0, "note": "\xc3"}', 2, "C3"),
+    (_GOOD_LINE + b"\n" + b'{"s": 0, "a": 0, "r": null, "sp": 0, "x": "\xed\xa0\x80"}', 2, "ED"),
+], ids=["after-cr-endings", "in-a-reward", "last-line-cut", "encoded-surrogate"])
+@pytest.mark.parametrize("block_chars", [16, 1 << 14])
+def test_jsonl_byte_that_is_not_utf8_names_its_line(tmp_path, monkeypatch, text, line, byte,
+                                                     block_chars):
+    path = tmp_path / "bytes.jsonl"
+    path.write_bytes(text)
+    monkeypatch.setattr(data, "_READ_BLOCK_CHARS", block_chars)
+    with pytest.raises(ValueError, match=f"malformed transition at line {line}: byte 0x{byte} "
+                                         "is not UTF-8"):
+        read_jsonl(path)
+    # a malformed line before it is named first, as the file is read in order
+    path.write_bytes(b"{\n" + text)
+    with pytest.raises(ValueError, match="malformed transition at line 1: Expecting"):
+        read_jsonl(path)
+
+
+def _relabel_like_columns(n: int, seed: int):
+    """n rows shaped like a relabeled file: 50 states and 4 actions, rewards
+    from a 200-entry (s, a) table with one row in ten unique."""
+    rng = np.random.default_rng(seed)
+    states, actions, next_states = rng.integers(0, 50, n), rng.integers(0, 4, n), rng.integers(0, 50, n)
+    rewards = rng.random(200)[states * 4 + actions]
+    unique = rng.random(n) < 0.1
+    rewards[unique] = rng.random(int(unique.sum()))
+    return states, actions, rewards, next_states
+
+
+def test_reader_peak_memory_per_row(tmp_path):
+    """2e5 canonical lines, one in three null, peak below 48 bytes per row:
+    the five columns' arrays (40) and one block's text and records; a copy
+    of the file's text would pass it."""
+    states, actions, rewards, next_states = _relabel_like_columns(200_000, 32)
+    rewards[::3] = np.nan
+    path = tmp_path / "many.jsonl"
+    data.write_transitions(path, states, actions, rewards, next_states)
+    tracemalloc.start()
+    try:
+        got = data.read_transitions(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got[2], rewards, equal_nan=True)
+    assert peak / len(states) <= 48
+
+
+def test_writer_peak_memory_is_one_block(tmp_path):
+    """3e5 relabel-like rows peak under 4 MB: one block's tokens, its
+    4 x 2^14 pieces and their joined text, whatever the file's length."""
+    columns = _relabel_like_columns(300_000, 33)
+    tracemalloc.start()
+    try:
+        data.write_transitions(tmp_path / "many.jsonl", *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_written_files_read_without_the_per_line_parser(tmp_path, monkeypatch, tabular_5x3):
     lab = sample_dataset(tabular_5x3, Policy.uniform(5, 3), n=3000, seed=3, noise=True)
     unlab = sample_dataset(tabular_5x3, Policy.uniform(5, 3), n=2000, labeled=False, seed=4)
@@ -851,6 +935,19 @@ def test_written_files_read_without_the_per_line_parser(tmp_path, monkeypatch, t
     back = read_jsonl(path)
     assert np.array_equal(back.states, both.states)
     assert np.array_equal(back.rewards, both.rewards, equal_nan=True)
+
+
+def test_a_destination_that_is_not_a_regular_file_is_written_directly(tmp_path):
+    # a pipe, like /dev/stdout under a shell pipeline, is written, not replaced
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    data.write_transitions(fifo, np.array([1]), np.array([0]), np.array([0.5]), np.array([2]))
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [b'{"s": 1, "a": 0, "r": 0.5, "sp": 2}\n']
+    assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 def _per_line_write(path, states, actions, rewards, next_states):
