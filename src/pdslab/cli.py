@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
-from pdslab.data import read_jsonl, sample_dataset, write_jsonl
+from pdslab.data import _replacing, read_jsonl, sample_dataset, write_jsonl
 from pdslab.ensemble import (
     AUTO_A_DEFAULT,
     ESTIMATORS,
@@ -257,11 +257,12 @@ def run_config(path: str | Path) -> int:
     cfg = load_config(path)
     out, md_path = _output_paths(cfg.output)
     report = sweep(build_mdp(cfg.mdp), cfg.grid)
-    out.write_text(results_to_csv(report.results))
-    if report.results:
-        md_path.write_text(markdown_summary(report.results))
-    else:
-        md_path.write_text("no results\n")
+    csv_text = results_to_csv(report.results)
+    md_text = markdown_summary(report.results) if report.results else "no results\n"
+    # both files are complete before either replaces the previous results
+    with _replacing(out) as csv_fh, _replacing(md_path) as md_fh:
+        csv_fh.write(csv_text)
+        md_fh.write(md_text)
     print(f"wrote {out} ({len(report.results)} rows) and {md_path}")
     stalled = sum(not row.converged for row in report.results)
     if stalled:

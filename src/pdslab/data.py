@@ -169,7 +169,10 @@ class OfflineDataset:
 
 
 class RowCounts(NamedTuple):
-    """All that the reward fit, coverage and PEVI read of a row set."""
+    """All that the reward fit, coverage and PEVI read of a row set, or of a
+    stack of K row sets (RowCounts.stack): each per-pair array then has a
+    leading axis of K, and row set k's transition ids are offset by k*S*A*S,
+    so each is still sorted and distinct."""
 
     visits: np.ndarray       # rows per pair id s*A + a, (S*A,)
     reward_sums: np.ndarray  # observed rewards per pair, added in row order
@@ -177,8 +180,19 @@ class RowCounts(NamedTuple):
     transitions: np.ndarray  # the sorted distinct ids (s*A + a)*S + s'
     counts: np.ndarray       # rows per transition id
 
+    @classmethod
+    def stack(cls, records, num_states: int) -> "RowCounts":
+        """The stack of the row sets of records, one row set each on
+        num_states states."""
+        size = records[0].visits.shape[-1] * num_states  # transition ids per row set
+        return cls(*(np.stack([getattr(r, name) for r in records])
+                     for name in ("visits", "reward_sums", "missing")),
+                   np.concatenate([r.transitions + k * size for k, r in enumerate(records)]),
+                   np.concatenate([r.counts for r in records]))
+
     def union(self, other: "RowCounts") -> "RowCounts":
-        """The record of this row set followed by other's."""
+        """The record of this row set followed by other's; of two stacks of
+        K, row set by row set."""
         transitions, inverse = np.unique(np.concatenate([self.transitions, other.transitions]),
                                          return_inverse=True)
         counts = np.bincount(inverse, np.concatenate([self.counts, other.counts]))

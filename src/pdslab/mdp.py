@@ -129,9 +129,11 @@ class FeatureMap:
 
     def gram(self, counts: np.ndarray) -> np.ndarray:
         """sum over pairs of counts * phi phi^T, (d, d): the Gram of a row
-        set that visits each pair counts times, whatever the rows' order."""
+        set that visits each pair counts times, whatever the rows' order; a
+        (K, S*A) stack of counts gives the (K, d, d) stack of their Grams,
+        each with the bits it gets alone."""
         rows = self.matrix()
-        return (rows.T * counts) @ rows
+        return (rows.T * counts[..., None, :]) @ rows
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,15 @@ O(dS + SAd) and does not touch the N dataset rows. phi depends only on
 reduces them to a PeviProblem, whose size does not depend on N: Lambda
 from the visit counts' Gram, Gamma and gamma * Lambda^{-1} B once, with B
 from the (s, a, s') counts (next_state_sums), and per vector w_r from
-Phi^T times it. pevi_lockstep runs the sweeps of many problems over one
-feature map together, each with its own convergence; pevi_solve is a batch
-of one, and a problem gives the same numbers bit for bit in any batch. For
-one-hot features the sweep map is a sup-norm contraction, but general
-feature maps can defeat that, so the returned solution carries a converged
-flag and the residual trace instead of promising a fixed point.
+Phi^T times it. It reduces a stack of row sets (RowCounts.stack) in one
+stacked numpy call per step, each row set with the bits it gets alone, so a
+sweep builds a group of cells together. pevi_lockstep runs the sweeps of
+many problems over one feature map together, each with its own
+convergence; pevi_solve is a batch of one, and a problem gives the same
+numbers bit for bit in any batch. For one-hot features the sweep map is a
+sup-norm contraction, but general feature maps can defeat that, so the
+returned solution carries a converged flag and the residual trace instead
+of promising a fixed point.
 """
 from __future__ import annotations
 
@@ -130,27 +133,45 @@ class PeviProblem:
 
 def next_state_sums(features: FeatureMap, counts: RowCounts) -> np.ndarray:
     """B[k, s'], the sum of phi_k over the rows landing in s', (d, S), of the
-    row set with these counts: per feature column one bincount over its
-    transitions weighted by phi_k * count."""
-    pairs, next_states = np.divmod(counts.transitions, features.num_states)
-    return np.stack([np.bincount(next_states, weights=column.take(pairs) * counts.counts,
-                                 minlength=features.num_states)
+    row set with these counts, or (K, d, S) of a stack of K (RowCounts.stack):
+    per feature column one bincount over every row set's transitions, row set
+    j's in bins j*S to j*S + S - 1, weighted by phi_k * count."""
+    num_states, num_pairs = features.num_states, counts.visits.shape[-1]
+    row_sets = counts.visits.size // num_pairs
+    # row set j's pair ids come offset by j*S*A, which take's wrap removes
+    pairs, next_states = np.divmod(counts.transitions, num_states)
+    bins = pairs // num_pairs * num_states + next_states
+    rows_per_id = counts.counts.astype(float)  # cast once, not in each product
+    sums = np.stack([np.bincount(bins, weights=column.take(pairs, mode="wrap") * rows_per_id,
+                                 minlength=row_sets * num_states)
                      for column in features.matrix().T])
+    return np.moveaxis(sums.reshape(features.dim, row_sets, num_states), 0, 1).reshape(
+        counts.visits.shape[:-1] + (features.dim, num_states))
 
 
 def pevi_problems(features: FeatureMap, counts: RowCounts, reward_sums,
                   config: PeviConfig) -> list[PeviProblem]:
-    """One PeviProblem per vector of per-pair reward sums in reward_sums, for
-    the row set with these counts: Lambda is factored once and each vector
-    costs one w_r solve."""
+    """One PeviProblem per row set and vector of per-pair reward sums, row set
+    by row set, the vectors in order: counts is one row set or a stack of K
+    (RowCounts.stack), and each vector of reward_sums holds its sums per row
+    set, (S*A,) or (K, S*A). All K Lambdas are factored in one stacked call,
+    and each vector costs one stacked w_r solve; each problem has the bits
+    its row set gives alone."""
     rows = features.matrix()
-    ridge = Ridge(config.lambda_reg * np.eye(features.dim) + features.gram(counts.visits))
-    bonus = (config.beta * ridge.widths(rows)).reshape(features.num_states, features.num_actions)
-    sweep_map = config.gamma * ridge.solve(next_state_sums(features, counts))
+    num_states, dim = features.num_states, features.dim
+    visits = counts.visits.reshape(-1, rows.shape[0])
+    row_sets = len(visits)
+    ridge = Ridge(config.lambda_reg * np.eye(dim) + features.gram(visits))
+    bonus = (config.beta * ridge.widths(rows)).reshape(row_sets, num_states,
+                                                      features.num_actions)
+    sweep_map = config.gamma * ridge.solve(
+        next_state_sums(features, counts).reshape(row_sets, dim, num_states))
+    w_reward = [ridge.solve(np.matmul(rows.T, np.reshape(sums, (row_sets, -1, 1))))[:, :, 0]
+                for sums in reward_sums]
     return [
-        PeviProblem(config=config, lambda_matrix=ridge.matrix, sweep_map=sweep_map,
-                    w_reward=ridge.solve(rows.T @ sums), bonus=bonus)
-        for sums in reward_sums
+        PeviProblem(config=config, lambda_matrix=ridge.matrix[k], sweep_map=sweep_map[k],
+                    w_reward=w[k], bonus=bonus[k])
+        for k in range(row_sets) for w in w_reward
     ]
 
 

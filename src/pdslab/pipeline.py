@@ -1,7 +1,7 @@
 """Data-sharing experiment driver: method definitions, single runs, and sweeps.
 
 A run takes a labeled dataset d0 and a reward-free dataset d1, fills in d1's
-rewards according to the method (reward.fill_table), and hands the union to
+rewards according to the method (reward.fill_tables), and hands the union to
 the pessimistic solver; so every method but no_share trains on the same rows
 and is only a reward vector on them, held as its per-pair sums:
 
@@ -20,32 +20,41 @@ start's optimal occupancy moment, see data.coverage_bases), so a cell's
 coverage costs the Gram of its visit counts and a few batched eigvalsh per
 dataset.
 
-Sweeps run the grid column by column, a column being one (n0, n1) pair, in
-three stages:
+Sweeps take the cells in row order, a column being one (n0, n1) pair, in
+four stages:
 1. sample: d0 and d1 each come from their own generator (_datasets),
    which draws its kind for as many seeds as fit in _SEED_BATCH_ROWS rows
    (n0 or n1 per seed) with one sample_datasets call, made when the first
-   of those seeds' cells is prepared; a failed call fails every method of
-   its seeds' cells and no other cell;
-2. per cell (_prepare_cell): the reward fit and both coverage
-   coefficients, which reduce d0 and d1 once (OfflineDataset.counts),
-   then per row set (d0, and d0 then d1) each method's per-pair reward
-   sums and pevi_problems, which factors Lambda once for all of them;
-3. solve: one pevi_lockstep per column, or per chunk of its seeds when the
-   column's stacked problem tables would exceed _SOLVE_CHUNK_ENTRIES, then
-   an exact evaluation of each policy.
-A call's datasets are dropped before the next call of their kind.
-run_method runs the same per-cell code, and a lockstep gives each problem
-the bits it gets alone, so every number in a row is bit for bit what
-run_method gives for that cell alone. Methods that train on the same rows
-with the same rewards, which is every method of a cell whose d1 is empty,
-share one PEVI problem, solved and evaluated once.
+   of those seeds' cells is reduced; a failed call fails every method of
+   its seeds' cells and no other cell. A call's datasets are dropped
+   before the next call of their kind;
+2. reduce, per cell (_reduce_cell): the reward fit and both coverage
+   coefficients, which reduce d0 and d1 once to their counts
+   (OfflineDataset.counts); only the counts, the fit and the coefficients
+   are kept, and a failure fails the cell's methods;
+3. build, per group (_build_group): cells of one column in one lockstep
+   chunk, at most about _SEED_BATCH_ROWS distinct transitions of records
+   (see sweep), are built together, per row set (d0, and d0 then d1):
+   one stacked call each for the counts union, the fill tables, the
+   reward-sum vectors and pevi_problems, which factors every cell's Lambda
+   at once. A stacked build that raises is rerun cell by cell, so only the
+   offending cell fails;
+4. solve: one pevi_lockstep per chunk of at most _SOLVE_CHUNK_ENTRIES
+   problem entries, filled across columns, then an exact evaluation of
+   each distinct greedy policy once per sweep.
+run_method runs the same code on a group of one cell and one method, and
+every stacked call and lockstep gives each cell and problem the bits it
+gets alone, so every number in a row is bit for bit what run_method gives
+for that cell alone. Methods that train on the same rows with the same
+rewards, which is every method of a cell whose d1 is empty, share one PEVI
+problem, solved once.
 
-A row's wall_ms is its cell's shared work (see _prepare_cell), an equal
-share of its row set's, an equal share of its lockstep solve and its own
-policy evaluation; the last two are divided among the methods that share
-the problem. Sampling, the oracle solve and the coverage bases are not
-counted.
+A row's wall_ms is its cell's reduction, plus an equal share of its row
+set's build among the group's rows on that row set, plus an equal share of
+its lockstep chunk per distinct problem, plus an equal share of its
+policy's evaluation among the sweep's rows that hold the policy; the
+lockstep share is divided among the methods that share the problem.
+Sampling, the oracle solve and the coverage bases are not counted.
 """
 from __future__ import annotations
 
@@ -54,11 +63,14 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
+
 import numpy as np
 
 from pdslab.data import (
     CoverageBases,
     OfflineDataset,
+    RowCounts,
     coverage_bases,
     coverage_coefficient,
     sample_datasets,
@@ -71,7 +83,7 @@ from pdslab.pevi import (
     pevi_problems,
     theorem_beta,
 )
-from pdslab.reward import ALPHA_MODES, fill_table, fit_reward
+from pdslab.reward import ALPHA_MODES, RewardModel, fill_tables, fit_reward
 
 # the sweep does not call these, but perfbench's tracer wraps them under
 # these names, so they stay importable from this module
@@ -86,12 +98,13 @@ CSV_HEADER = "method,n0,n1,c0,c1,gamma,d,seed,subopt_mean,subopt_max,vhat_start,
 
 # A sweep samples each kind of dataset (d0, d1) of a grid column in calls of
 # at most this many of that kind's rows, n0 or n1 per seed; a call holds at
-# least one seed.
+# least one seed. A group of cells is built once its records reach this many
+# distinct transitions, which bounds the stacked build's arrays alike.
 _SEED_BATCH_ROWS = 1 << 16
 
-# A sweep solves a column's PEVI problems in lockstep chunks of whole seeds
-# whose stacked (A + d) x S tables, one per problem, hold at most this many
-# entries; a chunk holds at least one seed.
+# A sweep solves its PEVI problems in lockstep chunks of whole cells, taken
+# in row order across columns, whose stacked (A + d) x S tables, one per
+# method, hold at most this many entries; a chunk holds at least one cell.
 _SOLVE_CHUNK_ENTRIES = 1 << 20
 
 
@@ -251,7 +264,8 @@ def run_method(
 
     The refusals here cover what a sweep's sampled cells satisfy by
     construction. Only the methods that train on d1 need it present (it may
-    be empty) and, when nonempty, of d0's shape.
+    be empty) and, when nonempty, of d0's shape. The run is a sweep's code on
+    a group of one cell and one method.
     """
     method = MethodId(method)
     if not d0.labeled or len(d0) == 0:
@@ -269,146 +283,210 @@ def run_method(
                              f"({d1.num_states},{d1.num_actions})")
     if oracle is None:
         oracle = solve_optimal(mdp)
-    (outcome,) = _solve_prepared(mdp, _prepare_cell(
-        mdp, seed, d0, d1, (method,), reward_cfg, pevi_cfg, coverage_bases(mdp, oracle[0]),
-        oracle[1].v))
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    cell = _reduce_cell(mdp, d0, d1, reward_cfg, coverage_bases(mdp, oracle[0]))
+    rows = _build_group(mdp, len(d0), 0 if d1 is None else len(d1), [(seed, cell)],
+                        (method,), pevi_cfg)
+    evaluations: dict = {}
+    _solve_chunk(mdp, rows, evaluations, oracle[1].v)
+    return _run_result(mdp, rows[0], evaluations)
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """One method's run on one dataset pair up to its PEVI solve."""
+class _Cell(NamedTuple):
+    """One cell reduced (_reduce_cell): all that its group's build reads."""
 
-    method: MethodId
-    problem: PeviProblem
-    n0: int
-    n1: int
     c0: float
     c1: float
+    model: RewardModel
+    counts0: RowCounts
+    counts1: RowCounts | None  # None when d1 is missing or empty
+    seconds: float
+
+
+def _reduce_cell(mdp: LinearMdp, d0: OfflineDataset, d1: OfflineDataset | None,
+                 reward_cfg: RewardSettings, bases: CoverageBases) -> _Cell:
+    """A cell's own work: the reward fit and both coverage coefficients,
+    which reduce d0 and d1 (None or empty when n1 = 0) to their RowCounts
+    once (OfflineDataset.counts). The datasets are not kept."""
+    features = mdp.features
+    start = time.perf_counter()
+    model = fit_reward(d0, features, nu=reward_cfg.nu, delta=reward_cfg.delta,
+                       r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode)
+    sharing = d1 is not None and len(d1) > 0
+    c0 = coverage_coefficient(d0, mdp, bases).c_dagger
+    c1 = coverage_coefficient(d1, mdp, bases).c_dagger if sharing else 0.0
+    return _Cell(c0, c1, model, d0.counts(features), d1.counts(features) if sharing else None,
+                 time.perf_counter() - start)
+
+
+@dataclass
+class _Row:
+    """One method of one cell on its way to a RunResult. outcome is the
+    method's PeviProblem, then what the row keeps of its solution
+    (vhat_start, converged, its policy's key), or the exception that
+    failed it; seconds is the row's share of the work so far."""
+
+    method: MethodId
+    n0: int
+    n1: int
     seed: int
-    optimal_v: np.ndarray
-    seconds: float  # this method's share of its cell's preparation
+    outcome: object
+    c0: float = 0.0
+    c1: float = 0.0
+    seconds: float = 0.0
 
 
-def _prepare_cell(mdp: LinearMdp, seed: int, d0: OfflineDataset, d1: OfflineDataset | None,
-                  methods: tuple, reward_cfg: RewardSettings, pevi_cfg: PeviSettings,
-                  bases: CoverageBases, optimal_v: np.ndarray) -> list:
-    """Prepare every method of one cell up to its PEVI problem: a _Prepared
-    or the raised exception per method, in order. d1 may be None or empty.
+def _row_set_problems(mdp: LinearMdp, cells: list, members: tuple, sharing: bool,
+                      config: PeviConfig) -> list:
+    """Per _Cell of cells, its members' PeviProblems on one row set, d0 or
+    (sharing) d0 then d1, all cells in one stacked build.
 
-    Each method is a vector of per-pair reward sums on one of two row sets,
-    d0 or d0 then d1. The shared work is the reward fit and both coverage
-    coefficients, which reduce each dataset to its RowCounts once: s0 and
-    obs1 are d0's and d1's reward_sums, n1 and miss1 d1's visits and
-    missing. A sharing method has the vector s0 + obs1 + miss1 * fill, fill
-    being its fill_table, on the union of both records; oracle, which
-    replaces every d1 reward, has s0 + n1 * r. The methods on d0 share s0
-    and so one problem, which _solve_prepared solves once. A failure of the
-    shared work fails every method, and a failed row set its own methods.
-    A method's seconds are the shared work and its share of its row set's.
+    Each method is a vector of per-pair reward sums on the row set. With s0
+    and obs1 d0's and d1's reward_sums and n1 and miss1 d1's visits and
+    missing, a sharing method has s0 + obs1 + miss1 * fill, fill being its
+    fill_tables table, on the union of both records; oracle, which replaces
+    every d1 reward, has s0 + n1 * r. The methods on d0 share s0 and so one
+    problem, which _solve_chunk solves once.
     """
     features = mdp.features
-    n0, n1 = len(d0), 0 if d1 is None else len(d1)
-    on_d0 = tuple(m for m in methods if m is MethodId.NO_SHARE or n1 == 0)
-    on_both = tuple(m for m in methods if m not in on_d0)
+    counts0 = RowCounts.stack([c.counts0 for c in cells], features.num_states)
+    if not sharing:
+        return [[p] * len(members)
+                for p in pevi_problems(features, counts0, [counts0.reward_sums], config)]
+    counts1 = RowCounts.stack([c.counts1 for c in cells], features.num_states)
+    both = counts0.union(counts1)
+    models = [c.model for c in cells]
+    vectors = []
+    for method in members:
+        fill = fill_tables(models, features, _RELABEL_MODE[method], mdp).reshape(len(cells), -1)
+        vectors.append(counts0.reward_sums + counts1.visits * fill if method is MethodId.ORACLE
+                       else both.reward_sums + counts1.missing * fill)
+    problems = pevi_problems(features, both, vectors, config)
+    return [problems[k:k + len(members)] for k in range(0, len(problems), len(members))]
+
+
+def _build_row_set(mdp: LinearMdp, cells: list, rows: list, sharing: bool, n_rows: int,
+                   pevi_cfg: PeviSettings) -> None:
+    """Build one row set of n_rows rows for every _Cell of cells, rows
+    holding each cell's _Rows on it in one order of methods: each row's
+    outcome becomes its PeviProblem (_row_set_problems), its seconds gaining
+    an equal share of the build, or the exception that failed its cell's
+    build. A stacked build that raises is rerun cell by cell, so only a cell
+    whose own build raises fails."""
     start = time.perf_counter()
+    methods = tuple(row.method for row in rows[0])
     try:
-        model = fit_reward(d0, features, nu=reward_cfg.nu, delta=reward_cfg.delta,
-                           r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode)
-        c0 = coverage_coefficient(d0, mdp, bases).c_dagger
-        c1 = coverage_coefficient(d1, mdp, bases).c_dagger if n1 else 0.0
-        counts0, counts1 = d0.counts(features), d1.counts(features) if n1 else None
+        problems = _row_set_problems(mdp, cells, methods, sharing,
+                                     pevi_cfg.config_for(mdp, n_rows))
     except Exception as exc:  # reported per method by the caller
-        return [exc] * len(methods)
-    shared_s = time.perf_counter() - start
-
-    def reward_sums(method, both):
-        fill = fill_table(model, features, _RELABEL_MODE[method], mdp).reshape(-1)
-        return (counts0.reward_sums + counts1.visits * fill if method is MethodId.ORACLE
-                else both.reward_sums + counts1.missing * fill)
-
-    prepared = {}
-    for sharing, members, n_rows in ((False, on_d0, n0), (True, on_both, n0 + n1)):
-        if not members:
-            continue
-        start = time.perf_counter()
-        try:
-            counts = counts0.union(counts1) if sharing else counts0
-            vectors = [reward_sums(m, counts) for m in members] if sharing else [counts.reward_sums]
-            problems = pevi_problems(features, counts, vectors, pevi_cfg.config_for(mdp, n_rows))
-        except Exception as exc:  # reported per method by the caller
-            prepared.update(dict.fromkeys(members, exc))
-            continue
-        seconds = shared_s + (time.perf_counter() - start) / len(members)
-        problems *= len(members) // len(problems)  # the methods on d0 share one
-        prepared.update((method, _Prepared(
-            method=method, problem=problem, n0=n0, n1=n1, c0=c0, c1=c1, seed=seed,
-            optimal_v=optimal_v, seconds=seconds)) for method, problem in zip(members, problems))
-    return [prepared[m] for m in methods]
+        if len(cells) > 1:
+            for cell, cell_rows in zip(cells, rows):
+                _build_row_set(mdp, [cell], [cell_rows], sharing, n_rows, pevi_cfg)
+            return
+        problems = [[exc.with_traceback(None)] * len(methods)]
+    share_s = (time.perf_counter() - start) / (len(cells) * len(methods))
+    for cell_rows, cell_problems in zip(rows, problems):
+        for row, problem in zip(cell_rows, cell_problems):
+            row.outcome = problem
+            row.seconds += share_s
 
 
-def _solve_prepared(mdp: LinearMdp, outcomes: list) -> list:
-    """Solve each distinct problem of the _Prepared in outcomes once, all in
-    one pevi_lockstep, then evaluate each solution's policy exactly; returns
-    outcomes with each _Prepared replaced by its RunResult or the raised
-    exception.
+def _build_group(mdp: LinearMdp, n0: int, n1: int, cells: list, methods: tuple,
+                 pevi_cfg: PeviSettings) -> list:
+    """The _Rows, cell by cell and method by method, of a group of cells of
+    one (n0, n1), given as (seed, _Cell or the exception that failed the
+    cell) pairs; a failed cell fails every method. The methods on d0 (every
+    method when n1 = 0) and the sharing methods are built per row set, all
+    cells together (_build_row_set). A row's seconds are its cell's
+    reduction and its share of its row set's build."""
+    rows = [[_Row(m, n0, n1, seed, cell) if isinstance(cell, Exception) else
+             _Row(m, n0, n1, seed, None, cell.c0, cell.c1, cell.seconds) for m in methods]
+            for seed, cell in cells]
+    reduced = [i for i, (_, cell) in enumerate(cells) if isinstance(cell, _Cell)]
+    on_d0 = [m is MethodId.NO_SHARE or n1 == 0 for m in methods]
+    for sharing, n_rows in ((False, n0), (True, n0 + n1)):
+        picked = [[row for row, d0_only in zip(rows[i], on_d0) if d0_only != sharing]
+                  for i in reduced]
+        if picked and picked[0]:
+            _build_row_set(mdp, [cells[i][1] for i in reduced], picked, sharing, n_rows,
+                           pevi_cfg)
+    return [row for cell_rows in rows for row in cell_rows]
 
-    Methods that share a problem (every method of a cell whose d1 is empty)
-    share its solve and evaluation. A row's wall time is its _Prepared
-    seconds, an equal share of the lockstep solve per distinct problem and
-    its own evaluation, each of the last two divided among the methods that
-    share the problem.
+
+def _solve_chunk(mdp: LinearMdp, rows: list, evaluations: dict, optimal_v: np.ndarray) -> None:
+    """Solve each distinct problem of rows once, all in one pevi_lockstep,
+    and replace each row's problem with what it keeps of its solution.
+
+    Rows that share a problem (every method of a cell whose d1 is empty)
+    share its solve. Each greedy policy not yet in evaluations, a dict
+    local to one sweep keyed by the policy's action bytes, is evaluated
+    exactly once into it (_evaluation). A row's seconds gain an equal share
+    of the lockstep per distinct problem, divided among the rows that share
+    the problem.
     """
-    sharing: dict = {}  # id(problem) -> indices of the outcomes that hold it
-    for i, o in enumerate(outcomes):
-        if isinstance(o, _Prepared):
-            sharing.setdefault(id(o.problem), []).append(i)
+    sharing: dict = {}  # id(problem) -> the rows that hold it
+    for row in rows:
+        if isinstance(row.outcome, PeviProblem):
+            sharing.setdefault(id(row.outcome), []).append(row)
     groups = list(sharing.values())
+    if not groups:
+        return
     start = time.perf_counter()
     try:
-        solutions = pevi_lockstep([outcomes[g[0]].problem for g in groups], mdp.features)
+        solutions = pevi_lockstep([g[0].outcome for g in groups], mdp.features)
     except Exception as exc:  # reported per method by the caller
-        solutions = [exc] * len(groups)
-    share_s = (time.perf_counter() - start) / max(len(groups), 1)
-
-    outcomes = list(outcomes)
+        solutions = [exc.with_traceback(None)] * len(groups)
+    share_s = (time.perf_counter() - start) / len(groups)
     for group, solution in zip(groups, solutions):
-        for i, result in zip(group, _run_results(mdp, [outcomes[i] for i in group], solution,
-                                                 share_s)):
-            outcomes[i] = result
-    return outcomes
+        if not isinstance(solution, Exception):
+            actions = np.argmax(solution.policy.probs, axis=1)
+            key = actions.tobytes()
+            if key not in evaluations:
+                evaluations[key] = _evaluation(mdp, solution.policy, optimal_v)
+            evaluations[key][2] += len(group)
+            solution = (float(mdp.init_dist @ solution.v_hat), solution.converged, key)
+        for row in group:
+            row.outcome = solution
+            row.seconds += share_s / len(group)
 
 
-def _run_results(mdp: LinearMdp, preps: list, solution, share_s: float) -> list:
-    """The RunResult of each _Prepared in preps, which share one problem, from
-    its solution or the exception that replaced it; every method gets the
-    same exception when the evaluation fails."""
-    if isinstance(solution, Exception):
-        return [solution] * len(preps)
+def _evaluation(mdp: LinearMdp, policy: Policy, optimal_v: np.ndarray) -> list:
+    """[(subopt_mean, subopt_max) or the exception evaluate_policy raised,
+    the evaluation's seconds, the number of rows that hold the policy]."""
     start = time.perf_counter()
     try:
-        gaps = preps[0].optimal_v - evaluate_policy(mdp, solution.policy).v
-        own_s = (share_s + time.perf_counter() - start) / len(preps)
-        return [RunResult(
-            method=prep.method,
-            n0=prep.n0,
-            n1=prep.n1,
-            c0_dagger=prep.c0,
-            c1_dagger=prep.c1,
-            gamma=mdp.gamma,
-            dim=mdp.dim,
-            seed=prep.seed,
-            subopt_mean=float(mdp.init_dist @ gaps),
-            subopt_max=float(gaps.max()),
-            v_hat_start=float(mdp.init_dist @ solution.v_hat),
-            wall_time_ms=(prep.seconds + own_s) * 1e3,
-            converged=solution.converged,
-            policy_actions=tuple(int(a) for a in np.argmax(solution.policy.probs, axis=1)),
-        ) for prep in preps]
+        gaps = optimal_v - evaluate_policy(mdp, policy).v
+        subopt = (float(mdp.init_dist @ gaps), float(gaps.max()))
     except Exception as exc:  # reported per method by the caller
-        return [exc] * len(preps)
+        subopt = exc.with_traceback(None)
+    return [subopt, time.perf_counter() - start, 0]
+
+
+def _run_result(mdp: LinearMdp, row: _Row, evaluations: dict) -> RunResult:
+    """The RunResult of a solved row, whose wall time adds an equal share of
+    its policy's evaluation among the rows that hold the policy; raises the
+    exception that failed the row instead."""
+    if isinstance(row.outcome, Exception):
+        raise row.outcome
+    v_hat_start, converged, key = row.outcome
+    subopt, eval_s, holders = evaluations[key]
+    if isinstance(subopt, Exception):
+        raise subopt
+    return RunResult(
+        method=row.method,
+        n0=row.n0,
+        n1=row.n1,
+        c0_dagger=row.c0,
+        c1_dagger=row.c1,
+        gamma=mdp.gamma,
+        dim=mdp.dim,
+        seed=row.seed,
+        subopt_mean=subopt[0],
+        subopt_max=subopt[1],
+        v_hat_start=v_hat_start,
+        wall_time_ms=(row.seconds + eval_s / holders) * 1e3,
+        converged=converged,
+        policy_actions=tuple(np.frombuffer(key, dtype=np.intp).tolist()),
+    )
 
 
 @dataclass(frozen=True)
@@ -491,58 +569,70 @@ def _datasets(mdp: LinearMdp, behavior: Policy, n: int, seeds, **kwargs):
         del datasets
 
 
-def _run_column(mdp: LinearMdp, grid: SweepGrid, n0: int, n1: int, oracle, bases, behaviors):
-    """Every seed's cell of one (n0, n1) grid column. The seeds are split
-    into chunks of at most _SOLVE_CHUNK_ENTRIES problem entries; a chunk's
-    cells are prepared one by one from its d0 and d1 (_datasets), then all
-    of its PEVI problems are solved in one lockstep. A cell whose d0 or d1
-    failed to sample fails every method with that exception."""
-    per_problem = mdp.num_states * (mdp.num_actions + mdp.dim)
-    per_chunk = max(1, _SOLVE_CHUNK_ENTRIES // (per_problem * len(grid.methods)))
-    out, failures = [], []
-    for chunk_lo in range(0, len(grid.seeds), per_chunk):
-        seeds = grid.seeds[chunk_lo:chunk_lo + per_chunk]
-        d0_seeds, d1_seeds = zip(*(_cell_seeds(seed, n0, n1, grid) for seed in seeds))
-        d0s = _datasets(mdp, behaviors[0], n0, d0_seeds, horizon_reset=grid.horizon_reset,
-                        labeled=True, noise=grid.noise)
-        d1s = _datasets(mdp, behaviors[1], n1, d1_seeds, horizon_reset=grid.horizon_reset,
-                        labeled=False)
-        outcomes = []
-        for seed, d0, d1 in zip(seeds, d0s, d1s):
-            failed = d0 if isinstance(d0, Exception) else d1
-            cell = ([failed] * len(grid.methods) if isinstance(failed, Exception) else
-                    _prepare_cell(mdp, seed, d0, d1, grid.methods, grid.reward, grid.pevi,
-                                  bases, oracle[1].v))
-            # a traceback would keep the cell's datasets alive until the solve
-            outcomes += [o.with_traceback(None) if isinstance(o, Exception) else o
-                         for o in cell]
-        keys = [(seed, method) for seed in seeds for method in grid.methods]
-        for (seed, method), outcome in zip(keys, _solve_prepared(mdp, outcomes)):
-            if isinstance(outcome, RunResult):
-                out.append(outcome)
-            else:
-                failures.append({
-                    "method": method.value, "n0": n0, "n1": n1, "seed": seed,
-                    "error": f"{type(outcome).__name__}: {outcome}",
-                })
-    return out, failures
-
-
 def sweep(mdp: LinearMdp, grid: SweepGrid) -> SweepReport:
     """Run every (n0, n1, seed) cell of the grid, all methods per cell; rows
-    come out in (n0, n1, seed, method) order."""
+    come out in (n0, n1, seed, method) order.
+
+    Cells are taken in that order. Each is reduced as soon as its d0 and d1
+    are sampled (_datasets), and a cell whose d0 or d1 failed to sample fails
+    every method with that exception. A lockstep chunk holds the cells of at
+    most _SOLVE_CHUNK_ENTRIES problem entries, at least one, across columns,
+    and a full chunk is solved at once (_solve_chunk). A group is cells of
+    one column in one chunk, built together (_build_group) when the column
+    ends, the chunk is full or the group's records hold _SEED_BATCH_ROWS
+    distinct transitions, so a stacked build's arrays stay about the size of
+    one sampling call's rows.
+    """
     oracle = solve_optimal(mdp)
     bases = coverage_bases(mdp, oracle[0])
     behaviors = (
         behavior_policy(mdp, grid.labeled_quality, oracle[0]),
         behavior_policy(mdp, grid.unlabeled_quality, oracle[0]),
     )
-    results, failures = [], []
+    methods = grid.methods
+    per_problem = mdp.num_states * (mdp.num_actions + mdp.dim)
+    per_chunk = max(1, _SOLVE_CHUNK_ENTRIES // (per_problem * len(methods)))
+    evaluations: dict = {}
+    rows, chunk, group, group_ids = [], [], [], 0
     for n0 in grid.n0_values:
         for n1 in grid.n1_values:
-            out, fails = _run_column(mdp, grid, n0, n1, oracle, bases, behaviors)
-            results.extend(out)
-            failures.extend(fails)
+            d0_seeds, d1_seeds = zip(*(_cell_seeds(seed, n0, n1, grid) for seed in grid.seeds))
+            d0s = _datasets(mdp, behaviors[0], n0, d0_seeds, horizon_reset=grid.horizon_reset,
+                            labeled=True, noise=grid.noise)
+            d1s = _datasets(mdp, behaviors[1], n1, d1_seeds, horizon_reset=grid.horizon_reset,
+                            labeled=False)
+            for seed, d0, d1 in zip(grid.seeds, d0s, d1s):
+                cell = d0 if isinstance(d0, Exception) else d1
+                if not isinstance(cell, Exception):
+                    try:
+                        cell = _reduce_cell(mdp, d0, d1, grid.reward, bases)
+                    except Exception as exc:  # cell failures are data, not crashes
+                        # a traceback would keep the cell's datasets alive
+                        cell = exc.with_traceback(None)
+                group.append((seed, cell))
+                if isinstance(cell, _Cell):
+                    group_ids += sum(len(c.transitions) for c in (cell.counts0, cell.counts1)
+                                     if c is not None)
+                chunk_full = len(chunk) // len(methods) + len(group) == per_chunk
+                if chunk_full or group_ids >= _SEED_BATCH_ROWS:
+                    chunk += _build_group(mdp, n0, n1, group, methods, grid.pevi)
+                    group, group_ids = [], 0
+                if chunk_full:
+                    _solve_chunk(mdp, chunk, evaluations, oracle[1].v)
+                    rows += chunk
+                    chunk = []
+            chunk += _build_group(mdp, n0, n1, group, methods, grid.pevi)
+            group, group_ids = [], 0
+    _solve_chunk(mdp, chunk, evaluations, oracle[1].v)
+    results, failures = [], []
+    for row in rows + chunk:
+        try:
+            results.append(_run_result(mdp, row, evaluations))
+        except Exception as exc:  # cell failures are data, not crashes
+            failures.append({
+                "method": row.method.value, "n0": row.n0, "n1": row.n1, "seed": row.seed,
+                "error": f"{type(exc).__name__}: {exc}",
+            })
     return SweepReport(results=tuple(results), failures=tuple(failures))
 
 

@@ -134,23 +134,33 @@ def fit_reward(
     )
 
 
+def _predictions(models, features: FeatureMap) -> np.ndarray:
+    """<phi, theta_hat> at every pair id per model, (K, S*A): one stacked
+    matrix-vector product."""
+    thetas = np.stack([m.theta_hat for m in models])
+    return np.matmul(features.matrix(), thetas[:, :, None])[:, :, 0]
+
+
+def _deviations(models, features: FeatureMap) -> np.ndarray:
+    """alpha * sqrt(phi^T Lambda^{-1} phi) at every pair id per model,
+    (K, S*A): one stacked widths solve over the models' factors."""
+    alphas = np.array([m.alpha for m in models])[:, None]
+    return alphas * Ridge.stack([m.ridge for m in models]).widths(features.matrix())
+
+
 def deviation_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
     """Reward confidence width alpha * sqrt(phi^T Lambda^{-1} phi) at every (s,a)."""
-    widths = model.ridge.widths(features.matrix())
-    return (model.alpha * widths).reshape(features.num_states, features.num_actions)
+    return _deviations([model], features).reshape(features.num_states, features.num_actions)
 
 
 def predicted_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
     """Plug-in predictions <phi, theta_hat> for every (s,a), shape (S, A)."""
-    return (features.matrix() @ model.theta_hat).reshape(
-        features.num_states, features.num_actions
-    )
+    return _predictions([model], features).reshape(features.num_states, features.num_actions)
 
 
 def pessimistic_table(model: RewardModel, features: FeatureMap) -> np.ndarray:
     """Lower-confidence reward at every (s,a), clamped into [0, r_max]."""
-    table = predicted_table(model, features) - deviation_table(model, features)
-    return np.clip(table, 0.0, model.r_max)
+    return fill_table(model, features, "pds")
 
 
 def fill_missing(rewards, table: np.ndarray, states, actions) -> np.ndarray:
@@ -159,21 +169,32 @@ def fill_missing(rewards, table: np.ndarray, states, actions) -> np.ndarray:
     return fills if rewards is None else np.where(np.isnan(rewards), fills, rewards)
 
 
+def fill_tables(
+    models, features: FeatureMap, mode: str, mdp: LinearMdp | None = None
+) -> np.ndarray:
+    """The (K, S, A) reward tables a relabel mode fills missing rewards from,
+    one per model of models, each with the bits fill_table gives it alone."""
+    if mode not in RELABEL_MODES:
+        raise ValueError(f"mode must be one of {RELABEL_MODES}, got {mode!r}")
+    shape = (len(models), features.num_states, features.num_actions)
+    if mode == "oracle":
+        if mdp is None:
+            raise ValueError("mode='oracle' requires the true mdp")
+        return np.broadcast_to(mdp.rewards, shape)
+    if mode == "uds":
+        return np.zeros(shape)
+    table = _predictions(models, features)
+    if mode == "pds":
+        table = table - _deviations(models, features)
+    r_max = np.array([m.r_max for m in models])[:, None]
+    return np.clip(table, 0.0, r_max).reshape(shape)
+
+
 def fill_table(
     model: RewardModel, features: FeatureMap, mode: str, mdp: LinearMdp | None = None
 ) -> np.ndarray:
     """The (S, A) reward table a relabel mode fills missing rewards from."""
-    if mode not in RELABEL_MODES:
-        raise ValueError(f"mode must be one of {RELABEL_MODES}, got {mode!r}")
-    if mode == "oracle":
-        if mdp is None:
-            raise ValueError("mode='oracle' requires the true mdp")
-        return mdp.rewards
-    if mode == "uds":
-        return np.zeros((features.num_states, features.num_actions))
-    if mode == "predict":
-        return np.clip(predicted_table(model, features), 0.0, model.r_max)
-    return pessimistic_table(model, features)
+    return fill_tables([model], features, mode, mdp)[0]
 
 
 def relabel(

@@ -213,6 +213,48 @@ def test_run_with_pevi_tol_above_one_writes_its_rows(tmp_path):
     assert lines[0] == CSV_HEADER and len(lines) == 3
 
 
+@pytest.mark.parametrize("failing", [1, 2], ids=["csv", "markdown"])
+def test_failed_results_write_keeps_the_previous_results(tmp_path, monkeypatch, capsys,
+                                                         failing):
+    # the CSV and its summary are both written to new files before either
+    # replaces the previous run's, so a write that fails midway loses nothing
+    import pdslab.data as data
+
+    path = _write_config(tmp_path, _base_doc(tmp_path))
+    assert entrypoint(["run", "--config", path]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    writes = []
+
+    class FullDisk:
+        """A file whose write, the failing-th of the run, lands half its text
+        and then fails with ENOSPC."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(self.fh.name)
+            if len(writes) == failing:
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(data, "open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs)),
+                        raising=False)
+    capsys.readouterr()
+    assert entrypoint(["run", "--config", path]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(writes) == failing and all(w.endswith(".tmp") for w in writes)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_run_bad_config_exits_2(tmp_path):
     doc = _base_doc(tmp_path)
     doc["mystery"] = True

@@ -533,7 +533,8 @@ def test_a_sweep_row_set_is_its_transition_counts(seed):
     d0 and on d0 then d1 with the same bits. d0's rewards are noiseless,
     one value per pair, so its row-order per-pair sums do not depend on the
     order either."""
-    from pdslab.pipeline import MethodId, PeviSettings, RewardSettings, _prepare_cell
+    from pdslab.pipeline import (MethodId, PeviSettings, RewardSettings, _build_group,
+                                 _reduce_cell)
 
     mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=seed)
     pi = Policy.uniform(6, 3)
@@ -548,22 +549,24 @@ def test_a_sweep_row_set_is_its_transition_counts(seed):
                               d.next_states[order], labeled=d.labeled, num_states=6,
                               num_actions=3)
 
-    methods, (policy, values) = tuple(MethodId), solve_optimal(mdp)
+    methods, policy = tuple(MethodId), solve_optimal(mdp)[0]
     bases = coverage_bases(mdp, policy)
-    got, want = (_prepare_cell(mdp, seed, a, b, methods, RewardSettings(),
-                               PeviSettings(c=0.05), bases, values.v)
+    got, want = (_build_group(mdp, 300, 2000, [(seed, _reduce_cell(mdp, a, b, RewardSettings(),
+                                                                   bases))],
+                              methods, PeviSettings(c=0.05))
                  for a, b in ((permuted(d0), permuted(d1)), (d0, d1)))
     for g, w in zip(got, want):
-        assert g.method is w.method and g.problem.config == w.problem.config
+        assert g.method is w.method and g.outcome.config == w.outcome.config
         for name in ("lambda_matrix", "sweep_map", "w_reward", "bonus"):
-            assert np.array_equal(getattr(g.problem, name), getattr(w.problem, name)), name
+            assert np.array_equal(getattr(g.outcome, name), getattr(w.outcome, name)), name
 
 
 def test_a_five_method_cell_reduces_each_dataset_once(monkeypatch):
     """The reward fit, both coverage coefficients and both row sets' PEVI
     problems read d0 and d1 through their kept counts, so each dataset's
     rows are read once per cell."""
-    from pdslab.pipeline import MethodId, PeviSettings, RewardSettings, _prepare_cell
+    from pdslab.pipeline import (MethodId, PeviSettings, RewardSettings, _build_group,
+                                 _reduce_cell)
 
     mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=1)
     pi = Policy.uniform(6, 3)
@@ -576,12 +579,12 @@ def test_a_five_method_cell_reduces_each_dataset_once(monkeypatch):
         reads[id(self)] += 1
         return pair_ids(self, features)
 
-    policy, values = solve_optimal(mdp)
+    policy = solve_optimal(mdp)[0]
     bases = coverage_bases(mdp, policy)
     monkeypatch.setattr(OfflineDataset, "pair_ids", counted)
-    outcomes = _prepare_cell(mdp, 0, d0, d1, tuple(MethodId), RewardSettings(),
-                             PeviSettings(c=0.05), bases, values.v)
-    assert not any(isinstance(o, Exception) for o in outcomes)
+    cell = _reduce_cell(mdp, d0, d1, RewardSettings(), bases)
+    rows = _build_group(mdp, 300, 2000, [(0, cell)], tuple(MethodId), PeviSettings(c=0.05))
+    assert not any(isinstance(row.outcome, Exception) for row in rows)
     assert reads == {id(d0): 1, id(d1): 1}
 
 

@@ -9,7 +9,10 @@ importable for the tracer, but the sweep calls sample_datasets,
 pevi_lockstep and fill_table and mixes no datasets, so the traced
 data.sample_dataset.*, pevi.*, reward.relabel.* and data.mix_datasets.*
 metrics read 0 on the sweep workloads until the tracer wraps what the sweep
-calls. The coverage layer is checked through a traced sweep."""
+calls. The coverage layer is checked through a traced sweep. The sweep
+evaluates each distinct greedy policy once, so the traced
+mdp.evaluate_policy.calls counts a sweep's distinct policies, not its rows
+or problems."""
 import importlib.util
 from pathlib import Path
 

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from pdslab.data import OfflineDataset, coverage_bases, mix_datasets, sample_dataset
-from pdslab.mdp import Policy, make_lowrank_mdp, make_tabular_mdp, solve_optimal
+from conftest import chain_mdp
+from pdslab.mdp import (
+    LinearMdp,
+    Policy,
+    make_adversarial_mdp,
+    make_lowrank_mdp,
+    make_tabular_mdp,
+    solve_optimal,
+)
 from pdslab.pevi import pevi_problems, pevi_solve
 from pdslab.pipeline import (
     CSV_HEADER,
@@ -270,40 +278,168 @@ def test_sweep_rows_match_per_method_runs():
 
 
 def test_seed_batches_do_not_change_rows(monkeypatch):
-    # all five seeds in one batch and one lockstep, lockstep chunks of two
-    # seeds, or also one seed per sampling batch, give the per-cell rows
+    # on tabular, lowrank, adversarial and chain MDPs, with and without
+    # reward noise: all twenty cells in one stacked build per column and one
+    # lockstep, lockstep chunks of two cells (a chunk that splits a column's
+    # group and one that spans two columns), or one seed per sampling call
+    # and one cell per group (each cell's records reach the one-transition
+    # bound), give the per-cell rows bit for bit
     import pdslab.pipeline as pipeline
     from pdslab.pipeline import _cell_seeds
 
-    mdp = _mdp(seed=53)
-    grid = SweepGrid(n0_values=(40, 25), n1_values=(30, 0), methods=ALL_METHODS,
-                     seeds=(4, 0, 9, 2, 7), horizon_reset=15, noise=True,
-                     pevi=PeviSettings(c=0.05))
-    together = sweep(mdp, grid)
+    defaults = pipeline._SOLVE_CHUNK_ENTRIES, pipeline._SEED_BATCH_ROWS
+    locksteps, real = [], pipeline.pevi_lockstep
+    stacks, real_problems = [], pipeline.pevi_problems
+
+    def counting(problems, features):
+        locksteps.append(len(problems))
+        return real(problems, features)
+
+    def sizing(features, counts, reward_sums, config):
+        stacks.append(counts.visits.size // features.matrix().shape[0])
+        return real_problems(features, counts, reward_sums, config)
+
+    monkeypatch.setattr(pipeline, "pevi_lockstep", counting)
+    monkeypatch.setattr(pipeline, "pevi_problems", sizing)
+    for mdp in (_mdp(seed=53), make_tabular_mdp(4, 3, gamma=0.9, seed=57),
+                make_adversarial_mdp(4, 3), chain_mdp()):
+        for noise in (True, False):
+            monkeypatch.setattr(pipeline, "_SOLVE_CHUNK_ENTRIES", defaults[0])
+            monkeypatch.setattr(pipeline, "_SEED_BATCH_ROWS", defaults[1])
+            grid = SweepGrid(n0_values=(40, 25), n1_values=(30, 0), methods=ALL_METHODS,
+                             seeds=(4, 0, 9, 2, 7), horizon_reset=15, noise=noise,
+                             pevi=PeviSettings(c=0.05))
+            locksteps.clear()
+            stacks.clear()
+            together = sweep(mdp, grid)
+            assert len(locksteps) == 1 and max(stacks) == len(grid.seeds)
+            per_problem = mdp.num_states * (mdp.num_actions + mdp.dim)
+            monkeypatch.setattr(pipeline, "_SOLVE_CHUNK_ENTRIES",
+                                2 * per_problem * len(ALL_METHODS))
+            chunked = sweep(mdp, grid)
+            assert len(locksteps) == 1 + 10  # 20 cells, two per chunk
+            monkeypatch.setattr(pipeline, "_SOLVE_CHUNK_ENTRIES", defaults[0])
+            monkeypatch.setattr(pipeline, "_SEED_BATCH_ROWS", 1)
+            stacks.clear()
+            apart = sweep(mdp, grid)
+            assert len(locksteps) == 1 + 10 + 1 and set(stacks) == {1}
+            assert not together.failures and not chunked.failures and not apart.failures
+            oracle = solve_optimal(mdp)
+            pi0 = behavior_policy(mdp, "medium", oracle[0])
+            pi1 = behavior_policy(mdp, "expert", oracle[0])
+            direct = []
+            for n0 in grid.n0_values:
+                for n1 in grid.n1_values:
+                    for seed in grid.seeds:
+                        d0_seed, d1_seed = _cell_seeds(seed, n0, n1, grid)
+                        d0 = sample_dataset(mdp, pi0, n=n0, horizon_reset=15, seed=d0_seed,
+                                            noise=noise)
+                        d1 = (sample_dataset(mdp, pi1, n=n1, horizon_reset=15, seed=d1_seed,
+                                             labeled=False) if n1 else _empty_unlabeled(mdp))
+                        direct += [run_method(mdp, d0, d1, m, grid.reward, grid.pevi,
+                                              seed=seed, oracle=oracle) for m in ALL_METHODS]
+            want = _strip_wall(results_to_csv(direct))
+            for report in (together, chunked, apart):
+                assert _strip_wall(results_to_csv(report.results)) == want
+                assert ([r.policy_actions for r in report.results]
+                        == [r.policy_actions for r in direct])
+                assert all(r.wall_time_ms > 0 for r in report.results)
+
+
+def test_a_failed_stacked_build_fails_only_its_cell(monkeypatch):
+    # the n1 = 30 column's three cells share a lockstep chunk with the first
+    # cell of the n1 = 0 column; the middle cell's PEVI build raises on both
+    # of its row sets, so each stacked build of that group is rerun cell by
+    # cell and only that cell's methods fail
+    import pdslab.pipeline as pipeline
+    from pdslab.pipeline import _cell_seeds
+
+    mdp = _mdp(seed=89)
+    grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS, seeds=(0, 1, 2),
+                     noise=True, pevi=PeviSettings(c=0.05))
     per_problem = mdp.num_states * (mdp.num_actions + mdp.dim)
-    monkeypatch.setattr(pipeline, "_SOLVE_CHUNK_ENTRIES", 2 * per_problem * len(ALL_METHODS))
-    chunked = sweep(mdp, grid)
-    monkeypatch.setattr(pipeline, "_SEED_BATCH_ROWS", 70)
-    apart = sweep(mdp, grid)
-    assert not together.failures and not chunked.failures and not apart.failures
+    monkeypatch.setattr(pipeline, "_SOLVE_CHUNK_ENTRIES", 4 * per_problem * len(ALL_METHODS))
+    clean = sweep(mdp, grid)
     oracle = solve_optimal(mdp)
-    pi0 = behavior_policy(mdp, "medium", oracle[0])
-    pi1 = behavior_policy(mdp, "expert", oracle[0])
-    direct = []
-    for n0 in grid.n0_values:
-        for n1 in grid.n1_values:
-            for seed in grid.seeds:
-                d0_seed, d1_seed = _cell_seeds(seed, n0, n1, grid)
-                d0 = sample_dataset(mdp, pi0, n=n0, horizon_reset=15, seed=d0_seed, noise=True)
-                d1 = (sample_dataset(mdp, pi1, n=n1, horizon_reset=15, seed=d1_seed,
-                                     labeled=False) if n1 else
-                      OfflineDataset([], [], None, [], labeled=False, num_states=5, num_actions=3))
-                direct += [run_method(mdp, d0, d1, m, grid.reward, grid.pevi, seed=seed,
-                                      oracle=oracle) for m in ALL_METHODS]
-    want = _strip_wall(results_to_csv(direct))
-    for report in (together, chunked, apart):
-        assert _strip_wall(results_to_csv(report.results)) == want
-        assert all(r.wall_time_ms > 0 for r in report.results)
+    d0_seed, d1_seed = _cell_seeds(1, 40, 30, grid)
+    d0 = sample_dataset(mdp, behavior_policy(mdp, "medium", oracle[0]), n=40, seed=d0_seed,
+                        noise=True)
+    d1 = sample_dataset(mdp, behavior_policy(mdp, "expert", oracle[0]), n=30, seed=d1_seed,
+                        labeled=False)
+    # the cell's visits on d0, and on d0 then d1
+    broken = [d0.counts(mdp.features).visits,
+              d0.counts(mdp.features).visits + d1.counts(mdp.features).visits]
+    sizes, locksteps = [], []
+    real_problems, real_lockstep = pipeline.pevi_problems, pipeline.pevi_lockstep
+
+    def failing(features, counts, reward_sums, config):
+        visits = counts.visits.reshape(-1, features.matrix().shape[0])
+        sizes.append(len(visits))
+        if any(np.array_equal(v, b) for v in visits for b in broken):
+            raise RuntimeError("stacked build broke")
+        return real_problems(features, counts, reward_sums, config)
+
+    def counting(problems, features):
+        locksteps.append(len(problems))
+        return real_lockstep(problems, features)
+
+    monkeypatch.setattr(pipeline, "pevi_problems", failing)
+    monkeypatch.setattr(pipeline, "pevi_lockstep", counting)
+    report = sweep(mdp, grid)
+    # per row set of the n1 = 30 group: the stacked try, then one per cell;
+    # then the n1 = 0 column's groups of one and two cells
+    assert sizes == [3, 1, 1, 1, 3, 1, 1, 1, 1, 2]
+    # the chunk's two n1 = 30 cells (1 + 4 problems each) and one n1 = 0
+    # cell, then the last two n1 = 0 cells
+    assert locksteps == [11, 2]
+    assert [(f["method"], f["n1"], f["seed"]) for f in report.failures] == [
+        (m.value, 30, 1) for m in ALL_METHODS]
+    assert all(f["error"] == "RuntimeError: stacked build broke" for f in report.failures)
+    want = [r for r in clean.results if (r.n1, r.seed) != (30, 1)]
+    assert _strip_wall(results_to_csv(report.results)) == _strip_wall(results_to_csv(want))
+
+
+def _chain_with_theta(theta_even):
+    mdp = chain_mdp()
+    theta = np.zeros(mdp.dim)
+    theta[0::2] = theta_even
+    return LinearMdp(mdp.features, mdp.mu, theta, mdp.gamma, mdp.r_max, mdp.init_dist)
+
+
+def test_each_distinct_policy_is_evaluated_once_per_sweep(monkeypatch):
+    # evaluate_policy runs once per distinct greedy policy of a sweep, and
+    # nothing is kept across sweeps: two chain MDPs that differ only in
+    # theta reach some of the same policies, each with its own suboptimality
+    import pdslab.pipeline as pipeline
+
+    grid = SweepGrid(n0_values=(200,), n1_values=(0, 2000, 20000), methods=ALL_METHODS,
+                     seeds=tuple(range(8)), unlabeled_quality="medium",
+                     pevi=PeviSettings(c=0.02))
+    evaluated, real = [], pipeline.evaluate_policy
+
+    def counting(mdp, policy):
+        evaluated.append(tuple(np.argmax(policy.probs, axis=1).tolist()))
+        return real(mdp, policy)
+
+    monkeypatch.setattr(pipeline, "evaluate_policy", counting)
+    reports = []
+    for theta_even in ([0.1, 0.3, 0.6, 1.0], [1.0, 0.6, 0.3, 0.1]):
+        mdp = _chain_with_theta(theta_even)
+        start = len(evaluated)
+        report = sweep(mdp, grid)
+        assert not report.failures and len(report.results) == 120
+        policies = {r.policy_actions for r in report.results}
+        assert sorted(evaluated[start:]) == sorted(policies) and len(policies) < 30
+        optimal_v = solve_optimal(mdp)[1].v
+        for r in report.results:
+            gaps = optimal_v - real(mdp, Policy.deterministic(np.array(r.policy_actions),
+                                                              mdp.num_actions)).v
+            assert (r.subopt_mean, r.subopt_max) == (float(mdp.init_dist @ gaps),
+                                                     float(gaps.max()))
+        reports.append({r.policy_actions: (r.subopt_mean, r.subopt_max)
+                        for r in report.results})
+    shared = set(reports[0]) & set(reports[1])
+    assert shared and any(reports[0][p] != reports[1][p] for p in shared)
 
 
 # the relabel mode of each sharing method, for the reference below
@@ -463,7 +599,7 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
     # problem is what the cell's own datasets give, one by one
     import pdslab.pipeline as pipeline
     from pdslab.data import coverage_coefficient
-    from pdslab.pipeline import _cell_seeds, _prepare_cell
+    from pdslab.pipeline import _build_group, _cell_seeds, _reduce_cell
 
     mdp = _mdp(seed=83)
     grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS,
@@ -506,10 +642,11 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
                 row = next(rows)
                 assert (row.seed, row.n1, row.method) == (seed, n1, method)
                 assert (row.c0_dagger, row.c1_dagger) == (c0, c1)
-            alone = _prepare_cell(mdp, seed, d0, d1, ALL_METHODS, grid.reward, grid.pevi,
-                                  bases, oracle[1].v)
+            alone = _build_group(mdp, 40, n1, [(seed, _reduce_cell(mdp, d0, d1, grid.reward,
+                                                                    bases))],
+                                 ALL_METHODS, grid.pevi)
             # with d1 empty the methods share one problem, which is solved once
-            want += [p.problem for p in (alone if n1 else alone[:1])]
+            want += [row.outcome for row in (alone if n1 else alone[:1])]
     assert len(built) == len(want) == 36
     for got, expected in zip(built, want):
         _assert_same_problem(got, expected)
@@ -517,7 +654,7 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
 
 def test_partly_labeled_d1_matches_relabel_reference():
     # oracle replaces d1's observed rewards too; the other methods keep them
-    from pdslab.pipeline import _prepare_cell
+    from pdslab.pipeline import _build_group, _reduce_cell
 
     mdp = _mdp(seed=67)
     d0, d1 = _pair(mdp, n0=30, n1=20, noise=True)
@@ -525,18 +662,18 @@ def test_partly_labeled_d1_matches_relabel_reference():
     d1 = d1.with_rewards(observed, labeled=False)
     pevi_cfg = PeviSettings(beta_override=0.4)
     oracle = solve_optimal(mdp)
-    prepared = _prepare_cell(mdp, 0, d0, d1, ALL_METHODS, RewardSettings(), pevi_cfg,
-                             coverage_bases(mdp, oracle[0]), oracle[1].v)
+    cell = _reduce_cell(mdp, d0, d1, RewardSettings(), coverage_bases(mdp, oracle[0]))
+    prepared = _build_group(mdp, 30, 20, [(0, cell)], ALL_METHODS, pevi_cfg)
     model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
     for method, got in zip(ALL_METHODS, prepared):
         assert got.method is method
         want = _reference_problem(mdp, d0, d1, method, model, pevi_cfg)
         tol = 0.0 if method is MethodId.NO_SHARE else _summation_bound(mdp, want, (d0, d1))
-        _assert_same_problem(got.problem, want, tol)
+        _assert_same_problem(got.outcome, want, tol)
 
 
 def test_missing_d1_fails_only_the_sharing_methods():
-    from pdslab.pipeline import _prepare_cell
+    from pdslab.pipeline import _build_group, _reduce_cell
 
     mdp = _mdp(seed=71)
     d0, _ = _pair(mdp, n0=30, n1=1)
@@ -544,11 +681,11 @@ def test_missing_d1_fails_only_the_sharing_methods():
     with pytest.raises(ValueError, match="pds needs an unlabeled dataset"):
         run_method(mdp, d0, None, MethodId.PDS, RewardSettings(), pevi_cfg)
     oracle = solve_optimal(mdp)
-    (no_share,) = _prepare_cell(mdp, 0, d0, None, (MethodId.NO_SHARE,), RewardSettings(),
-                                pevi_cfg, coverage_bases(mdp, oracle[0]), oracle[1].v)
+    cell = _reduce_cell(mdp, d0, None, RewardSettings(), coverage_bases(mdp, oracle[0]))
+    (no_share,) = _build_group(mdp, 30, 0, [(0, cell)], (MethodId.NO_SHARE,), pevi_cfg)
     assert no_share.method is MethodId.NO_SHARE and no_share.n1 == 0
     model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
-    _assert_same_problem(no_share.problem, _reference_problem(
+    _assert_same_problem(no_share.outcome, _reference_problem(
         mdp, d0, _empty_unlabeled(mdp), MethodId.NO_SHARE, model, pevi_cfg))
 
 
