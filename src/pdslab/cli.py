@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +26,8 @@ from pdslab.mdp import (
     make_adversarial_mdp,
     make_lowrank_mdp,
     make_tabular_mdp,
+    positive,
+    require,
     save_mdp,
 )
 from pdslab.pipeline import (
@@ -123,14 +124,6 @@ class ExperimentConfig:
         }
         allowed, required = per_kind[kind]
         _require_fields("mdp", mdp, allowed, required)
-        # the makers would take true as 1 and 4.0 as a count, so check each value here
-        for key, value in mdp.items():
-            types = (int, float) if key in ("gamma", "r_max") else int
-            if key != "kind" and (isinstance(value, bool) or not isinstance(value, types)
-                                  or not math.isfinite(value) or key == "r_max" and value <= 0):
-                want = {"gamma": "a finite number", "r_max": "finite and positive"}
-                raise ConfigError(f"mdp.{key} must be {want.get(key, 'an integer')}, "
-                                  f"got {value!r}")
 
         data = _section(doc, "data")
         _require_fields(
@@ -172,6 +165,12 @@ class ExperimentConfig:
             raise ConfigError("'output' must be a nonempty path string")
 
         try:
+            # the makers would take true as 1 and 4.0 as a count, so check each value here
+            want = {"gamma": "a finite number", "r_max": "finite and positive"}
+            for key, value in mdp.items():
+                if key != "kind":
+                    require(f"mdp.{key}", value, positive if key == "r_max" else None,
+                            want.get(key, "an integer"), integer=key not in want)
             grid = SweepGrid(
                 n0_values=n0_values, n1_values=n1_values, methods=tuple(methods),
                 seeds=tuple(seeds), reward=RewardSettings(**reward),

@@ -54,7 +54,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pdslab.mdp import FeatureMap, LinearMdp, Policy, _apply_resolvent
+from pdslab.mdp import (
+    FeatureMap,
+    LinearMdp,
+    Policy,
+    _apply_resolvent,
+    nonnegative,
+    positive,
+    require,
+)
 
 SIGMA_RANGE_CUTOFF = 1e-10  # eigenvalues of Sigma below this are treated as null space
 DEFAULT_NOISE_FRACTION = 0.1  # sigma = 0.1 * r_max when noise is requested without a scale
@@ -364,15 +372,13 @@ def sample_datasets(
     after the rollout, and each seed's columns are written once, into
     read-only arrays its dataset keeps.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if horizon_reset < 1:
-        raise ValueError(f"horizon_reset must be >= 1, got {horizon_reset}")
+    require("n", n, positive, "an integer >= 1", integer=True)
+    require("horizon_reset", horizon_reset, positive, "an integer >= 1", integer=True)
+    if not isinstance(noise, bool):
+        require("noise", noise, nonnegative, "a boolean or a finite nonnegative number")
     if behavior.probs.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError("behavior policy shape does not match mdp")
     sigma = (DEFAULT_NOISE_FRACTION * mdp.r_max if noise is True else float(noise)) if noise else 0.0
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"noise half-width must be finite and nonnegative, got {noise}")
 
     seeds = list(seeds)
     num_seeds = len(seeds)
@@ -542,9 +548,7 @@ def coverage_coefficient(dataset: OfflineDataset, mdp: LinearMdp,
     gram = features.gram(dataset.counts(features).visits) / len(dataset)
     per_start = _per_start_values(gram, bases)
     c = float(np.min(per_start))
-    if not np.isfinite(c):
-        c = np.inf
-    return CoverageReport(c_dagger=max(0.0, c), gram=gram, per_start_state_values=per_start)
+    return CoverageReport(c_dagger=c, gram=gram, per_start_state_values=per_start)
 
 
 # ---- serialization ----------------------------------------------------------
@@ -570,13 +574,14 @@ def read_header(path: str | Path, count: int) -> dict | None:
     if not isinstance(meta, dict):
         raise ValueError(f"{hp}: the header must be a JSON object, got "
                          f"{type(meta).__name__}")
-    for key, want, ok in (
-            ("num_states", "a positive integer", lambda v: type(v) is int and v > 0),
-            ("num_actions", "a positive integer", lambda v: type(v) is int and v > 0),
-            ("n", "a nonnegative integer", lambda v: type(v) is int and v >= 0),
-            ("labeled", "a boolean", lambda v: type(v) is bool)):
-        if key in meta and not ok(meta[key]):
-            raise ValueError(f"{hp}: header field {key!r} must be {want}, got {meta[key]!r}")
+    for key, ok, want in (("num_states", positive, "a positive integer"),
+                          ("num_actions", positive, "a positive integer"),
+                          ("n", nonnegative, "a nonnegative integer")):
+        if key in meta:
+            require(f"{hp}: header field {key!r}", meta[key], ok, want, integer=True)
+    if type(meta.get("labeled", False)) is not bool:
+        raise ValueError(f"{hp}: header field 'labeled' must be a boolean, "
+                         f"got {meta['labeled']!r}")
     if "n" in meta and meta["n"] != count:
         raise ValueError(f"{path}: header says n={meta['n']} but the file holds "
                          f"{count} transitions")

@@ -36,8 +36,8 @@ from pdslab.data import (
     write_header,
     write_transitions,
 )
-from pdslab.mdp import FeatureMap, json_number, json_numbers, json_seed
-from pdslab.reward import check_positive, fill_missing
+from pdslab.mdp import FeatureMap, json_number, json_numbers, nonnegative, positive, require
+from pdslab.reward import fill_missing
 from pdslab.ridge import Ridge
 
 AUTO_A_DEFAULT = 25.0
@@ -54,8 +54,7 @@ LEGACY_SETTINGS = {"penalty_k": (None, "--k"), "auto_a": (AUTO_A_DEFAULT, "--a")
 
 def gaussian_min_coefficient(ensemble_size: int) -> float:
     """Phi^{-1}((L - pi/8)/(L - pi/4 + 1)), the expected-extreme quantile factor."""
-    if ensemble_size < 1:
-        raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
+    require("ensemble_size", ensemble_size, positive, "an integer >= 1", integer=True)
     p = (ensemble_size - np.pi / 8.0) / (ensemble_size - np.pi / 4.0 + 1.0)
     return NormalDist().inv_cdf(p)
 
@@ -78,9 +77,8 @@ class EnsembleRewardModel:
             raise ValueError("member dimension does not match features")
         if not np.all(np.isfinite(members)):
             raise ValueError("members must be finite")
-        if not np.isfinite(self.labeled_mean):
-            raise ValueError(f"labeled_mean must be finite, got {self.labeled_mean}")
-        check_positive("nu", self.nu)
+        require("labeled_mean", self.labeled_mean, None, "finite")
+        require("nu", self.nu, positive, "a finite positive number")
         members.setflags(write=False)
         object.__setattr__(self, "members", members)
 
@@ -122,7 +120,8 @@ class EnsembleRewardModel:
             features=FeatureMap(json_numbers("model", "phi", doc["phi"])),
             labeled_mean=json_number("model", "labeled_mean", doc["labeled_mean"]),
             nu=json_number("model", "nu", doc["nu"]),
-            seed=json_seed("model", doc.get("seed")),
+            seed=require("model field 'seed'", doc.get("seed"), None, "an integer or null",
+                         integer=True, nullable=True),
         )
 
 
@@ -144,11 +143,10 @@ def fit_ensemble(
     """Fit ensemble_size ridge members on bootstrap resamples of labeled data;
     a resample reduces to the visit counts and per-pair reward sums of the
     rows it draws, summed in draw order."""
-    if ensemble_size < 2:
-        raise ValueError(f"ensemble_size must be >= 2, got {ensemble_size}")
+    require("ensemble_size", ensemble_size, lambda v: v >= 2, "an integer >= 2", integer=True)
     if not labeled.labeled or len(labeled) == 0:
         raise ValueError("fit_ensemble requires nonempty labeled data")
-    check_positive("nu", nu)
+    require("nu", nu, positive, "a finite positive number")
     n, d = len(labeled), features.dim
     pairs, rows = labeled.pair_ids(features), features.matrix()
     members = np.empty((ensemble_size, d))
@@ -206,15 +204,13 @@ def relabel_file(
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     k = None
     if k_mode != "auto":
-        try:
-            k = float(k_mode)
+        try:  # the command line passes k as text
+            k = float(k_mode) if isinstance(k_mode, str) else k_mode
         except ValueError as exc:
             raise ValueError(f"k must be 'auto' or a number, got {k_mode!r}") from exc
         # an infinite k would also turn into NaN wherever sigma is 0
-        if not (np.isfinite(k) and k >= 0):
-            raise ValueError(f"k must be finite and nonnegative, got {k}")
-    if not (np.isfinite(auto_a) and auto_a > 0):
-        raise ValueError(f"a must be finite and positive, got {auto_a}")
+        k = float(require("k", k, nonnegative, "finite and nonnegative"))
+    require("a", auto_a, positive, "finite and positive")
     states, actions, rewards, next_states, linenos = read_transitions(input_path)
     meta = read_header(input_path, len(states))
     if meta is not None:  # the labeled file keeps this shape, so the model must cover it

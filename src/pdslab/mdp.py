@@ -17,6 +17,11 @@ rank d, so by the Woodbury identity
 
 and a d x d system replaces the S x S one. Otherwise (tabular features with
 d = S*A, single-state MDPs) the dense S x S system is the smaller one.
+
+Every scalar argument and setting in pdslab goes through one rule, require:
+a finite real number that is not a bool, an integer where it counts
+something, and in the range the argument allows. Anything else is refused up
+front with a ValueError that names the argument.
 """
 from __future__ import annotations
 
@@ -45,6 +50,38 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def positive(v) -> bool:
+    return v > 0
+
+
+def nonnegative(v) -> bool:
+    return v >= 0
+
+
+def probability(v) -> bool:
+    return 0 < v < 1
+
+
+def discount(v) -> bool:
+    return 0 <= v < 1
+
+
+def require(name: str, value, ok, want: str, *, integer: bool = False,
+            nullable: bool = False):
+    """value, unless it breaks pdslab's rule for a scalar: then a ValueError
+    "<name> must be <want>, got <value>". The rule: value is a finite real
+    number (an integer when asked), not a bool, for which ok holds (ok None
+    asks nothing more); None passes only when the scalar is nullable."""
+    if value is None and nullable:
+        return value
+    kind = numbers.Integral if integer else numbers.Real
+    # the chained comparison fails for NaN and +-inf, and does not overflow on big ints
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not -np.inf < value < np.inf or ok is not None and not ok(value)):
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return value
+
+
 def json_number(what: str, key: str, value) -> float:
     """value, field key of a what file, as a float; anything but a JSON
     number (a bool, string or null, say) raises a ValueError naming the
@@ -52,14 +89,6 @@ def json_number(what: str, key: str, value) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{what} field {key!r} must be a number, got {value!r}")
     return float(value)
-
-
-def json_seed(what: str, value) -> int | None:
-    """value, the seed field of a what file: a JSON integer or null; a bool,
-    float, string, list or object raises a ValueError naming the field."""
-    if value is not None and type(value) is not int:
-        raise ValueError(f"{what} field 'seed' must be an integer or null, got {value!r}")
-    return value
 
 
 def json_numbers(what: str, key: str, value) -> np.ndarray:
@@ -77,11 +106,6 @@ def _state_blocks(num_states: int, num_actions: int) -> list:
     near KERNEL_BLOCK_ENTRIES kernel entries and at least one state."""
     step = max(1, KERNEL_BLOCK_ENTRIES // (num_actions * num_states))
     return [(lo, min(lo + step, num_states)) for lo in range(0, num_states, step)]
-
-
-def _check_r_max(r_max: float) -> None:
-    if not (np.isfinite(r_max) and r_max > 0):
-        raise ValueError(f"r_max must be finite and positive, got {r_max}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +178,8 @@ class LinearMdp:
     feature_scale: float = 1.0  # bookkeeping for rescaled constructions
 
     def __post_init__(self):
+        require("gamma", self.gamma, discount, "in [0,1)")
+        require("r_max", self.r_max, positive, "finite and positive")
         S, A, d = self.features.phi.shape
         mu = np.asarray(self.mu, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
@@ -167,9 +193,6 @@ class LinearMdp:
         for name, values in (("mu", mu), ("theta", theta), ("init_dist", init)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} contains non-finite entries")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError(f"gamma must be in [0,1), got {self.gamma}")
-        _check_r_max(self.r_max)
 
         if mu.min() < -KERNEL_ENTRY_TOL or mu.max() > 1.0 + 1e-9:
             raise ValueError("mu entries must lie in [0, 1]")
@@ -295,9 +318,7 @@ class LinearMdp:
             if key not in doc:
                 raise ValueError(f"MDP file is missing field {key!r}")
         for key in ("num_states", "num_actions", "dim"):
-            if type(doc[key]) is not int or doc[key] < 1:
-                raise ValueError(f"MDP field {key!r} must be a positive integer, "
-                                 f"got {doc[key]!r}")
+            require(f"MDP field {key!r}", doc[key], positive, "a positive integer", integer=True)
         S, A, d = doc["num_states"], doc["num_actions"], doc["dim"]
         arrays = {}
         for key, size, formula in (("phi", S * A * d, "num_states*num_actions*dim"),
@@ -307,6 +328,8 @@ class LinearMdp:
             if arrays[key].size != size:
                 raise ValueError(f"MDP field {key!r} must hold {formula} = {size} numbers, "
                                  f"got {arrays[key].size}")
+        feature_scale = json_number("MDP", "feature_scale", doc.get("feature_scale", 1.0))
+        require("MDP field 'feature_scale'", feature_scale, positive, "finite and positive")
         return cls(
             features=FeatureMap(arrays["phi"].reshape(S, A, d)),
             mu=arrays["mu"].reshape(d, S),
@@ -314,8 +337,9 @@ class LinearMdp:
             gamma=json_number("MDP", "gamma", doc["gamma"]),
             r_max=json_number("MDP", "r_max", doc["r_max"]),
             init_dist=arrays["init_dist"],
-            seed=json_seed("MDP", doc.get("seed")),
-            feature_scale=json_number("MDP", "feature_scale", doc.get("feature_scale", 1.0)),
+            seed=require("MDP field 'seed'", doc.get("seed"), None, "an integer or null",
+                         integer=True, nullable=True),
+            feature_scale=feature_scale,
         )
 
     def content_hash(self) -> str:
@@ -378,8 +402,7 @@ class Policy:
 
     def mixed_with_uniform(self, epsilon: float) -> "Policy":
         """(1-eps) * this policy + eps * uniform; epsilon-greedy smoothing."""
-        if not (0.0 <= epsilon <= 1.0):
-            raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
+        require("epsilon", epsilon, lambda v: 0 <= v <= 1, "in [0,1]")
         A = self.num_actions
         return Policy((1.0 - epsilon) * self.probs + epsilon / A)
 
@@ -488,8 +511,7 @@ def solve_optimal(mdp: LinearMdp) -> tuple[Policy, ValueReport]:
 
 def suboptimality(mdp: LinearMdp, policy: Policy, state: int) -> float:
     """SubOpt(pi; s) = V*(s) - V^pi(s), computed from exact solves."""
-    if isinstance(state, bool) or not isinstance(state, numbers.Integral):
-        raise ValueError(f"state must be an integer, got {state!r}")
+    require("state", state, None, "an integer", integer=True)
     if not (0 <= state < mdp.num_states):
         raise ValueError(f"state {state} out of range")
     _, star = solve_optimal(mdp)
@@ -513,9 +535,9 @@ def make_tabular_mdp(
     the Dirichlet-drawn transition distribution of that pair, and theta
     holds the uniform [0, r_max] reward table.
     """
-    if num_states < 1 or num_actions < 1:
-        raise ValueError("num_states and num_actions must be >= 1")
-    _check_r_max(r_max)
+    require("num_states", num_states, positive, "an integer >= 1", integer=True)
+    require("num_actions", num_actions, positive, "an integer >= 1", integer=True)
+    require("r_max", r_max, positive, "finite and positive")
     rng = np.random.default_rng(seed)
     S, A = num_states, num_actions
     d = S * A
@@ -548,9 +570,11 @@ def make_lowrank_mdp(
     is a convex combination of distributions; theta uniform in [0, r_max]
     keeps rewards in range.
     """
-    if not (1 <= dim <= num_states * num_actions):
-        raise ValueError(f"dim must be in [1, {num_states * num_actions}], got {dim}")
-    _check_r_max(r_max)
+    require("num_states", num_states, positive, "an integer >= 1", integer=True)
+    require("num_actions", num_actions, positive, "an integer >= 1", integer=True)
+    require("dim", dim, lambda v: 1 <= v <= num_states * num_actions,
+            f"an integer in [1, {num_states * num_actions}]", integer=True)
+    require("r_max", r_max, positive, "finite and positive")
     rng = np.random.default_rng(seed)
     phi = rng.dirichlet(np.ones(dim), size=(num_states, num_actions))
     mu = rng.dirichlet(np.ones(num_states), size=dim)
@@ -583,10 +607,9 @@ def make_adversarial_mdp(
     one-hot actions then forces theta = r_max * ones: every action earns
     r_max, so the uniform mixture over the first d actions is optimal.
     """
-    if num_actions <= dim:
-        raise ValueError(f"need num_actions > dim, got {num_actions} <= {dim}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    require("dim", dim, positive, "an integer >= 1", integer=True)
+    require("num_actions", num_actions, lambda v: v > dim, f"an integer > dim = {dim}",
+            integer=True)
     scale = 1.0 if dim == 1 else 1.0 / np.sqrt(dim)
     phi = np.zeros((1, num_actions, dim))
     phi[0, :dim, :] = np.sqrt(dim) * np.eye(dim) * scale   # = e_i exactly

@@ -33,18 +33,17 @@ many problems over one feature map together, each with its own
 convergence; pevi_solve is a batch of one, and a problem gives the same
 numbers bit for bit in any batch. For one-hot features the sweep map is a
 sup-norm contraction, but general feature maps can defeat that, so the
-returned solution carries a converged flag and the residual trace instead
-of promising a fixed point.
+returned solution carries a converged flag and its last sweep's residual
+instead of promising a fixed point.
 """
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from pdslab.data import OfflineDataset, RowCounts
-from pdslab.mdp import FeatureMap, Policy
+from pdslab.mdp import FeatureMap, Policy, discount, nonnegative, positive, probability, require
 from pdslab.ridge import Ridge
 
 
@@ -52,14 +51,12 @@ def theorem_beta(
     d: int, n_total: int, gamma: float, r_max: float, delta: float, c: float = 1.0
 ) -> float:
     """Bonus scale c*d*sqrt(log(4d*N/((1-gamma)*delta)))*r_max/(1-gamma)."""
-    if d < 1 or n_total < 1:
-        raise ValueError("d and n_total must be >= 1")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
-    if not 0 <= gamma < 1:
-        raise ValueError(f"gamma must be in [0,1), got {gamma}")
-    if r_max <= 0 or c <= 0:
-        raise ValueError("r_max and c must be positive")
+    require("d", d, positive, "an integer >= 1", integer=True)
+    require("n_total", n_total, positive, "an integer >= 1", integer=True)
+    require("gamma", gamma, discount, "in [0,1)")
+    require("r_max", r_max, positive, "a finite positive number")
+    require("delta", delta, probability, "in (0,1)")
+    require("c", c, positive, "a finite positive number")
     zeta1 = np.log(4.0 * d * n_total / ((1.0 - gamma) * delta))
     return float(c * d * np.sqrt(zeta1) * r_max / (1.0 - gamma))
 
@@ -74,27 +71,19 @@ class PeviConfig:
     max_sweeps: int | None = None
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not (np.isfinite(self.lambda_reg) and self.lambda_reg > 0):
-            raise ValueError(f"lambda_reg must be a finite positive number, got {self.lambda_reg}")
-        if not (np.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be a finite nonnegative number, got {self.beta}")
-        if not 0 <= self.gamma < 1:
-            raise ValueError(f"gamma must be in [0,1), got {self.gamma}")
-        if not (np.isfinite(self.v_max) and self.v_max > 0):
-            raise ValueError(f"v_max must be a finite positive number, got {self.v_max}")
+        require("lambda_reg", self.lambda_reg, positive, "a finite positive number")
+        require("beta", self.beta, nonnegative, "a finite nonnegative number")
+        require("gamma", self.gamma, discount, "in [0,1)")
+        require("v_max", self.v_max, positive, "a finite positive number")
         if self.tol is None:
             object.__setattr__(self, "tol", 1e-8 * self.v_max)
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be a finite positive number, got {self.tol}")
+        require("tol", self.tol, positive, "a finite positive number")
         if self.max_sweeps is None:
             # contraction-rate sizing: ~ effective horizon * log(1/tol)
             horizon = np.ceil(1.0 / (1.0 - self.gamma))
             sweeps = int(np.ceil(10.0 * horizon * np.log(1.0 / self.tol)))
             object.__setattr__(self, "max_sweeps", max(1, sweeps))
-        if (isinstance(self.max_sweeps, bool) or not isinstance(self.max_sweeps, numbers.Integral)
-                or self.max_sweeps < 1):
-            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
+        require("max_sweeps", self.max_sweeps, positive, "an integer >= 1", integer=True)
 
     @classmethod
     def for_mdp(
@@ -114,7 +103,7 @@ class PeviSolution:
     policy: Policy
     sweeps_used: int
     converged: bool
-    residuals: tuple = field(default=())
+    residual: float  # sup-norm change of v_hat in the last sweep
 
 
 @dataclass(frozen=True)
@@ -182,7 +171,7 @@ def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
     lone solve on the stack; np.matmul repeats the 2-D product per problem,
     so every solution is bit for bit what that problem gives alone. A
     problem leaves the active set when it converges or reaches its own
-    max_sweeps, and keeps its own residual trace.
+    max_sweeps, and keeps its last sweep's residual.
     """
     problems = list(problems)
     if not problems:
@@ -202,7 +191,7 @@ def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
         for name in ("v_max", "tol", "max_sweeps")
     )
     v = np.zeros((len(problems), num_states))
-    history, finals = [], [None] * len(problems)
+    finals = [None] * len(problems)
     sweeps = 0
     while active.size:
         sweeps += 1
@@ -214,20 +203,17 @@ def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
         v_next = q.max(axis=2)
         residuals = np.abs(v_next - v).max(axis=1)
         v = v_next
-        history.append(np.full(len(problems), np.nan))
-        history[-1][active] = residuals
         converged = residuals < tol
         done = converged | (sweeps >= max_sweeps)
         if done.any():
             for j in np.flatnonzero(done):
                 finals[active[j]] = (w[j].copy(), q[j].copy(), v[j].copy(), sweeps,
-                                     bool(converged[j]))
+                                     bool(converged[j]), float(residuals[j]))
             keep = ~done
             active, sweep_map, w_reward, bonus, v_max, tol, max_sweeps, v = (
                 a[keep] for a in (active, sweep_map, w_reward, bonus, v_max, tol,
                                   max_sweeps, v)
             )
-    traces = np.stack(history)  # (sweeps, problems), NaN once a problem has left
     return [
         PeviSolution(
             w_hat=w,
@@ -238,9 +224,9 @@ def pevi_lockstep(problems, features: FeatureMap) -> list[PeviSolution]:
             policy=Policy.greedy(q),
             sweeps_used=used,
             converged=converged,
-            residuals=tuple(traces[:used, i].tolist()),
+            residual=residual,
         )
-        for i, (p, (w, q, v, used, converged)) in enumerate(zip(problems, finals))
+        for p, (w, q, v, used, converged, residual) in zip(problems, finals)
     ]
 
 

@@ -58,8 +58,6 @@ Sampling, the oracle solve and the coverage bases are not counted.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -75,7 +73,16 @@ from pdslab.data import (
     coverage_coefficient,
     sample_datasets,
 )
-from pdslab.mdp import LinearMdp, Policy, evaluate_policy, solve_optimal
+from pdslab.mdp import (
+    LinearMdp,
+    Policy,
+    evaluate_policy,
+    nonnegative,
+    positive,
+    probability,
+    require,
+    solve_optimal,
+)
 from pdslab.pevi import (
     PeviConfig,
     PeviProblem,
@@ -136,27 +143,6 @@ def behavior_policy(mdp: LinearMdp, quality: str, optimal: Policy | None = None)
     return optimal.mixed_with_uniform(_EPS_GREEDY[quality])
 
 
-def _require(name: str, value, ok, want: str, *, integer: bool = False,
-             nullable: bool = False) -> None:
-    """Raise ValueError naming the setting unless value is a finite number
-    (an integer when asked), not a bool, for which ok holds; None passes
-    only when the setting is nullable."""
-    if value is None and nullable:
-        return
-    kind = numbers.Integral if integer else numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value)
-            or not ok(value)):
-        raise ValueError(f"{name} must be {want}, got {value!r}")
-
-
-def _positive(v) -> bool:
-    return v > 0
-
-
-def _probability(v) -> bool:
-    return 0 < v < 1
-
-
 @dataclass(frozen=True)
 class RewardSettings:
     nu: float = 1.0
@@ -164,8 +150,8 @@ class RewardSettings:
     alpha_mode: str = "lemma"
 
     def __post_init__(self):
-        _require("reward.nu", self.nu, _positive, "a finite positive number")
-        _require("reward.delta", self.delta, _probability, "a number in (0, 1)")
+        require("reward.nu", self.nu, positive, "a finite positive number")
+        require("reward.delta", self.delta, probability, "a number in (0, 1)")
         if self.alpha_mode not in ALPHA_MODES:
             raise ValueError(
                 f"reward.alpha_mode must be one of {ALPHA_MODES}, got {self.alpha_mode!r}"
@@ -186,14 +172,14 @@ class PeviSettings:
     max_sweeps: int | None = None
 
     def __post_init__(self):
-        _require("pevi.lambda_reg", self.lambda_reg, _positive, "a finite positive number")
-        _require("pevi.delta", self.delta, _probability, "a number in (0, 1)")
-        _require("pevi.c", self.c, _positive, "a finite positive number")
-        _require("pevi.beta_override", self.beta_override, lambda v: v >= 0,
+        require("pevi.lambda_reg", self.lambda_reg, positive, "a finite positive number")
+        require("pevi.delta", self.delta, probability, "a number in (0, 1)")
+        require("pevi.c", self.c, positive, "a finite positive number")
+        require("pevi.beta_override", self.beta_override, nonnegative,
                  "a finite nonnegative number or null", nullable=True)
-        _require("pevi.tol", self.tol, _positive, "a finite positive number or null",
+        require("pevi.tol", self.tol, positive, "a finite positive number or null",
                  nullable=True)
-        _require("pevi.max_sweeps", self.max_sweeps, lambda v: v >= 1,
+        require("pevi.max_sweeps", self.max_sweeps, positive,
                  "an integer >= 1 or null", integer=True, nullable=True)
 
     def config_for(self, mdp: LinearMdp, n_total: int) -> PeviConfig:
@@ -506,11 +492,11 @@ class SweepGrid:
         if not self.n0_values or not self.n1_values or not self.methods or not self.seeds:
             raise ValueError("grid axes must be nonempty")
         for name, values, ok, want in (
-                ("n0 values", self.n0_values, _positive, "integers >= 1"),
-                ("n1 values", self.n1_values, lambda v: v >= 0, "integers >= 0"),
-                ("seeds", self.seeds, lambda v: v >= 0, "nonnegative integers")):
+                ("n0 values", self.n0_values, positive, "integers >= 1"),
+                ("n1 values", self.n1_values, nonnegative, "integers >= 0"),
+                ("seeds", self.seeds, nonnegative, "nonnegative integers")):
             for value in values:
-                _require(name, value, ok, want, integer=True)
+                require(name, value, ok, want, integer=True)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {list(values)}")
         for name, q in (("labeled_quality", self.labeled_quality),
@@ -518,9 +504,9 @@ class SweepGrid:
             if q not in QUALITIES:
                 raise ValueError(f"data.{name} must be one of {QUALITIES}, got {q!r}")
         if not isinstance(self.noise, bool):
-            _require("data.noise", self.noise, lambda v: v >= 0,
+            require("data.noise", self.noise, nonnegative,
                      "a boolean or a finite nonnegative number")
-        _require("data.horizon_reset", self.horizon_reset, lambda v: v >= 1,
+        require("data.horizon_reset", self.horizon_reset, positive,
                  "an integer >= 1", integer=True)
         valid = sorted(m.value for m in MethodId)
         for m in self.methods:

@@ -18,24 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pdslab.data import OfflineDataset
-from pdslab.mdp import FeatureMap, LinearMdp
+from pdslab.mdp import FeatureMap, LinearMdp, nonnegative, positive, probability, require
 from pdslab.ridge import Ridge
 
 RELABEL_MODES = ("pds", "uds", "predict", "oracle")
 ALPHA_MODES = ("lemma", "theorem")
 
 
-def check_positive(name: str, value) -> None:
-    """Raise ValueError naming the argument unless value is a finite positive number."""
-    if not (np.isfinite(value) and value > 0):  # NaN fails both tests
-        raise ValueError(f"{name} must be a finite positive number, got {value}")
-
-
 def lemma_alpha(dim: int, n_labeled: int, nu: float, delta: float, r_max: float) -> float:
     """Data-independent ellipsoid radius for the ridge reward estimate."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
-    check_positive("nu", nu)
+    require("dim", dim, positive, "an integer >= 1", integer=True)
+    require("n_labeled", n_labeled, nonnegative, "an integer >= 0", integer=True)
+    require("nu", nu, positive, "a finite positive number")
+    require("delta", delta, probability, "in (0,1)")
+    require("r_max", r_max, positive, "a finite positive number")
     return float(
         np.sqrt(nu)
         + r_max * np.sqrt(2.0 * np.log(1.0 / delta) + dim * np.log(1.0 + n_labeled / (nu * dim)))
@@ -44,10 +40,10 @@ def lemma_alpha(dim: int, n_labeled: int, nu: float, delta: float, r_max: float)
 
 def theorem_alpha(dim: int, n_labeled: int, delta: float, r_max: float) -> float:
     """The simplified radius used by the main-theorem presets: 2*r_max*sqrt(d*zeta2)."""
-    if n_labeled < 1:
-        raise ValueError("theorem preset needs n_labeled >= 1")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    require("dim", dim, positive, "an integer >= 1", integer=True)
+    require("n_labeled", n_labeled, positive, "an integer >= 1", integer=True)
+    require("delta", delta, probability, "in (0,1)")
+    require("r_max", r_max, positive, "a finite positive number")
     zeta2 = np.log(2.0 * dim * n_labeled / delta)
     return float(2.0 * r_max * np.sqrt(dim * zeta2))
 
@@ -70,7 +66,9 @@ class RewardModel:
 
     def __post_init__(self):
         for name in ("nu", "r_max", "alpha"):
-            check_positive(name, getattr(self, name))
+            require(name, getattr(self, name), positive, "a finite positive number")
+        require("n_labeled", self.n_labeled, nonnegative, "an integer >= 0", integer=True)
+        require("delta", self.delta, probability, "in (0,1)")
         theta = np.asarray(self.theta_hat, dtype=float)
         lam = np.asarray(self.lambda_matrix, dtype=float) if self.ridge is None else self.ridge.matrix
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1] or theta.shape != (lam.shape[0],):
@@ -110,8 +108,8 @@ def fit_reward(
     """
     if not labeled.labeled:
         raise ValueError("fit_reward requires a labeled dataset")
-    check_positive("nu", nu)
-    check_positive("r_max", r_max)
+    require("nu", nu, positive, "a finite positive number")
+    require("r_max", r_max, positive, "a finite positive number")
     n, d = len(labeled), features.dim
     counts = labeled.counts(features)
     ridge = Ridge(nu * np.eye(d) + features.gram(counts.visits))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from pdslab.data import OfflineDataset
+from pdslab.mdp import discount, nonnegative, positive, probability, require
 
 
 @dataclass(frozen=True)
@@ -35,24 +36,15 @@ class BoundInputs:
     c: float = 1.0
 
     def __post_init__(self):
-        for name in ("c0_dagger", "c1_dagger", "gamma", "r_max", "delta", "c"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.n0 < 1:
-            raise ValueError(f"n0 must be >= 1, got {self.n0}")
-        if self.n1 < 0:
-            raise ValueError(f"n1 must be >= 0, got {self.n1}")
-        if self.c0_dagger < 0 or self.c1_dagger < 0:
-            raise ValueError("coverage coefficients must be nonnegative")
-        if not 0 <= self.gamma < 1:
-            raise ValueError(f"gamma must be in [0,1), got {self.gamma}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
-        if self.r_max <= 0 or self.c <= 0:
-            raise ValueError("r_max and c must be positive")
+        require("d", self.d, positive, "an integer >= 1", integer=True)
+        require("n0", self.n0, positive, "an integer >= 1", integer=True)
+        require("n1", self.n1, nonnegative, "an integer >= 0", integer=True)
+        require("c0_dagger", self.c0_dagger, nonnegative, "finite and nonnegative")
+        require("c1_dagger", self.c1_dagger, nonnegative, "finite and nonnegative")
+        require("gamma", self.gamma, discount, "finite and in [0,1)")
+        require("r_max", self.r_max, positive, "finite and positive")
+        require("delta", self.delta, probability, "finite and in (0,1)")
+        require("c", self.c, positive, "finite and positive")
 
 
 @dataclass(frozen=True)
@@ -124,8 +116,7 @@ def uds_bias(d1: OfflineDataset, n0: int) -> float:
     """
     if not d1.labeled:
         raise ValueError("uds_bias needs true rewards on the unlabeled dataset")
-    if n0 < 0:
-        raise ValueError(f"n0 must be >= 0, got {n0}")
+    require("n0", n0, nonnegative, "an integer >= 0", integer=True)
     n1 = len(d1)
     if n0 + n1 == 0:
         return 0.0

@@ -673,6 +673,7 @@ def test_file_missing_a_required_field_exits_2(tmp_path, capsys, flag, key):
 _BAD_MDP_FIELDS = [("num_states", 6.7), ("dim", "2"), ("num_actions", True),
                    ("phi", "drop"), ("mu", "drop"), ("theta", "drop"), ("init_dist", "drop"),
                    ("gamma", "0.9"), ("gamma", None), ("r_max", True), ("feature_scale", False),
+                   ("feature_scale", float("nan")), ("feature_scale", -3.0),
                    ("seed", {"x": [1]}), ("seed", True)]
 
 
