@@ -20,9 +20,11 @@ Sigma rank, one stacked reduction and one batched eigvalsh.
 The sampler steps the reset segments of a batch of seeds in lockstep and
 step-major, so each step reads its uniforms and states and writes its draws
 as contiguous slices; each seed's columns are then written once, in row
-order, into arrays its dataset keeps. Each draw is by inverse CDF; on wide
-rows the search runs in two levels, over every k-th cumulative entry and
-then within one k-wide block, which counts exactly the same entries.
+order, into arrays its dataset keeps. Each draw is by inverse CDF, a count
+of the cumulative entries <= u: on narrow rows one take of every entry
+position of the drawn rows, counted at once; on wide rows two levels, over
+every k-th cumulative entry and then within one k-wide block, which counts
+exactly the same entries.
 
 Transition files hold one {"s", "a", "r", "sp"} JSON object per line, in
 UTF-8. read_transitions reads them in fixed-size chunks and parses the
@@ -191,7 +193,11 @@ class RowCounts(NamedTuple):
     @classmethod
     def stack(cls, records, num_states: int) -> "RowCounts":
         """The stack of the row sets of records, one row set each on
-        num_states states."""
+        num_states states; the stack of one record is views of its arrays."""
+        if len(records) == 1:
+            (record,) = records
+            return cls(record.visits[None], record.reward_sums[None], record.missing[None],
+                       record.transitions, record.counts)
         size = records[0].visits.shape[-1] * num_states  # transition ids per row set
         return cls(*(np.stack([getattr(r, name) for r in records])
                      for name in ("visits", "reward_sums", "missing")),
@@ -291,14 +297,11 @@ def _draw_rows(table: _DrawTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray
     beyond the row's mass to the last index. A blocked table counts the
     whole blocks whose last entry is <= u, then the entries <= u in the
     block after them; the +inf padding is never counted, so the result is
-    the flat count exactly. A flat table is counted one entry position at a
-    time, which adds up the same integers.
+    the flat count exactly. A flat table gathers every entry of the drawn
+    rows with one take and counts the entries <= u per row.
     """
     if table.coarse is None:
-        count = np.zeros(rows.shape, dtype=np.int64)
-        for column in table.fine:
-            count += column.take(rows) <= u
-        return count
+        return (table.fine.take(rows, axis=1) <= u).sum(axis=0)
     blocks = (table.coarse.take(rows, axis=0) <= u[:, None]).sum(axis=1)
     per_row = table.fine.shape[1] // table.k
     block = table.fine.reshape(-1, table.k).take(rows * per_row + blocks, axis=0)
@@ -380,7 +383,8 @@ def sample_datasets(
         raise ValueError("behavior policy shape does not match mdp")
     sigma = (DEFAULT_NOISE_FRACTION * mdp.r_max if noise is True else float(noise)) if noise else 0.0
 
-    seeds = list(seeds)
+    seeds = [require("seed", seed, nonnegative, "a nonnegative integer", integer=True)
+             for seed in seeds]
     num_seeds = len(seeds)
     horizon_reset = min(horizon_reset, n)  # no segment holds more than n rows
     num_resets = -(-n // horizon_reset)

@@ -37,8 +37,7 @@ from pdslab.data import (
     write_transitions,
 )
 from pdslab.mdp import FeatureMap, json_number, json_numbers, nonnegative, positive, require
-from pdslab.reward import fill_missing
-from pdslab.ridge import Ridge
+from pdslab.reward import fill_missing, ridge_fit
 
 AUTO_A_DEFAULT = 25.0
 ENSEMBLE_SIZE_DEFAULT = 10
@@ -142,21 +141,23 @@ def fit_ensemble(
 ) -> EnsembleRewardModel:
     """Fit ensemble_size ridge members on bootstrap resamples of labeled data;
     a resample reduces to the visit counts and per-pair reward sums of the
-    rows it draws, summed in draw order."""
+    rows it draws, summed in draw order, and the members are one stacked
+    ridge_fit of those."""
     require("ensemble_size", ensemble_size, lambda v: v >= 2, "an integer >= 2", integer=True)
     if not labeled.labeled or len(labeled) == 0:
         raise ValueError("fit_ensemble requires nonempty labeled data")
     require("nu", nu, positive, "a finite positive number")
-    n, d = len(labeled), features.dim
-    pairs, rows = labeled.pair_ids(features), features.matrix()
-    members = np.empty((ensemble_size, d))
+    require("seed", seed, nonnegative, "a nonnegative integer", integer=True)
+    n, pairs = len(labeled), labeled.pair_ids(features)
+    visits = np.empty((ensemble_size, features.matrix().shape[0]), dtype=np.int64)
+    sums = np.empty(visits.shape)
     for j, child in enumerate(np.random.SeedSequence(seed).spawn(ensemble_size)):
         idx = np.random.default_rng(child).integers(0, n, size=n)
         drawn = pairs[idx]
-        ridge = Ridge(nu * np.eye(d) + features.gram(features.pair_sums(drawn)))
-        members[j] = ridge.solve(rows.T @ features.pair_sums(drawn, labeled.rewards[idx]))
+        visits[j] = features.pair_sums(drawn)
+        sums[j] = features.pair_sums(drawn, labeled.rewards[idx])
     return EnsembleRewardModel(
-        members=members,
+        members=ridge_fit(features, visits, sums, nu)[1],
         features=features,
         labeled_mean=float(labeled.rewards.mean()),
         nu=nu,

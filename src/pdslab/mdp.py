@@ -180,6 +180,7 @@ class LinearMdp:
     def __post_init__(self):
         require("gamma", self.gamma, discount, "in [0,1)")
         require("r_max", self.r_max, positive, "finite and positive")
+        require("seed", self.seed, None, "an integer or null", integer=True, nullable=True)
         S, A, d = self.features.phi.shape
         mu = np.asarray(self.mu, dtype=float)
         theta = np.asarray(self.theta, dtype=float)
@@ -538,6 +539,7 @@ def make_tabular_mdp(
     require("num_states", num_states, positive, "an integer >= 1", integer=True)
     require("num_actions", num_actions, positive, "an integer >= 1", integer=True)
     require("r_max", r_max, positive, "finite and positive")
+    require("seed", seed, nonnegative, "a nonnegative integer", integer=True)
     rng = np.random.default_rng(seed)
     S, A = num_states, num_actions
     d = S * A
@@ -575,6 +577,7 @@ def make_lowrank_mdp(
     require("dim", dim, lambda v: 1 <= v <= num_states * num_actions,
             f"an integer in [1, {num_states * num_actions}]", integer=True)
     require("r_max", r_max, positive, "finite and positive")
+    require("seed", seed, nonnegative, "a nonnegative integer", integer=True)
     rng = np.random.default_rng(seed)
     phi = rng.dirichlet(np.ones(dim), size=(num_states, num_actions))
     mu = rng.dirichlet(np.ones(num_states), size=dim)

@@ -28,17 +28,20 @@ four stages:
    of those seeds' cells is reduced; a failed call fails every method of
    its seeds' cells and no other cell. A call's datasets are dropped
    before the next call of their kind;
-2. reduce, per cell (_reduce_cell): the reward fit and both coverage
-   coefficients, which reduce d0 and d1 once to their counts
-   (OfflineDataset.counts); only the counts, the fit and the coefficients
-   are kept, and a failure fails the cell's methods;
+2. reduce, per cell (_reduce_cell): both coverage coefficients, which
+   reduce d0 and d1 once to their counts (OfflineDataset.counts); only the
+   counts and the coefficients are kept, and a failure fails the cell's
+   methods;
 3. build, per group (_build_group): cells of one column in one lockstep
    chunk, at most about _SEED_BATCH_ROWS distinct transitions of records
    (see sweep), are built together, per row set (d0, and d0 then d1):
    one stacked call each for the counts union, the fill tables, the
    reward-sum vectors and pevi_problems, which factors every cell's Lambda
-   at once. A stacked build that raises is rerun cell by cell, so only the
-   offending cell fails;
+   at once. The row set d0 then d1 also makes the group's one reward fit
+   (fit_rewards over the stacked d0 records), when pds or reward_predict
+   reads it; no fit is made for a column whose n1 is 0. A stacked build
+   that raises is rerun cell by cell, so only the offending cell's rows on
+   that row set fail;
 4. solve: one pevi_lockstep per chunk of at most _SOLVE_CHUNK_ENTRIES
    problem entries, filled across columns, then an exact evaluation of
    each distinct greedy policy once per sweep.
@@ -50,7 +53,8 @@ rewards, which is every method of a cell whose d1 is empty, share one PEVI
 problem, solved once.
 
 A row's wall_ms is its cell's reduction, plus an equal share of its row
-set's build among the group's rows on that row set, plus an equal share of
+set's build among the group's rows on that row set (so each sharing row
+holds a share of its group's reward fit), plus an equal share of
 its lockstep chunk per distinct problem, plus an equal share of its
 policy's evaluation among the sweep's rows that hold the policy; the
 lockstep share is divided among the methods that share the problem.
@@ -90,13 +94,13 @@ from pdslab.pevi import (
     pevi_problems,
     theorem_beta,
 )
-from pdslab.reward import ALPHA_MODES, RewardModel, fill_tables, fit_reward
+from pdslab.reward import ALPHA_MODES, fill_tables, fit_rewards
 
 # the sweep does not call these, but perfbench's tracer wraps them under
 # these names, so they stay importable from this module
 from pdslab.data import mix_datasets, sample_dataset  # noqa: F401
 from pdslab.pevi import pevi_solve  # noqa: F401
-from pdslab.reward import relabel  # noqa: F401
+from pdslab.reward import fit_reward, relabel  # noqa: F401
 
 QUALITIES = ("expert", "medium", "random")
 _EPS_GREEDY = {"expert": 0.05, "medium": 0.3}
@@ -269,9 +273,9 @@ def run_method(
                              f"({d1.num_states},{d1.num_actions})")
     if oracle is None:
         oracle = solve_optimal(mdp)
-    cell = _reduce_cell(mdp, d0, d1, reward_cfg, coverage_bases(mdp, oracle[0]))
+    cell = _reduce_cell(mdp, d0, d1, coverage_bases(mdp, oracle[0]))
     rows = _build_group(mdp, len(d0), 0 if d1 is None else len(d1), [(seed, cell)],
-                        (method,), pevi_cfg)
+                        (method,), reward_cfg, pevi_cfg)
     evaluations: dict = {}
     _solve_chunk(mdp, rows, evaluations, oracle[1].v)
     return _run_result(mdp, rows[0], evaluations)
@@ -282,25 +286,22 @@ class _Cell(NamedTuple):
 
     c0: float
     c1: float
-    model: RewardModel
     counts0: RowCounts
     counts1: RowCounts | None  # None when d1 is missing or empty
     seconds: float
 
 
 def _reduce_cell(mdp: LinearMdp, d0: OfflineDataset, d1: OfflineDataset | None,
-                 reward_cfg: RewardSettings, bases: CoverageBases) -> _Cell:
-    """A cell's own work: the reward fit and both coverage coefficients,
-    which reduce d0 and d1 (None or empty when n1 = 0) to their RowCounts
-    once (OfflineDataset.counts). The datasets are not kept."""
+                 bases: CoverageBases) -> _Cell:
+    """A cell's own work: both coverage coefficients, which reduce d0 and d1
+    (None or empty when n1 = 0) to their RowCounts once
+    (OfflineDataset.counts). The datasets are not kept."""
     features = mdp.features
     start = time.perf_counter()
-    model = fit_reward(d0, features, nu=reward_cfg.nu, delta=reward_cfg.delta,
-                       r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode)
     sharing = d1 is not None and len(d1) > 0
     c0 = coverage_coefficient(d0, mdp, bases).c_dagger
     c1 = coverage_coefficient(d1, mdp, bases).c_dagger if sharing else 0.0
-    return _Cell(c0, c1, model, d0.counts(features), d1.counts(features) if sharing else None,
+    return _Cell(c0, c1, d0.counts(features), d1.counts(features) if sharing else None,
                  time.perf_counter() - start)
 
 
@@ -322,7 +323,7 @@ class _Row:
 
 
 def _row_set_problems(mdp: LinearMdp, cells: list, members: tuple, sharing: bool,
-                      config: PeviConfig) -> list:
+                      reward_cfg: RewardSettings, config: PeviConfig) -> list:
     """Per _Cell of cells, its members' PeviProblems on one row set, d0 or
     (sharing) d0 then d1, all cells in one stacked build.
 
@@ -330,8 +331,10 @@ def _row_set_problems(mdp: LinearMdp, cells: list, members: tuple, sharing: bool
     and obs1 d0's and d1's reward_sums and n1 and miss1 d1's visits and
     missing, a sharing method has s0 + obs1 + miss1 * fill, fill being its
     fill_tables table, on the union of both records; oracle, which replaces
-    every d1 reward, has s0 + n1 * r. The methods on d0 share s0 and so one
-    problem, which _solve_chunk solves once.
+    every d1 reward, has s0 + n1 * r. The reward models that pds and
+    reward_predict fill from are one fit_rewards over the stacked d0
+    records, made only when one of them is a member. The methods on d0
+    share s0 and so one problem, which _solve_chunk solves once.
     """
     features = mdp.features
     counts0 = RowCounts.stack([c.counts0 for c in cells], features.num_states)
@@ -340,7 +343,11 @@ def _row_set_problems(mdp: LinearMdp, cells: list, members: tuple, sharing: bool
                 for p in pevi_problems(features, counts0, [counts0.reward_sums], config)]
     counts1 = RowCounts.stack([c.counts1 for c in cells], features.num_states)
     both = counts0.union(counts1)
-    models = [c.model for c in cells]
+    if MethodId.PDS in members or MethodId.REWARD_PREDICT in members:
+        models = fit_rewards(counts0, features, nu=reward_cfg.nu, delta=reward_cfg.delta,
+                             r_max=mdp.r_max, alpha_mode=reward_cfg.alpha_mode)
+    else:  # uds and oracle read only how many cells there are
+        models = [None] * len(cells)
     vectors = []
     for method in members:
         fill = fill_tables(models, features, _RELABEL_MODE[method], mdp).reshape(len(cells), -1)
@@ -351,7 +358,7 @@ def _row_set_problems(mdp: LinearMdp, cells: list, members: tuple, sharing: bool
 
 
 def _build_row_set(mdp: LinearMdp, cells: list, rows: list, sharing: bool, n_rows: int,
-                   pevi_cfg: PeviSettings) -> None:
+                   reward_cfg: RewardSettings, pevi_cfg: PeviSettings) -> None:
     """Build one row set of n_rows rows for every _Cell of cells, rows
     holding each cell's _Rows on it in one order of methods: each row's
     outcome becomes its PeviProblem (_row_set_problems), its seconds gaining
@@ -361,12 +368,13 @@ def _build_row_set(mdp: LinearMdp, cells: list, rows: list, sharing: bool, n_row
     start = time.perf_counter()
     methods = tuple(row.method for row in rows[0])
     try:
-        problems = _row_set_problems(mdp, cells, methods, sharing,
+        problems = _row_set_problems(mdp, cells, methods, sharing, reward_cfg,
                                      pevi_cfg.config_for(mdp, n_rows))
     except Exception as exc:  # reported per method by the caller
         if len(cells) > 1:
             for cell, cell_rows in zip(cells, rows):
-                _build_row_set(mdp, [cell], [cell_rows], sharing, n_rows, pevi_cfg)
+                _build_row_set(mdp, [cell], [cell_rows], sharing, n_rows, reward_cfg,
+                               pevi_cfg)
             return
         problems = [[exc.with_traceback(None)] * len(methods)]
     share_s = (time.perf_counter() - start) / (len(cells) * len(methods))
@@ -377,7 +385,7 @@ def _build_row_set(mdp: LinearMdp, cells: list, rows: list, sharing: bool, n_row
 
 
 def _build_group(mdp: LinearMdp, n0: int, n1: int, cells: list, methods: tuple,
-                 pevi_cfg: PeviSettings) -> list:
+                 reward_cfg: RewardSettings, pevi_cfg: PeviSettings) -> list:
     """The _Rows, cell by cell and method by method, of a group of cells of
     one (n0, n1), given as (seed, _Cell or the exception that failed the
     cell) pairs; a failed cell fails every method. The methods on d0 (every
@@ -394,7 +402,7 @@ def _build_group(mdp: LinearMdp, n0: int, n1: int, cells: list, methods: tuple,
                   for i in reduced]
         if picked and picked[0]:
             _build_row_set(mdp, [cells[i][1] for i in reduced], picked, sharing, n_rows,
-                           pevi_cfg)
+                           reward_cfg, pevi_cfg)
     return [row for cell_rows in rows for row in cell_rows]
 
 
@@ -591,7 +599,7 @@ def sweep(mdp: LinearMdp, grid: SweepGrid) -> SweepReport:
                 cell = d0 if isinstance(d0, Exception) else d1
                 if not isinstance(cell, Exception):
                     try:
-                        cell = _reduce_cell(mdp, d0, d1, grid.reward, bases)
+                        cell = _reduce_cell(mdp, d0, d1, bases)
                     except Exception as exc:  # cell failures are data, not crashes
                         # a traceback would keep the cell's datasets alive
                         cell = exc.with_traceback(None)
@@ -601,13 +609,14 @@ def sweep(mdp: LinearMdp, grid: SweepGrid) -> SweepReport:
                                      if c is not None)
                 chunk_full = len(chunk) // len(methods) + len(group) == per_chunk
                 if chunk_full or group_ids >= _SEED_BATCH_ROWS:
-                    chunk += _build_group(mdp, n0, n1, group, methods, grid.pevi)
+                    chunk += _build_group(mdp, n0, n1, group, methods, grid.reward,
+                                          grid.pevi)
                     group, group_ids = [], 0
                 if chunk_full:
                     _solve_chunk(mdp, chunk, evaluations, oracle[1].v)
                     rows += chunk
                     chunk = []
-            chunk += _build_group(mdp, n0, n1, group, methods, grid.pevi)
+            chunk += _build_group(mdp, n0, n1, group, methods, grid.reward, grid.pevi)
             group, group_ids = [], 0
     _solve_chunk(mdp, chunk, evaluations, oracle[1].v)
     results, failures = [], []

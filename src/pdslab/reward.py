@@ -8,6 +8,12 @@ alpha * sqrt(phi^T Lambda^{-1} phi) drives the pessimistic reward
 
     r_hat(s,a) = clamp(<phi, theta_hat> - alpha*sqrt(phi^T Lambda^{-1} phi), 0, r_max).
 
+fit_rewards fits a stack of K labeled row sets (RowCounts.stack) at once:
+one Gram stack, one Cholesky stack and one stacked right-hand side
+(ridge_fit, which also fits the ensemble's members), and one radius per
+distinct row count. Each model has the bits fit_reward, its K = 1 case,
+gives its row set alone.
+
 Relabeling modes: pds (pessimistic), uds (zeros), predict (plain plug-in),
 oracle (true rewards, requires the generating MDP).
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pdslab.data import OfflineDataset
+from pdslab.data import OfflineDataset, RowCounts
 from pdslab.mdp import FeatureMap, LinearMdp, nonnegative, positive, probability, require
 from pdslab.ridge import Ridge
 
@@ -59,7 +65,7 @@ class RewardModel:
     n_labeled: int
     delta: float
     r_max: float = 1.0
-    # the factored Lambda; fit_reward hands over the one it built from the
+    # the factored Lambda; fit_rewards hands over the one it built from the
     # visit counts, which is then trusted as is instead of validated and
     # refactored
     ridge: Ridge | None = field(default=None, repr=False, compare=False)
@@ -90,6 +96,45 @@ class RewardModel:
         return self.theta_hat.shape[0]
 
 
+def ridge_fit(features: FeatureMap, visits: np.ndarray, reward_sums: np.ndarray,
+              nu: float) -> tuple[Ridge, np.ndarray]:
+    """The ridge fits of K row sets given by their (K, S*A) visit counts and
+    per-pair reward sums: the (K, d, d) Ridge of Lambda = nu*I + Gram and the
+    (K, d) theta_hat = Lambda^{-1} Phi^T sums. One Gram stack, one Cholesky
+    stack and one stacked right-hand side, and each slice has the bits of its
+    row set fitted alone."""
+    ridge = Ridge(nu * np.eye(features.dim) + features.gram(visits))
+    return ridge, ridge.solve(np.matmul(features.matrix().T, reward_sums[..., None]))[..., 0]
+
+
+def fit_rewards(
+    counts: RowCounts,
+    features: FeatureMap,
+    nu: float = 1.0,
+    delta: float = 0.1,
+    r_max: float = 1.0,
+    alpha_mode: str = "lemma",
+) -> list[RewardModel]:
+    """fit_reward for each labeled row set of a RowCounts stack
+    (RowCounts.stack), each model with the bits it gets alone: one ridge_fit
+    over the stack, and one radius per distinct row count, which is one
+    radius for row sets of one size."""
+    require("nu", nu, positive, "a finite positive number")
+    require("r_max", r_max, positive, "a finite positive number")
+    if alpha_mode not in ALPHA_MODES:
+        raise ValueError(f"unknown alpha_mode {alpha_mode!r}")
+    if counts.missing.any():
+        raise ValueError("fit_rewards requires labeled row sets")
+    d = features.dim
+    ridge, thetas = ridge_fit(features, counts.visits, counts.reward_sums, nu)
+    sizes = counts.visits.sum(axis=-1).tolist()
+    alphas = {n: lemma_alpha(d, n, nu, delta, r_max) if alpha_mode == "lemma"
+              else theorem_alpha(d, n, delta, r_max) for n in set(sizes)}
+    return [RewardModel(theta_hat=theta, lambda_matrix=one.matrix, alpha=alphas[n], nu=nu,
+                        n_labeled=n, delta=delta, r_max=r_max, ridge=one)
+            for theta, one, n in zip(thetas, ridge.unstack(), sizes)]
+
+
 def fit_reward(
     labeled: OfflineDataset,
     features: FeatureMap,
@@ -98,7 +143,8 @@ def fit_reward(
     r_max: float = 1.0,
     alpha_mode: str = "lemma",
 ) -> RewardModel:
-    """Ridge regression of observed rewards onto features.
+    """Ridge regression of observed rewards onto features: fit_rewards of
+    the one row set labeled.
 
     The rows are read through their counts (OfflineDataset.counts): the
     visit counts, whose Gram gives Lambda, and the per-pair reward sums,
@@ -108,28 +154,8 @@ def fit_reward(
     """
     if not labeled.labeled:
         raise ValueError("fit_reward requires a labeled dataset")
-    require("nu", nu, positive, "a finite positive number")
-    require("r_max", r_max, positive, "a finite positive number")
-    n, d = len(labeled), features.dim
-    counts = labeled.counts(features)
-    ridge = Ridge(nu * np.eye(d) + features.gram(counts.visits))
-    theta_hat = ridge.solve(features.matrix().T @ counts.reward_sums)
-    if alpha_mode == "lemma":
-        alpha = lemma_alpha(d, n, nu, delta, r_max)
-    elif alpha_mode == "theorem":
-        alpha = theorem_alpha(d, n, delta, r_max)
-    else:
-        raise ValueError(f"unknown alpha_mode {alpha_mode!r}")
-    return RewardModel(
-        theta_hat=theta_hat,
-        lambda_matrix=ridge.matrix,
-        alpha=alpha,
-        nu=nu,
-        n_labeled=n,
-        delta=delta,
-        r_max=r_max,
-        ridge=ridge,
-    )
+    counts = RowCounts.stack([labeled.counts(features)], features.num_states)
+    return fit_rewards(counts, features, nu, delta, r_max, alpha_mode)[0]
 
 
 def _predictions(models, features: FeatureMap) -> np.ndarray:
@@ -171,7 +197,9 @@ def fill_tables(
     models, features: FeatureMap, mode: str, mdp: LinearMdp | None = None
 ) -> np.ndarray:
     """The (K, S, A) reward tables a relabel mode fills missing rewards from,
-    one per model of models, each with the bits fill_table gives it alone."""
+    one per model of models, each with the bits fill_table gives it alone.
+    Only modes pds and predict read the models; uds and oracle read only
+    how many there are."""
     if mode not in RELABEL_MODES:
         raise ValueError(f"mode must be one of {RELABEL_MODES}, got {mode!r}")
     shape = (len(models), features.num_states, features.num_actions)

@@ -36,6 +36,15 @@ class Ridge:
         stacked._upper = np.stack([r._upper for r in ridges])
         return stacked
 
+    def unstack(self) -> list:
+        """The K one-matrix ridges of a (K, d, d) stack, views of its arrays."""
+        ridges = []
+        for matrix, upper in zip(self.matrix, self._upper):
+            ridge = Ridge.__new__(Ridge)
+            ridge.matrix, ridge._upper = matrix, upper
+            ridges.append(ridge)
+        return ridges
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Lambda^{-1} rhs for a (d,) or (d, m) rhs, or per slice for a
         (K, d, m) rhs of a stack."""

@@ -292,7 +292,7 @@ def test_run_cell_failures_exit_3(tmp_path, monkeypatch):
     def broken_fit(*args, **kwargs):
         raise ValueError("reward fit failed")
 
-    monkeypatch.setattr(pipeline, "fit_reward", broken_fit)
+    monkeypatch.setattr(pipeline, "fit_rewards", broken_fit)
     path = _write_config(tmp_path, _base_doc(tmp_path))
     assert entrypoint(["run", "--config", path]) == 3
 

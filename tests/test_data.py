@@ -15,6 +15,7 @@ import pdslab.data as data
 from conftest import chain_mdp, clipped_lowrank_mdp, exhaustive_dataset, quantize_transitions
 from pdslab.data import (
     OfflineDataset,
+    RowCounts,
     coverage_bases,
     coverage_coefficient,
     header_path,
@@ -551,9 +552,8 @@ def test_a_sweep_row_set_is_its_transition_counts(seed):
 
     methods, policy = tuple(MethodId), solve_optimal(mdp)[0]
     bases = coverage_bases(mdp, policy)
-    got, want = (_build_group(mdp, 300, 2000, [(seed, _reduce_cell(mdp, a, b, RewardSettings(),
-                                                                   bases))],
-                              methods, PeviSettings(c=0.05))
+    got, want = (_build_group(mdp, 300, 2000, [(seed, _reduce_cell(mdp, a, b, bases))],
+                              methods, RewardSettings(), PeviSettings(c=0.05))
                  for a, b in ((permuted(d0), permuted(d1)), (d0, d1)))
     for g, w in zip(got, want):
         assert g.method is w.method and g.outcome.config == w.outcome.config
@@ -582,8 +582,9 @@ def test_a_five_method_cell_reduces_each_dataset_once(monkeypatch):
     policy = solve_optimal(mdp)[0]
     bases = coverage_bases(mdp, policy)
     monkeypatch.setattr(OfflineDataset, "pair_ids", counted)
-    cell = _reduce_cell(mdp, d0, d1, RewardSettings(), bases)
-    rows = _build_group(mdp, 300, 2000, [(0, cell)], tuple(MethodId), PeviSettings(c=0.05))
+    cell = _reduce_cell(mdp, d0, d1, bases)
+    rows = _build_group(mdp, 300, 2000, [(0, cell)], tuple(MethodId), RewardSettings(),
+                        PeviSettings(c=0.05))
     assert not any(isinstance(row.outcome, Exception) for row in rows)
     assert reads == {id(d0): 1, id(d1): 1}
 
@@ -605,6 +606,22 @@ def test_union_of_counts_is_the_mixed_datasets_counts(seed):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
         assert np.allclose(got.reward_sums, want.reward_sums, rtol=1e-12, atol=0)
+
+
+def test_stack_of_one_record_is_views_of_it():
+    """RowCounts.stack of one record copies nothing: each per-pair array
+    gains a leading axis of 1 and the transition arrays are the record's
+    own, with what the stack of several records holds for its first."""
+    mdp = make_lowrank_mdp(6, 3, dim=3, gamma=0.9, seed=4)
+    record, other = (d.counts(mdp.features) for d in sample_datasets(
+        mdp, Policy.uniform(6, 3), 200, (0, 1), noise=True))
+    alone, pair = RowCounts.stack([record], 6), RowCounts.stack([record, other], 6)
+    size = len(record.transitions)
+    for name, got, want in zip(RowCounts._fields, alone, pair):
+        assert np.shares_memory(got, getattr(record, name)), name
+        head = want[:1] if name in ("visits", "reward_sums", "missing") else want[:size]
+        assert got.dtype == head.dtype and np.array_equal(got, head), name
+    assert alone.visits.shape == (1, 18) and alone.transitions is record.transitions
 
 
 def test_counts_are_kept_per_feature_shape():

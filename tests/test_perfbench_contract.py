@@ -4,15 +4,15 @@ fails in Tracer.install before it measures anything.
 
 test_every_traced_name_exists guards only the names. It does not check that
 the sweep still calls what they name: pipeline.sample_dataset,
-pipeline.pevi_solve, pipeline.relabel and pipeline.mix_datasets stay
-importable for the tracer, but the sweep calls sample_datasets,
-pevi_lockstep and fill_table and mixes no datasets, so the traced
-data.sample_dataset.*, pevi.*, reward.relabel.* and data.mix_datasets.*
-metrics read 0 on the sweep workloads until the tracer wraps what the sweep
-calls. The coverage layer is checked through a traced sweep. The sweep
-evaluates each distinct greedy policy once, so the traced
-mdp.evaluate_policy.calls counts a sweep's distinct policies, not its rows
-or problems."""
+pipeline.pevi_solve, pipeline.fit_reward, pipeline.relabel and
+pipeline.mix_datasets stay importable for the tracer, but the sweep calls
+sample_datasets, pevi_lockstep, fit_rewards and fill_tables and mixes no
+datasets, so the traced data.sample_dataset.*, pevi.*, reward.fit_reward.*,
+reward.relabel.* and data.mix_datasets.* metrics read 0 on the sweep
+workloads until the tracer wraps what the sweep calls. The coverage layer
+is checked through a traced sweep. The sweep evaluates each distinct greedy
+policy once, so the traced mdp.evaluate_policy.calls counts a sweep's
+distinct policies, not its rows or problems."""
 import importlib.util
 from pathlib import Path
 

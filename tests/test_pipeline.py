@@ -191,7 +191,7 @@ def test_sweep_records_failures_and_continues(monkeypatch):
     def broken_fit(*args, **kwargs):
         raise ValueError("reward fit failed")
 
-    monkeypatch.setattr(pipeline, "fit_reward", broken_fit)
+    monkeypatch.setattr(pipeline, "fit_rewards", broken_fit)
     mdp = _mdp(seed=31)
     grid = SweepGrid(n0_values=(20,), n1_values=(10,), methods=(MethodId.PDS, MethodId.UDS),
                      seeds=(0, 1))
@@ -568,30 +568,49 @@ def test_empty_d1_cells_solve_one_problem_per_seed(monkeypatch):
 
 
 def test_one_failed_fit_fails_only_its_cell(monkeypatch):
-    # a batch prepares its cells together, but a cell's failure is its own:
-    # the second fit of the sweep (seed 1 of the n1 = 30 column) raises
+    # a group fits its cells' rewards in one stacked call, but a cell's
+    # failure is its own: the stacked fit of the n1 = 30 column raises, and
+    # so does seed 1's own fit when the group is rebuilt cell by cell. Only
+    # that cell's sharing rows fail; its no_share row is built on d0 alone,
+    # which needs no fit, and the n1 = 0 column makes none
     import pdslab.pipeline as pipeline
 
     mdp = _mdp(seed=79)
     grid = SweepGrid(n0_values=(40,), n1_values=(30, 0), methods=ALL_METHODS, seeds=(0, 1, 2),
                      noise=True, pevi=PeviSettings(c=0.05))
     clean = sweep(mdp, grid)
-    calls, real = [], pipeline.fit_reward
+    calls, real = [], pipeline.fit_rewards
 
-    def second_fails(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 2:
+    def seed_1_fails(counts, *args, **kwargs):
+        calls.append(len(counts.visits))
+        if len(calls) in (1, 3):
             raise ValueError("reward fit failed")
-        return real(*args, **kwargs)
+        return real(counts, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "fit_reward", second_fails)
+    monkeypatch.setattr(pipeline, "fit_rewards", seed_1_fails)
     report = sweep(mdp, grid)
-    assert len(calls) == 6
+    assert calls == [3, 1, 1, 1]
+    sharing = [m for m in ALL_METHODS if m is not MethodId.NO_SHARE]
     assert [(f["method"], f["n1"], f["seed"]) for f in report.failures] == [
-        (m.value, 30, 1) for m in ALL_METHODS]
+        (m.value, 30, 1) for m in sharing]
     assert all(f["error"] == "ValueError: reward fit failed" for f in report.failures)
-    want = [r for r in clean.results if (r.n1, r.seed) != (30, 1)]
+    want = [r for r in clean.results if (r.n1, r.seed) != (30, 1) or r.method not in sharing]
     assert _strip_wall(results_to_csv(report.results)) == _strip_wall(results_to_csv(want))
+
+
+def test_no_fit_where_no_method_reads_it(monkeypatch):
+    # uds and oracle fill from no reward model and no_share trains on d0
+    # alone, so a sweep of those three methods never fits
+    import pdslab.pipeline as pipeline
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_rewards called")
+
+    monkeypatch.setattr(pipeline, "fit_rewards", no_fit)
+    grid = SweepGrid(n0_values=(30,), n1_values=(0, 20), seeds=(0, 1),
+                     methods=(MethodId.UDS, MethodId.ORACLE, MethodId.NO_SHARE))
+    report = sweep(_mdp(seed=41), grid)
+    assert not report.failures and len(report.results) == 12
 
 
 def test_multi_batch_column_equals_separate_datasets(monkeypatch):
@@ -642,9 +661,8 @@ def test_multi_batch_column_equals_separate_datasets(monkeypatch):
                 row = next(rows)
                 assert (row.seed, row.n1, row.method) == (seed, n1, method)
                 assert (row.c0_dagger, row.c1_dagger) == (c0, c1)
-            alone = _build_group(mdp, 40, n1, [(seed, _reduce_cell(mdp, d0, d1, grid.reward,
-                                                                    bases))],
-                                 ALL_METHODS, grid.pevi)
+            alone = _build_group(mdp, 40, n1, [(seed, _reduce_cell(mdp, d0, d1, bases))],
+                                 ALL_METHODS, grid.reward, grid.pevi)
             # with d1 empty the methods share one problem, which is solved once
             want += [row.outcome for row in (alone if n1 else alone[:1])]
     assert len(built) == len(want) == 36
@@ -662,8 +680,8 @@ def test_partly_labeled_d1_matches_relabel_reference():
     d1 = d1.with_rewards(observed, labeled=False)
     pevi_cfg = PeviSettings(beta_override=0.4)
     oracle = solve_optimal(mdp)
-    cell = _reduce_cell(mdp, d0, d1, RewardSettings(), coverage_bases(mdp, oracle[0]))
-    prepared = _build_group(mdp, 30, 20, [(0, cell)], ALL_METHODS, pevi_cfg)
+    cell = _reduce_cell(mdp, d0, d1, coverage_bases(mdp, oracle[0]))
+    prepared = _build_group(mdp, 30, 20, [(0, cell)], ALL_METHODS, RewardSettings(), pevi_cfg)
     model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
     for method, got in zip(ALL_METHODS, prepared):
         assert got.method is method
@@ -681,8 +699,9 @@ def test_missing_d1_fails_only_the_sharing_methods():
     with pytest.raises(ValueError, match="pds needs an unlabeled dataset"):
         run_method(mdp, d0, None, MethodId.PDS, RewardSettings(), pevi_cfg)
     oracle = solve_optimal(mdp)
-    cell = _reduce_cell(mdp, d0, None, RewardSettings(), coverage_bases(mdp, oracle[0]))
-    (no_share,) = _build_group(mdp, 30, 0, [(0, cell)], (MethodId.NO_SHARE,), pevi_cfg)
+    cell = _reduce_cell(mdp, d0, None, coverage_bases(mdp, oracle[0]))
+    (no_share,) = _build_group(mdp, 30, 0, [(0, cell)], (MethodId.NO_SHARE,), RewardSettings(),
+                               pevi_cfg)
     assert no_share.method is MethodId.NO_SHARE and no_share.n1 == 0
     model = fit_reward(d0, mdp.features, r_max=mdp.r_max)
     _assert_same_problem(no_share.outcome, _reference_problem(

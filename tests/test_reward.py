@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import confidence_coverage_trial
-from pdslab.data import OfflineDataset, mix_datasets, sample_dataset
+from pdslab.data import OfflineDataset, RowCounts, mix_datasets, sample_dataset, sample_datasets
 from pdslab.mdp import (
     FeatureMap,
     Policy,
@@ -18,6 +18,7 @@ from pdslab.reward import (
     deviation_table,
     fill_missing,
     fit_reward,
+    fit_rewards,
     lemma_alpha,
     pessimistic_table,
     predicted_table,
@@ -329,3 +330,45 @@ def test_fit_reward_requires_finite_positive_nu_and_r_max(nu, r_max, name):
     if name == "nu":
         with pytest.raises(ValueError, match="nu must be a finite positive number"):
             lemma_alpha(2, 20, nu, 0.1, 1.0)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("alpha_mode", ["lemma", "theorem"])
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("shape", [(400, 4, 8), (50, 4, 6), (30, 5, 12)])
+def test_stacked_fit_is_each_fit_alone_bit_for_bit(shape, k, alpha_mode):
+    """fit_rewards over a RowCounts stack gives every row set the theta_hat,
+    Lambda, Cholesky factor and alpha that fit_reward gives it alone. The
+    row sets of the stack of six come in two sizes, so two radii."""
+    num_states, num_actions, dim = shape
+    mdp = make_lowrank_mdp(num_states, num_actions, dim=dim, seed=dim)
+    pi = Policy.uniform(num_states, num_actions)
+    features = mdp.features
+    sizes = (300,) if k == 1 else (300, 451)
+    datasets = [d for n in sizes
+                for d in sample_datasets(mdp, pi, n, range(n, n + k // len(sizes)), noise=True)]
+    stacked = RowCounts.stack([d.counts(features) for d in datasets], num_states)
+    got = fit_rewards(stacked, features, nu=0.7, delta=0.05, r_max=mdp.r_max,
+                      alpha_mode=alpha_mode)
+    assert len(got) == len(datasets) == k
+    for model, d in zip(got, datasets):
+        alone = fit_reward(d, features, nu=0.7, delta=0.05, r_max=mdp.r_max,
+                           alpha_mode=alpha_mode)
+        assert model.n_labeled == alone.n_labeled == len(d)
+        assert model.alpha == alone.alpha
+        for name in ("theta_hat", "lambda_matrix"):
+            assert _bits(getattr(model, name)) == _bits(getattr(alone, name)), name
+        assert _bits(model.ridge._upper) == _bits(alone.ridge._upper)
+
+
+def test_stacked_fit_refuses_unlabeled_row_sets():
+    mdp = make_lowrank_mdp(4, 2, dim=2, seed=0)
+    unlabeled = sample_dataset(mdp, Policy.uniform(4, 2), n=20, seed=1, labeled=False)
+    with pytest.raises(ValueError, match="requires labeled row sets"):
+        fit_rewards(RowCounts.stack([unlabeled.counts(mdp.features)], 4), mdp.features)
+    with pytest.raises(ValueError, match="unknown alpha_mode"):
+        fit_rewards(RowCounts.stack([_uniform_data(mdp, 20).counts(mdp.features)], 4),
+                    mdp.features, alpha_mode="bogus")

@@ -5,7 +5,9 @@ Each argument below is fed NaN, +inf, -inf and a bool, and each count also
 hand-written checks once let such values through: theorem_beta returned NaN
 for a NaN r_max, lemma_alpha returned NaN for a negative count, BoundInputs
 took d=2.5 and n0=True, make_tabular_mdp built an MDP whose r_max was True,
-and sample_datasets failed inside numpy on n=True.
+and sample_datasets failed inside numpy on n=True. Seeds are scalars too:
+sample_dataset sampled seed=True as seed 1, and make_tabular_mdp recorded
+it in an MDP that save_mdp wrote and load_mdp refused.
 """
 import numpy as np
 import pytest
@@ -61,26 +63,29 @@ ENTRY_POINTS = {
                                       r_max=1.0, delta=0.1, c=1.0), {"d", "n0", "n1"}),
     "LinearMdp": (LinearMdp, dict(features=FeatureMap(np.eye(2).reshape(1, 2, 2)),
                                   mu=np.ones((2, 1)), theta=np.array([0.5, 0.5]), gamma=0.9,
-                                  r_max=1.0, init_dist=np.array([1.0])), set()),
-    "make_tabular_mdp": (make_tabular_mdp, dict(num_states=2, num_actions=2, gamma=0.9, r_max=1.0),
-                         {"num_states", "num_actions"}),
+                                  r_max=1.0, init_dist=np.array([1.0]), seed=0), {"seed"}),
+    "make_tabular_mdp": (make_tabular_mdp, dict(num_states=2, num_actions=2, gamma=0.9, r_max=1.0,
+                                                seed=0), {"num_states", "num_actions", "seed"}),
     "make_lowrank_mdp": (make_lowrank_mdp, dict(num_states=3, num_actions=2, dim=2, gamma=0.9,
-                                                r_max=1.0), {"num_states", "num_actions", "dim"}),
+                                                r_max=1.0, seed=0),
+                         {"num_states", "num_actions", "dim", "seed"}),
     "make_adversarial_mdp": (make_adversarial_mdp, dict(num_actions=3, dim=2, gamma=0.9, r_max=1.0),
                              {"num_actions", "dim"}),
     "mixed_with_uniform": (lambda **kw: Policy.uniform(2, 2).mixed_with_uniform(**kw),
                            dict(epsilon=0.5), set()),
     "suboptimality": (lambda **kw: suboptimality(_mdp(), Policy.uniform(4, 2), **kw),
                       dict(state=0), {"state"}),
-    "sample_datasets": (lambda **kw: sample_datasets(_mdp(), Policy.uniform(4, 2), seeds=[0], **kw),
-                        dict(n=10, horizon_reset=5, noise=0.1), {"n", "horizon_reset"}),
+    "sample_datasets": (lambda seed, **kw: sample_datasets(_mdp(), Policy.uniform(4, 2),
+                                                           seeds=[0, seed], **kw),
+                        dict(n=10, horizon_reset=5, noise=0.1, seed=1),
+                        {"n", "horizon_reset", "seed"}),
     "gaussian_min_coefficient": (gaussian_min_coefficient, dict(ensemble_size=3),
                                  {"ensemble_size"}),
     "EnsembleRewardModel": (EnsembleRewardModel, dict(members=np.zeros((2, 2)),
                                                       features=FeatureMap(np.full((2, 1, 2), 0.5)),
                                                       labeled_mean=0.5, nu=1.0), set()),
     "fit_ensemble": (lambda **kw: fit_ensemble(_labeled(), _mdp().features, **kw),
-                     dict(ensemble_size=3, nu=1.0), {"ensemble_size"}),
+                     dict(ensemble_size=3, nu=1.0, seed=0), {"ensemble_size", "seed"}),
     # k and a are checked before the input is read, so the paths need not exist
     "relabel_file": (lambda **kw: relabel_file("missing.jsonl", "out.jsonl", _model(), **kw),
                      dict(k_mode=1.0, auto_a=25.0), set()),
@@ -113,3 +118,20 @@ def test_negative_count_is_refused_not_turned_into_nan():
     # log(1 + n/(nu*d)) is NaN for n < -nu*d, which once came back as the radius
     with pytest.raises(ValueError, match="^n_labeled must be"):
         lemma_alpha(2, -5, 1.0, 0.1, 1.0)
+
+
+def test_a_made_mdp_always_saves_a_file_that_loads(tmp_path):
+    # make_tabular_mdp(2, 2, seed=True) once wrote "seed": true, which
+    # load_mdp then refused; the makers draw from default_rng, which takes
+    # no negative seed, and LinearMdp records what load_mdp reads back
+    from pdslab.mdp import load_mdp, save_mdp
+
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got True"):
+        make_tabular_mdp(2, 2, seed=True)
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1"):
+        make_lowrank_mdp(3, 2, dim=2, seed=-1)
+    call, valid, _ = ENTRY_POINTS["LinearMdp"]
+    for mdp in (make_tabular_mdp(2, 2, seed=3), call(**dict(valid, seed=None)),
+                call(**dict(valid, seed=-2))):
+        save_mdp(mdp, tmp_path / "mdp.json")
+        assert load_mdp(tmp_path / "mdp.json").seed == mdp.seed
